@@ -5,13 +5,17 @@
 //! `sequential` feeds the 144-token prompt through `prefill_sequential`
 //! (one `forward_token` per position, lm_head every step); `gemm` runs the
 //! blocked multi-token `prefill` (lm_head only on the last row); `prefix_hit`
-//! forks a warm 128-token prefix snapshot from a [`PrefixCache`] and prefills
-//! only the 16-token suffix — the steady state when many sentence probes
-//! share one (question, context) cell. Record the headline numbers in
+//! forks a warm 128-token prefix snapshot from a [`PagedPrefixCache`] and
+//! prefills only the 16-token suffix — the steady state when many sentence
+//! probes share one (question, context) cell. Record the headline numbers in
 //! EXPERIMENTS.md.
 
+use std::sync::Arc;
+
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use slm_runtime::{ModelConfig, PrefixCache, PrefixCacheConfig, TransformerLM};
+use slm_runtime::{
+    ModelConfig, PagedKvPool, PagedPoolConfig, PagedPrefixCache, PrefixCacheConfig, TransformerLM,
+};
 
 const VOCAB: usize = 2048;
 const PREFIX_LEN: usize = 128;
@@ -53,20 +57,22 @@ fn bench_prefill(c: &mut Criterion) {
         })
     });
 
-    // Warm path: the prefix snapshot exists; a probe pays one fork (KV copy)
-    // plus a suffix-only GEMM prefill.
-    let cache = PrefixCache::new(PrefixCacheConfig::default());
-    let mut warm = model.new_cache();
-    model.prefill_cache_only(&prefix, &mut warm);
-    assert!(cache.insert("bench", &prefix, &warm));
-    group.bench_function("prefix_hit", |b| {
-        b.iter(|| {
-            let mut kv = cache
-                .fork("bench", black_box(&prefix), model.config().max_seq_len)
-                .expect("warm snapshot");
-            model.prefill(black_box(&suffix), &mut kv)
-        })
-    });
+    // Warm path: the prefix snapshot exists; a probe pays one fork (page
+    // handle clones) plus a suffix-only GEMM prefill into a fresh tail page.
+    let pool = PagedKvPool::new(PagedPoolConfig::for_model(model.config(), 16));
+    let cache = PagedPrefixCache::new(Arc::new(pool), PrefixCacheConfig::default());
+    let probe = || {
+        let mut kv = cache
+            .fork_or_build("bench", black_box(&prefix), full.len(), |kv| {
+                model.prefill_cache_only(&prefix, kv)
+            })
+            .expect("the pool holds the snapshot");
+        kv.try_reserve(SUFFIX_LEN)
+            .expect("the pool holds a fork in flight");
+        model.prefill(black_box(&suffix), &mut kv)
+    };
+    probe(); // builds the snapshot
+    group.bench_function("prefix_hit", |b| b.iter(&probe));
 
     group.finish();
 }

@@ -13,20 +13,25 @@
 //! 2. **GEMM prefill throughput** — ≥ 3× tokens/s over sequential at
 //!    realistic prefix lengths (≥ 128 tokens). Short prompts are reported
 //!    too, honestly: blocking cannot amortize anything at 4 tokens.
-//! 3. **Warm-probe speedup** — with a warm prefix cache, scoring a sentence
-//!    costs one KV fork plus a suffix-only prefill: ≥ 5× over re-prefilling
-//!    the full prompt per sentence at prefix 224 × 16 sentences.
+//! 3. **Warm-probe speedup** — with a warm paged prefix cache, scoring a
+//!    sentence costs one page-handle fork, a copy-on-write of a partial tail
+//!    page and a suffix-only prefill: ≥ 5× over re-prefilling the full
+//!    prompt per sentence at prefix 224 × 16 sentences.
 //!
 //! The capacity sweep cycles probes over 4 distinct prefixes through caches
 //! of 1/2/8 entries: an undersized cache thrashes (low hit rate, high
 //! evictions) but — because hits are semantically invisible — never changes
 //! a logit.
 
+use std::sync::Arc;
 use std::time::Instant;
 
 use bench::{save_record, RESULTS_PATH};
 use eval::report::ExperimentRecord;
-use slm_runtime::{ModelConfig, PrefixCache, PrefixCacheConfig, TransformerLM};
+use slm_runtime::{
+    ModelConfig, PagedKvPool, PagedPoolConfig, PagedPrefixCache, PrefixCacheConfig, TransformerLM,
+    PREFILL_BLOCK,
+};
 
 const VOCAB: usize = 8192;
 const MODEL_SEED: u64 = 0xF111;
@@ -61,9 +66,36 @@ fn best_of_3(mut f: impl FnMut()) -> f64 {
         .fold(f64::INFINITY, f64::min)
 }
 
+/// A prefix cache over its own pool, with pages for every entry at the
+/// model's full context plus one fork in flight, so no reservation is ever
+/// rejected.
+fn prefix_cache(model: &TransformerLM, config: PrefixCacheConfig) -> PagedPrefixCache {
+    let pages_per_seq = model.config().max_seq_len.div_ceil(PREFILL_BLOCK);
+    let max_pages = (config.max_entries + 1) * pages_per_seq;
+    let pool = PagedKvPool::new(PagedPoolConfig::for_model(model.config(), max_pages));
+    PagedPrefixCache::new(Arc::new(pool), config)
+}
+
+/// One sentence probe through `cache`: fork the prefix snapshot (building
+/// and admitting it on a miss), then prefill only the suffix.
+fn cached_probe(
+    model: &TransformerLM,
+    cache: &PagedPrefixCache,
+    prefix: &[u32],
+    suffix: &[u32],
+) -> Vec<f32> {
+    let mut kv = cache
+        .fork_or_build("sweep", prefix, prefix.len() + suffix.len(), |kv| {
+            model.prefill_cache_only(prefix, kv)
+        })
+        .expect("the pool is sized for every entry");
+    kv.try_reserve(suffix.len())
+        .expect("the pool is sized for a fork in flight");
+    model.prefill(suffix, &mut kv)
+}
+
 fn main() {
     let model = TransformerLM::synthetic(ModelConfig::qwen2_like(VOCAB), MODEL_SEED);
-    let max_seq = model.config().max_seq_len;
     let mut record = ExperimentRecord::new(
         "ext-prefill",
         "GEMM prefill + shared-prefix KV cache: prefix len x sentences x cache capacity",
@@ -139,15 +171,8 @@ fn main() {
                 model.prefill(&full, &mut kv)
             };
             // Warm: fork the shared snapshot, prefill only the suffix.
-            let cache = PrefixCache::new(PrefixCacheConfig::default());
-            let warm_probe = |suffix: &[u32]| {
-                let (mut kv, _) = cache.fork_or_build("sweep", &prefix, max_seq, || {
-                    let mut fresh = model.new_cache();
-                    model.prefill_cache_only(&prefix, &mut fresh);
-                    fresh
-                });
-                model.prefill(suffix, &mut kv)
-            };
+            let cache = prefix_cache(&model, PrefixCacheConfig::default());
+            let warm_probe = |suffix: &[u32]| cached_probe(&model, &cache, &prefix, suffix);
 
             // Parity first: a cache hit must not move a single logit bit.
             for suffix in &suffixes {
@@ -218,17 +243,12 @@ fn main() {
         })
         .collect();
     for &cap in &CACHE_CAPS {
-        let cache = PrefixCache::new(PrefixCacheConfig::with_max_entries(cap));
+        let cache = prefix_cache(&model, PrefixCacheConfig::with_max_entries(cap));
         // Round-robin over prefixes (the worst case for LRU at cap < 4:
         // each prefix is evicted before its next use).
         for (si, suffix) in cap_suffixes.iter().enumerate() {
             for (pi, prefix) in cap_prefixes.iter().enumerate() {
-                let (mut kv, _) = cache.fork_or_build("sweep", prefix, max_seq, || {
-                    let mut fresh = model.new_cache();
-                    model.prefill_cache_only(prefix, &mut fresh);
-                    fresh
-                });
-                let logits = model.prefill(suffix, &mut kv);
+                let logits = cached_probe(&model, &cache, prefix, suffix);
                 assert_eq!(
                     cold_logits[pi][si],
                     logits.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),

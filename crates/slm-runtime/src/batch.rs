@@ -96,7 +96,7 @@ pub struct ModelBatch {
 
 /// The jobs of one model sharing one `(question, context)` prefix, in
 /// submission order. This is the granularity the shared-prefix KV cache
-/// ([`crate::prefix::PrefixCache`]) exploits: every job in a group prefills
+/// ([`crate::paged::PagedPrefixCache`]) exploits: every job in a group prefills
 /// the same prompt prefix, so evaluating a group contiguously makes its first
 /// job build the snapshot and the rest fork it.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -12,8 +12,7 @@ use std::sync::Arc;
 use crate::bpe::Bpe;
 use crate::model::{InferenceModel, TransformerLM};
 use crate::paged::PagedPrefixCache;
-use crate::prefix::PrefixCache;
-use crate::prob::{p_yes, p_yes_paged, p_yes_prefix};
+use crate::prob::{p_yes, p_yes_paged};
 use crate::verifier::{VerificationRequest, YesNoVerifier};
 
 /// A verifier slot running an actual engine — the f32 [`TransformerLM`] by
@@ -26,11 +25,9 @@ pub struct EngineVerifier<M: InferenceModel = TransformerLM> {
     model: M,
     tokenizer: Bpe,
     /// When set, `(question, context)` prefixes are prefilled once and forked
-    /// per sentence — bitwise-neutral to scores (see [`crate::prefix`]).
-    prefix_cache: Option<Arc<PrefixCache>>,
-    /// When set, takes priority over `prefix_cache`: forks are O(blocks)
-    /// page-handle clones from the shared pool, with [`crate::paged`]'s
-    /// exhaustion guarantee (degrade to the uncached path, same bits).
+    /// per sentence as O(blocks) page-handle clones from the shared pool —
+    /// bitwise-neutral to scores (see [`PagedPrefixCache`]), and a full pool
+    /// degrades to the uncached path with the same bits.
     paged_cache: Option<Arc<PagedPrefixCache>>,
 }
 
@@ -41,31 +38,18 @@ impl<M: InferenceModel> EngineVerifier<M> {
             name: name.into(),
             model,
             tokenizer,
-            prefix_cache: None,
             paged_cache: None,
         }
     }
 
-    /// Attach a shared-prefix KV cache. The cache may be shared across
-    /// verifiers: snapshots are keyed by verifier name, so models never read
-    /// each other's KV state.
-    pub fn with_prefix_cache(mut self, cache: Arc<PrefixCache>) -> Self {
-        self.prefix_cache = Some(cache);
-        self
-    }
-
-    /// Attach a paged prefix cache backed by a shared page pool. Dispatch
-    /// priority is paged > contiguous prefix > plain; all three produce
-    /// bitwise-identical scores, so the choice is purely a cost/footprint
-    /// knob.
+    /// Attach a paged prefix cache backed by a shared page pool. The cache
+    /// may be shared across verifiers: snapshots are keyed by verifier name,
+    /// so models never read each other's KV state. Cached and uncached
+    /// verifiers produce bitwise-identical scores, so the cache is purely a
+    /// cost knob.
     pub fn with_paged_cache(mut self, cache: Arc<PagedPrefixCache>) -> Self {
         self.paged_cache = Some(cache);
         self
-    }
-
-    /// The attached prefix cache, if any.
-    pub fn prefix_cache(&self) -> Option<&Arc<PrefixCache>> {
-        self.prefix_cache.as_ref()
     }
 
     /// The attached paged prefix cache, if any.
@@ -90,19 +74,8 @@ impl<M: InferenceModel + Send + Sync> YesNoVerifier for EngineVerifier<M> {
     }
 
     fn p_yes(&self, request: &VerificationRequest<'_>) -> f64 {
-        if let Some(cache) = &self.paged_cache {
-            return p_yes_paged(
-                &self.model,
-                &self.name,
-                cache,
-                &self.tokenizer,
-                request.question,
-                request.context,
-                request.response,
-            );
-        }
-        match &self.prefix_cache {
-            Some(cache) => p_yes_prefix(
+        match &self.paged_cache {
+            Some(cache) => p_yes_paged(
                 &self.model,
                 &self.name,
                 cache,
@@ -161,52 +134,30 @@ mod tests {
 
     #[test]
     fn prefix_cached_scores_are_bit_identical_to_uncached() {
+        use crate::paged::{PagedKvPool, PagedPoolConfig, PrefixCacheConfig};
         let plain = verifier();
-        let cached = verifier().with_prefix_cache(Arc::new(PrefixCache::new(
-            crate::prefix::PrefixCacheConfig::default(),
+        let pool = Arc::new(PagedKvPool::new(PagedPoolConfig::for_model(
+            plain.model().config(),
+            64,
+        )));
+        let cached = verifier().with_paged_cache(Arc::new(PagedPrefixCache::new(
+            Arc::clone(&pool),
+            PrefixCacheConfig::default(),
         )));
         // Several sentences against the same (question, context) cell: the
         // first builds the snapshot, the rest fork it.
         let sentences = ["9 am", "5 pm", "9 am to 5 pm", "the store operates"];
         for r in sentences {
             let req = VerificationRequest::new("hours?", "the store operates from 9 am", r);
-            assert_eq!(plain.p_yes(&req), cached.p_yes(&req), "sentence {r:?}");
-        }
-        let stats = cached.prefix_cache().expect("attached").stats();
-        assert_eq!(stats.inserts, 1);
-        assert_eq!(stats.hits, sentences.len() as u64 - 1);
-    }
-
-    #[test]
-    fn paged_cached_scores_are_bit_identical_and_take_priority() {
-        use crate::paged::{PagedKvPool, PagedPoolConfig};
-        let plain = verifier();
-        let pool = Arc::new(PagedKvPool::new(PagedPoolConfig::for_model(
-            plain.model().config(),
-            64,
-        )));
-        let paged_cache = Arc::new(PagedPrefixCache::new(
-            Arc::clone(&pool),
-            crate::prefix::PrefixCacheConfig::default(),
-        ));
-        let contiguous = Arc::new(PrefixCache::new(crate::prefix::PrefixCacheConfig::default()));
-        // Attach BOTH caches: the paged one must win the dispatch.
-        let cached = verifier()
-            .with_prefix_cache(Arc::clone(&contiguous))
-            .with_paged_cache(Arc::clone(&paged_cache));
-        let sentences = ["9 am", "5 pm", "9 am to 5 pm", "the store operates"];
-        for r in sentences {
-            let req = VerificationRequest::new("hours?", "the store operates from 9 am", r);
-            assert_eq!(plain.p_yes(&req), cached.p_yes(&req), "sentence {r:?}");
+            assert_eq!(
+                plain.p_yes(&req).to_bits(),
+                cached.p_yes(&req).to_bits(),
+                "sentence {r:?}"
+            );
         }
         let stats = cached.paged_cache().expect("attached").stats();
         assert_eq!(stats.inserts, 1);
         assert_eq!(stats.hits, sentences.len() as u64 - 1);
-        assert_eq!(
-            contiguous.stats().hits + contiguous.stats().misses,
-            0,
-            "contiguous cache bypassed when a paged cache is attached"
-        );
         assert!(pool.stats().pages_live > 0, "snapshot holds pool pages");
     }
 

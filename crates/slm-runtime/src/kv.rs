@@ -211,13 +211,6 @@ impl KvCache {
         2 * self.keys.len() * self.max_seq * self.kv_dim * std::mem::size_of::<f32>()
     }
 
-    /// Compact copy holding exactly the filled rows (`max_seq == len`): the
-    /// form the prefix cache stores, so an idle snapshot costs `len` rows
-    /// instead of the model's full context window.
-    pub fn compact_clone(&self) -> KvCache {
-        self.fork_with_capacity(self.len.max(1))
-    }
-
     /// Copy the filled rows into a fresh cache with `max_seq` capacity — the
     /// copy-on-extend fork: the returned cache continues from position `len`
     /// and is fully independent of `self`.
@@ -366,8 +359,6 @@ mod tests {
         let forked = c.fork_with_capacity(16);
         assert_eq!(forked.allocated_bytes(), 16 * per_row);
         assert_eq!(forked.kv_bytes(), 10 * per_row);
-        // Compact snapshots hold exactly the filled rows.
-        assert_eq!(c.compact_clone().allocated_bytes(), 10 * per_row);
     }
 
     /// The generic attention/model layers run through this trait; make sure

@@ -20,9 +20,9 @@
 //!    negation) pushed through per-model calibration (bias, temperature,
 //!    noise). These supply the score *distributions* the framework's checker
 //!    consumes, with distinct per-model means and variances as Eq. 4 assumes.
-//! 3. **Scoring throughput** ([`batch`], [`cache`], [`prefix`]) — a
+//! 3. **Scoring throughput** ([`batch`], [`cache`], [`paged`]) — a
 //!    deterministic batched executor for per-model probe jobs, a sharded
-//!    memoizing verification cache, and a shared-prefix KV cache that
+//!    memoizing verification cache, and a paged shared-prefix KV cache that
 //!    prefills each `(question, context)` prefix once and forks it per
 //!    sentence, all semantically invisible to the ensemble under the
 //!    episode-purity contract
@@ -55,7 +55,6 @@ pub mod limit;
 pub mod model;
 pub mod paged;
 pub mod perplexity;
-pub mod prefix;
 pub mod prob;
 pub mod profiles;
 pub mod quant;
@@ -84,10 +83,10 @@ pub use limit::{ConcurrencyGate, GateStats};
 pub use model::{InferenceModel, PrefillStream, TransformerLM, PREFILL_BLOCK};
 pub use paged::{
     ContinuousBatcher, ContinuousBatcherConfig, ContinuousOutcome, JoinEvent, PagedKvCache,
-    PagedKvPool, PagedPoolConfig, PagedPrefixCache, PoolExhausted, PoolStats,
+    PagedKvPool, PagedPoolConfig, PagedPrefixCache, PoolExhausted, PoolStats, PrefixCacheConfig,
+    PrefixStats,
 };
-pub use prefix::{PrefixCache, PrefixCacheConfig, PrefixStats};
 pub use profiles::{chatgpt_sim, engine_profile, minicpm_sim, qwen2_sim};
-pub use quant::{QuantizedLM, QuantizedMatrix, QuantizedWeights};
+pub use quant::{QuantizedLM, QuantizedWeights};
 pub use ring::{HashRing, RebalanceReport, RingError, RingOp, DEFAULT_RING_SLOTS};
 pub use verifier::{VerificationRequest, YesNoVerifier};

@@ -620,7 +620,7 @@ mod tests {
 
         let mut c_prefix = m.new_cache();
         m.prefill_cache_only(&prefix, &mut c_prefix);
-        let snapshot = c_prefix.compact_clone();
+        let snapshot = c_prefix.fork_with_capacity(prefix.len());
         let mut forked = snapshot.fork_with_capacity(m.config().max_seq_len);
         let via_fork = m.prefill(&suffix, &mut forked);
 

@@ -34,6 +34,12 @@
 //! parity wall in `tests/batch_parity.rs` asserts the consequence: identical
 //! logits across prefill → fork → extend → evict-then-refault.
 //!
+//! **Prefix cache.** [`PagedPrefixCache`] is the crate's one shared-prefix
+//! cache: it keeps the post-prefix KV state of each `(model, prefix tokens)`
+//! pair as a page-handle table, so every sentence probe against the same
+//! `(question, context)` cell forks it instead of prefilling the prefix
+//! again.
+//!
 //! **Continuous batching.** [`ContinuousBatcher`] interleaves
 //! [`PrefillStream`]s at [`PREFILL_BLOCK`] boundaries on virtual-clock time:
 //! a newly arrived sentence probe joins the in-flight round-robin at the next
@@ -54,7 +60,6 @@ use crate::clock::{Clock, VirtualClock};
 use crate::config::ModelConfig;
 use crate::kv::KvStore;
 use crate::model::{InferenceModel, PrefillStream, TransformerLM, PREFILL_BLOCK};
-use crate::prefix::{PrefixCacheConfig, PrefixStats, PREFIX_ENTRY_OVERHEAD_BYTES};
 
 /// Typed pool-exhaustion error: the reservation would push the pool past its
 /// page budget. The failed cache is left exactly as it was (no torn fork);
@@ -447,9 +452,9 @@ impl PagedKvCache {
         self.blocks.len() * self.pool.config.page_bytes()
     }
 
-    /// Bytes of *filled* K/V rows, mirroring the contiguous
-    /// [`crate::kv::KvCache::kv_bytes`] byte model so the two prefix caches
-    /// account identically.
+    /// Bytes of *filled* K/V rows, the same byte model as the contiguous
+    /// [`crate::kv::KvCache::kv_bytes`]. [`PagedPrefixCache`] charges its
+    /// byte budget with this number.
     pub fn kv_bytes(&self) -> usize {
         2 * self.pool.config.n_layers
             * self.len
@@ -527,9 +532,8 @@ impl PagedKvCache {
         }
     }
 
-    /// Snapshot for storage (the paged analogue of
-    /// [`crate::kv::KvCache::compact_clone`]): shares the committed pages,
-    /// keeps the current `max_seq`.
+    /// Snapshot for storage: shares the committed pages, keeps the current
+    /// `max_seq`.
     pub fn share_clone(&self) -> PagedKvCache {
         self.fork_with_capacity(self.max_seq.max(self.len))
     }
@@ -626,16 +630,123 @@ impl Drop for PagedKvCache {
     }
 }
 
-/// Paged analogue of [`crate::prefix::PrefixCache`]: a bounded LRU of
-/// post-prefix snapshots whose entries are page-handle tables instead of
-/// dense copies. A hit forks in `O(blocks)`; an insert stores a
-/// [`PagedKvCache::share_clone`] (zero float copies); eviction drops the
-/// snapshot, returning its pages to the pool the moment the last sharer goes.
+/// Fixed accounting overhead per cached prefix, covering the entry struct,
+/// recency tick, and map bookkeeping. Part of the deterministic byte model,
+/// not a measurement.
+pub const PREFIX_ENTRY_OVERHEAD_BYTES: usize = 96;
+
+/// Capacity knobs for [`PagedPrefixCache`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PrefixCacheConfig {
+    /// Bound on cached prefixes. Never exceeded.
+    pub max_entries: usize,
+    /// Bound on accounted bytes (filled KV rows + token ids + model name +
+    /// [`PREFIX_ENTRY_OVERHEAD_BYTES`] per entry). Never exceeded.
+    pub max_bytes: usize,
+}
+
+impl Default for PrefixCacheConfig {
+    fn default() -> Self {
+        Self {
+            max_entries: 64,
+            // Snapshots are charged their filled K/V rows, so the byte budget
+            // is the binding bound in practice: a 224-token qwen2-like prefix
+            // costs ~230 KiB.
+            max_bytes: 32 << 20,
+        }
+    }
+}
+
+impl PrefixCacheConfig {
+    /// A config with `max_entries` entries and a non-binding byte budget,
+    /// convenient for tests and sweeps.
+    pub fn with_max_entries(max_entries: usize) -> Self {
+        Self {
+            max_entries,
+            ..Self::default()
+        }
+    }
+}
+
+/// FNV-1a over the model name and the prefix token ids (with a separator so
+/// the two fields cannot alias).
+fn prefix_hash(model: &str, tokens: &[TokenId]) -> u64 {
+    const PRIME: u64 = 0x0000_0100_0000_01b3;
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for &b in model.as_bytes() {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(PRIME);
+    }
+    h ^= 0xff;
+    h = h.wrapping_mul(PRIME);
+    for &t in tokens {
+        for b in t.to_le_bytes() {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(PRIME);
+        }
+    }
+    h
+}
+
+/// Point-in-time prefix-cache statistics. Counters are cumulative since
+/// construction; `entries`/`bytes` are current occupancy.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct PrefixStats {
+    /// Forks served from a cached snapshot.
+    pub hits: u64,
+    /// Lookups that found no snapshot.
+    pub misses: u64,
+    /// New snapshots admitted.
+    pub inserts: u64,
+    /// Inserts that overwrote an existing prefix in place.
+    pub updates: u64,
+    /// Snapshots removed by LRU pressure.
+    pub evictions: u64,
+    /// Inserts refused (empty prefix, token/KV length mismatch, or a
+    /// snapshot from another pool).
+    pub rejected: u64,
+    /// Current snapshot count.
+    pub entries: u64,
+    /// Current accounted bytes.
+    pub bytes: u64,
+}
+
+impl PrefixStats {
+    /// Fraction of lookups served from cache; 0 when nothing was looked up.
+    pub fn hit_rate(&self) -> f64 {
+        let total = self.hits + self.misses;
+        if total == 0 {
+            0.0
+        } else {
+            self.hits as f64 / total as f64
+        }
+    }
+}
+
+/// Shared-prefix KV cache: a bounded LRU of post-prefix snapshots keyed by
+/// `(model, prefix tokens)`, whose entries are page-handle tables.
 ///
-/// Reuses [`PrefixCacheConfig`], [`PrefixStats`] and the
-/// [`PREFIX_ENTRY_OVERHEAD_BYTES`] byte model so paged and contiguous prefix
-/// caches account identically (KV bytes count *filled rows*, not pages —
-/// shared pages would otherwise be double-counted).
+/// The paper scores every sentence `r_{i,j}` with one forward pass over the
+/// prompt `(q_i, c_i, r_{i,j})` (Eq. 2–3). The `(q_i, c_i)` prefix, by far
+/// the longest part, is identical across all sentences of a response, so a
+/// probe forks its snapshot and prefills only the sentence. A hit forks in
+/// `O(blocks)` and copies zero floats; an insert stores a
+/// [`PagedKvCache::share_clone`]; eviction drops the snapshot, returning its
+/// pages to the pool the moment the last sharer goes.
+///
+/// **Why a hit cannot change scores.** The transformer is causal: the KV rows
+/// of prefix positions depend only on prefix tokens, so a forked snapshot
+/// extended with suffix tokens walks through bit-for-bit the same states as a
+/// fresh prefill of `prefix ++ suffix` (asserted by the fork-then-extend
+/// parity tests). Copy-on-write leaves the snapshot's pages untouched while a
+/// fork extends its tail. Combined with the episode-purity contract
+/// ([`crate::fallible::FallibleVerifier::try_p_yes_attempt`]), prefix reuse
+/// is semantically invisible — it only saves wall-clock work.
+///
+/// Eviction is LRU under two bounds, entry count and accounted bytes,
+/// mirroring [`crate::cache::VerificationCache`]. KV bytes count *filled
+/// rows*, not pages, so pages shared between snapshots are not
+/// double-counted.
 pub struct PagedPrefixCache {
     pool: Arc<PagedKvPool>,
     inner: Mutex<PagedPrefixInner>,
@@ -736,11 +847,13 @@ impl PagedPrefixCache {
     }
 
     /// Fork the snapshot for `(model, tokens)` with a `capacity` sequence
-    /// bound, refreshing recency. `None` on miss. The fork is `O(blocks)` —
-    /// this is the headline win over the contiguous cache, whose hit copies
-    /// every filled row.
+    /// bound, refreshing recency. `None` on miss. The fork is `O(blocks)`: it
+    /// clones page handles and copies no floats.
+    ///
+    /// # Panics
+    /// Panics when `capacity` is smaller than the cached prefix length.
     pub fn fork(&self, model: &str, tokens: &[TokenId], capacity: usize) -> Option<PagedKvCache> {
-        let hash = crate::prefix::prefix_hash(model, tokens);
+        let hash = prefix_hash(model, tokens);
         let mut inner = self.lock();
         inner.tick += 1;
         let tick = inner.tick;
@@ -782,7 +895,7 @@ impl PagedPrefixCache {
             + std::mem::size_of_val(tokens)
             + model.len()
             + PREFIX_ENTRY_OVERHEAD_BYTES;
-        let hash = crate::prefix::prefix_hash(model, tokens);
+        let hash = prefix_hash(model, tokens);
         let mut evicted = 0u64;
         let updated;
         {
@@ -830,6 +943,35 @@ impl PagedPrefixCache {
         true
     }
 
+    /// Fork the snapshot for `(model, tokens)` on a hit. On a miss, reserve
+    /// `tokens.len()` positions in a fresh pool cache bounded at `capacity`,
+    /// let `fill` prefill exactly `tokens` into it, admit it, and return the
+    /// builder itself. Either way the cache holds the prefix and is extended
+    /// through [`PagedKvCache::try_reserve`], which copy-on-writes any page
+    /// it still shares with the snapshot.
+    ///
+    /// A miss whose prefix does not fit in the pool returns
+    /// [`PoolExhausted`] before `fill` runs, and caches nothing.
+    ///
+    /// # Panics
+    /// Panics when `capacity < tokens.len()`.
+    pub fn fork_or_build(
+        &self,
+        model: &str,
+        tokens: &[TokenId],
+        capacity: usize,
+        fill: impl FnOnce(&mut PagedKvCache),
+    ) -> Result<PagedKvCache, PoolExhausted> {
+        if let Some(kv) = self.fork(model, tokens, capacity) {
+            return Ok(kv);
+        }
+        let mut built = self.pool.new_cache(capacity);
+        built.try_reserve(tokens.len())?;
+        fill(&mut built);
+        self.insert(model, tokens, &built);
+        Ok(built)
+    }
+
     /// Current snapshot count.
     pub fn len(&self) -> usize {
         self.lock().entries
@@ -845,7 +987,7 @@ impl PagedPrefixCache {
         self.lock().bytes
     }
 
-    /// Counters plus current occupancy (same shape as the contiguous cache).
+    /// Counters plus current occupancy.
     pub fn stats(&self) -> PrefixStats {
         let (entries, bytes) = {
             let inner = self.lock();
@@ -1360,21 +1502,215 @@ mod tests {
         let full: Vec<TokenId> = prefix.iter().chain(&suffix).copied().collect();
         let fresh_logits = model.prefill(&full, &mut fresh);
 
-        // Miss path: build, insert, extend the builder.
-        let mut built = pool.new_cache(need);
-        built.try_reserve(prefix.len()).unwrap();
-        model.prefill_cache_only(&prefix, &mut built);
-        assert!(cache.insert("m", &prefix, &built));
+        // Miss path: build and admit the snapshot, then extend the builder.
+        let mut built = cache
+            .fork_or_build("m", &prefix, need, |kv| {
+                model.prefill_cache_only(&prefix, kv)
+            })
+            .unwrap();
+        assert_eq!(cache.stats().inserts, 1);
         built.try_reserve(suffix.len()).unwrap(); // COWs the shared tail
         let miss_logits = model.prefill(&suffix, &mut built);
         assert_eq!(fresh_logits, miss_logits, "miss path diverged");
 
         // Hit path: fork the snapshot, extend.
-        let mut forked = cache.fork("m", &prefix, need).expect("hit");
+        let mut forked = cache
+            .fork_or_build("m", &prefix, need, |_| unreachable!("prefix is cached"))
+            .unwrap();
         forked.try_reserve(suffix.len()).unwrap();
         let hit_logits = model.prefill(&suffix, &mut forked);
         assert_eq!(fresh_logits, hit_logits, "hit path diverged");
         assert_eq!(cache.stats().hits, 1);
+    }
+
+    /// `len` recognizable positions in a fresh cache from `pool`.
+    fn snapshot(pool: &Arc<PagedKvPool>, len: usize, salt: f32) -> PagedKvCache {
+        let mut kv = pool.new_cache(len);
+        kv.try_reserve(len).unwrap();
+        push(&mut kv, len, salt);
+        kv
+    }
+
+    fn prefix_tokens(n: usize, salt: u32) -> Vec<TokenId> {
+        (0..n as u32).map(|i| i * 7 + salt).collect()
+    }
+
+    /// Accounted bytes of one `len`-token snapshot of model `"m"` in a
+    /// [`tiny_pool`].
+    fn entry_bytes(pool: &Arc<PagedKvPool>, len: usize) -> usize {
+        snapshot(pool, len, 0.0).kv_bytes()
+            + len * std::mem::size_of::<TokenId>()
+            + 1
+            + PREFIX_ENTRY_OVERHEAD_BYTES
+    }
+
+    #[test]
+    fn prefix_cache_miss_then_insert_then_hit_roundtrip() {
+        let pool = tiny_pool(16);
+        let cache = PagedPrefixCache::new(Arc::clone(&pool), PrefixCacheConfig::default());
+        let toks = prefix_tokens(5, 1);
+        let want = snapshot(&pool, 5, 0.25);
+        assert!(cache.fork("m", &toks, 8).is_none());
+        assert!(cache.insert("m", &toks, &want));
+        let forked = cache.fork("m", &toks, 8).expect("hit");
+        assert_eq!((forked.len(), forked.max_seq()), (5, 8));
+        assert_rows_match(&|l, p| want.key(l, p).to_vec(), &forked, 5);
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.misses, stats.inserts), (1, 1, 1));
+        assert!((stats.hit_rate() - 0.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn prefix_cache_rejects_mismatched_snapshots() {
+        let pool = tiny_pool(16);
+        let cache = PagedPrefixCache::new(Arc::clone(&pool), PrefixCacheConfig::default());
+        assert!(
+            !cache.insert("m", &[], &snapshot(&pool, 2, 0.0)),
+            "empty prefix"
+        );
+        assert!(
+            !cache.insert("m", &prefix_tokens(3, 0), &snapshot(&pool, 2, 0.0)),
+            "length mismatch"
+        );
+        assert_eq!(cache.stats().rejected, 2);
+        assert!(cache.is_empty());
+        assert_eq!(pool.stats().pages_live, 0, "nothing was kept");
+    }
+
+    #[test]
+    fn prefix_cache_entry_bound_evicts_lru() {
+        let pool = tiny_pool(16);
+        let cache =
+            PagedPrefixCache::new(Arc::clone(&pool), PrefixCacheConfig::with_max_entries(2));
+        cache.insert("m", &prefix_tokens(2, 0), &snapshot(&pool, 2, 0.0));
+        cache.insert("m", &prefix_tokens(2, 100), &snapshot(&pool, 2, 1.0));
+        // Touch the first so the second becomes LRU.
+        assert!(cache.fork("m", &prefix_tokens(2, 0), 4).is_some());
+        cache.insert("m", &prefix_tokens(2, 200), &snapshot(&pool, 2, 2.0));
+        assert_eq!(cache.len(), 2);
+        assert!(
+            cache.fork("m", &prefix_tokens(2, 100), 4).is_none(),
+            "LRU evicted"
+        );
+        assert!(cache.fork("m", &prefix_tokens(2, 0), 4).is_some());
+        assert!(cache.fork("m", &prefix_tokens(2, 200), 4).is_some());
+        assert_eq!(cache.stats().evictions, 1);
+        assert_eq!(
+            pool.stats().pages_live,
+            2,
+            "the evicted snapshot's page went back"
+        );
+    }
+
+    #[test]
+    fn prefix_cache_keys_separate_models_and_tokens() {
+        let pool = tiny_pool(16);
+        let cache = PagedPrefixCache::new(Arc::clone(&pool), PrefixCacheConfig::default());
+        assert!(cache.insert("m1", &prefix_tokens(4, 1), &snapshot(&pool, 4, 1.0)));
+        assert!(cache.fork("m2", &prefix_tokens(4, 1), 8).is_none());
+        assert!(cache.fork("m1", &prefix_tokens(4, 2), 8).is_none());
+        assert!(cache.fork("m1", &prefix_tokens(3, 1), 8).is_none());
+        assert!(cache.fork("m1", &prefix_tokens(4, 1), 8).is_some());
+    }
+
+    #[test]
+    fn prefix_cache_reinsert_replaces_in_place() {
+        let pool = tiny_pool(16);
+        let cache = PagedPrefixCache::new(Arc::clone(&pool), PrefixCacheConfig::default());
+        let toks = prefix_tokens(3, 9);
+        cache.insert("m", &toks, &snapshot(&pool, 3, 1.0));
+        cache.insert("m", &toks, &snapshot(&pool, 3, 2.0));
+        let forked = cache.fork("m", &toks, 4).expect("hit");
+        assert_eq!(forked.key(0, 0)[0], 2.0);
+        let stats = cache.stats();
+        assert_eq!((stats.inserts, stats.updates, stats.entries), (1, 1, 1));
+        drop(forked);
+        assert_eq!(
+            pool.stats().pages_live,
+            1,
+            "the replaced snapshot's page went back"
+        );
+    }
+
+    #[test]
+    fn prefix_cache_byte_bound_is_never_exceeded() {
+        let pool = tiny_pool(64);
+        let config = PrefixCacheConfig {
+            max_entries: usize::MAX >> 1,
+            max_bytes: 3 * entry_bytes(&pool, 4),
+        };
+        let cache = PagedPrefixCache::new(Arc::clone(&pool), config);
+        for i in 0..16 {
+            cache.insert(
+                "m",
+                &prefix_tokens(4, i * 1000),
+                &snapshot(&pool, 4, i as f32),
+            );
+            assert!(cache.bytes() <= config.max_bytes, "violated at insert {i}");
+        }
+        assert_eq!(cache.len(), 3);
+        assert!(cache.stats().evictions > 0);
+        assert_eq!(
+            pool.stats().pages_live,
+            3,
+            "evicted snapshots freed their pages"
+        );
+    }
+
+    #[test]
+    fn prefix_cache_drops_an_entry_larger_than_the_whole_budget() {
+        let pool = tiny_pool(64);
+        let cache = PagedPrefixCache::new(
+            Arc::clone(&pool),
+            PrefixCacheConfig {
+                max_entries: 8,
+                max_bytes: 16,
+            },
+        );
+        assert!(cache.insert("m", &prefix_tokens(64, 0), &snapshot(&pool, 64, 0.0)));
+        assert!(cache.is_empty(), "entry above the whole budget evicted");
+        assert_eq!(cache.stats().evictions, 1);
+        assert_eq!(pool.stats().pages_live, 0);
+    }
+
+    #[test]
+    fn prefix_cache_fork_or_build_builds_once_then_hits() {
+        let pool = tiny_pool(16);
+        let cache = PagedPrefixCache::new(Arc::clone(&pool), PrefixCacheConfig::default());
+        let toks = prefix_tokens(6, 5);
+        let want = snapshot(&pool, 6, 7.0);
+        let mut builds = 0;
+        for round in 0..3 {
+            let mut kv = cache
+                .fork_or_build("m", &toks, 10, |kv| {
+                    builds += 1;
+                    push(kv, 6, 7.0);
+                })
+                .unwrap();
+            assert_eq!((kv.len(), kv.max_seq()), (6, 10));
+            assert_rows_match(&|l, p| want.key(l, p).to_vec(), &kv, 6);
+            // Extending copies the shared tail page on write, so the
+            // snapshot keeps its rows (checked below).
+            kv.try_reserve(4).unwrap();
+            push(&mut kv, 4, 100.0 * (round + 1) as f32);
+        }
+        assert_eq!(builds, 1);
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.misses, stats.inserts), (2, 1, 1));
+        let snap = cache.fork("m", &toks, 6).expect("hit");
+        assert_rows_match(&|l, p| want.key(l, p).to_vec(), &snap, 6);
+        drop((want, snap, cache));
+        assert_eq!(pool.stats().pages_live, 0);
+
+        // A miss the pool cannot hold fails before `fill` runs.
+        let pool = tiny_pool(1);
+        let cache = PagedPrefixCache::new(Arc::clone(&pool), PrefixCacheConfig::default());
+        let err = cache
+            .fork_or_build("m", &toks, 10, |_| unreachable!("nothing reserved"))
+            .unwrap_err();
+        assert_eq!(err.requested, 2);
+        assert!(cache.is_empty());
+        assert_eq!(pool.stats().pages_live, 0);
     }
 
     #[test]
@@ -1581,6 +1917,78 @@ mod tests {
             proptest::prop_assert_eq!(stats.handles, 0);
             proptest::prop_assert_eq!(stats.pages_live, 0);
             proptest::prop_assert_eq!(stats.pages_free, stats.created);
+        }
+
+        /// Under any interleaving of forks and inserts over a small key
+        /// space: both prefix-cache bounds hold after every op, a fork never
+        /// returns a snapshot other than the last one stored for that key,
+        /// the counters reconcile with the op log, and every page returns to
+        /// the pool once the cache and the forks still held drop.
+        #[test]
+        fn prefix_cache_op_logs_preserve_bounds_values_and_counters(
+            max_entries in 1usize..6,
+            byte_slots in 1usize..6,
+            ops in proptest::collection::vec((0usize..8, 0u8..3), 1..120),
+        ) {
+            // All keys cost the same, so the byte budget admits exactly
+            // `byte_slots` entries; the binding bound varies per case.
+            let pool = tiny_pool(256);
+            let prefix_len = 3usize;
+            let per_entry = entry_bytes(&pool, prefix_len);
+            let config = PrefixCacheConfig {
+                max_entries,
+                max_bytes: byte_slots * per_entry,
+            };
+            let cache = PagedPrefixCache::new(Arc::clone(&pool), config);
+            let mut model: HashMap<usize, f32> = HashMap::new();
+            let mut held = Vec::new();
+            let (mut forks, mut inserts) = (0u64, 0u64);
+            for (i, &(key_idx, op)) in ops.iter().enumerate() {
+                let toks = prefix_tokens(prefix_len, key_idx as u32 * 100);
+                match op {
+                    0 => {
+                        forks += 1;
+                        if let Some(kv) = cache.fork("m", &toks, prefix_len + 2) {
+                            proptest::prop_assert_eq!(kv.len(), prefix_len);
+                            proptest::prop_assert_eq!(
+                                Some(kv.key(0, 0)[0]),
+                                model.get(&key_idx).copied(),
+                                "stale snapshot for key {}",
+                                key_idx
+                            );
+                            // Outlive the snapshot's eviction or update.
+                            held.push(kv);
+                        }
+                    }
+                    _ => {
+                        let fill = (i % 13) as f32 + 0.25;
+                        proptest::prop_assert!(
+                            cache.insert("m", &toks, &snapshot(&pool, prefix_len, fill))
+                        );
+                        inserts += 1;
+                        // The new entry may itself be evicted when it exceeds
+                        // the byte budget alone; the model tracks residency.
+                        forks += 1;
+                        if cache.fork("m", &toks, prefix_len).is_some() {
+                            model.insert(key_idx, fill);
+                        } else {
+                            model.remove(&key_idx);
+                        }
+                    }
+                }
+                proptest::prop_assert!(cache.len() <= max_entries);
+                proptest::prop_assert!(cache.bytes() <= config.max_bytes);
+                // Eviction only ever removes whole entries, so len and bytes
+                // agree with the per-entry cost.
+                proptest::prop_assert_eq!(cache.bytes(), cache.len() * per_entry);
+            }
+            let stats = cache.stats();
+            proptest::prop_assert_eq!(stats.hits + stats.misses, forks);
+            proptest::prop_assert_eq!(stats.inserts + stats.updates, inserts);
+            proptest::prop_assert_eq!(stats.entries as usize, cache.len());
+            drop(held);
+            drop(cache);
+            proptest::prop_assert_eq!(pool.stats().pages_live, 0);
         }
     }
 }

@@ -11,7 +11,6 @@ use tensor::nn::softmax;
 use crate::bpe::Bpe;
 use crate::model::InferenceModel;
 use crate::paged::{PagedPrefixCache, PoolExhausted};
-use crate::prefix::PrefixCache;
 
 /// The verification prompt template the paper shows in Fig. 1: question,
 /// context and the (sub-)response, followed by an instruction to answer
@@ -26,7 +25,7 @@ pub fn verification_prompt(question: &str, context: &str, response: &str) -> Str
 /// The response-independent head of [`verification_prompt`]: everything up to
 /// (and excluding) the whitespace before the response. Shared by every
 /// sentence probed against the same `(question, context)` cell, so its KV
-/// state is what [`PrefixCache`] snapshots.
+/// state is what [`PagedPrefixCache`] snapshots.
 pub fn prefix_prompt(question: &str, context: &str) -> String {
     format!("context: {context}\nquestion: {question}\nanswer:")
 }
@@ -81,56 +80,22 @@ pub fn p_yes<M: InferenceModel>(
     renormalized_yes(&dist, tokenizer)
 }
 
-/// `P(yes)` for one cell through a shared-prefix KV cache.
+/// `P(yes)` for one cell through the paged shared-prefix KV cache.
 ///
 /// Tokenizes the `(question, context)` prefix and the sentence suffix
-/// separately, forks the prefix KV snapshot on a hit (building and depositing
-/// it on a miss), and prefills only the suffix. Bitwise identical to
-/// [`p_yes`]: token-level concatenation holds at the whitespace split, and
-/// fork-then-extend walks the same states as a fresh full prefill. Prompts
-/// that would exceed the model's context window fall back to the clamped
-/// full-prompt path, which is the same computation [`p_yes`] performs.
-pub fn p_yes_prefix<M: InferenceModel>(
-    model: &M,
-    model_name: &str,
-    prefix_cache: &PrefixCache,
-    tokenizer: &Bpe,
-    question: &str,
-    context: &str,
-    response: &str,
-) -> f64 {
-    let prefix_ids = tokenizer.encode(&prefix_prompt(question, context), true);
-    let suffix_ids = tokenizer.encode(&suffix_prompt(response), false);
-    let max = model.config().max_seq_len;
-    if prefix_ids.is_empty() || suffix_ids.is_empty() || prefix_ids.len() + suffix_ids.len() > max {
-        // Over-length prompts clamp from the front, which cuts into the
-        // shared prefix — no reusable snapshot exists, so score exactly as
-        // the uncached path does.
-        return p_yes(model, tokenizer, question, context, response);
-    }
-    // Fork capacity is exactly what this probe touches. Sizing it at
-    // `max_seq_len` (the latent over-allocation bug) made every warm fork pay
-    // for the model's whole context window — rows the suffix never reaches —
-    // so peak bytes scaled with the window instead of the prompt.
-    let need = prefix_ids.len() + suffix_ids.len();
-    let (mut kv, _hit) = prefix_cache.fork_or_build(model_name, &prefix_ids, need, || {
-        let mut fresh = model.new_cache_with_capacity(need);
-        model.prefill_cache_only(&prefix_ids, &mut fresh);
-        fresh
-    });
-    let logits = model.prefill(&suffix_ids, &mut kv);
-    renormalized_yes(&softmax(&logits), tokenizer)
-}
-
-/// `P(yes)` for one cell through the paged prefix cache.
+/// separately, forks the prefix snapshot on a hit (building and depositing it
+/// on a miss), and prefills only the suffix. Bitwise identical to [`p_yes`]:
+/// token-level concatenation holds at the whitespace split, and
+/// fork-then-extend walks the same states as a fresh full prefill. A hit
+/// forks in `O(blocks)` and copies zero floats, with copy-on-write only for
+/// the partial tail page the suffix extends.
 ///
-/// Same split and same arithmetic as [`p_yes_prefix`], but the prefix
-/// snapshot is a table of shared pool pages: a hit forks in `O(blocks)` and
-/// copies zero floats, with copy-on-write only for the partial tail page the
-/// suffix extends. [`PoolExhausted`] — at any reservation point — degrades to
-/// the uncached [`p_yes`] path, which computes the *same* renormalized
-/// probability (the pool already counted the rejection); exhaustion can
-/// therefore never panic, tear a fork, or change a verdict.
+/// Two cases score through the uncached [`p_yes`], which computes the same
+/// renormalized probability. Prompts that would exceed the model's context
+/// window clamp from the front, which cuts into the shared prefix, so no
+/// reusable snapshot exists. [`PoolExhausted`] at any reservation point
+/// degrades too (the pool already counted the rejection), so exhaustion can
+/// never panic, tear a fork, or change a verdict.
 pub fn p_yes_paged<M: InferenceModel>(
     model: &M,
     model_name: &str,
@@ -170,17 +135,10 @@ fn p_yes_paged_attempt<M: InferenceModel>(
     suffix_ids: &[u32],
 ) -> Result<f64, PoolExhausted> {
     let need = prefix_ids.len() + suffix_ids.len();
-    let mut kv = match paged_cache.fork(model_name, prefix_ids, need) {
-        Some(kv) => kv,
-        None => {
-            let mut built = paged_cache.pool().new_cache(need);
-            built.try_reserve(prefix_ids.len())?;
-            model.prefill_cache_only(prefix_ids, &mut built);
-            paged_cache.insert(model_name, prefix_ids, &built);
-            built
-        }
-    };
-    // On the miss path the insert above shares the builder's pages, so this
+    let mut kv = paged_cache.fork_or_build(model_name, prefix_ids, need, |built| {
+        model.prefill_cache_only(prefix_ids, built)
+    })?;
+    // On the miss path the cache shares the builder's pages, so this
     // reservation also copy-on-writes the partial tail page before the suffix
     // extends it.
     kv.try_reserve(suffix_ids.len())?;
@@ -211,6 +169,19 @@ mod tests {
     use super::*;
     use crate::config::ModelConfig;
     use crate::model::TransformerLM;
+    use crate::paged::{PagedKvPool, PagedPoolConfig, PrefixCacheConfig};
+    use std::sync::Arc;
+
+    /// A default-bounded paged prefix cache over a 64-page pool shaped for
+    /// `model`.
+    fn paged_cache(model: &TransformerLM) -> (Arc<PagedKvPool>, PagedPrefixCache) {
+        let pool = Arc::new(PagedKvPool::new(PagedPoolConfig::for_model(
+            model.config(),
+            64,
+        )));
+        let cache = PagedPrefixCache::new(Arc::clone(&pool), PrefixCacheConfig::default());
+        (pool, cache)
+    }
 
     fn setup() -> (TransformerLM, Bpe) {
         let corpus = [
@@ -326,72 +297,13 @@ mod tests {
     }
 
     #[test]
-    fn p_yes_prefix_is_bit_identical_cold_and_warm() {
+    fn p_yes_paged_is_bit_identical_cold_and_warm() {
         let (model, bpe) = setup();
-        let cache = PrefixCache::new(crate::prefix::PrefixCacheConfig::default());
+        let (pool, cache) = paged_cache(&model);
         let cells = [
             ("what are the hours?", "store opens 9 am", "9 am"),
             ("what are the hours?", "store opens 9 am", "5 pm"),
             ("what are the hours?", "store opens 9 am", "9 am to 5 pm"),
-            (
-                "days?",
-                "working hours are from sunday to saturday",
-                "sunday",
-            ),
-        ];
-        for &(q, c, r) in &cells {
-            let plain = p_yes(&model, &bpe, q, c, r);
-            let cold = p_yes_prefix(&model, "m", &cache, &bpe, q, c, r);
-            let warm = p_yes_prefix(&model, "m", &cache, &bpe, q, c, r);
-            assert_eq!(plain, cold, "cold ({q:?}, {r:?})");
-            assert_eq!(plain, warm, "warm ({q:?}, {r:?})");
-        }
-        let stats = cache.stats();
-        // Two distinct prefixes → 2 builds; all later lookups hit.
-        assert_eq!(stats.inserts, 2);
-        assert_eq!(stats.hits, cells.len() as u64 * 2 - 2);
-    }
-
-    /// Regression for the latent fork over-allocation: warm probes must fork
-    /// at `prefix + suffix` capacity, so peak fork bytes track the prompt,
-    /// never the model's context window.
-    #[test]
-    fn warm_fork_capacity_tracks_the_prompt_not_the_window() {
-        let (model, bpe) = setup();
-        let cache = PrefixCache::new(crate::prefix::PrefixCacheConfig::default());
-        let (q, c, r) = ("what are the hours?", "store opens 9 am", "9 am");
-        let plain = p_yes(&model, &bpe, q, c, r);
-        assert_eq!(plain, p_yes_prefix(&model, "m", &cache, &bpe, q, c, r));
-
-        let prefix_ids = bpe.encode(&prefix_prompt(q, c), true);
-        let suffix_ids = bpe.encode(&suffix_prompt(r), false);
-        let need = prefix_ids.len() + suffix_ids.len();
-        let window = model.config().max_seq_len;
-        assert!(need < window / 2, "test needs a short prompt");
-        // Fork exactly as the fixed warm path does and pin its allocation.
-        let forked = cache.fork("m", &prefix_ids, need).expect("snapshot cached");
-        let kv_dim = model.config().n_kv_heads * model.config().head_dim();
-        let per_row = 2 * model.config().n_layers * kv_dim * std::mem::size_of::<f32>();
-        assert_eq!(forked.allocated_bytes(), need * per_row);
-        assert!(forked.allocated_bytes() < window * per_row / 2);
-    }
-
-    #[test]
-    fn p_yes_paged_is_bit_identical_cold_and_warm() {
-        use crate::paged::{PagedKvPool, PagedPoolConfig, PagedPrefixCache};
-        use std::sync::Arc;
-        let (model, bpe) = setup();
-        let pool = Arc::new(PagedKvPool::new(PagedPoolConfig::for_model(
-            model.config(),
-            64,
-        )));
-        let cache = PagedPrefixCache::new(
-            Arc::clone(&pool),
-            crate::prefix::PrefixCacheConfig::default(),
-        );
-        let cells = [
-            ("what are the hours?", "store opens 9 am", "9 am"),
-            ("what are the hours?", "store opens 9 am", "5 pm"),
             (
                 "days?",
                 "working hours are from sunday to saturday",
@@ -412,12 +324,10 @@ mod tests {
         assert_eq!(pool.stats().rejected, 0);
     }
 
-    /// Satellite 3: a starved pool degrades to the uncached path — verdict
+    /// A starved pool degrades to the uncached path — verdict
     /// parity preserved, rejection counted, never a panic or torn fork.
     #[test]
     fn exhausted_pool_degrades_to_the_uncached_path() {
-        use crate::paged::{PagedKvPool, PagedPoolConfig, PagedPrefixCache};
-        use std::sync::Arc;
         let (model, bpe) = setup();
         let (q, c, r) = ("what are the hours?", "store opens 9 am", "9 am");
         let plain = p_yes(&model, &bpe, q, c, r);
@@ -426,10 +336,7 @@ mod tests {
             // Tiny pages so even short prompts need several of them.
             cfg.block_tokens = 4;
             let pool = Arc::new(PagedKvPool::new(cfg));
-            let cache = PagedPrefixCache::new(
-                Arc::clone(&pool),
-                crate::prefix::PrefixCacheConfig::default(),
-            );
+            let cache = PagedPrefixCache::new(Arc::clone(&pool), PrefixCacheConfig::default());
             for round in 0..2 {
                 let p = p_yes_paged(&model, "m", &cache, &bpe, q, c, r);
                 assert_eq!(plain, p, "max_pages {max_pages} round {round}");
@@ -448,11 +355,16 @@ mod tests {
     #[test]
     fn over_length_prompts_fall_back_to_the_clamped_path() {
         let (model, bpe) = setup();
-        let cache = PrefixCache::new(crate::prefix::PrefixCacheConfig::default());
+        let (pool, cache) = paged_cache(&model);
         let long_context = "the store operates from 9 am to 5 pm ".repeat(60);
         let plain = p_yes(&model, &bpe, "hours?", &long_context, "9 am");
-        let via_prefix = p_yes_prefix(&model, "m", &cache, &bpe, "hours?", &long_context, "9 am");
-        assert_eq!(plain, via_prefix);
+        let via_paged = p_yes_paged(&model, "m", &cache, &bpe, "hours?", &long_context, "9 am");
+        assert_eq!(plain, via_paged);
         assert!(cache.is_empty(), "nothing cacheable for clamped prompts");
+        assert_eq!(
+            pool.stats().pages_live,
+            0,
+            "the clamped path takes no pool pages"
+        );
     }
 }

@@ -4,12 +4,10 @@
 //! quantized weights, and on CPU the verifier's speed is bounded by weight
 //! memory bandwidth — which int8 cuts 4×. This module provides:
 //!
-//! - [`QuantizedMatrix`]: the original per-*input*-row symmetric scheme with
-//!   an f32-accumulating matvec, kept as the storage/round-trip reference
-//!   (its error bound is pinned by a proptest suite).
 //! - [`QuantizedWeights`]: full-model weights whose projections are
-//!   [`tensor::Int8Matrix`] — per-*output*-row scales picked by a calibration
-//!   pass, the layout the integer kernels consume.
+//!   [`tensor::Int8Matrix`], the one int8 matrix format — per-*output*-row
+//!   scales picked by a calibration pass, the layout the integer kernels
+//!   consume.
 //! - [`QuantizedLM`]: a transformer that **computes in int8**. Every Q/K/V,
 //!   attention-output, FFN and LM-head projection runs the exact-integer
 //!   kernels; RoPE, softmax, RMSNorm, residuals and the KV cache stay f32.
@@ -27,119 +25,6 @@ use crate::kv::{KvCache, KvStore};
 use crate::model::{finish_logits_core, forward_block_core, forward_token_core, InferenceModel};
 use crate::rope::RopeTable;
 use crate::weights::{LayerView, LayerWeights, ModelWeights};
-
-/// A symmetric per-row int8 quantized matrix.
-#[derive(Debug, Clone)]
-pub struct QuantizedMatrix {
-    rows: usize,
-    cols: usize,
-    /// Row-major int8 values.
-    data: Vec<i8>,
-    /// Per-row dequantization scale: `f32 ≈ i8 · scale`.
-    scales: Vec<f32>,
-}
-
-impl QuantizedMatrix {
-    /// Quantize an f32 matrix, one scale per row.
-    pub fn quantize(m: &Matrix) -> Self {
-        let rows = m.rows();
-        let cols = m.cols();
-        let mut data = Vec::with_capacity(rows * cols);
-        let mut scales = Vec::with_capacity(rows);
-        for r in 0..rows {
-            let row = m.row(r);
-            let max_abs = row.iter().fold(0.0f32, |acc, v| acc.max(v.abs()));
-            let scale = if max_abs == 0.0 { 1.0 } else { max_abs / 127.0 };
-            scales.push(scale);
-            for &v in row {
-                data.push((v / scale).round().clamp(-127.0, 127.0) as i8);
-            }
-        }
-        Self {
-            rows,
-            cols,
-            data,
-            scales,
-        }
-    }
-
-    /// Number of rows.
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Number of columns.
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
-    /// Dequantize back to f32 (for accuracy checks).
-    pub fn dequantize(&self) -> Matrix {
-        Matrix::from_fn(self.rows, self.cols, |r, c| {
-            f32::from(self.data[r * self.cols + c]) * self.scales[r]
-        })
-    }
-
-    /// Bytes used by the quantized representation.
-    pub fn memory_bytes(&self) -> usize {
-        self.data.len() + self.scales.len() * std::mem::size_of::<f32>()
-    }
-
-    /// `x^T · M` where M is this quantized matrix (row-major, like
-    /// [`tensor::ops::vecmat`]). The inner accumulation runs in f32 with the
-    /// per-row scale folded into `x`.
-    pub fn vecmat(&self, x: &[f32]) -> Vec<f32> {
-        assert_eq!(x.len(), self.rows, "vecmat shape mismatch");
-        let mut y = vec![0.0f32; self.cols];
-        for (r, &xr) in x.iter().enumerate() {
-            if xr == 0.0 {
-                continue;
-            }
-            let scaled = xr * self.scales[r];
-            let row = &self.data[r * self.cols..(r + 1) * self.cols];
-            for (yj, &q) in y.iter_mut().zip(row) {
-                *yj += scaled * f32::from(q);
-            }
-        }
-        y
-    }
-
-    /// Multi-row `X · M` over the quantized weights: the blocked-prefill
-    /// analogue of [`QuantizedMatrix::vecmat`]. Each int8 weight row is
-    /// decoded once per block of [`QUANT_I_BLOCK`] activation rows instead of
-    /// once per row, mirroring the panel reuse of `tensor::ops::matmul_into`.
-    /// Output row `i` accumulates its terms in exactly [`QuantizedMatrix::vecmat`]'s
-    /// order (ascending `r`, zero `x` terms skipped), so the result is
-    /// bit-identical to stacking per-row vecmats.
-    ///
-    /// # Panics
-    /// Panics when `x.cols() != self.rows()`.
-    pub fn matmul(&self, x: &Matrix) -> Matrix {
-        assert_eq!(x.cols(), self.rows, "matmul shape mismatch");
-        let mut c = Matrix::zeros(x.rows(), self.cols);
-        for i0 in (0..x.rows()).step_by(QUANT_I_BLOCK) {
-            let i1 = (i0 + QUANT_I_BLOCK).min(x.rows());
-            for r in 0..self.rows {
-                let row = &self.data[r * self.cols..(r + 1) * self.cols];
-                let scale = self.scales[r];
-                for i in i0..i1 {
-                    let xr = x.row(i)[r];
-                    if xr == 0.0 {
-                        continue;
-                    }
-                    let scaled = xr * scale;
-                    for (cj, &q) in c.row_mut(i).iter_mut().zip(row) {
-                        *cj += scaled * f32::from(q);
-                    }
-                }
-            }
-        }
-        c
-    }
-}
-
-/// Activation rows per int8-row decode pass in [`QuantizedMatrix::matmul`].
-pub const QUANT_I_BLOCK: usize = 8;
 
 /// Quantized transformer weights: int8 projections with per-output-row
 /// scales, everything else f32.
@@ -421,104 +306,6 @@ impl InferenceModel for QuantizedLM {
 mod tests {
     use super::*;
     use crate::model::{PrefillStream, TransformerLM};
-    use tensor::init::{seeded_rng, xavier_uniform};
-    use tensor::ops::vecmat;
-
-    #[test]
-    fn roundtrip_error_is_bounded_by_scale() {
-        let mut rng = seeded_rng(3);
-        let m = xavier_uniform(16, 24, &mut rng);
-        let q = QuantizedMatrix::quantize(&m);
-        let back = q.dequantize();
-        // max error per element is half a quantization step
-        for r in 0..m.rows() {
-            let max_abs = m.row(r).iter().fold(0.0f32, |a, v| a.max(v.abs()));
-            let step = max_abs / 127.0;
-            for c in 0..m.cols() {
-                assert!(
-                    (m.get(r, c) - back.get(r, c)).abs() <= step * 0.5 + 1e-7,
-                    "({r},{c})"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn quantized_vecmat_tracks_f32() {
-        let mut rng = seeded_rng(5);
-        let m = xavier_uniform(32, 48, &mut rng);
-        let q = QuantizedMatrix::quantize(&m);
-        let x: Vec<f32> = (0..32).map(|i| ((i * 13) % 7) as f32 * 0.1 - 0.3).collect();
-        let exact = vecmat(&x, &m);
-        let approx = q.vecmat(&x);
-        let norm: f32 = exact.iter().map(|v| v * v).sum::<f32>().sqrt();
-        let err: f32 = exact
-            .iter()
-            .zip(&approx)
-            .map(|(a, b)| (a - b) * (a - b))
-            .sum::<f32>()
-            .sqrt();
-        assert!(err / norm.max(1e-6) < 0.02, "relative error {}", err / norm);
-    }
-
-    #[test]
-    fn quantized_matmul_rows_are_bit_identical_to_vecmat() {
-        // Shapes straddle the QUANT_I_BLOCK boundary; zeros exercise the
-        // zero-skip path on both sides.
-        let mut rng = seeded_rng(9);
-        for (rows, k, n) in [
-            (1usize, 5usize, 3usize),
-            (7, 16, 9),
-            (9, 24, 17),
-            (17, 8, 4),
-        ] {
-            let m = xavier_uniform(k, n, &mut rng);
-            let q = QuantizedMatrix::quantize(&m);
-            let x = Matrix::from_fn(rows, k, |r, c| {
-                if (r + c) % 7 == 0 {
-                    0.0
-                } else {
-                    ((r * 19 + c * 5) % 13) as f32 * 0.21 - 1.2
-                }
-            });
-            let prod = q.matmul(&x);
-            for i in 0..rows {
-                assert_eq!(
-                    prod.row(i),
-                    q.vecmat(x.row(i)).as_slice(),
-                    "({rows},{k},{n}) row {i}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "matmul shape mismatch")]
-    fn quantized_matmul_shape_checked() {
-        let q = QuantizedMatrix::quantize(&Matrix::zeros(4, 4));
-        q.matmul(&Matrix::zeros(2, 3));
-    }
-
-    #[test]
-    fn zero_matrix_quantizes_safely() {
-        let m = Matrix::zeros(4, 4);
-        let q = QuantizedMatrix::quantize(&m);
-        assert_eq!(q.dequantize(), m);
-        assert_eq!(q.vecmat(&[1.0; 4]), vec![0.0; 4]);
-    }
-
-    #[test]
-    fn memory_shrinks_roughly_4x() {
-        let mut rng = seeded_rng(7);
-        let m = xavier_uniform(64, 64, &mut rng);
-        let q = QuantizedMatrix::quantize(&m);
-        let f32_bytes = 64 * 64 * 4;
-        assert!(
-            q.memory_bytes() * 3 < f32_bytes,
-            "{} vs {f32_bytes}",
-            q.memory_bytes()
-        );
-    }
 
     #[test]
     fn quantized_model_agrees_with_f32_on_argmax() {

@@ -33,8 +33,8 @@ use slm_runtime::bpe::Bpe;
 use slm_runtime::profiles::{minicpm_sim, qwen2_sim};
 use slm_runtime::{
     CacheConfig, EngineVerifier, FallibleVerifier, FaultInjector, FaultProfile, ModelConfig,
-    PagedKvPool, PagedPoolConfig, PagedPrefixCache, PrefixCache, PrefixCacheConfig, Reliable,
-    TransformerLM, VerificationCache,
+    PagedKvPool, PagedPoolConfig, PagedPrefixCache, PrefixCacheConfig, Reliable, TransformerLM,
+    VerificationCache,
 };
 use vectordb::collection::Collection;
 use vectordb::embed::HashingEmbedder;
@@ -323,82 +323,6 @@ fn injected_faults_never_poison_the_cache() {
     assert!(
         stats.rejected > 0,
         "garbage scores must have been offered to — and refused by — the cache: {stats:?}"
-    );
-}
-
-/// Prefix-cache regression: under the standard 20% chaos faults, an
-/// engine-backed ensemble that prefills each `(question, context)` prefix
-/// once and forks the KV snapshot per sentence scores *bitwise-identically*
-/// to the same ensemble prefilling every probe from scratch — and the warm
-/// path must actually be taken (hits > 0), so the parity claim is not
-/// vacuous.
-#[test]
-fn prefix_cache_hits_never_change_scores_under_chaos() {
-    const CTX: &str = "the store operates from 9 am to 5 pm from sunday to saturday. there \
-                       should be at least three shopkeepers to run a shop.";
-    const Q: &str = "what are the working hours?";
-    // Multi-sentence responses: every sentence probes with the same
-    // (question, context) prefix, so one response already exercises the
-    // fork path several times per model.
-    let responses = [
-        "the store operates from 9 am. the store operates to 5 pm. open from sunday to saturday.",
-        "the store operates from 9 am to 9 pm. the shop runs with three shopkeepers.",
-        "working hours are from sunday to saturday. the store operates from 9 am to 5 pm.",
-    ];
-
-    // Identical construction per seed, so the plain and cached ensembles
-    // start from bitwise-identical weights and fault streams.
-    let engine = |seed: u64, prefix: &Option<Arc<PrefixCache>>| {
-        let bpe = Bpe::train(
-            &[
-                CTX,
-                Q,
-                "working hours open shop runs with",
-                "is the answer correct according to the context reply yes or no",
-                "context question answer",
-            ],
-            250,
-        );
-        let model = TransformerLM::synthetic(ModelConfig::tiny(bpe.vocab_size()), seed);
-        let mut v = EngineVerifier::new(format!("engine-{seed}"), model, bpe);
-        if let Some(cache) = prefix {
-            v = v.with_prefix_cache(cache.clone());
-        }
-        v
-    };
-    let build = |prefix: Option<Arc<PrefixCache>>| {
-        let [p0, p1] = chaos();
-        let verifiers: Vec<Box<dyn FallibleVerifier>> = vec![
-            Box::new(FaultInjector::new(Reliable::new(engine(41, &prefix)), p0)),
-            Box::new(FaultInjector::new(Reliable::new(engine(43, &prefix)), p1)),
-        ];
-        let mut d = ResilientDetector::try_new(verifiers, DetectorConfig::default()).unwrap();
-        for r in responses {
-            d.calibrate(Q, CTX, r);
-        }
-        d
-    };
-
-    let plain = build(None);
-    let cache = Arc::new(PrefixCache::new(PrefixCacheConfig::default()));
-    let cached = build(Some(cache.clone()));
-
-    let items: Vec<(&str, &str, &str)> = responses.iter().map(|r| (Q, CTX, *r)).collect();
-    let want = plain.score_batch(&items);
-    let got = cached.score_batch(&items);
-    assert_eq!(
-        want, got,
-        "a prefix-cache hit must never change a verdict or a score"
-    );
-
-    let stats = cache.stats();
-    assert!(
-        stats.hits > 0,
-        "same-prefix sentence probes must resolve from forked snapshots: {stats:?}"
-    );
-    assert!(
-        stats.inserts >= 2,
-        "each model keys its own snapshot — one insert per engine: {stats:?}"
     );
 }
 

@@ -3,8 +3,8 @@
 //! bitwise-invisible to the serving machinery built for the f32 engine.
 //!
 //! Coverage:
-//! - property tests pin the [`QuantizedMatrix`] round-trip error to the
-//!   per-row half-scale bound for arbitrary shapes and values;
+//! - a property test pins the [`Int8Matrix`] round-trip error to the
+//!   per-output-row half-scale bound for arbitrary shapes and values;
 //! - every projection the transformer actually runs through the integer
 //!   kernels (Q/K/V, attention output, SwiGLU gate/up/down, LM head) stays
 //!   within a small relative error of its f32 twin;
@@ -27,8 +27,8 @@ use slm_runtime::bpe::Bpe;
 use slm_runtime::weights::ModelWeights;
 use slm_runtime::{
     EngineVerifier, FallibleVerifier, FaultInjector, FaultProfile, ModelConfig, PagedKvPool,
-    PagedPoolConfig, PagedPrefixCache, Precision, PrefixCacheConfig, QuantizedLM, QuantizedMatrix,
-    Reliable, TransformerLM,
+    PagedPoolConfig, PagedPrefixCache, Precision, PrefixCacheConfig, QuantizedLM, Reliable,
+    TransformerLM,
 };
 use tensor::{Int8Matrix, Linear, Matrix};
 
@@ -60,33 +60,9 @@ fn rel_l2(got: &[f32], want: &[f32]) -> f32 {
 // ---------------------------------------------------------------------------
 
 proptest! {
-    /// Symmetric per-row quantization admits at most half a quantization
-    /// step of error per element: |deq − orig| ≤ scale_r / 2 where
-    /// scale_r = max|row| / 127.
-    #[test]
-    fn quantized_matrix_roundtrip_error_is_bounded_by_half_scale(
-        rows in 1usize..8,
-        cols in 1usize..16,
-        vals in prop::collection::vec(-100.0f32..100.0, 128),
-    ) {
-        let m = Matrix::from_fn(rows, cols, |r, c| vals[(r * cols + c) % vals.len()]);
-        let d = QuantizedMatrix::quantize(&m).dequantize();
-        for r in 0..rows {
-            let max_abs = m.row(r).iter().fold(0.0f32, |a, v| a.max(v.abs()));
-            let scale = if max_abs == 0.0 { 1.0 } else { max_abs / 127.0 };
-            for c in 0..cols {
-                let err = (d.get(r, c) - m.get(r, c)).abs();
-                prop_assert!(
-                    err <= 0.5 * scale + 1e-6,
-                    "({r},{c}): error {err} exceeds half-scale {}",
-                    0.5 * scale
-                );
-            }
-        }
-    }
-
-    /// The same bound holds for the kernel-layout [`Int8Matrix`] with its
-    /// per-output-row calibration scales.
+    /// Symmetric per-output-row quantization admits at most half a
+    /// quantization step of error per element: |deq − orig| ≤ scale_j / 2
+    /// where scale_j = max|W[:, j]| / 127 is the calibrated scale.
     #[test]
     fn int8_matrix_roundtrip_error_is_bounded_by_half_scale(
         in_f in 1usize..12,
