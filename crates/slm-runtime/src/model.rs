@@ -111,13 +111,22 @@ pub(crate) fn finish_logits_core<Lin: Linear>(
     let mut x = vec![0.0f32; cfg.hidden];
     rmsnorm(last_residual, final_norm, cfg.norm_eps, &mut x);
     if cfg.vocab_size >= 4096 {
-        let threads = std::thread::available_parallelism()
-            .map_or(1, |n| n.get())
-            .min(8);
-        lm_head.apply_parallel(&x, threads)
+        lm_head.apply_parallel(&x, lm_head_threads())
     } else {
         lm_head.apply(&x)
     }
+}
+
+/// Threads for the wide LM head: the host's parallelism, capped at 8. Read
+/// once per process, since `available_parallelism` re-reads the cgroup
+/// limits on every call.
+fn lm_head_threads() -> usize {
+    static THREADS: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
+    *THREADS.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map_or(1, |n| n.get())
+            .min(8)
+    })
 }
 
 /// Tokens per GEMM block in [`TransformerLM::prefill`]. Bounds activation

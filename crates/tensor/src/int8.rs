@@ -36,42 +36,11 @@
 
 use crate::linear::Linear;
 use crate::matrix::Matrix;
+use crate::simd::{self, SimdLevel};
 
 /// Below this many multiply-accumulates, [`Int8Matrix::apply_parallel`] runs
 /// serially: thread spawn overhead would dominate.
 const PARALLEL_MIN_WORK: usize = 32 * 1024;
-
-/// Instruction set the integer kernels run on, detected once per process.
-/// Every level computes the exact same integers (see the module docs), so
-/// the choice is invisible in the output bits.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum SimdLevel {
-    #[cfg(target_arch = "x86_64")]
-    Avx512,
-    #[cfg(target_arch = "x86_64")]
-    Avx2,
-    Scalar,
-}
-
-fn simd_level() -> SimdLevel {
-    #[cfg(target_arch = "x86_64")]
-    {
-        static LEVEL: std::sync::OnceLock<SimdLevel> = std::sync::OnceLock::new();
-        *LEVEL.get_or_init(|| {
-            if std::arch::is_x86_feature_detected!("avx512bw") {
-                SimdLevel::Avx512
-            } else if std::arch::is_x86_feature_detected!("avx2") {
-                SimdLevel::Avx2
-            } else {
-                SimdLevel::Scalar
-            }
-        })
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        SimdLevel::Scalar
-    }
-}
 
 /// Quantize one activation vector symmetrically to `i8`.
 ///
@@ -469,11 +438,14 @@ impl Int8Matrix {
     fn apply_staged_range(&self, a16: &[i16], sx: f32, j0: usize, j1: usize, out: &mut [f32]) {
         debug_assert_eq!(a16.len(), self.in_features);
         debug_assert_eq!(out.len(), j1 - j0);
-        match simd_level() {
+        match simd::detect() {
+            // SAFETY: `simd::detect` returned Avx512, so the CPU reported
+            // avx512bw.
             #[cfg(target_arch = "x86_64")]
-            SimdLevel::Avx512 => unsafe { x86::apply_range_avx512(self, a16, sx, j0, j1, out) },
+            SimdLevel::Avx512(_) => unsafe { x86::apply_range_avx512(self, a16, sx, j0, j1, out) },
+            // SAFETY: `simd::detect` returned Avx2, so the CPU reported avx2.
             #[cfg(target_arch = "x86_64")]
-            SimdLevel::Avx2 => unsafe { x86::apply_range_avx2(self, a16, sx, j0, j1, out) },
+            SimdLevel::Avx2(_) => unsafe { x86::apply_range_avx2(self, a16, sx, j0, j1, out) },
             SimdLevel::Scalar => {
                 for (slot, j) in out.iter_mut().zip(j0..j1) {
                     let acc = dot_mixed_scalar(a16, self.weight_row(j));
@@ -607,13 +579,16 @@ impl Linear for Int8Matrix {
         }
         let mut out = Matrix::zeros(n, self.out_features);
         let mut wbuf = vec![0i16; 4 * k];
-        match simd_level() {
+        match simd::detect() {
+            // SAFETY: `simd::detect` returned Avx512, so the CPU reported
+            // avx512bw.
             #[cfg(target_arch = "x86_64")]
-            SimdLevel::Avx512 => unsafe {
+            SimdLevel::Avx512(_) => unsafe {
                 x86::apply_block_avx512(self, &a16, &sxs, &mut wbuf, &mut out);
             },
+            // SAFETY: `simd::detect` returned Avx2, so the CPU reported avx2.
             #[cfg(target_arch = "x86_64")]
-            SimdLevel::Avx2 => unsafe {
+            SimdLevel::Avx2(_) => unsafe {
                 x86::apply_block_avx2(self, &a16, &sxs, &mut wbuf, &mut out);
             },
             SimdLevel::Scalar => self.apply_block_scalar(&a16, &sxs, &mut wbuf, &mut out),
@@ -698,7 +673,7 @@ mod tests {
 
     #[test]
     fn simd_kernels_match_scalar_reference() {
-        // The dispatch contract: whatever level `simd_level()` picked, the
+        // The dispatch contract: whatever level `simd::detect()` picked, the
         // produced integers equal the scalar reference — on every length,
         // including ones that are all remainder.
         for k in [1usize, 7, 15, 16, 17, 31, 32, 33, 64, 96, 100, 257] {

@@ -2,9 +2,10 @@
 //!
 //! Minimal dense linear-algebra substrate for the from-scratch transformer
 //! inference engine (`slm-runtime`). Deliberately small: row-major `f32`
-//! matrices, a handful of BLAS-like kernels (blocked matmul, matvec), and the
-//! neural-network primitives a decoder-only transformer needs (stable
-//! softmax, RMSNorm, LayerNorm, GELU/SiLU).
+//! matrices, a handful of BLAS-like kernels (register-tiled matmul, matvec),
+//! the int8 projection kernels, the runtime SIMD-level detection they share
+//! ([`simd`]), and the neural-network primitives a decoder-only transformer
+//! needs (stable softmax, RMSNorm, LayerNorm, GELU/SiLU).
 //!
 //! Everything is CPU, single-threaded and allocation-conscious: the hot paths
 //! take output buffers so the inference loop can reuse scratch memory.
@@ -15,6 +16,7 @@ pub mod linear;
 pub mod matrix;
 pub mod nn;
 pub mod ops;
+pub mod simd;
 pub mod view;
 
 pub use int8::Int8Matrix;

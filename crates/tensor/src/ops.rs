@@ -1,22 +1,18 @@
 //! BLAS-like kernels: matmul, matvec, axpy.
 //!
-//! The matmul uses the classic i-k-j loop order so the inner loop streams
-//! both `b`'s row and the output row sequentially (cache-friendly per the
-//! Rust Performance Book's data-layout advice), with a `k`-blocking layer
-//! for large matrices.
+//! The f32 GEMM ([`matmul_into`]) and [`vecmat`] run at the widest SIMD
+//! level the host supports ([`crate::simd`]). Their lanes span only
+//! independent outputs, the columns of `C`: every output element still
+//! accumulates its `k` products one at a time, multiply then add (never
+//! fused), in ascending `k`, with zero activations skipped. So every level
+//! and every tile shape produces the same bits, and `matmul` row `i` equals
+//! `vecmat` of row `i` of `A`.
 
 use crate::matrix::Matrix;
+use crate::simd::{self, SimdLevel};
 
-/// Block size for the k-dimension of the blocked matmul. 64 f32s = 256 bytes,
-/// several rows fit comfortably in L1.
-const K_BLOCK: usize = 64;
-
-/// Rows of `A` processed per k-panel in [`matmul_into`]. Re-using one panel of
-/// `B` rows across a small block of output rows is what makes the multi-token
-/// prefill a real GEMM instead of repeated vector-matrix products: `B` (the
-/// weight matrix) is streamed from memory once per `I_BLOCK` rows instead of
-/// once per row.
-const I_BLOCK: usize = 8;
+/// Rows of `A` per register tile of the GEMM.
+const TILE_ROWS: usize = 4;
 
 /// Minimum number of multiply-accumulate terms (`rows * cols`) before
 /// [`vecmat_parallel`] spawns threads. Below this, thread spawn + join costs
@@ -44,17 +40,16 @@ pub fn matmul(a: &Matrix, b: &Matrix) -> Matrix {
     c
 }
 
-/// `C = A · B` into a caller-provided output (must be zeroed or the caller
-/// accepts accumulation into the existing values is NOT performed: the output
-/// is overwritten).
+/// `C = A · B` into a caller-provided output, which is overwritten.
 ///
-/// Blocked over both `k` (panel of `B` rows stays in L1) and the rows of `A`
-/// (each panel is re-used for `I_BLOCK` output rows). Each output element
-/// still accumulates its `k` terms in strictly ascending order with zero
-/// `a[i][k]` terms skipped — exactly the order [`vecmat`] uses — so
+/// Each output element accumulates its `k` terms in strictly ascending
+/// order with zero `a[i][k]` terms skipped, exactly as [`vecmat`] does, so
 /// `matmul_into(A, B, C)` row `i` is bit-identical to `vecmat(A.row(i), B)`.
 /// The multi-token transformer prefill relies on that equivalence for its
 /// bitwise-parity contract with the token-at-a-time path.
+///
+/// # Panics
+/// Panics if the shapes do not chain.
 pub fn matmul_into(a: &Matrix, b: &Matrix, c: &mut Matrix) {
     assert_eq!(a.cols(), b.rows(), "matmul shape mismatch");
     assert_eq!(
@@ -62,27 +57,22 @@ pub fn matmul_into(a: &Matrix, b: &Matrix, c: &mut Matrix) {
         (a.rows(), b.cols()),
         "output shape mismatch"
     );
-    let n = b.cols();
-    let k_total = a.cols();
-    c.as_mut_slice().fill(0.0);
-    for i0 in (0..a.rows()).step_by(I_BLOCK) {
-        let i1 = (i0 + I_BLOCK).min(a.rows());
-        for k0 in (0..k_total).step_by(K_BLOCK) {
-            let k1 = (k0 + K_BLOCK).min(k_total);
-            for i in i0..i1 {
-                let a_row = a.row(i);
-                for (dk, &aik) in a_row[k0..k1].iter().enumerate() {
-                    if aik == 0.0 {
-                        continue;
-                    }
-                    let b_row = b.row(k0 + dk);
-                    let c_row = c.row_mut(i);
-                    for (cj, &bj) in c_row[..n].iter_mut().zip(b_row) {
-                        *cj += aik * bj;
-                    }
-                }
-            }
-        }
+    matmul_at(simd::detect(), a, b, c);
+}
+
+fn matmul_at(level: SimdLevel, a: &Matrix, b: &Matrix, c: &mut Matrix) {
+    let (k, n) = (a.cols(), b.cols());
+    let (a, b, c) = (a.as_slice(), b.as_slice(), c.as_mut_slice());
+    match level {
+        // SAFETY: an Avx512 level carries the `simd` module's proof that
+        // the CPU reported avx512f.
+        #[cfg(target_arch = "x86_64")]
+        SimdLevel::Avx512(_) => unsafe { x86::matmul_avx512(a, b, c, k, n) },
+        // SAFETY: an Avx2 level carries the `simd` module's proof that the
+        // CPU reported avx2.
+        #[cfg(target_arch = "x86_64")]
+        SimdLevel::Avx2(_) => unsafe { x86::matmul_avx2(a, b, c, k, n) },
+        SimdLevel::Scalar => matmul_body::<8>(a, b, c, k, n),
     }
 }
 
@@ -106,29 +96,149 @@ pub fn matvec_into(m: &Matrix, x: &[f32], y: &mut [f32]) {
 }
 
 /// `x^T · M` (vector–matrix product): returns a vector of length `m.cols()`.
-/// Streams rows of `m`, so it is the cache-friendly direction for row-major
-/// weights applied to a single activation vector.
+/// Each output accumulates in ascending row order with zero `x` terms
+/// skipped, the per-element order of [`matmul_into`].
 pub fn vecmat(x: &[f32], m: &Matrix) -> Vec<f32> {
     assert_eq!(x.len(), m.rows(), "vecmat shape mismatch");
     let mut y = vec![0.0; m.cols()];
-    for (i, &xi) in x.iter().enumerate() {
-        if xi == 0.0 {
-            continue;
-        }
-        let row = m.row(i);
-        for (yj, &mij) in y.iter_mut().zip(row) {
-            *yj += xi * mij;
+    vecmat_at(simd::detect(), x, m.as_slice(), m.cols(), &mut y);
+    y
+}
+
+/// Columns `0..y.len()` of `x^T · B`, where `b` holds `B`'s rows `ldb`
+/// apart (so a column range of a wider matrix starts at an offset into its
+/// buffer).
+fn vecmat_at(level: SimdLevel, x: &[f32], b: &[f32], ldb: usize, y: &mut [f32]) {
+    match level {
+        // SAFETY: an Avx512 level carries the `simd` module's proof that
+        // the CPU reported avx512f.
+        #[cfg(target_arch = "x86_64")]
+        SimdLevel::Avx512(_) => unsafe { x86::vecmat_avx512(x, b, ldb, y) },
+        // SAFETY: an Avx2 level carries the `simd` module's proof that the
+        // CPU reported avx2.
+        #[cfg(target_arch = "x86_64")]
+        SimdLevel::Avx2(_) => unsafe { x86::vecmat_avx2(x, b, ldb, y) },
+        SimdLevel::Scalar => vecmat_body(x, b, ldb, y),
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+mod x86 {
+    //! The f32 kernel bodies instantiated for AVX-512F and AVX2. Neither
+    //! feature set enables fused multiply-add contraction: rustc never
+    //! fuses `a * b + c`, so each instantiation rounds exactly as the
+    //! baseline does.
+
+    use super::{matmul_body, vecmat_body};
+
+    #[target_feature(enable = "avx512f")]
+    pub fn matmul_avx512(a: &[f32], b: &[f32], c: &mut [f32], k: usize, n: usize) {
+        matmul_body::<32>(a, b, c, k, n);
+    }
+
+    #[target_feature(enable = "avx2")]
+    pub fn matmul_avx2(a: &[f32], b: &[f32], c: &mut [f32], k: usize, n: usize) {
+        matmul_body::<16>(a, b, c, k, n);
+    }
+
+    #[target_feature(enable = "avx512f")]
+    pub fn vecmat_avx512(x: &[f32], b: &[f32], ldb: usize, y: &mut [f32]) {
+        vecmat_body(x, b, ldb, y);
+    }
+
+    #[target_feature(enable = "avx2")]
+    pub fn vecmat_avx2(x: &[f32], b: &[f32], ldb: usize, y: &mut [f32]) {
+        vecmat_body(x, b, ldb, y);
+    }
+}
+
+/// The GEMM body over row-major buffers: `a` is `m × k`, `b` is `k × n`,
+/// `c` is `m × n`, with `m = c.len() / n`.
+///
+/// Column panels run outside row tiles, so a `k × W` panel of `B` is read
+/// from memory once and then served from cache to every row tile. A
+/// [`tile`] keeps `TILE_ROWS × W` accumulators in registers across all of
+/// `k` and stores them once; each instantiation sets `W` to two of its
+/// vectors. Rows below a whole tile, and columns beyond the last panel, run
+/// as [`vecmat_body`].
+#[inline(always)]
+fn matmul_body<const W: usize>(a: &[f32], b: &[f32], c: &mut [f32], k: usize, n: usize) {
+    if n == 0 {
+        return;
+    }
+    let m = c.len() / n;
+    let tiled_rows = m - m % TILE_ROWS;
+    let panel_end = n - n % W;
+    for j0 in (0..panel_end).step_by(W) {
+        for i0 in (0..tiled_rows).step_by(TILE_ROWS) {
+            let rows = std::array::from_fn(|r| &a[(i0 + r) * k..(i0 + r + 1) * k]);
+            let acc = tile::<W>(rows, &b[j0..], n);
+            for (r, acc_r) in acc.iter().enumerate() {
+                c[(i0 + r) * n + j0..][..W].copy_from_slice(acc_r);
+            }
         }
     }
-    y
+    if panel_end < n {
+        for i in 0..tiled_rows {
+            let y = &mut c[i * n + panel_end..(i + 1) * n];
+            vecmat_body(&a[i * k..(i + 1) * k], &b[panel_end..], n, y);
+        }
+    }
+    for i in tiled_rows..m {
+        vecmat_body(&a[i * k..(i + 1) * k], b, n, &mut c[i * n..(i + 1) * n]);
+    }
+}
+
+/// One register tile: `TILE_ROWS` activation rows of length `k` against
+/// `W` columns of `B` (`b[kk * ldb + j]`, `j < W`), accumulated over `kk`
+/// in ascending order with zero activations skipped.
+#[inline(always)]
+fn tile<const W: usize>(rows: [&[f32]; TILE_ROWS], b: &[f32], ldb: usize) -> [[f32; W]; TILE_ROWS] {
+    let mut acc = [[0.0f32; W]; TILE_ROWS];
+    let k = rows[0].len();
+    let rows = rows.map(|r| &r[..k]);
+    for kk in 0..k {
+        let b_row: &[f32; W] = b[kk * ldb..kk * ldb + W]
+            .try_into()
+            .expect("slice of length W");
+        for (row, acc_r) in rows.iter().zip(acc.iter_mut()) {
+            let x = row[kk];
+            if x == 0.0 {
+                continue;
+            }
+            for (s, &bj) in acc_r.iter_mut().zip(b_row) {
+                *s += x * bj;
+            }
+        }
+    }
+    acc
+}
+
+/// The `vecmat` body: columns `0..y.len()` of `x^T · B`, `B`'s rows `ldb`
+/// apart. `y` is zeroed, then each nonzero `x[kk]` adds its scaled row of
+/// `B`, in ascending `kk`, at the instantiation's full vector width. This
+/// row-streaming order reads `B` front to back, which the prefetcher
+/// follows when a wide matrix such as the LM head is not in cache.
+#[inline(always)]
+fn vecmat_body(x: &[f32], b: &[f32], ldb: usize, y: &mut [f32]) {
+    y.fill(0.0);
+    for (kk, &xk) in x.iter().enumerate() {
+        if xk == 0.0 {
+            continue;
+        }
+        let b_row = &b[kk * ldb..kk * ldb + y.len()];
+        for (yj, &bj) in y.iter_mut().zip(b_row) {
+            *yj += xk * bj;
+        }
+    }
 }
 
 /// `x^T · M` with the output columns split across threads.
 ///
-/// Each output element is computed by exactly one thread in the same
-/// accumulation order as [`vecmat`], so results are bit-identical to the
-/// serial version — determinism survives parallelism. Worth it only for
-/// wide matrices (the LM head's `hidden × vocab`): products smaller than
+/// Each thread runs the [`vecmat`] kernel on its own column range, so every
+/// output element is computed by exactly one thread in the serial order and
+/// the result is bit-identical to [`vecmat`]. Worth it only for wide
+/// matrices (the LM head's `hidden × vocab`): products smaller than
 /// [`VECMAT_PARALLEL_MIN_WORK`] terms fall back to the serial path, where
 /// thread spawn cost would dominate the arithmetic.
 pub fn vecmat_parallel(x: &[f32], m: &Matrix, threads: usize) -> Vec<f32> {
@@ -139,35 +249,12 @@ pub fn vecmat_parallel(x: &[f32], m: &Matrix, threads: usize) -> Vec<f32> {
     }
     let cols = m.cols();
     let chunk = cols.div_ceil(threads);
+    let level = simd::detect();
     let mut y = vec![0.0f32; cols];
     std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(threads);
-        for t in 0..threads {
-            let lo = t * chunk;
-            if lo >= cols {
-                break;
-            }
-            let hi = (lo + chunk).min(cols);
-            handles.push((
-                lo,
-                hi,
-                scope.spawn(move || {
-                    let mut part = vec![0.0f32; hi - lo];
-                    for (r, &xr) in x.iter().enumerate() {
-                        if xr == 0.0 {
-                            continue;
-                        }
-                        let row = &m.row(r)[lo..hi];
-                        for (p, &mij) in part.iter_mut().zip(row) {
-                            *p += xr * mij;
-                        }
-                    }
-                    part
-                }),
-            ));
-        }
-        for (lo, hi, h) in handles {
-            y[lo..hi].copy_from_slice(&h.join().expect("vecmat thread panicked"));
+        for (t, part) in y.chunks_mut(chunk).enumerate() {
+            let b = &m.as_slice()[t * chunk..];
+            scope.spawn(move || vecmat_at(level, x, b, cols, part));
         }
     });
     y
@@ -313,28 +400,76 @@ mod tests {
         assert_eq!(vecmat_parallel(&[1.0, 2.0], &m, 8), vec![11.0]);
     }
 
+    /// Textbook `x^T · B`: one product at a time, multiply then add, in
+    /// ascending `k`, with zero activations skipped. Every kernel level
+    /// must reproduce its bits.
+    fn reference_vecmat(x: &[f32], b: &Matrix) -> Vec<f32> {
+        (0..b.cols())
+            .map(|j| {
+                let mut s = 0.0f32;
+                for (kk, &xk) in x.iter().enumerate() {
+                    if xk != 0.0 {
+                        s += xk * b.get(kk, j);
+                    }
+                }
+                s
+            })
+            .collect()
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
     #[test]
     fn matmul_rows_are_bit_identical_to_vecmat() {
         // The prefill parity contract: row i of A·B must carry the exact
-        // bits of vecmat(A.row(i), B), for shapes that straddle both the
-        // I_BLOCK and K_BLOCK boundaries.
-        for (rows, k, n) in [(1, 3, 5), (7, 64, 9), (9, 65, 33), (17, 130, 8)] {
-            let a = Matrix::from_fn(rows, k, |r, c| {
-                let v = ((r * 29 + c * 13) % 23) as f32 * 0.17 - 1.9;
-                if (r + c) % 11 == 0 {
-                    0.0 // exercise the zero-skip path on both sides
-                } else {
-                    v
+        // bits of vecmat(A.row(i), B), at every SIMD level the host
+        // supports, and both must equal the textbook reference. The shapes
+        // straddle the row tiles, column panels and strips of every level.
+        // Every fifth row of B holds NaN or ±∞ weights whose activations
+        // are all ±0, so the zero-skip alone keeps the outputs finite; the
+        // other activations mix ±0 and subnormals into normal values.
+        let weight = |r: usize, c: usize| match (r % 5, c % 3) {
+            (3, 0) => f32::NAN,
+            (3, 1) => f32::INFINITY,
+            (3, _) => f32::NEG_INFINITY,
+            _ => ((r * 19 + c * 5) % 13) as f32 * 0.21 - 1.2,
+        };
+        let activation = |r: usize, c: usize| match ((r + c) % 11, c % 5) {
+            (_, 3) if (r + c).is_multiple_of(2) => 0.0,
+            (_, 3) => -0.0,
+            (0, _) => 0.0,
+            (1, _) => -0.0,
+            (2, _) => 1.0e-40,
+            (3, _) => -3.0e-39,
+            _ => ((r * 29 + c * 13) % 23) as f32 * 0.17 - 1.9,
+        };
+        for rows in [1, 2, 3, 4, 5, 9, 64, 65] {
+            for n in [1, 15, 16, 17, 33, 96, 160, 1156] {
+                for k in [1, 63, 64, 65, 256] {
+                    if rows * n * k > 200_000 {
+                        continue;
+                    }
+                    let a = Matrix::from_fn(rows, k, activation);
+                    let b = Matrix::from_fn(k, n, weight);
+                    let want: Vec<Vec<u32>> = (0..rows)
+                        .map(|i| reference_vecmat(a.row(i), &b))
+                        .inspect(|r| assert!(r.iter().all(|v| v.is_finite())))
+                        .map(|r| bits(&r))
+                        .collect();
+                    for level in simd::supported() {
+                        let mut prod = Matrix::zeros(rows, n);
+                        matmul_at(level, &a, &b, &mut prod);
+                        for (i, want_row) in want.iter().enumerate() {
+                            let mut row = vec![0.0; n];
+                            vecmat_at(level, a.row(i), b.as_slice(), n, &mut row);
+                            let shape = format!("{level:?} ({rows},{k},{n}) row {i}");
+                            assert_eq!(&bits(prod.row(i)), want_row, "matmul {shape}");
+                            assert_eq!(&bits(&row), want_row, "vecmat {shape}");
+                        }
+                    }
                 }
-            });
-            let b = Matrix::from_fn(k, n, |r, c| ((r * 19 + c * 5) % 13) as f32 * 0.21 - 1.2);
-            let prod = matmul(&a, &b);
-            for i in 0..rows {
-                assert_eq!(
-                    prod.row(i),
-                    vecmat(a.row(i), &b).as_slice(),
-                    "({rows},{k},{n}) row {i}"
-                );
             }
         }
     }
