@@ -1,25 +1,20 @@
 //! Causal multi-head attention with grouped-query KV sharing.
 //!
-//! The score and value-sum loops run at the widest SIMD level the host
-//! supports ([`tensor::simd`]). Their lanes span only independent outputs,
-//! positions for the scores and head dimensions for the value sum, so each
-//! output keeps the exact operation sequence of the scalar loop and every
-//! level produces the same bits.
+//! The score, softmax and value-sum loops run at the widest SIMD level the
+//! host supports ([`tensor::simd`]). The score and value-sum lanes span only
+//! independent outputs, positions for the scores and head dimensions for the
+//! value sum, so each output keeps the exact operation sequence of the
+//! scalar loop; the softmax ([`tensor::nn::softmax_inplace`]) reduces in
+//! its one pinned lane order. So every level produces the same bits.
 
 use tensor::nn::softmax_inplace;
-use tensor::simd::{self, SimdLevel};
+use tensor::simd::{self, SimdLevel, LANES};
 use tensor::{Linear, Matrix};
 
 use crate::config::ModelConfig;
 use crate::kv::KvStore;
 use crate::rope::RopeTable;
 use crate::weights::LayerView;
-
-/// Positions per lane group of the score kernel: one AVX-512 vector. The
-/// gathered keys and the score rows are padded to a multiple of it, so
-/// every query row runs whole lane groups; scores past the row's causal
-/// width are computed and never read.
-const SCORE_LANES: usize = 16;
 
 /// Query heads per register group of the value sum: four independent
 /// accumulator chains per position.
@@ -33,7 +28,9 @@ struct Geometry {
     group: usize,
     kv_dim: usize,
     /// Floats per transposed key column and per head's score row: the
-    /// gathered position count rounded up to [`SCORE_LANES`].
+    /// gathered position count rounded up to [`LANES`], so every query row
+    /// runs whole lane groups in the score kernel; scores past the row's
+    /// causal width are computed and never read.
     stride: usize,
     /// `1 / sqrt(head_dim)`.
     scale: f32,
@@ -46,7 +43,7 @@ impl Geometry {
             head_dim,
             group: cfg.group_size(),
             kv_dim: cfg.n_kv_heads * head_dim,
-            stride: total.next_multiple_of(SCORE_LANES),
+            stride: total.next_multiple_of(LANES),
             scale: 1.0 / (head_dim as f32).sqrt(),
         }
     }
@@ -187,14 +184,14 @@ fn scores_body(geo: Geometry, q_row: &[f32], kt: &[f32], width: usize, scores: &
         .zip(scores.chunks_exact_mut(geo.stride));
     for (head, (q_head, head_scores)) in heads.enumerate() {
         let kt_head = &kt[(head / geo.group) * hd * geo.stride..][..hd * geo.stride];
-        for t0 in (0..width).step_by(SCORE_LANES) {
-            let column = |d: usize| -> &[f32; SCORE_LANES] {
-                kt_head[d * geo.stride + t0..][..SCORE_LANES]
+        for t0 in (0..width).step_by(LANES) {
+            let column = |d: usize| -> &[f32; LANES] {
+                kt_head[d * geo.stride + t0..][..LANES]
                     .try_into()
-                    .expect("slice of SCORE_LANES")
+                    .expect("slice of LANES")
             };
             let chunks = hd / 4;
-            let mut lanes = [[0.0f32; SCORE_LANES]; 4];
+            let mut lanes = [[0.0f32; LANES]; 4];
             for c in 0..chunks {
                 for (l, acc) in lanes.iter_mut().enumerate() {
                     let qd = q_head[4 * c + l];
@@ -204,7 +201,7 @@ fn scores_body(geo: Geometry, q_row: &[f32], kt: &[f32], width: usize, scores: &
                 }
             }
             let [s0, s1, s2, s3] = lanes;
-            let out = &mut head_scores[t0..t0 + SCORE_LANES];
+            let out = &mut head_scores[t0..t0 + LANES];
             for (j, o) in out.iter_mut().enumerate() {
                 *o = ((s0[j] + s1[j]) + s2[j]) + s3[j];
             }
@@ -547,7 +544,8 @@ mod tests {
         // ascending-position sum, bit for bit. Head dims cover the 16-, 8-
         // and single-lane value slices and the dot's tail dimensions; widths
         // straddle the 16-position lane groups; inputs mix ±0 and
-        // subnormals into normal values.
+        // subnormals into normal values. Probabilities hold NaN past
+        // `width`, so a value sum that read the padding would fail.
         let value = |i: usize| match i % 9 {
             0 => 0.0,
             1 => -0.0,
@@ -563,7 +561,7 @@ mod tests {
                         head_dim,
                         group,
                         kv_dim,
-                        stride: width.next_multiple_of(SCORE_LANES),
+                        stride: width.next_multiple_of(LANES),
                         scale: 1.0 / (head_dim as f32).sqrt(),
                     };
                     let v: Vec<f32> = (0..width * kv_dim).map(|i| value(i * 5 + 2)).collect();
@@ -574,7 +572,13 @@ mod tests {
                     }
                     let q: Vec<f32> = (0..n_heads * head_dim).map(|i| value(i * 11 + 4)).collect();
                     let probs: Vec<f32> = (0..n_heads * geo.stride)
-                        .map(|i| value(i * 13 + 5).abs())
+                        .map(|i| {
+                            if i % geo.stride < width {
+                                value(i * 13 + 5).abs()
+                            } else {
+                                f32::NAN
+                            }
+                        })
                         .collect();
 
                     let mut want_scores = Vec::new();

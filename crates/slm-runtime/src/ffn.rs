@@ -1,6 +1,6 @@
 //! SwiGLU feed-forward network: `down(silu(gate(x)) ⊙ up(x))`.
 
-use tensor::nn::silu;
+use tensor::nn::swiglu_inplace;
 use tensor::{Linear, Matrix};
 
 use crate::weights::LayerView;
@@ -11,23 +11,19 @@ use crate::weights::LayerView;
 pub fn ffn_step<L: LayerView>(weights: &L, x: &[f32]) -> Vec<f32> {
     let mut gate = weights.w_gate().apply(x);
     let up = weights.w_up().apply(x);
-    for (g, &u) in gate.iter_mut().zip(&up) {
-        *g = silu(*g) * u;
-    }
+    swiglu_inplace(&mut gate, &up);
     weights.w_down().apply(&gate)
 }
 
 /// Multi-row FFN over a block of normalized hidden states: the gate/up/down
-/// projections run as blocked GEMMs and the SwiGLU nonlinearity is applied
-/// elementwise, so row `i` of the result is bit-identical to
+/// projections run as blocked GEMMs and the elementwise SwiGLU kernel runs
+/// over the whole block, so row `i` of the result is bit-identical to
 /// `ffn_step(weights, xs.row(i))` ([`Linear::apply_block`] rows match
 /// [`Linear::apply`] exactly).
 pub fn ffn_block<L: LayerView>(weights: &L, xs: &Matrix) -> Matrix {
     let mut gate = weights.w_gate().apply_block(xs);
     let up = weights.w_up().apply_block(xs);
-    for (g, &u) in gate.as_mut_slice().iter_mut().zip(up.as_slice()) {
-        *g = silu(*g) * u;
-    }
+    swiglu_inplace(gate.as_mut_slice(), up.as_slice());
     weights.w_down().apply_block(&gate)
 }
 
@@ -71,18 +67,27 @@ mod tests {
 
     #[test]
     fn block_is_bit_identical_to_steps() {
-        let cfg = ModelConfig::tiny(32);
-        let w = ModelWeights::synthetic(&cfg, 3);
-        let xs = Matrix::from_fn(5, cfg.hidden, |r, c| {
-            ((r * 13 + c * 7) % 19) as f32 * 0.09 - 0.8
-        });
-        let blk = ffn_block(&w.layers[0], &xs);
-        for i in 0..xs.rows() {
-            assert_eq!(
-                blk.row(i),
-                ffn_step(&w.layers[0], xs.row(i)).as_slice(),
-                "row {i}"
-            );
+        // The SwiGLU kernel runs once over the whole block and once per
+        // step; both must give the same bits, for the test shape and the
+        // two benchmark shapes.
+        for cfg in [
+            ModelConfig::tiny(32),
+            ModelConfig::qwen2_like(32),
+            ModelConfig::minicpm_like(32),
+        ] {
+            let w = ModelWeights::synthetic(&cfg, 3);
+            let xs = Matrix::from_fn(5, cfg.hidden, |r, c| {
+                ((r * 13 + c * 7) % 19) as f32 * 0.09 - 0.8
+            });
+            let blk = ffn_block(&w.layers[0], &xs);
+            for i in 0..xs.rows() {
+                assert_eq!(
+                    blk.row(i),
+                    ffn_step(&w.layers[0], xs.row(i)).as_slice(),
+                    "hidden {} row {i}",
+                    cfg.hidden
+                );
+            }
         }
     }
 

@@ -12,6 +12,13 @@
 //! the level's features. That is what makes a call into the matching
 //! `#[target_feature]` instantiation sound.
 
+/// f32 lanes per group: one AVX-512 vector. The softmax max and sum in
+/// [`crate::nn`] put element `i` in lane `i % LANES` and combine the lanes
+/// in a fixed halving tree, so every level reduces in the same order; the
+/// attention score kernel pads its key columns and score rows to a multiple
+/// of it, so every query row runs whole lane groups.
+pub const LANES: usize = 16;
+
 /// Proof that CPU detection found a level's features. It has a private
 /// field, so no code outside this module can construct it.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
