@@ -9,12 +9,14 @@
 //! non-zero, and saves its record only when all of them pass:
 //!
 //! 1. **Prefill speedup** — the int8 engine's blocked prefill is ≥ 2× the
-//!    f32 engine at realistic prefix lengths (≥ 64 tokens): the GEMM reads
-//!    4× fewer weight bytes and the i8·i8→i32 inner loop vectorizes wider.
-//!    Measured on the GEMM-bound [`ModelConfig::qwen2_wide`] shape; at the
-//!    miniature `hidden = 96` profile, precision-independent work (the O(n²)
-//!    attention walk with its softmax, RoPE, norms, SwiGLU) dominates and
-//!    caps the end-to-end ratio regardless of kernel quality (Amdahl).
+//!    f32 engine at realistic prefix lengths (≥ 64 tokens). Measured on the
+//!    GEMM-bound [`ModelConfig::qwen2_wide`] shape. Every weight matrix here
+//!    fits in L2, so the GEMMs are bound by instructions, not weight bytes:
+//!    int8 wins because each `pmaddwd` lane adds two exact `i16` products
+//!    into its own output, with no horizontal reduction. At the miniature
+//!    `hidden = 96` profile the int8 GEMM wins too, but precision-independent
+//!    work (the O(n²) attention walk with its softmax, RoPE, norms, SwiGLU)
+//!    is a larger share of the prefill, so the end-to-end ratio is smaller.
 //! 2. **Eval gate** — on the golden synthetic dataset, an all-int8 ensemble
 //!    and a mixed ensemble (int8 screeners + f32 tie-breaker) reach a
 //!    detection AUC within tolerance of the all-f32 baseline. Quantization

@@ -3,10 +3,12 @@
 /// Numeric precision of the weight storage and GEMM kernels.
 ///
 /// `F32` is the reference path; `Int8` stores projection weights as int8 with
-/// per-output-row scales and computes with exact-integer accumulation (see
+/// per-output-channel scales and computes with exact-integer accumulation (see
 /// `tensor::int8`). Both paths are bitwise-reproducible from `(seed, config)`;
 /// int8 trades a bounded logit perturbation (gated by the detection-AUC eval
-/// in `quant_sweep`) for ~4× less weight traffic.
+/// in `quant_sweep`) for 4× smaller projection weights and a GEMM that runs
+/// two `i16` multiply-adds per 32-bit lane: 1.7–3.7× the f32 GEMM's speed
+/// on this engine's shapes, whose weights all fit in L2.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Precision {
     /// Full-precision f32 weights and kernels — the reference path.

@@ -3,9 +3,13 @@
 //! ## Representation
 //!
 //! [`Int8Matrix`] stores a logical `in × out` projection (same orientation as
-//! the f32 [`Matrix`] weights, where `y = x^T · W`) **transposed**, one
-//! contiguous `i8` row per *output* channel. Each output row `j` carries one
-//! scale `s_j = max_k |W[k][j]| / 127` picked by the calibration constructor
+//! the f32 [`Matrix`] weights, where `y = x^T · W`) as packed *output panels*
+//! of 16 output channels, walked in input pairs: element
+//! `((panel · pairs + p) · 16 + jj) · 2 + e` of the payload holds the
+//! quantized weight of input `2p + e` into output `16 · panel + jj`, with
+//! `pairs = ⌈in / 2⌉`. Entries past `in` (odd `in`) and past `out` (the last
+//! panel) are 0. Each output `j` carries one scale
+//! `s_j = max_k |W[k][j]| / 127` picked by the calibration constructor
 //! ([`Int8Matrix::calibrate`]); activations are quantized dynamically per
 //! token with a single symmetric scale `s_x = max_k |x[k]| / 127`.
 //!
@@ -15,332 +19,412 @@
 //! `[-127, 127]`. Integer addition is associative *and* exact here:
 //! `|acc| ≤ K · 127² < 2^31` for any `K ≤ 133 000`, far above every
 //! projection in this engine, so the accumulator never saturates or rounds —
-//! which means **any** reduction order (scalar, 8-lane, 16-lane, pairwise
-//! `madd`) produces the same integer. The only floating-point operation is
-//! the final rescale `acc as f32 * (s_x * s_j)` — one multiply per output —
-//! so the scalar, AVX2, and AVX-512 kernels, blocked or single-row or
-//! thread-split, are all bit-identical by construction. That makes
-//! `(seed, config) → logits` a pure function for the int8 path exactly as it
-//! is for f32, and lets the kernels pick whatever instruction set the host
-//! has without a reproducibility caveat.
+//! which means **any** reduction order or tile shape produces the same
+//! integer. The only floating-point operations after it are the rescale
+//! `acc as f32 * (s_x * s_j)`, two roundings per output, and the activation
+//! quantizer runs the same f32 operations lane by lane at every level. So
+//! every level, tile shape and thread split is bit-identical by
+//! construction: `(seed, config) → logits` is a pure function for the int8
+//! path exactly as it is for f32, whatever instruction set the host has.
 //!
 //! ## Why this is fast
 //!
-//! Weight traffic drops 4× versus f32, and the multiply-accumulate runs on
-//! `pmaddwd`-class instructions (two `i16 × i16 → i32` fused ops per lane),
-//! selected at runtime: AVX-512BW, then AVX2, then a scalar fallback. The
-//! blocked path additionally stages the activation block and each group of
-//! four weight rows as `i16` once, so the sign-extension cost is amortized
-//! across the whole block — this is where the ≥2× prefill speedup measured
-//! by `quant_sweep` comes from.
+//! Every projection of this engine's shapes fits in L2, so the GEMM is bound
+//! by the instructions it issues, not by the weight bytes it streams. Its
+//! lanes span output channels: per input pair it sign-extends one 32-byte
+//! panel row, broadcasts the activation pair `(a[2p], a[2p+1])` as one
+//! 32-bit value, and `pmaddwd` adds both products into each output's own
+//! `i32` lane, so no horizontal reduction is left anywhere. A register tile
+//! of activation rows × panels reuses each weight row across rows and each
+//! broadcast across panels. Each call quantizes its activation rows once, at
+//! the host's SIMD level, into an `i16` buffer the tiles read.
 
 use crate::linear::Linear;
 use crate::matrix::Matrix;
+use crate::ops::VECMAT_PARALLEL_MIN_WORK;
 use crate::simd::{self, SimdLevel};
 
-/// Below this many multiply-accumulates, [`Int8Matrix::apply_parallel`] runs
-/// serially: thread spawn overhead would dominate.
-const PARALLEL_MIN_WORK: usize = 32 * 1024;
+/// Output channels per weight panel: one AVX-512 vector of `i32` lanes.
+const PANEL: usize = 16;
 
-/// Quantize one activation vector symmetrically to `i8`.
+/// Bytes per panel row: [`PANEL`] outputs × one input pair.
+const PANEL_ROW: usize = 2 * PANEL;
+
+/// `1.5 · 2^23`: for `|y| < 2^22`, `(y + MAGIC) - MAGIC` rounds `y` to the
+/// nearest integer, ties to even, under the default rounding mode.
+const MAGIC: f32 = 12_582_912.0;
+
+/// One value of the int8 quantizer, for weights and activations alike:
+/// `v / scale` given `inv = 1 / scale`, rounded ties-to-even and clamped to
+/// ±127; NaN gives 0, as `as` does. The magic-number round is chosen over
+/// `f32::round` (ties away from zero) because it is two adds at every SIMD
+/// level, no libm call.
+#[inline(always)]
+fn quantize_value(v: f32, inv: f32) -> i16 {
+    ((v * inv + MAGIC) - MAGIC).clamp(-127.0, 127.0) as i16
+}
+
+/// The symmetric scale for values up to `max_abs`: `max_abs / 127`, or 1
+/// for an all-zero (or empty) input, whose product is then exactly zero.
+#[inline(always)]
+fn scale_of(max_abs: f32) -> f32 {
+    if max_abs > 0.0 {
+        max_abs / 127.0
+    } else {
+        1.0
+    }
+}
+
+/// Quantize one activation row symmetrically into `out` (`x.len()` values)
+/// and return its scale `s_x`, so that `x[k] ≈ out[k] as f32 * s_x`.
 ///
-/// Returns the quantized values and the scale `s_x` such that
-/// `x[k] ≈ q[k] as f32 * s_x`. A zero (or empty) vector gets scale `1.0` so
-/// the dequantized product is exactly zero.
-pub fn quantize_activation(x: &[f32]) -> (Vec<i8>, f32) {
-    let (q16, scale) = quantize_activation_i16(x);
-    (q16.iter().map(|&v| v as i8).collect(), scale)
-}
-
-/// [`quantize_activation`] storing the (identical) values widened to `i16` —
-/// the staged form the `pmaddwd` kernels consume without a sign-extension in
-/// the inner loop.
-fn quantize_activation_i16(x: &[f32]) -> (Vec<i16>, f32) {
-    let mut q = vec![0i16; x.len()];
-    let scale = quantize_row_into(x, &mut q);
-    (q, scale)
-}
-
-/// Round to the nearest integer, ties to even, exactly and branchlessly: for
-/// `|y| < 2^22`, adding and subtracting `1.5 · 2^23` forces the mantissa to
-/// integer precision under the default rounding mode. This is the rounding
-/// rule of the int8 quantizer — chosen over `f32::round` (ties away from
-/// zero) because it compiles to two adds instead of a libm call at the SSE2
-/// baseline, which makes activation staging vectorizable and nearly free.
-#[inline]
-fn round_ties_even(y: f32) -> f32 {
-    const MAGIC: f32 = 12_582_912.0; // 1.5 * 2^23
-    (y + MAGIC) - MAGIC
-}
-
-/// [`quantize_activation_i16`] into a caller-provided buffer — the blocked
-/// path quantizes every activation row into one flat staging area without
-/// per-row allocations. Same values, same scale.
+/// The baseline instantiation of the activation quantizer, and the
+/// reference every SIMD level reproduces bit for bit.
+#[inline(always)]
 fn quantize_row_into(x: &[f32], out: &mut [i16]) -> f32 {
     debug_assert_eq!(x.len(), out.len());
-    let max_abs = x.iter().fold(0.0f32, |m, v| m.max(v.abs()));
-    let scale = if max_abs > 0.0 { max_abs / 127.0 } else { 1.0 };
+    let scale = scale_of(x.iter().fold(0.0f32, |m, v| m.max(v.abs())));
     let inv = 1.0 / scale;
     for (dst, &v) in out.iter_mut().zip(x) {
-        *dst = round_ties_even(v * inv).clamp(-127.0, 127.0) as i16;
+        *dst = quantize_value(v, inv);
     }
     scale
 }
 
-/// Scalar reference kernel: staged `i16` activation against an `i8` weight
-/// row. Exact, so every SIMD kernel must (and does) reproduce it bit-for-bit.
-fn dot_mixed_scalar(a16: &[i16], w: &[i8]) -> i32 {
-    debug_assert_eq!(a16.len(), w.len());
-    let mut acc = 0i32;
-    for (&x, &wv) in a16.iter().zip(w.iter()) {
-        acc += i32::from(x) * i32::from(wv);
+/// [`quantize_row_into`] at `level`.
+fn quantize_at(level: SimdLevel, x: &[f32], out: &mut [i16]) -> f32 {
+    match level {
+        // SAFETY: an Avx512 level carries the `simd` module's proof that
+        // the CPU reported avx512f.
+        #[cfg(target_arch = "x86_64")]
+        SimdLevel::Avx512(_) => unsafe { x86::quantize_avx512(x, out) },
+        // SAFETY: an Avx2 level carries the `simd` module's proof that the
+        // CPU reported avx2.
+        #[cfg(target_arch = "x86_64")]
+        SimdLevel::Avx2(_) => unsafe { x86::quantize_avx2(x, out) },
+        SimdLevel::Scalar => quantize_row_into(x, out),
     }
-    acc
 }
 
-/// Scalar reference for the staged 4-row kernel.
-fn dot4_staged_scalar(a16: &[i16], w16: &[i16], k: usize) -> [i32; 4] {
-    let mut accs = [0i32; 4];
-    for (jj, acc) in accs.iter_mut().enumerate() {
-        let wrow = &w16[jj * k..(jj + 1) * k];
-        for (&x, &wv) in a16.iter().zip(wrow.iter()) {
-            *acc += i32::from(x) * i32::from(wv);
+/// One panel's [`PANEL`] `i32` accumulators at one SIMD level.
+///
+/// # Safety
+/// An implementor is exactly [`PANEL`] `i32` lanes, output `jj` in lane
+/// `jj`: [`tile`] zeroes it with `mem::zeroed` and reads it back with
+/// `mem::transmute_copy`.
+unsafe trait PanelAcc: Copy {
+    /// `self` plus, in lane `jj`, `w[2jj] · a[0] + w[2jj + 1] · a[1]`, where
+    /// `pair` is [`pair_bits`] of `a`.
+    ///
+    /// # Safety
+    /// The CPU supports the implementor's level: call it only inside that
+    /// level's instantiation of [`gemm_body`].
+    unsafe fn madd(self, w: &[i8; PANEL_ROW], pair: i32) -> Self;
+}
+
+/// The portable accumulators: the baseline on targets other than x86-64.
+#[cfg(not(target_arch = "x86_64"))]
+type Baseline = [i32; PANEL];
+
+// SAFETY: `[i32; PANEL]` is the lane layout itself.
+unsafe impl PanelAcc for [i32; PANEL] {
+    #[inline(always)]
+    unsafe fn madd(mut self, w: &[i8; PANEL_ROW], pair: i32) -> Self {
+        let a = [pair as i16, (pair >> 16) as i16].map(i32::from);
+        for (acc, w) in self.iter_mut().zip(w.as_chunks::<2>().0) {
+            *acc += i32::from(w[0]) * a[0] + i32::from(w[1]) * a[1];
+        }
+        self
+    }
+}
+
+/// An activation pair as one 32-bit lane: `a[0]` in the low half, where
+/// `pmaddwd` multiplies it by the even input's weight, `a[1]` in the high.
+#[inline(always)]
+fn pair_bits(a: [i16; 2]) -> i32 {
+    i32::from(a[0] as u16) | (i32::from(a[1]) << 16)
+}
+
+/// One register tile: activation rows `a` (input pairs) against panels `w`
+/// (one 32-byte row per input pair), accumulated over every pair. The
+/// compiler merges the repeated pure loads, sign-extensions and broadcasts,
+/// so each panel row is read once for all `R` rows and each pair broadcast
+/// once for all `P` panels.
+///
+/// # Safety
+/// The CPU supports `V`'s level.
+#[inline(always)]
+unsafe fn tile<V: PanelAcc, const R: usize, const P: usize>(
+    a: [&[[i16; 2]]; R],
+    w: [&[[i8; PANEL_ROW]]; P],
+) -> [[[i32; PANEL]; P]; R] {
+    let pairs = w[0].len();
+    let a = a.map(|row| &row[..pairs]);
+    let w = w.map(|panel| &panel[..pairs]);
+    // SAFETY: all-zero lanes are valid `i32`s (`PanelAcc`'s contract).
+    let mut acc: [[V; P]; R] = std::mem::zeroed();
+    for p in 0..pairs {
+        for (acc_r, a_r) in acc.iter_mut().zip(&a) {
+            let pair = pair_bits(a_r[p]);
+            for (s, w_q) in acc_r.iter_mut().zip(&w) {
+                *s = s.madd(&w_q[p], pair);
+            }
         }
     }
-    accs
+    // SAFETY: `V` is `PANEL` `i32` lanes in output order (`PanelAcc`'s
+    // contract).
+    acc.map(|acc_r| acc_r.map(|s| std::mem::transmute_copy(&s)))
+}
+
+/// The GEMM body over staged activations. `a` holds `sxs.len()` rows of
+/// `2 · pairs` quantized values and `out` as many rows of
+/// `width = out.len() / sxs.len()` outputs, for output columns
+/// `j0..j0 + width` of `m` (`j0` a multiple of [`PANEL`]). Panels run in
+/// groups of `P` outside tiles of `R` rows; leftover panels run one at a
+/// time.
+///
+/// # Safety
+/// The CPU supports `V`'s level.
+#[inline(always)]
+unsafe fn gemm_body<V: PanelAcc, const R: usize, const P: usize>(
+    m: &Int8Matrix,
+    a: &[i16],
+    sxs: &[f32],
+    j0: usize,
+    out: &mut [f32],
+) {
+    let Some(width) = out.len().checked_div(sxs.len()) else {
+        return;
+    };
+    let pairs = m.pairs();
+    let panels = m.data.as_chunks::<PANEL_ROW>().0;
+    let panel = |q: usize| &panels[(j0 / PANEL + q) * pairs..][..pairs];
+    let scales = &m.scales[j0..j0 + width];
+    let count = width.div_ceil(PANEL);
+    let full = count - count % P;
+    for q in (0..full).step_by(P) {
+        let w = std::array::from_fn(|p| panel(q + p));
+        sweep::<V, R, P>(w, a, sxs, scales, q * PANEL, out);
+    }
+    for q in full..count {
+        sweep::<V, R, 1>([panel(q)], a, sxs, scales, q * PANEL, out);
+    }
+}
+
+/// Every activation row of [`gemm_body`] against panels `w`, whose first
+/// output column is `c0`: tiles of `R` rows, then leftover rows one at a time.
+///
+/// # Safety
+/// The CPU supports `V`'s level.
+#[inline(always)]
+unsafe fn sweep<V: PanelAcc, const R: usize, const P: usize>(
+    w: [&[[i8; PANEL_ROW]]; P],
+    a: &[i16],
+    sxs: &[f32],
+    scales: &[f32],
+    c0: usize,
+    out: &mut [f32],
+) {
+    let (n, width, stride) = (sxs.len(), scales.len(), 2 * w[0].len());
+    let row = |i: usize| a[i * stride..][..stride].as_chunks::<2>().0;
+    let full = n - n % R;
+    for i in (0..full).step_by(R) {
+        let sums = tile::<V, R, P>(std::array::from_fn(|r| row(i + r)), w);
+        rescale(&sums, &sxs[i..], scales, c0, &mut out[i * width..]);
+    }
+    for i in full..n {
+        let sums = tile::<V, 1, P>([row(i)], w);
+        rescale(&sums, &sxs[i..], scales, c0, &mut out[i * width..]);
+    }
+}
+
+/// Rescale a tile's sums: row `r` lands in `out[r · width..]` from column
+/// `c0`, where `width = scales.len()`, as `acc as f32 * (s_x · s_j)` per
+/// output. Only the columns the call owns are written, so the partial last
+/// panel stops at its edge.
+#[inline(always)]
+fn rescale<const P: usize>(
+    sums: &[[[i32; PANEL]; P]],
+    sxs: &[f32],
+    scales: &[f32],
+    c0: usize,
+    out: &mut [f32],
+) {
+    let width = scales.len();
+    for ((sums_r, &sx), orow) in sums.iter().zip(sxs).zip(out.chunks_mut(width)) {
+        for (q, s) in sums_r.iter().enumerate() {
+            let c = c0 + q * PANEL;
+            let cols = PANEL.min(width - c);
+            let dst = orow[c..c + cols].iter_mut();
+            for ((y, &acc), &sj) in dst.zip(s).zip(&scales[c..c + cols]) {
+                *y = acc as f32 * (sx * sj);
+            }
+        }
+    }
+}
+
+/// [`gemm_body`] at `level`.
+fn gemm_at(level: SimdLevel, m: &Int8Matrix, a: &[i16], sxs: &[f32], j0: usize, out: &mut [f32]) {
+    match level {
+        // SAFETY: an Avx512 level carries the `simd` module's proof that
+        // the CPU reported avx512f and avx512bw.
+        #[cfg(target_arch = "x86_64")]
+        SimdLevel::Avx512(_) => unsafe { x86::gemm_avx512(m, a, sxs, j0, out) },
+        // SAFETY: an Avx2 level carries the `simd` module's proof that the
+        // CPU reported avx2.
+        #[cfg(target_arch = "x86_64")]
+        SimdLevel::Avx2(_) => unsafe { x86::gemm_avx2(m, a, sxs, j0, out) },
+        // SAFETY: the baseline accumulators use only the target's baseline
+        // instructions (SSE2 on x86-64).
+        SimdLevel::Scalar => unsafe { gemm_body::<Baseline, 2, 1>(m, a, sxs, j0, out) },
+    }
 }
 
 #[cfg(target_arch = "x86_64")]
+use x86::Baseline;
+
+#[cfg(target_arch = "x86_64")]
 mod x86 {
-    //! AVX-512BW / AVX2 variants of the integer kernels. All arithmetic is
-    //! exact (`i16 × i16` pair-sums into `i32` lanes, `|pair| ≤ 2 · 127²`),
-    //! so these return bit-identical integers to the scalar references —
-    //! asserted by the `simd_kernels_match_scalar_reference` test.
+    //! The AVX-512BW, AVX2 and SSE2 accumulators of the GEMM and the
+    //! AVX-512F and AVX2 activation quantizers. Nothing here uses
+    //! AVX-512VL, which the `simd` module's detection does not cover.
+
     use std::arch::x86_64::*;
 
-    use super::Int8Matrix;
-    use crate::matrix::Matrix;
+    use super::{gemm_body, quantize_value, scale_of, Int8Matrix, PanelAcc, MAGIC, PANEL_ROW};
 
-    /// Full single-activation sweep over output rows `[j0, j1)` — the whole
-    /// loop lives inside one `target_feature` region so the per-row dot
-    /// kernel inlines instead of paying a function-call boundary per row.
-    #[target_feature(enable = "avx512bw")]
-    pub unsafe fn apply_range_avx512(
-        m: &Int8Matrix,
-        a16: &[i16],
-        sx: f32,
-        j0: usize,
-        j1: usize,
-        out: &mut [f32],
-    ) {
-        for (slot, j) in out.iter_mut().zip(j0..j1) {
-            let acc = dot_mixed_avx512(a16, m.weight_row(j));
-            *slot = acc as f32 * (sx * m.scales[j]);
+    // SAFETY: one zmm is 16 `i32` lanes, lane `jj` in memory order.
+    unsafe impl PanelAcc for __m512i {
+        /// One `vpmovsxbw` sign-extends the whole panel row.
+        #[inline(always)]
+        unsafe fn madd(self, w: &[i8; PANEL_ROW], pair: i32) -> Self {
+            let w = _mm512_cvtepi8_epi16(_mm256_loadu_si256(w.as_ptr().cast()));
+            _mm512_add_epi32(self, _mm512_madd_epi16(w, _mm512_set1_epi32(pair)))
         }
+    }
+
+    // SAFETY: two ymm are 16 `i32` lanes, outputs 0–7 then 8–15.
+    unsafe impl PanelAcc for [__m256i; 2] {
+        /// Each ymm takes one 16-byte half of the panel row.
+        #[inline(always)]
+        unsafe fn madd(self, w: &[i8; PANEL_ROW], pair: i32) -> Self {
+            [0, 1].map(|h| {
+                let w = _mm256_cvtepi8_epi16(_mm_loadu_si128(w[16 * h..].as_ptr().cast()));
+                _mm256_add_epi32(self[h], _mm256_madd_epi16(w, _mm256_set1_epi32(pair)))
+            })
+        }
+    }
+
+    /// The x86-64 baseline's accumulators, in place of the portable ones,
+    /// which compile to emulated 32-bit multiplies at SSE2.
+    pub type Baseline = [__m128i; 4];
+
+    // SAFETY: four xmm are 16 `i32` lanes, outputs 0–3, 4–7, 8–11, 12–15.
+    unsafe impl PanelAcc for Baseline {
+        /// SSE2 has no byte sign-extension, so each byte is unpacked into
+        /// both halves of an `i16` lane and shifted down arithmetically.
+        #[inline(always)]
+        unsafe fn madd(self, w: &[i8; PANEL_ROW], pair: i32) -> Self {
+            let halves = [0, 16].map(|h| _mm_loadu_si128(w[h..].as_ptr().cast()));
+            let w = halves.map(|b| [_mm_unpacklo_epi8(b, b), _mm_unpackhi_epi8(b, b)]);
+            [0, 1, 2, 3].map(|i| {
+                let w = _mm_srai_epi16::<8>(w[i / 2][i % 2]);
+                _mm_add_epi32(self[i], _mm_madd_epi16(w, _mm_set1_epi32(pair)))
+            })
+        }
+    }
+
+    #[target_feature(enable = "avx512f,avx512bw")]
+    pub fn gemm_avx512(m: &Int8Matrix, a: &[i16], sxs: &[f32], j0: usize, out: &mut [f32]) {
+        // SAFETY: this instantiation enables avx512f and avx512bw, every
+        // instruction the `__m512i` accumulators use.
+        unsafe { gemm_body::<__m512i, 4, 4>(m, a, sxs, j0, out) }
     }
 
     #[target_feature(enable = "avx2")]
-    pub unsafe fn apply_range_avx2(
-        m: &Int8Matrix,
-        a16: &[i16],
-        sx: f32,
-        j0: usize,
-        j1: usize,
-        out: &mut [f32],
-    ) {
-        for (slot, j) in out.iter_mut().zip(j0..j1) {
-            let acc = dot_mixed_avx2(a16, m.weight_row(j));
-            *slot = acc as f32 * (sx * m.scales[j]);
-        }
+    pub fn gemm_avx2(m: &Int8Matrix, a: &[i16], sxs: &[f32], j0: usize, out: &mut [f32]) {
+        // SAFETY: this instantiation enables avx2, every instruction the
+        // `[__m256i; 2]` accumulators use.
+        unsafe { gemm_body::<[__m256i; 2], 4, 1>(m, a, sxs, j0, out) }
     }
 
-    /// Full blocked sweep: stage each group of four weight rows as i16 once,
-    /// run every activation row against the group with four shared-load
-    /// accumulators, finish remainder columns with the fused kernel.
-    // index-based rows: `i` addresses both `a16` (via pointer math) and `sxs`
-    #[allow(clippy::needless_range_loop)]
-    #[target_feature(enable = "avx512bw")]
-    pub unsafe fn apply_block_avx512(
-        m: &Int8Matrix,
-        a16: &[i16],
-        sxs: &[f32],
-        wbuf: &mut [i16],
-        out: &mut Matrix,
-    ) {
-        let n = sxs.len();
-        let k = m.in_features;
-        let chunks = k / 32;
-        let mut j = 0;
-        while j + 4 <= m.out_features {
-            m.stage_weight_rows(j, 4, wbuf);
-            let w0 = wbuf.as_ptr();
-            let w1 = wbuf.as_ptr().add(k);
-            let w2 = wbuf.as_ptr().add(2 * k);
-            let w3 = wbuf.as_ptr().add(3 * k);
-            for i in 0..n {
-                let a = a16.as_ptr().add(i * k);
-                let mut acc0 = _mm512_setzero_si512();
-                let mut acc1 = _mm512_setzero_si512();
-                let mut acc2 = _mm512_setzero_si512();
-                let mut acc3 = _mm512_setzero_si512();
-                for c in 0..chunks {
-                    let av = _mm512_loadu_si512(a.add(c * 32) as *const __m512i);
-                    let l0 = _mm512_loadu_si512(w0.add(c * 32) as *const __m512i);
-                    let l1 = _mm512_loadu_si512(w1.add(c * 32) as *const __m512i);
-                    let l2 = _mm512_loadu_si512(w2.add(c * 32) as *const __m512i);
-                    let l3 = _mm512_loadu_si512(w3.add(c * 32) as *const __m512i);
-                    acc0 = _mm512_add_epi32(acc0, _mm512_madd_epi16(av, l0));
-                    acc1 = _mm512_add_epi32(acc1, _mm512_madd_epi16(av, l1));
-                    acc2 = _mm512_add_epi32(acc2, _mm512_madd_epi16(av, l2));
-                    acc3 = _mm512_add_epi32(acc3, _mm512_madd_epi16(av, l3));
-                }
-                let mut t0 = _mm512_reduce_add_epi32(acc0);
-                let mut t1 = _mm512_reduce_add_epi32(acc1);
-                let mut t2 = _mm512_reduce_add_epi32(acc2);
-                let mut t3 = _mm512_reduce_add_epi32(acc3);
-                for kk in chunks * 32..k {
-                    let av = i32::from(*a.add(kk));
-                    t0 += av * i32::from(*w0.add(kk));
-                    t1 += av * i32::from(*w1.add(kk));
-                    t2 += av * i32::from(*w2.add(kk));
-                    t3 += av * i32::from(*w3.add(kk));
-                }
-                let sx = sxs[i];
-                let orow = out.row_mut(i);
-                orow[j] = t0 as f32 * (sx * m.scales[j]);
-                orow[j + 1] = t1 as f32 * (sx * m.scales[j + 1]);
-                orow[j + 2] = t2 as f32 * (sx * m.scales[j + 2]);
-                orow[j + 3] = t3 as f32 * (sx * m.scales[j + 3]);
-            }
-            j += 4;
+    /// The activation quantizer at AVX-512F, 16 lanes per step. The lane max
+    /// puts the running max second, so a NaN element leaves it unchanged as
+    /// `f32::max` does; max is exact, so lane order cannot change it. Each
+    /// lane then runs the reference's multiply, magic-number round and
+    /// clamp, and NaN lanes convert to 0 as `as i16` does. The last partial
+    /// group runs the reference's scalar code.
+    #[target_feature(enable = "avx512f")]
+    pub fn quantize_avx512(x: &[f32], out: &mut [i16]) -> f32 {
+        assert_eq!(x.len(), out.len(), "quantizer length mismatch");
+        let (groups, rest) = x.as_chunks::<16>();
+        let (dst, dst_rest) = out.as_chunks_mut::<16>();
+        // SAFETY: `g` holds 16 floats.
+        let load = |g: &[f32; 16]| unsafe { _mm512_loadu_ps(g.as_ptr()) };
+        let mut lanes = _mm512_setzero_ps();
+        for g in groups {
+            lanes = _mm512_max_ps(_mm512_abs_ps(load(g)), lanes);
         }
-        for jr in j..m.out_features {
-            let wrow = m.weight_row(jr);
-            let sj = m.scales[jr];
-            for i in 0..n {
-                let arow = &a16[i * k..(i + 1) * k];
-                let acc = dot_mixed_avx512(arow, wrow);
-                out.row_mut(i)[jr] = acc as f32 * (sxs[i] * sj);
-            }
+        let max_abs = rest
+            .iter()
+            .fold(_mm512_reduce_max_ps(lanes), |m, v| m.max(v.abs()));
+        let scale = scale_of(max_abs);
+        let inv = 1.0 / scale;
+        let (vinv, magic) = (_mm512_set1_ps(inv), _mm512_set1_ps(MAGIC));
+        let (lo, hi) = (_mm512_set1_ps(-127.0), _mm512_set1_ps(127.0));
+        for (g, d) in groups.iter().zip(dst) {
+            let y = _mm512_mul_ps(load(g), vinv);
+            let r = _mm512_sub_ps(_mm512_add_ps(y, magic), magic);
+            let c = _mm512_max_ps(lo, _mm512_min_ps(hi, r));
+            let q = _mm512_maskz_cvttps_epi32(_mm512_cmp_ps_mask::<_CMP_ORD_Q>(y, y), c);
+            // SAFETY: writes the 16 values of `d`.
+            unsafe { _mm256_storeu_si256(d.as_mut_ptr().cast(), _mm512_cvtepi32_epi16(q)) };
         }
+        for (d, &v) in dst_rest.iter_mut().zip(rest) {
+            *d = quantize_value(v, inv);
+        }
+        scale
     }
 
-    // index-based rows: `i` addresses both `a16` (via pointer math) and `sxs`
-    #[allow(clippy::needless_range_loop)]
+    /// The activation quantizer at AVX2, 8 lanes per step, with the lane
+    /// max and the NaN rule of [`quantize_avx512`]. The last partial group
+    /// runs the reference's scalar code.
     #[target_feature(enable = "avx2")]
-    pub unsafe fn apply_block_avx2(
-        m: &Int8Matrix,
-        a16: &[i16],
-        sxs: &[f32],
-        wbuf: &mut [i16],
-        out: &mut Matrix,
-    ) {
-        let n = sxs.len();
-        let k = m.in_features;
-        let chunks = k / 16;
-        let mut j = 0;
-        while j + 4 <= m.out_features {
-            m.stage_weight_rows(j, 4, wbuf);
-            let w0 = wbuf.as_ptr();
-            let w1 = wbuf.as_ptr().add(k);
-            let w2 = wbuf.as_ptr().add(2 * k);
-            let w3 = wbuf.as_ptr().add(3 * k);
-            for i in 0..n {
-                let a = a16.as_ptr().add(i * k);
-                let mut acc0 = _mm256_setzero_si256();
-                let mut acc1 = _mm256_setzero_si256();
-                let mut acc2 = _mm256_setzero_si256();
-                let mut acc3 = _mm256_setzero_si256();
-                for c in 0..chunks {
-                    let av = _mm256_loadu_si256(a.add(c * 16) as *const __m256i);
-                    let l0 = _mm256_loadu_si256(w0.add(c * 16) as *const __m256i);
-                    let l1 = _mm256_loadu_si256(w1.add(c * 16) as *const __m256i);
-                    let l2 = _mm256_loadu_si256(w2.add(c * 16) as *const __m256i);
-                    let l3 = _mm256_loadu_si256(w3.add(c * 16) as *const __m256i);
-                    acc0 = _mm256_add_epi32(acc0, _mm256_madd_epi16(av, l0));
-                    acc1 = _mm256_add_epi32(acc1, _mm256_madd_epi16(av, l1));
-                    acc2 = _mm256_add_epi32(acc2, _mm256_madd_epi16(av, l2));
-                    acc3 = _mm256_add_epi32(acc3, _mm256_madd_epi16(av, l3));
-                }
-                let mut t0 = hsum_epi32_avx2(acc0);
-                let mut t1 = hsum_epi32_avx2(acc1);
-                let mut t2 = hsum_epi32_avx2(acc2);
-                let mut t3 = hsum_epi32_avx2(acc3);
-                for kk in chunks * 16..k {
-                    let av = i32::from(*a.add(kk));
-                    t0 += av * i32::from(*w0.add(kk));
-                    t1 += av * i32::from(*w1.add(kk));
-                    t2 += av * i32::from(*w2.add(kk));
-                    t3 += av * i32::from(*w3.add(kk));
-                }
-                let sx = sxs[i];
-                let orow = out.row_mut(i);
-                orow[j] = t0 as f32 * (sx * m.scales[j]);
-                orow[j + 1] = t1 as f32 * (sx * m.scales[j + 1]);
-                orow[j + 2] = t2 as f32 * (sx * m.scales[j + 2]);
-                orow[j + 3] = t3 as f32 * (sx * m.scales[j + 3]);
-            }
-            j += 4;
+    pub fn quantize_avx2(x: &[f32], out: &mut [i16]) -> f32 {
+        assert_eq!(x.len(), out.len(), "quantizer length mismatch");
+        let (groups, rest) = x.as_chunks::<8>();
+        let (dst, dst_rest) = out.as_chunks_mut::<8>();
+        // SAFETY: `g` holds 8 floats.
+        let load = |g: &[f32; 8]| unsafe { _mm256_loadu_ps(g.as_ptr()) };
+        let abs = _mm256_castsi256_ps(_mm256_set1_epi32(0x7fff_ffff));
+        let mut lanes = _mm256_setzero_ps();
+        for g in groups {
+            lanes = _mm256_max_ps(_mm256_and_ps(load(g), abs), lanes);
         }
-        for jr in j..m.out_features {
-            let wrow = m.weight_row(jr);
-            let sj = m.scales[jr];
-            for i in 0..n {
-                let arow = &a16[i * k..(i + 1) * k];
-                let acc = dot_mixed_avx2(arow, wrow);
-                out.row_mut(i)[jr] = acc as f32 * (sxs[i] * sj);
-            }
+        // SAFETY: `__m256` is eight f32 lanes, 32 bytes like `[f32; 8]`.
+        let lanes = unsafe { std::mem::transmute::<__m256, [f32; 8]>(lanes) };
+        let max_abs = lanes.iter().chain(rest).fold(0.0f32, |m, v| m.max(v.abs()));
+        let scale = scale_of(max_abs);
+        let inv = 1.0 / scale;
+        let (vinv, magic) = (_mm256_set1_ps(inv), _mm256_set1_ps(MAGIC));
+        let (lo, hi) = (_mm256_set1_ps(-127.0), _mm256_set1_ps(127.0));
+        for (g, d) in groups.iter().zip(dst) {
+            let y = _mm256_mul_ps(load(g), vinv);
+            let r = _mm256_sub_ps(_mm256_add_ps(y, magic), magic);
+            let c = _mm256_max_ps(lo, _mm256_min_ps(hi, r));
+            let q = _mm256_cvttps_epi32(_mm256_and_ps(c, _mm256_cmp_ps::<_CMP_ORD_Q>(y, y)));
+            let q = _mm_packs_epi32(_mm256_castsi256_si128(q), _mm256_extracti128_si256::<1>(q));
+            // SAFETY: writes the 8 values of `d`.
+            unsafe { _mm_storeu_si128(d.as_mut_ptr().cast(), q) };
         }
-    }
-
-    #[inline]
-    #[target_feature(enable = "avx512bw")]
-    pub unsafe fn dot_mixed_avx512(a16: &[i16], w: &[i8]) -> i32 {
-        let k = a16.len();
-        let chunks = k / 32;
-        let mut acc = _mm512_setzero_si512();
-        for c in 0..chunks {
-            let wv =
-                _mm512_cvtepi8_epi16(_mm256_loadu_si256(w.as_ptr().add(c * 32) as *const __m256i));
-            let av = _mm512_loadu_si512(a16.as_ptr().add(c * 32) as *const __m512i);
-            acc = _mm512_add_epi32(acc, _mm512_madd_epi16(av, wv));
+        for (d, &v) in dst_rest.iter_mut().zip(rest) {
+            *d = quantize_value(v, inv);
         }
-        let mut total = _mm512_reduce_add_epi32(acc);
-        for kk in chunks * 32..k {
-            total += i32::from(a16[kk]) * i32::from(w[kk]);
-        }
-        total
-    }
-
-    #[target_feature(enable = "avx2")]
-    unsafe fn hsum_epi32_avx2(v: __m256i) -> i32 {
-        let s = _mm_add_epi32(_mm256_extracti128_si256(v, 1), _mm256_castsi256_si128(v));
-        let s = _mm_add_epi32(s, _mm_shuffle_epi32(s, 0b01_00_11_10));
-        let s = _mm_add_epi32(s, _mm_shuffle_epi32(s, 0b00_00_00_01));
-        _mm_cvtsi128_si32(s)
-    }
-
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn dot_mixed_avx2(a16: &[i16], w: &[i8]) -> i32 {
-        let k = a16.len();
-        let chunks = k / 16;
-        let mut acc = _mm256_setzero_si256();
-        for c in 0..chunks {
-            let wv =
-                _mm256_cvtepi8_epi16(_mm_loadu_si128(w.as_ptr().add(c * 16) as *const __m128i));
-            let av = _mm256_loadu_si256(a16.as_ptr().add(c * 16) as *const __m256i);
-            acc = _mm256_add_epi32(acc, _mm256_madd_epi16(av, wv));
-        }
-        let mut total = hsum_epi32_avx2(acc);
-        for kk in chunks * 16..k {
-            total += i32::from(a16[kk]) * i32::from(w[kk]);
-        }
-        total
+        scale
     }
 }
 
-/// An `in × out` projection stored as int8 with per-output-row scales.
+/// An `in × out` projection stored as int8 with per-output-channel scales.
 ///
 /// See the module docs for the layout and the exactness argument. The
 /// [`Linear`] impl guarantees `apply_block` row `i` is bit-identical to
@@ -350,42 +434,37 @@ mod x86 {
 pub struct Int8Matrix {
     in_features: usize,
     out_features: usize,
-    /// `out_features` contiguous rows of `in_features` bytes (out-major).
+    /// `⌈out / 16⌉` panels of `⌈in / 2⌉` rows of 32 bytes, zero-padded (see
+    /// the module docs).
     data: Vec<i8>,
-    /// Per-output-row weight scales, `len == out_features`.
+    /// Per-output weight scales, `len == out_features`.
     scales: Vec<f32>,
 }
 
 impl Int8Matrix {
-    /// Calibration pass: pick per-output-row scales from the f32 weights and
+    /// Calibration pass: pick per-output scales from the f32 weights and
     /// quantize. `w` is the logical `in × out` matrix (the same orientation
     /// `ops::vecmat` consumes).
     pub fn calibrate(w: &Matrix) -> Self {
-        let in_features = w.rows();
-        let out_features = w.cols();
-        let mut scales = vec![1.0f32; out_features];
-        for (j, scale) in scales.iter_mut().enumerate() {
-            let mut max_abs = 0.0f32;
-            for k in 0..in_features {
-                max_abs = max_abs.max(w.get(k, j).abs());
-            }
-            if max_abs > 0.0 {
-                *scale = max_abs / 127.0;
-            }
-        }
-        let mut data = Vec::with_capacity(out_features * in_features);
-        for (j, &scale) in scales.iter().enumerate() {
-            let inv = 1.0 / scale;
-            for k in 0..in_features {
-                data.push(round_ties_even(w.get(k, j) * inv).clamp(-127.0, 127.0) as i8);
-            }
-        }
-        Self {
+        let (in_features, out_features) = (w.rows(), w.cols());
+        let scales: Vec<f32> = (0..out_features)
+            .map(|j| scale_of((0..in_features).fold(0.0f32, |m, k| m.max(w.get(k, j).abs()))))
+            .collect();
+        let inv: Vec<f32> = scales.iter().map(|s| 1.0 / s).collect();
+        let payload = out_features.div_ceil(PANEL) * in_features.div_ceil(2) * PANEL_ROW;
+        let mut q = Self {
             in_features,
             out_features,
-            data,
+            data: vec![0; payload],
             scales,
+        };
+        for k in 0..in_features {
+            for (j, (&v, &inv)) in w.row(k).iter().zip(&inv).enumerate() {
+                let at = q.index(k, j);
+                q.data[at] = quantize_value(v, inv) as i8;
+            }
         }
+        q
     }
 
     pub fn in_features(&self) -> usize {
@@ -396,138 +475,92 @@ impl Int8Matrix {
         self.out_features
     }
 
-    /// Per-output-row weight scales chosen by calibration.
+    /// Per-output weight scales chosen by calibration.
     pub fn scales(&self) -> &[f32] {
         &self.scales
     }
 
-    /// Largest per-row scale — a summary statistic the calibration report in
-    /// `quant_sweep` surfaces per projection.
+    /// Largest per-output scale — a summary statistic the calibration report
+    /// in `quant_sweep` surfaces per projection.
     pub fn max_scale(&self) -> f32 {
         self.scales.iter().fold(0.0f32, |m, &s| m.max(s))
     }
 
-    /// Actual storage footprint: the i8 payload plus the f32 scales.
+    /// Actual storage footprint: the padded i8 payload plus the f32 scales.
     pub fn memory_bytes(&self) -> usize {
         self.data.len() * std::mem::size_of::<i8>() + self.scales.len() * std::mem::size_of::<f32>()
     }
 
-    /// Reconstruct the f32 `in × out` matrix (`W[k][j] = q[j][k] · s_j`).
+    /// Reconstruct the f32 `in × out` matrix (`W[k][j] = q[k][j] · s_j`).
     /// Elementwise error versus the calibrated source is at most `s_j / 2`.
     pub fn dequantize(&self) -> Matrix {
-        let mut out = Matrix::zeros(self.in_features, self.out_features);
-        for j in 0..self.out_features {
-            let row = self.weight_row(j);
-            let s = self.scales[j];
-            for (k, &q) in row.iter().enumerate() {
-                out.set(k, j, f32::from(q) * s);
-            }
-        }
-        out
+        Matrix::from_fn(self.in_features, self.out_features, |k, j| {
+            f32::from(self.data[self.index(k, j)]) * self.scales[j]
+        })
     }
 
-    #[inline]
-    fn weight_row(&self, j: usize) -> &[i8] {
-        &self.data[j * self.in_features..(j + 1) * self.in_features]
+    /// Input pairs per panel: `⌈in / 2⌉`.
+    fn pairs(&self) -> usize {
+        self.in_features.div_ceil(2)
     }
 
-    /// The single-activation kernel shared by `apply` and `apply_parallel`:
-    /// staged activation `(a16, sx)` against output rows `j ∈ [j0, j1)`,
-    /// written to `out`. Dispatches once per call; every level computes the
-    /// same integers.
-    fn apply_staged_range(&self, a16: &[i16], sx: f32, j0: usize, j1: usize, out: &mut [f32]) {
-        debug_assert_eq!(a16.len(), self.in_features);
-        debug_assert_eq!(out.len(), j1 - j0);
-        match simd::detect() {
-            // SAFETY: `simd::detect` returned Avx512, so the CPU reported
-            // avx512bw.
-            #[cfg(target_arch = "x86_64")]
-            SimdLevel::Avx512(_) => unsafe { x86::apply_range_avx512(self, a16, sx, j0, j1, out) },
-            // SAFETY: `simd::detect` returned Avx2, so the CPU reported avx2.
-            #[cfg(target_arch = "x86_64")]
-            SimdLevel::Avx2(_) => unsafe { x86::apply_range_avx2(self, a16, sx, j0, j1, out) },
-            SimdLevel::Scalar => {
-                for (slot, j) in out.iter_mut().zip(j0..j1) {
-                    let acc = dot_mixed_scalar(a16, self.weight_row(j));
-                    *slot = acc as f32 * (sx * self.scales[j]);
-                }
-            }
-        }
+    /// Payload position of the weight of input `k` into output `j`.
+    fn index(&self, k: usize, j: usize) -> usize {
+        (((j / PANEL) * self.pairs() + k / 2) * PANEL + j % PANEL) * 2 + k % 2
     }
 
-    /// Portable blocked sweep mirroring the SIMD versions exactly.
-    fn apply_block_scalar(&self, a16: &[i16], sxs: &[f32], wbuf: &mut [i16], out: &mut Matrix) {
-        let n = sxs.len();
-        let k = self.in_features;
-        let mut j = 0;
-        while j + 4 <= self.out_features {
-            self.stage_weight_rows(j, 4, wbuf);
-            for i in 0..n {
-                let arow = &a16[i * k..(i + 1) * k];
-                let accs = dot4_staged_scalar(arow, wbuf, k);
-                let orow = out.row_mut(i);
-                for (jj, &acc) in accs.iter().enumerate() {
-                    orow[j + jj] = acc as f32 * (sxs[i] * self.scales[j + jj]);
-                }
-            }
-            j += 4;
-        }
-        for jr in j..self.out_features {
-            let wrow = self.weight_row(jr);
-            let sj = self.scales[jr];
-            for i in 0..n {
-                let arow = &a16[i * k..(i + 1) * k];
-                let acc = dot_mixed_scalar(arow, wrow);
-                out.row_mut(i)[jr] = acc as f32 * (sxs[i] * sj);
-            }
-        }
-    }
-
-    /// Stage weight rows `[j, j + rows)` as `i16` into `wbuf` (row-major,
-    /// `rows × in_features`).
-    fn stage_weight_rows(&self, j: usize, rows: usize, wbuf: &mut [i16]) {
-        let k = self.in_features;
-        for jj in 0..rows {
-            let src = self.weight_row(j + jj);
-            for (dst, &s) in wbuf[jj * k..(jj + 1) * k].iter_mut().zip(src) {
-                *dst = i16::from(s);
-            }
-        }
+    /// Quantize `rows` for the GEMM at `level`: row `i` lands at
+    /// `2 · pairs · i` in the returned buffer, zero-padded to an even length,
+    /// with its scale at `i` in the returned scales.
+    fn stage<'x>(
+        &self,
+        level: SimdLevel,
+        rows: impl ExactSizeIterator<Item = &'x [f32]>,
+    ) -> (Vec<i16>, Vec<f32>) {
+        let stride = 2 * self.pairs();
+        let mut a = vec![0i16; rows.len() * stride];
+        let sxs = rows
+            .enumerate()
+            .map(|(i, x)| quantize_at(level, x, &mut a[i * stride..][..x.len()]))
+            .collect();
+        (a, sxs)
     }
 
     /// `apply` with an explicit thread count, bit-identical to [`Linear::apply`]
-    /// for any `threads`: each output is computed by exactly one thread with
-    /// the same exact-integer reduction. Used for the wide lm_head (also
-    /// reachable as [`Linear::apply_parallel`]).
+    /// for any `threads`: each thread owns whole panels, so every output is
+    /// computed by exactly one thread with the same exact-integer reduction.
+    /// Used for the wide lm_head; products smaller than
+    /// [`VECMAT_PARALLEL_MIN_WORK`] terms run on the calling thread.
     ///
     /// # Panics
     /// Panics if `x.len() != in_features`.
     pub fn apply_parallel(&self, x: &[f32], threads: usize) -> Vec<f32> {
-        assert_eq!(
-            x.len(),
-            self.in_features,
-            "activation length {} must equal in_features {}",
-            x.len(),
-            self.in_features
-        );
-        let threads = threads.clamp(1, self.out_features.max(1));
-        let work = self.in_features * self.out_features;
-        if threads < 2 || work < PARALLEL_MIN_WORK {
-            return Linear::apply(self, x);
-        }
-        let (a16, sx) = quantize_activation_i16(x);
+        self.check_in(x.len());
+        let level = simd::detect();
+        let (a, sxs) = self.stage(level, std::iter::once(x));
         let mut out = vec![0.0f32; self.out_features];
-        let chunk = self.out_features.div_ceil(threads);
+        let panels = self.out_features.div_ceil(PANEL);
+        let threads = threads.clamp(1, panels.max(1));
+        if threads < 2 || self.in_features * self.out_features < VECMAT_PARALLEL_MIN_WORK {
+            gemm_at(level, self, &a, &sxs, 0, &mut out);
+            return out;
+        }
+        let chunk = panels.div_ceil(threads) * PANEL;
         std::thread::scope(|scope| {
-            for (t, slice) in out.chunks_mut(chunk).enumerate() {
-                let j0 = t * chunk;
-                let a16 = &a16;
-                scope.spawn(move || {
-                    self.apply_staged_range(a16, sx, j0, j0 + slice.len(), slice);
-                });
+            for (t, part) in out.chunks_mut(chunk).enumerate() {
+                let (a, sxs) = (&a, &sxs);
+                scope.spawn(move || gemm_at(level, self, a, sxs, t * chunk, part));
             }
         });
         out
+    }
+
+    fn check_in(&self, len: usize) {
+        assert_eq!(
+            len, self.in_features,
+            "activation length {len} must equal in_features {}",
+            self.in_features
+        );
     }
 }
 
@@ -540,59 +573,22 @@ impl Linear for Int8Matrix {
         self.out_features
     }
 
+    /// The one-thread case of [`Int8Matrix::apply_parallel`].
+    ///
     /// # Panics
     /// Panics if `x.len() != in_features`.
     fn apply(&self, x: &[f32]) -> Vec<f32> {
-        assert_eq!(
-            x.len(),
-            self.in_features,
-            "activation length {} must equal in_features {}",
-            x.len(),
-            self.in_features
-        );
-        let (a16, sx) = quantize_activation_i16(x);
-        let mut out = vec![0.0f32; self.out_features];
-        self.apply_staged_range(&a16, sx, 0, self.out_features, &mut out);
-        out
+        self.apply_parallel(x, 1)
     }
 
     /// # Panics
     /// Panics if `xs.cols() != in_features`.
     fn apply_block(&self, xs: &Matrix) -> Matrix {
-        assert_eq!(
-            xs.cols(),
-            self.in_features,
-            "activation cols {} must equal in_features {}",
-            xs.cols(),
-            self.in_features
-        );
-        // Stage every activation row as i16 up front (dynamic per-token
-        // scales), then walk outputs four weight rows at a time: each group
-        // is staged as i16 once and re-used across all activation rows, so
-        // the sign-extension cost is O(k·m + n·k) instead of O(n·k·m).
-        let n = xs.rows();
-        let k = self.in_features;
-        let mut a16 = vec![0i16; n * k];
-        let mut sxs = vec![0.0f32; n];
-        for i in 0..n {
-            sxs[i] = quantize_row_into(xs.row(i), &mut a16[i * k..(i + 1) * k]);
-        }
-        let mut out = Matrix::zeros(n, self.out_features);
-        let mut wbuf = vec![0i16; 4 * k];
-        match simd::detect() {
-            // SAFETY: `simd::detect` returned Avx512, so the CPU reported
-            // avx512bw.
-            #[cfg(target_arch = "x86_64")]
-            SimdLevel::Avx512(_) => unsafe {
-                x86::apply_block_avx512(self, &a16, &sxs, &mut wbuf, &mut out);
-            },
-            // SAFETY: `simd::detect` returned Avx2, so the CPU reported avx2.
-            #[cfg(target_arch = "x86_64")]
-            SimdLevel::Avx2(_) => unsafe {
-                x86::apply_block_avx2(self, &a16, &sxs, &mut wbuf, &mut out);
-            },
-            SimdLevel::Scalar => self.apply_block_scalar(&a16, &sxs, &mut wbuf, &mut out),
-        }
+        self.check_in(xs.cols());
+        let level = simd::detect();
+        let (a, sxs) = self.stage(level, (0..xs.rows()).map(|i| xs.row(i)));
+        let mut out = Matrix::zeros(xs.rows(), self.out_features);
+        gemm_at(level, self, &a, &sxs, 0, out.as_mut_slice());
         out
     }
 
@@ -621,16 +617,58 @@ mod tests {
         m.row(0).to_vec()
     }
 
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Textbook int8 GEMM over unpacked weights: calibrate each output
+    /// column, quantize each activation row with the reference quantizer,
+    /// sum every product in one `i32` per output, then rescale once.
+    fn textbook_gemm(w: &Matrix, xs: &Matrix) -> Vec<f32> {
+        let (k, n) = (w.rows(), w.cols());
+        let scales: Vec<f32> = (0..n)
+            .map(|j| {
+                let m = (0..k).fold(0.0f32, |m, kk| m.max(w.get(kk, j).abs()));
+                if m > 0.0 {
+                    m / 127.0
+                } else {
+                    1.0
+                }
+            })
+            .collect();
+        let qw: Vec<Vec<i32>> = (0..n)
+            .map(|j| {
+                let inv = 1.0 / scales[j];
+                (0..k)
+                    .map(|kk| (w.get(kk, j) * inv).round_ties_even().clamp(-127.0, 127.0) as i32)
+                    .collect()
+            })
+            .collect();
+        let mut out = Vec::with_capacity(xs.rows() * n);
+        for i in 0..xs.rows() {
+            let mut qx = vec![0i16; k];
+            let sx = quantize_row_into(xs.row(i), &mut qx);
+            for (j, qw_j) in qw.iter().enumerate() {
+                let acc: i32 = qx.iter().zip(qw_j).map(|(&a, &b)| i32::from(a) * b).sum();
+                out.push(acc as f32 * (sx * scales[j]));
+            }
+        }
+        out
+    }
+
     #[test]
     fn calibrate_dequantize_error_bounded_by_half_scale() {
-        let w = pseudo_matrix(48, 32, 3);
-        let q = Int8Matrix::calibrate(&w);
-        let dq = q.dequantize();
-        for j in 0..w.cols() {
-            let bound = q.scales()[j] * 0.5 + 1e-6;
-            for k in 0..w.rows() {
-                let err = (w.get(k, j) - dq.get(k, j)).abs();
-                assert!(err <= bound, "err {err} > bound {bound} at ({k},{j})");
+        // 33 x 17 leaves an odd input and a one-column last panel padded.
+        for (rows, cols) in [(48, 32), (33, 17)] {
+            let w = pseudo_matrix(rows, cols, 3);
+            let q = Int8Matrix::calibrate(&w);
+            let dq = q.dequantize();
+            for j in 0..w.cols() {
+                let bound = q.scales()[j] * 0.5 + 1e-6;
+                for k in 0..w.rows() {
+                    let err = (w.get(k, j) - dq.get(k, j)).abs();
+                    assert!(err <= bound, "err {err} > bound {bound} at ({k},{j})");
+                }
             }
         }
     }
@@ -653,8 +691,8 @@ mod tests {
 
     #[test]
     fn block_rows_bit_identical_to_apply() {
-        // Sizes straddle the 16/32-lane chunk boundaries so both the SIMD
-        // body and the scalar remainder are exercised.
+        // Sizes straddle the panel and row-tile boundaries, so full and
+        // leftover tiles and the partial last panel are all exercised.
         for (rows, cols, n) in [(40, 24, 9), (96, 37, 5), (33, 130, 7)] {
             let w = pseudo_matrix(rows, cols, 7);
             let q = Int8Matrix::calibrate(&w);
@@ -672,49 +710,129 @@ mod tests {
     }
 
     #[test]
-    fn simd_kernels_match_scalar_reference() {
-        // The dispatch contract: whatever level `simd::detect()` picked, the
-        // produced integers equal the scalar reference — on every length,
-        // including ones that are all remainder.
-        for k in [1usize, 7, 15, 16, 17, 31, 32, 33, 64, 96, 100, 257] {
-            let w = pseudo_matrix(k, 9, k as u64 + 1);
-            let q = Int8Matrix::calibrate(&w);
-            let x = pseudo_vec(k, k as u64 + 77);
-            let (a16, sx) = quantize_activation_i16(&x);
-            let mut via_dispatch = vec![0.0f32; 9];
-            q.apply_staged_range(&a16, sx, 0, 9, &mut via_dispatch);
-            let scalar: Vec<f32> = (0..9)
-                .map(|j| dot_mixed_scalar(&a16, q.weight_row(j)) as f32 * (sx * q.scales[j]))
-                .collect();
-            assert_eq!(via_dispatch, scalar, "k={k}");
-            // Blocked sweep (dispatched) vs the portable scalar sweep,
-            // covering the staged 4-row body and the remainder columns.
-            let xs = pseudo_matrix(5, k, k as u64 + 201);
-            let blk = Linear::apply_block(&q, &xs);
-            let mut a16 = vec![0i16; 5 * k];
-            let mut sxs = vec![0.0f32; 5];
-            for i in 0..5 {
-                sxs[i] = quantize_row_into(xs.row(i), &mut a16[i * k..(i + 1) * k]);
+    fn every_level_matches_the_textbook_gemm() {
+        // Each instantiation at every level the host supports, on shapes
+        // straddling input pairs, panels, the level tiles and a partial
+        // last panel, against the textbook GEMM bit for bit. Outputs start
+        // as NaN, so a lane the kernel misses, or a write past a row's edge
+        // into the next row, fails. Products above 500 000 terms are
+        // skipped to keep the debug-build run short.
+        let ins = [1, 2, 3, 7, 31, 32, 33, 63, 64, 96, 160, 256, 257];
+        let outs = [1, 15, 16, 17, 33, 64, 70, 160, 1322];
+        let rows = [1, 2, 3, 4, 5, 9, 37, 64];
+        for k in ins {
+            for n in outs {
+                let w = pseudo_matrix(k, n, (k * 31 + n) as u64);
+                let q = Int8Matrix::calibrate(&w);
+                for m in rows {
+                    if k * n * m > 500_000 {
+                        continue;
+                    }
+                    let xs = pseudo_matrix(m, k, (k + n * 7 + m) as u64);
+                    let want = bits(&textbook_gemm(&w, &xs));
+                    for level in simd::supported() {
+                        let (a, sxs) = q.stage(level, (0..m).map(|i| xs.row(i)));
+                        let mut out = vec![f32::NAN; m * n];
+                        gemm_at(level, &q, &a, &sxs, 0, &mut out);
+                        assert_eq!(bits(&out), want, "{level:?} in={k} out={n} rows={m}");
+                        if level == SimdLevel::Scalar {
+                            // The portable accumulators, which other targets
+                            // run as their baseline.
+                            let mut out = vec![f32::NAN; m * n];
+                            // SAFETY: they use no target-specific
+                            // instruction.
+                            unsafe { gemm_body::<[i32; PANEL], 2, 1>(&q, &a, &sxs, 0, &mut out) };
+                            assert_eq!(bits(&out), want, "portable in={k} out={n} rows={m}");
+                        }
+                        // A call that owns columns from the second panel on,
+                        // as one `apply_parallel` thread does.
+                        if n > PANEL {
+                            let width = n - PANEL;
+                            let mut part = vec![f32::NAN; m * width];
+                            gemm_at(level, &q, &a, &sxs, PANEL, &mut part);
+                            for (i, got) in part.chunks(width).enumerate() {
+                                assert_eq!(
+                                    bits(got),
+                                    want[i * n + PANEL..(i + 1) * n],
+                                    "{level:?} from column {PANEL}: in={k} out={n} rows={m}"
+                                );
+                            }
+                        }
+                    }
+                }
             }
-            let mut scalar_blk = Matrix::zeros(5, q.out_features);
-            let mut wbuf = vec![0i16; 4 * k];
-            q.apply_block_scalar(&a16, &sxs, &mut wbuf, &mut scalar_blk);
-            assert_eq!(blk, scalar_blk, "k={k}");
+        }
+    }
+
+    #[test]
+    fn every_level_quantizes_like_the_reference() {
+        // Rows mixing NaN, ±∞, ±0 and subnormals into normal values, an
+        // all-zero row, and a row whose max is so small its scale rounds to
+        // 0, at lengths straddling the 8- and 16-lane groups.
+        let special = [
+            f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            0.0,
+            -0.0,
+            1.0e-40,
+            -3.0e-39,
+        ];
+        let mut rows: Vec<Vec<f32>> = Vec::new();
+        for len in [0, 1, 2, 7, 8, 9, 15, 16, 17, 31, 32, 33, 100, 257] {
+            let base = pseudo_vec(len, len as u64 + 3);
+            rows.push(vec![0.0; len]);
+            rows.push(base.clone());
+            for (s, &v) in special.iter().enumerate() {
+                let mut row = base.clone();
+                for x in row.iter_mut().skip(s % 3).step_by(5) {
+                    *x = v;
+                }
+                rows.push(row);
+            }
+            rows.push((0..len).map(|i| [1.0e-45, -0.0, 0.0][i % 3]).collect());
+            rows.push(
+                base.iter()
+                    .enumerate()
+                    .map(|(i, &v)| if i % 4 == 1 { f32::NAN } else { v * 1.0e-38 })
+                    .collect(),
+            );
+        }
+        for x in &rows {
+            let mut want = vec![0i16; x.len()];
+            let want_scale = quantize_row_into(x, &mut want);
+            assert!(
+                want.iter().all(|v| v.abs() <= 127),
+                "{x:?} left the i8 range"
+            );
+            for level in simd::supported() {
+                let mut got = vec![i16::MIN; x.len()];
+                let scale = quantize_at(level, x, &mut got);
+                assert_eq!(
+                    scale.to_bits(),
+                    want_scale.to_bits(),
+                    "{level:?} scale of {x:?}"
+                );
+                assert_eq!(got, want, "{level:?} values of {x:?}");
+            }
         }
     }
 
     #[test]
     fn parallel_bit_identical_to_serial_for_all_thread_counts() {
-        let w = pseudo_matrix(96, 512, 17);
-        let q = Int8Matrix::calibrate(&w);
-        let x = pseudo_vec(96, 19);
-        let serial = Linear::apply(&q, &x);
-        for threads in [1, 2, 3, 5, 8] {
-            assert_eq!(
-                q.apply_parallel(&x, threads),
-                serial,
-                "thread count {threads} changed int8 lm_head bits"
-            );
+        // 1322 outputs (the benchmark's vocabulary) end in a partial panel.
+        for (k, n) in [(96, 512), (96, 1322)] {
+            let w = pseudo_matrix(k, n, 17);
+            let q = Int8Matrix::calibrate(&w);
+            let x = pseudo_vec(k, 19);
+            let serial = Linear::apply(&q, &x);
+            for threads in [1, 2, 3, 5, 8] {
+                assert_eq!(
+                    q.apply_parallel(&x, threads),
+                    serial,
+                    "thread count {threads} changed int8 lm_head bits ({k}x{n})"
+                );
+            }
         }
     }
 
@@ -739,24 +857,20 @@ mod tests {
             q.memory_bytes() * 3 < f32_bytes,
             "int8 must be well under f32"
         );
+        // An odd input and a partial last panel count their zero padding:
+        // 17 input pairs × 2 panels × 32 bytes.
+        let padded = Int8Matrix::calibrate(&pseudo_matrix(33, 17, 29));
+        assert_eq!(padded.memory_bytes(), 17 * 2 * 32 + 17 * 4);
     }
 
     #[test]
     fn activation_quantization_is_exact_on_small_integers() {
         let x: Vec<f32> = vec![0.0, 1.0, -3.0, 127.0, -127.0];
-        let (q, s) = quantize_activation(&x);
+        let mut q = vec![0i16; x.len()];
+        let s = quantize_row_into(&x, &mut q);
         for (orig, &qi) in x.iter().zip(&q) {
             assert_eq!(f32::from(qi) * s, *orig);
         }
-    }
-
-    #[test]
-    fn i8_and_i16_quantization_agree() {
-        let x = pseudo_vec(100, 3);
-        let (q8, s8) = quantize_activation(&x);
-        let (q16, s16) = quantize_activation_i16(&x);
-        assert_eq!(s8, s16);
-        assert!(q8.iter().zip(&q16).all(|(&a, &b)| i16::from(a) == b));
     }
 
     #[test]

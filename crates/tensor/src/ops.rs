@@ -15,10 +15,11 @@ use crate::simd::{self, SimdLevel};
 const TILE_ROWS: usize = 4;
 
 /// Minimum number of multiply-accumulate terms (`rows * cols`) before
-/// [`vecmat_parallel`] spawns threads. Below this, thread spawn + join costs
-/// more than the whole product (measured ~15-30 µs spawn overhead per thread
-/// vs ~10 µs for a 32k-element serial vecmat); the serial path is returned
-/// instead, which is bit-identical anyway.
+/// [`vecmat_parallel`] or [`crate::Int8Matrix::apply_parallel`] spawns
+/// threads. Below this, thread spawn + join costs more than the whole
+/// product (measured ~15-30 µs spawn overhead per thread vs ~10 µs for a
+/// 32k-element serial vecmat); the serial path is returned instead, which is
+/// bit-identical anyway.
 pub const VECMAT_PARALLEL_MIN_WORK: usize = 32 * 1024;
 
 /// `C = A · B`.
