@@ -2,7 +2,7 @@
 //! aggregation mean, Eq. 4 normalization, sentence splitting, and gating.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use hallu_core::{AggregationMean, DetectorConfig, HallucinationDetector};
+use hallu_core::{AggregationMean, DetectorConfig, ResilientDetector};
 use slm_runtime::profiles::{minicpm_sim, qwen2_sim};
 use slm_runtime::verifier::YesNoVerifier;
 
@@ -12,14 +12,15 @@ const Q: &str = "What are the working hours?";
 const RESP: &str = "The working hours are 9 AM to 5 PM. The store is open from Monday to \
                     Friday. At least three shopkeepers run each shop.";
 
-fn detector(config: DetectorConfig) -> HallucinationDetector {
-    let mut d = HallucinationDetector::new(
+fn detector(config: DetectorConfig) -> ResilientDetector {
+    let mut d = ResilientDetector::reliable(
         vec![
             Box::new(qwen2_sim()) as Box<dyn YesNoVerifier>,
             Box::new(minicpm_sim()) as Box<dyn YesNoVerifier>,
         ],
         config,
-    );
+    )
+    .expect("two verifiers");
     for i in 0..10 {
         d.calibrate(Q, CTX, &format!("The store opens at {} AM.", 8 + i % 3));
     }
@@ -36,7 +37,7 @@ fn bench_ablation(c: &mut Criterion) {
             ..Default::default()
         });
         group.bench_function(format!("mean_{mean}"), |b| {
-            b.iter(|| d.score(Q, CTX, black_box(RESP)).score)
+            b.iter(|| d.score(Q, CTX, black_box(RESP)).score())
         });
     }
 
@@ -46,7 +47,9 @@ fn bench_ablation(c: &mut Criterion) {
             normalize,
             ..Default::default()
         });
-        group.bench_function(name, |b| b.iter(|| d.score(Q, CTX, black_box(RESP)).score));
+        group.bench_function(name, |b| {
+            b.iter(|| d.score(Q, CTX, black_box(RESP)).score())
+        });
     }
 
     // Split vs whole-response (the P(yes) ablation).
@@ -55,7 +58,9 @@ fn bench_ablation(c: &mut Criterion) {
             split,
             ..Default::default()
         });
-        group.bench_function(name, |b| b.iter(|| d.score(Q, CTX, black_box(RESP)).score));
+        group.bench_function(name, |b| {
+            b.iter(|| d.score(Q, CTX, black_box(RESP)).score())
+        });
     }
 
     // Gating skips the second model on confident calls.
@@ -64,7 +69,7 @@ fn bench_ablation(c: &mut Criterion) {
         ..Default::default()
     });
     group.bench_function("gated", |b| {
-        b.iter(|| gated.score(Q, CTX, black_box(RESP)).score)
+        b.iter(|| gated.score(Q, CTX, black_box(RESP)).score())
     });
 
     group.finish();

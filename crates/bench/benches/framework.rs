@@ -1,8 +1,8 @@
-//! End-to-end verification latency per response: 1 vs 2 SLMs, sequential vs
-//! parallel sentence scoring.
+//! End-to-end verification latency per response: 1 vs 2 SLMs, inline vs
+//! parallel cell probing on the batch engine.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use hallu_core::{DetectorConfig, HallucinationDetector};
+use hallu_core::{DetectorConfig, ResilientDetector};
 use slm_runtime::profiles::{minicpm_sim, qwen2_sim};
 use slm_runtime::verifier::YesNoVerifier;
 
@@ -14,18 +14,19 @@ const RESP: &str = "The working hours are 9 AM to 5 PM. The store is open from S
                     Saturday. At least three shopkeepers run each shop. These arrangements \
                     keep the floor covered.";
 
-fn detector(two_models: bool, parallel: bool) -> HallucinationDetector {
+fn detector(two_models: bool, parallel: bool) -> ResilientDetector {
     let mut verifiers: Vec<Box<dyn YesNoVerifier>> = vec![Box::new(qwen2_sim())];
     if two_models {
         verifiers.push(Box::new(minicpm_sim()));
     }
-    let mut d = HallucinationDetector::new(
+    let mut d = ResilientDetector::reliable(
         verifiers,
         DetectorConfig {
             parallel,
             ..Default::default()
         },
-    );
+    )
+    .expect("at least one verifier");
     for i in 0..10 {
         d.calibrate(Q, CTX, &format!("The store opens at {} AM.", 8 + i % 3));
     }
@@ -40,7 +41,9 @@ fn bench_framework(c: &mut Criterion) {
         ("two_slm_parallel", true, true),
     ] {
         let d = detector(two, par);
-        group.bench_function(name, |b| b.iter(|| d.score(Q, CTX, black_box(RESP)).score));
+        group.bench_function(name, |b| {
+            b.iter(|| d.score(Q, CTX, black_box(RESP)).score())
+        });
     }
     group.finish();
 }

@@ -1,6 +1,6 @@
 //! The approach roster of §V-C, plus the extensions DESIGN.md commits to.
 
-use hallu_core::{AggregationMean, DetectorConfig, HallucinationDetector};
+use hallu_core::{AggregationMean, DetectorConfig, ResilientDetector};
 use slm_runtime::profiles::{chatgpt_sim, gemma_sim, minicpm_sim, phi2_sim, qwen2_sim};
 use slm_runtime::verifier::YesNoVerifier;
 
@@ -56,45 +56,35 @@ impl Approach {
 }
 
 /// Instantiate the detector for an approach with a given aggregation mean
-/// (the mean only matters for split-based approaches).
+/// (the mean only matters for split-based approaches). Every approach runs
+/// fault-free simulated verifiers through [`ResilientDetector::reliable`].
 ///
 /// # Panics
 /// Panics for [`Approach::SelfCheck`], which is not detector-based — the
 /// runner scores it through [`rag::selfcheck::SelfChecker`] instead.
-pub fn build_detector(approach: Approach, mean: AggregationMean) -> HallucinationDetector {
+pub fn build_detector(approach: Approach, mean: AggregationMean) -> ResilientDetector {
     let split_cfg = DetectorConfig {
         mean,
         ..Default::default()
     };
-    match approach {
+    let whole_response_cfg = DetectorConfig {
+        split: false,
+        normalize: false,
+        ..Default::default()
+    };
+    let (verifiers, config): (Vec<Box<dyn YesNoVerifier>>, DetectorConfig) = match approach {
         Approach::SelfCheck => {
             panic!("SelfCheck is generator-based; use runner::score_dataset")
         }
-        Approach::Proposed => HallucinationDetector::new(
+        Approach::Proposed => (
             vec![Box::new(qwen2_sim()), Box::new(minicpm_sim())],
             split_cfg,
         ),
-        Approach::ChatGpt => HallucinationDetector::new(
-            vec![Box::new(chatgpt_sim()) as Box<dyn YesNoVerifier>],
-            DetectorConfig {
-                split: false,
-                normalize: false,
-                ..Default::default()
-            },
-        ),
-        Approach::PYes => HallucinationDetector::new(
-            vec![Box::new(qwen2_sim()) as Box<dyn YesNoVerifier>],
-            DetectorConfig {
-                split: false,
-                normalize: false,
-                ..Default::default()
-            },
-        ),
-        Approach::Qwen2Only => HallucinationDetector::new(vec![Box::new(qwen2_sim())], split_cfg),
-        Approach::MiniCpmOnly => {
-            HallucinationDetector::new(vec![Box::new(minicpm_sim())], split_cfg)
-        }
-        Approach::ProposedGated => HallucinationDetector::new(
+        Approach::ChatGpt => (vec![Box::new(chatgpt_sim())], whole_response_cfg),
+        Approach::PYes => (vec![Box::new(qwen2_sim())], whole_response_cfg),
+        Approach::Qwen2Only => (vec![Box::new(qwen2_sim())], split_cfg),
+        Approach::MiniCpmOnly => (vec![Box::new(minicpm_sim())], split_cfg),
+        Approach::ProposedGated => (
             vec![Box::new(qwen2_sim()), Box::new(minicpm_sim())],
             DetectorConfig {
                 gate_margin: Some(1.5),
@@ -102,7 +92,7 @@ pub fn build_detector(approach: Approach, mean: AggregationMean) -> Hallucinatio
                 ..Default::default()
             },
         ),
-        Approach::Ensemble3 => HallucinationDetector::new(
+        Approach::Ensemble3 => (
             vec![
                 Box::new(qwen2_sim()),
                 Box::new(minicpm_sim()),
@@ -110,7 +100,7 @@ pub fn build_detector(approach: Approach, mean: AggregationMean) -> Hallucinatio
             ],
             split_cfg,
         ),
-        Approach::Ensemble4 => HallucinationDetector::new(
+        Approach::Ensemble4 => (
             vec![
                 Box::new(qwen2_sim()),
                 Box::new(minicpm_sim()),
@@ -119,7 +109,8 @@ pub fn build_detector(approach: Approach, mean: AggregationMean) -> Hallucinatio
             ],
             split_cfg,
         ),
-    }
+    };
+    ResilientDetector::reliable(verifiers, config).expect("every approach names a verifier")
 }
 
 #[cfg(test)]

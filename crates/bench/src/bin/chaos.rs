@@ -3,8 +3,8 @@
 //! Sweeps fault rates × failure policies through the resilient runtime and
 //! reports F1-vs-fault-rate plus the abstention fraction, demonstrating:
 //!
-//! (a) at 0% faults the resilient detector reproduces the plain detector's
-//!     scores bitwise;
+//! (a) at 0% faults the fault injector is a bitwise no-op: every score
+//!     equals the fault-free detector's (`ResilientDetector::reliable`);
 //! (b) with one of the two models hard-down, detection still runs and F1
 //!     degrades gracefully to exactly the single-SLM level;
 //! (c) with every model down the detector abstains — it never fabricates a
@@ -68,13 +68,12 @@ fn score_resilient(
         .map(|(set, response)| {
             let verdict = detector.score(&set.question, &set.context, &response.text);
             tally.responses += 1;
-            if let Some(t) = verdict.telemetry() {
-                tally.retries += t.retries;
-                tally.timeouts += t.timeouts;
-                tally.quarantined += t.quarantined;
-                tally.breaker_trips += t.breaker_trips;
-                tally.breaker_skips += t.breaker_skips;
-            }
+            let t = verdict.telemetry();
+            tally.retries += t.retries;
+            tally.timeouts += t.timeouts;
+            tally.quarantined += t.quarantined;
+            tally.breaker_trips += t.breaker_trips;
+            tally.breaker_skips += t.breaker_skips;
             if verdict.is_abstain() {
                 tally.abstained += 1;
             }
@@ -122,25 +121,25 @@ fn main() {
         "Detection quality under injected verifier faults",
     );
 
-    // (a) Zero faults: the resilient runtime is a bitwise no-op.
+    // (a) Zero faults: the fault injector is a bitwise no-op.
     {
-        let mut plain = build_detector(Approach::Proposed, AggregationMean::Harmonic);
-        let plain_scores = score_dataset_with(&mut plain, &dataset);
+        let mut fault_free = build_detector(Approach::Proposed, AggregationMean::Harmonic);
+        let fault_free_scores = score_dataset_with(&mut fault_free, &dataset);
         let mut res = resilient_detector([
             FaultProfile::none(FAULT_SEEDS[0]),
             FaultProfile::none(FAULT_SEEDS[1]),
         ]);
         let (scored, tally) = score_resilient(&mut res, &dataset);
         assert_eq!(tally.abstained, 0, "no faults, no abstentions");
-        for (p, (s, _)) in plain_scores.iter().zip(&scored) {
+        for (p, (s, _)) in fault_free_scores.iter().zip(&scored) {
             assert_eq!(
                 p.score.to_bits(),
                 s.expect("scored").to_bits(),
-                "zero-fault resilient score must equal plain score bitwise"
+                "zero-fault score must equal the fault-free score bitwise"
             );
         }
         println!(
-            "(a) zero faults: {} responses, all scores bitwise-identical to the plain detector",
+            "(a) zero faults: {} responses, all scores bitwise-identical to the fault-free detector",
             tally.responses
         );
         record.measure("zero-fault bitwise-identical", 1.0);

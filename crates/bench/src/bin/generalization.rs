@@ -37,7 +37,8 @@ fn main() {
             label: response.label,
             score: detector
                 .score(&set.question, &set.context, &response.text)
-                .score,
+                .score()
+                .expect("fault-free verifiers never abstain"),
         })
         .collect();
 

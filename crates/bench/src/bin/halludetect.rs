@@ -16,7 +16,7 @@
 
 use std::io::{BufRead, Write};
 
-use hallu_core::{explain, AggregationMean, DetectorConfig, HallucinationDetector};
+use hallu_core::{explain, AggregationMean, DetectorConfig, ResilientDetector};
 use slm_runtime::profiles::{minicpm_sim, qwen2_sim};
 use slm_runtime::verifier::YesNoVerifier;
 
@@ -88,7 +88,7 @@ fn main() {
     if !single {
         verifiers.push(Box::new(minicpm_sim()));
     }
-    let mut detector = HallucinationDetector::new(
+    let mut detector = ResilientDetector::reliable(
         verifiers,
         DetectorConfig {
             mean,
@@ -96,7 +96,8 @@ fn main() {
             parallel: true,
             ..Default::default()
         },
-    );
+    )
+    .unwrap_or_else(|e| die(&e.to_string()));
 
     let stdin = std::io::stdin();
     let stdout = std::io::stdout();
@@ -116,7 +117,10 @@ fn main() {
         };
         // Online calibration: every request also feeds Eq. 4's statistics.
         detector.calibrate(&request.question, &request.context, &request.response);
-        let result = detector.score(&request.question, &request.context, &request.response);
+        let result = detector
+            .score(&request.question, &request.context, &request.response)
+            .into_result()
+            .unwrap_or_else(|| die("verification abstained"));
         let e = explain(&result, threshold);
         let verdict = Verdict {
             score: result.score,

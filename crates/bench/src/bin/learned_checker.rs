@@ -25,7 +25,10 @@ fn main() {
     let mut rows = Vec::new(); // (set index, label, DetectionResult)
     for (i, set) in dataset.sets.iter().enumerate() {
         for r in &set.responses {
-            let result = detector.score(&set.question, &set.context, &r.text);
+            let result = detector
+                .score(&set.question, &set.context, &r.text)
+                .into_result()
+                .expect("fault-free verifiers never abstain");
             rows.push((i, r.label, result));
         }
     }

@@ -31,10 +31,13 @@ use std::time::Instant;
 use bench::{save_record, RESULTS_PATH};
 use eval::report::ExperimentRecord;
 use eval::roc::auc;
-use hallu_core::{DetectorConfig, EngineSpec, HallucinationDetector};
+use hallu_core::{DetectorConfig, ResilientDetector};
 use hallu_dataset::{DatasetBuilder, ResponseLabel};
 use slm_runtime::bpe::Bpe;
-use slm_runtime::{InferenceModel, ModelConfig, Precision, QuantizedLM, TransformerLM};
+use slm_runtime::verifier::YesNoVerifier;
+use slm_runtime::{
+    engine_profile, InferenceModel, ModelConfig, Precision, QuantizedLM, TransformerLM,
+};
 
 const VOCAB: usize = 8192;
 const MODEL_SEED: u64 = 0x1A8;
@@ -91,7 +94,7 @@ fn prefill_time<M: InferenceModel>(model: &M, prompt: &[u32]) -> f64 {
 /// likely correct; `true` marks the positive/correct class). Returned in
 /// dataset order so score vectors from different detectors align.
 fn detection_scores(
-    detector: &mut HallucinationDetector,
+    detector: &mut ResilientDetector,
     dataset: &hallu_dataset::Dataset,
 ) -> Vec<(f64, bool)> {
     for set in &dataset.sets {
@@ -103,7 +106,10 @@ fn detection_scores(
     for set in &dataset.sets {
         for label in [ResponseLabel::Correct, ResponseLabel::Wrong] {
             let r = set.response(label);
-            let score = detector.score(&set.question, &set.context, &r.text).score;
+            let score = detector
+                .score(&set.question, &set.context, &r.text)
+                .score()
+                .expect("fault-free verifiers never abstain");
             examples.push((score, label == ResponseLabel::Correct));
         }
     }
@@ -215,27 +221,22 @@ fn main() -> ExitCode {
     let bpe = Bpe::train(&corpus_refs, 400);
     let engine_cfg = ModelConfig::tiny(bpe.vocab_size());
 
-    let specs_at = |precisions: &[Precision]| -> Vec<EngineSpec> {
-        precisions
+    // Each member's precision lives in its own ModelConfig.
+    let scores_of = |precisions: &[Precision]| -> Vec<(f64, bool)> {
+        let members: Vec<Box<dyn YesNoVerifier>> = precisions
             .iter()
             .enumerate()
             .map(|(i, &p)| {
-                EngineSpec::new(
+                engine_profile(
                     format!("engine-{i}-{}", p.label()),
-                    engine_cfg.clone(),
+                    engine_cfg.clone().with_precision(p),
                     40 + i as u64,
+                    bpe.clone(),
                 )
-                .with_precision(p)
             })
-            .collect()
-    };
-    let scores_of = |precisions: &[Precision]| -> Vec<(f64, bool)> {
-        let mut d = HallucinationDetector::engine_ensemble(
-            DetectorConfig::default(),
-            &specs_at(precisions),
-            &bpe,
-        )
-        .expect("non-empty ensemble");
+            .collect();
+        let mut d = ResilientDetector::reliable(members, DetectorConfig::default())
+            .expect("non-empty ensemble");
         detection_scores(&mut d, &dataset)
     };
     /// Mean and max absolute per-response score drift between two aligned

@@ -10,12 +10,10 @@
 use eval::histogram::Histogram;
 use eval::report::{render_bars, render_comparison, Bar, ExperimentRecord};
 use eval::sweep::{best_f1, best_precision_with_min_recall};
-use hallu_core::{AggregationMean, DetectorConfig, HallucinationDetector};
+use hallu_core::AggregationMean;
 use hallu_dataset::{Dataset, DatasetBuilder, ResponseLabel};
-use slm_runtime::profiles::{minicpm_sim, qwen2_sim};
-use slm_runtime::verifier::YesNoVerifier;
 
-use crate::approaches::Approach;
+use crate::approaches::{build_detector, Approach};
 use crate::runner::{score_dataset, task_examples, LabeledScore, Task};
 
 /// The evaluation dataset every figure runs on: 120 sets (the paper uses
@@ -254,19 +252,19 @@ pub fn table1() -> Vec<ExperimentRecord> {
     );
     println!("Table I — contradiction types under the proposed detector\n");
     for (kind, question, context, hallucinated, faithful) in cases {
-        let mut detector = HallucinationDetector::new(
-            vec![
-                Box::new(qwen2_sim()) as Box<dyn YesNoVerifier>,
-                Box::new(minicpm_sim()) as Box<dyn YesNoVerifier>,
-            ],
-            DetectorConfig::default(),
-        );
+        let mut detector = build_detector(Approach::Proposed, AggregationMean::Harmonic);
         // calibrate on both responses plus the context itself
         for r in [faithful, hallucinated, context] {
             detector.calibrate(question, context, r);
         }
-        let good = detector.score(question, context, faithful).score;
-        let bad = detector.score(question, context, hallucinated).score;
+        let score = |response| {
+            detector
+                .score(question, context, response)
+                .score()
+                .expect("fault-free verifiers never abstain")
+        };
+        let good = score(faithful);
+        let bad = score(hallucinated);
         println!("  {kind:<8} faithful {good:.3}  hallucinated {bad:.3}");
         record.measure(format!("{kind} faithful"), good);
         record.measure(format!("{kind} hallucinated"), bad);
@@ -308,16 +306,8 @@ pub fn normalization_ablation(dataset: &Dataset) -> Vec<ExperimentRecord> {
         "Effect of Eq. 4 normalization on best F1 (correct-vs-partial)",
     );
     for (label, normalize) in [("with Eq.4 (proposed)", true), ("without Eq.4", false)] {
-        let mut detector = HallucinationDetector::new(
-            vec![
-                Box::new(qwen2_sim()) as Box<dyn YesNoVerifier>,
-                Box::new(minicpm_sim()) as Box<dyn YesNoVerifier>,
-            ],
-            DetectorConfig {
-                normalize,
-                ..Default::default()
-            },
-        );
+        let mut detector = build_detector(Approach::Proposed, AggregationMean::Harmonic);
+        detector.config.normalize = normalize;
         let scores = crate::runner::score_dataset_with(&mut detector, dataset);
         let examples = task_examples(&scores, Task::CorrectVsPartial);
         let best = best_f1(&examples).expect("non-empty task examples");

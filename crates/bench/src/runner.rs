@@ -1,6 +1,6 @@
 //! Dataset scoring and task construction.
 
-use hallu_core::{AggregationMean, HallucinationDetector};
+use hallu_core::{AggregationMean, ResilientDetector};
 use hallu_dataset::{Dataset, ResponseLabel};
 
 use crate::approaches::{build_detector, Approach};
@@ -44,8 +44,11 @@ impl Task {
 /// Calibrate a detector on the dataset (Eq. 4's "previous responses") and
 /// score every response. Calibration uses scores only — no labels — so
 /// there is no leakage.
+///
+/// # Panics
+/// Panics if the detector abstains, which fault-free verifiers never do.
 pub fn score_dataset_with(
-    detector: &mut HallucinationDetector,
+    detector: &mut ResilientDetector,
     dataset: &Dataset,
 ) -> Vec<LabeledScore> {
     for set in &dataset.sets {
@@ -59,7 +62,8 @@ pub fn score_dataset_with(
             label: response.label,
             score: detector
                 .score(&set.question, &set.context, &response.text)
-                .score,
+                .score()
+                .expect("fault-free verifiers never abstain"),
         })
         .collect()
 }

@@ -1,16 +1,13 @@
-//! The assembled hallucination detector (Fig. 2b).
+//! The detector's configuration and verdict types (Fig. 2b).
+//!
+//! [`ResilientDetector`](crate::ResilientDetector) runs the framework:
+//! Splitter → M SLMs → Checker. This module holds what it is configured
+//! with and what it returns.
 
 use std::fmt;
 
-use slm_runtime::bpe::Bpe;
-use slm_runtime::verifier::YesNoVerifier;
-use slm_runtime::{ModelConfig, Precision};
-
-use crate::ensemble::{combine_models, squash};
 use crate::means::AggregationMean;
 use crate::resilience::ResilienceTelemetry;
-use crate::score::{score_given_sentences, score_sentences, SentenceScores};
-use crate::zscore::ModelNormalizer;
 
 /// Why a detector could not be built or could not score.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -25,8 +22,6 @@ pub enum DetectorError {
         /// Models the statistics were fitted for.
         got: usize,
     },
-    /// A worker thread panicked while scoring a batch.
-    ScoringPanicked,
 }
 
 impl fmt::Display for DetectorError {
@@ -38,7 +33,6 @@ impl fmt::Display for DetectorError {
                 "normalizer fitted for a different number of models \
                  (detector has {expected}, statistics cover {got})"
             ),
-            Self::ScoringPanicked => f.write_str("scoring thread panicked"),
         }
     }
 }
@@ -59,7 +53,8 @@ pub struct DetectorConfig {
     /// Apply Eq. 4 per-model normalization. When off, raw probabilities are
     /// averaged directly.
     pub normalize: bool,
-    /// Score sentences on parallel threads.
+    /// Probe the (sentence, model) cells on the batch engine's worker
+    /// threads instead of inline. Output bits are identical either way.
     pub parallel: bool,
     /// With `parallel`: probe workers pull jobs from a shared queue
     /// (continuous batching) instead of fixed partitions, so a worker that
@@ -71,12 +66,6 @@ pub struct DetectorConfig {
     /// margin its verdict is used alone and the remaining models are not
     /// consulted (compute saving); otherwise all models vote.
     pub gate_margin: Option<f64>,
-    /// Default engine precision for ensemble members built through
-    /// [`HallucinationDetector::engine_ensemble`]. Individual members can
-    /// override it via [`EngineSpec::precision`] — that is how a fast int8
-    /// screener fleet keeps an f32 tie-breaker. Behavioral (simulated)
-    /// verifiers ignore this knob.
-    pub precision: Precision,
 }
 
 impl Default for DetectorConfig {
@@ -88,42 +77,7 @@ impl Default for DetectorConfig {
             parallel: false,
             continuous: false,
             gate_margin: None,
-            precision: Precision::F32,
         }
-    }
-}
-
-/// One engine-backed ensemble member for
-/// [`HallucinationDetector::engine_ensemble`]: a display name, the model
-/// shape, the weight seed, and an optional per-member precision override.
-#[derive(Debug, Clone)]
-pub struct EngineSpec {
-    /// Display / cache-key name of this member.
-    pub name: String,
-    /// Model shape (its own `precision` field is ignored; the effective
-    /// precision is `precision.unwrap_or(config.precision)`).
-    pub model: ModelConfig,
-    /// Synthetic-weight seed (deterministic member identity).
-    pub seed: u64,
-    /// Override of [`DetectorConfig::precision`] for this member.
-    pub precision: Option<Precision>,
-}
-
-impl EngineSpec {
-    /// A member at the ensemble's default precision.
-    pub fn new(name: impl Into<String>, model: ModelConfig, seed: u64) -> Self {
-        Self {
-            name: name.into(),
-            model,
-            seed,
-            precision: None,
-        }
-    }
-
-    /// Pin this member to a precision regardless of the ensemble default.
-    pub fn with_precision(mut self, precision: Precision) -> Self {
-        self.precision = Some(precision);
-        self
     }
 }
 
@@ -145,253 +99,18 @@ pub struct DetectionResult {
     pub score: f64,
     /// Per-sentence breakdown.
     pub sentences: Vec<SentenceDetail>,
-    /// What the fault-tolerant executor did to produce this verdict:
-    /// `None` for the plain (infallible) detector, `Some` when produced by
-    /// [`crate::resilient::ResilientDetector`].
-    pub resilience: Option<ResilienceTelemetry>,
-}
-
-/// The framework of §IV: Splitter → M SLMs → Checker.
-pub struct HallucinationDetector {
-    verifiers: Vec<Box<dyn YesNoVerifier>>,
-    /// Configuration (public so experiments can flip ablation axes).
-    pub config: DetectorConfig,
-    normalizer: ModelNormalizer,
-}
-
-impl HallucinationDetector {
-    /// Build a detector over the given verifiers.
-    ///
-    /// # Panics
-    /// Panics if `verifiers` is empty. Fallible callers should prefer
-    /// [`HallucinationDetector::try_new`].
-    pub fn new(verifiers: Vec<Box<dyn YesNoVerifier>>, config: DetectorConfig) -> Self {
-        Self::try_new(verifiers, config).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Build a detector over the given verifiers, rejecting an empty set
-    /// with a typed error instead of panicking.
-    pub fn try_new(
-        verifiers: Vec<Box<dyn YesNoVerifier>>,
-        config: DetectorConfig,
-    ) -> Result<Self, DetectorError> {
-        if verifiers.is_empty() {
-            return Err(DetectorError::NoVerifiers);
-        }
-        let normalizer = ModelNormalizer::new(verifiers.len());
-        Ok(Self {
-            verifiers,
-            config,
-            normalizer,
-        })
-    }
-
-    /// Build a mixed-precision engine ensemble: each spec becomes an
-    /// `EngineVerifier` at `spec.precision.unwrap_or(config.precision)`,
-    /// sharing one tokenizer. This is the deployment shape the quantization
-    /// work targets — int8 screeners for throughput, an f32 tie-breaker for
-    /// reference-grade logits — with verdict drift bounded by the AUC eval
-    /// gate (`quant_sweep` / the golden parity suite).
-    ///
-    /// Returns [`DetectorError::NoVerifiers`] on an empty spec list.
-    pub fn engine_ensemble(
-        config: DetectorConfig,
-        specs: &[EngineSpec],
-        tokenizer: &Bpe,
-    ) -> Result<Self, DetectorError> {
-        let verifiers: Vec<Box<dyn YesNoVerifier>> = specs
-            .iter()
-            .map(|spec| {
-                let precision = spec.precision.unwrap_or(config.precision);
-                slm_runtime::engine_profile(
-                    spec.name.clone(),
-                    spec.model.clone().with_precision(precision),
-                    spec.seed,
-                    tokenizer.clone(),
-                )
-            })
-            .collect();
-        Self::try_new(verifiers, config)
-    }
-
-    /// Model names, in slot order.
-    pub fn model_names(&self) -> Vec<&str> {
-        self.verifiers.iter().map(|v| v.name()).collect()
-    }
-
-    /// Number of ensembled models M.
-    pub fn num_models(&self) -> usize {
-        self.verifiers.len()
-    }
-
-    /// Access the fitted normalizer (inspection / persistence).
-    pub fn normalizer(&self) -> &ModelNormalizer {
-        &self.normalizer
-    }
-
-    /// Restore previously persisted calibration statistics (the serialized
-    /// form of [`HallucinationDetector::normalizer`]).
-    ///
-    /// # Panics
-    /// Panics if the statistics were fitted for a different model count.
-    /// Fallible callers should prefer
-    /// [`HallucinationDetector::try_set_normalizer`].
-    pub fn set_normalizer(&mut self, normalizer: ModelNormalizer) {
-        self.try_set_normalizer(normalizer)
-            .unwrap_or_else(|e| panic!("{e}"));
-    }
-
-    /// Restore calibration statistics, rejecting a model-count mismatch with
-    /// a typed error instead of panicking.
-    pub fn try_set_normalizer(&mut self, normalizer: ModelNormalizer) -> Result<(), DetectorError> {
-        if normalizer.num_models() != self.verifiers.len() {
-            return Err(DetectorError::ModelCountMismatch {
-                expected: self.verifiers.len(),
-                got: normalizer.num_models(),
-            });
-        }
-        self.normalizer = normalizer;
-        Ok(())
-    }
-
-    /// Feed one (question, context, response) triple into the per-model
-    /// statistics of Eq. 4 — the "previous responses" the paper computes
-    /// means and variances from. Call over a calibration split before
-    /// scoring, or online as traffic flows.
-    pub fn calibrate(&mut self, question: &str, context: &str, response: &str) {
-        for s in self.raw_scores(question, context, response) {
-            for (m, &p) in s.per_model.iter().enumerate() {
-                self.normalizer.observe(m, p);
-            }
-        }
-    }
-
-    fn raw_scores(&self, question: &str, context: &str, response: &str) -> Vec<SentenceScores> {
-        if self.config.split {
-            score_sentences(
-                question,
-                context,
-                response,
-                &self.verifiers,
-                self.config.parallel,
-            )
-        } else {
-            score_given_sentences(
-                question,
-                context,
-                std::slice::from_ref(&response.to_string()),
-                &self.verifiers,
-                false,
-            )
-        }
-    }
-
-    /// Combine one sentence's model scores per the active config.
-    fn combine(&self, scores: &SentenceScores) -> f64 {
-        if !self.config.normalize {
-            // raw probabilities are already positive — no squash needed
-            return scores.per_model.iter().sum::<f64>() / scores.per_model.len() as f64;
-        }
-        if let Some(margin) = self.config.gate_margin {
-            let z0 = self.normalizer.normalize(0, scores.per_model[0]);
-            if z0.abs() >= margin || scores.per_model.len() == 1 {
-                return squash(z0);
-            }
-        }
-        squash(combine_models(&self.normalizer, scores))
-    }
-
-    /// Score a batch of (question, context, response) triples, spreading
-    /// responses across threads when `config.parallel` is set. Results come
-    /// back in input order.
-    ///
-    /// # Panics
-    /// Panics if a scoring thread panicked. Fallible callers should prefer
-    /// [`HallucinationDetector::try_score_batch`].
-    pub fn score_batch(&self, items: &[(&str, &str, &str)]) -> Vec<DetectionResult> {
-        self.try_score_batch(items)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Score a batch, reporting a worker-thread panic as a typed error
-    /// instead of propagating the panic.
-    pub fn try_score_batch(
-        &self,
-        items: &[(&str, &str, &str)],
-    ) -> Result<Vec<DetectionResult>, DetectorError> {
-        if !self.config.parallel || items.len() < 2 {
-            return Ok(items.iter().map(|(q, c, r)| self.score(q, c, r)).collect());
-        }
-        let workers = std::thread::available_parallelism()
-            .map_or(4, |n| n.get())
-            .min(items.len());
-        let chunk = items.len().div_ceil(workers);
-        let mut out: Vec<DetectionResult> = Vec::with_capacity(items.len());
-        let mut panicked = false;
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = items
-                .chunks(chunk)
-                .map(|batch| {
-                    scope.spawn(move || {
-                        batch
-                            .iter()
-                            .map(|(q, c, r)| self.score(q, c, r))
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            // chunks are contiguous, so joining in spawn order rebuilds
-            // the results in item order
-            for h in handles {
-                match h.join() {
-                    Ok(results) => out.extend(results),
-                    Err(_) => panicked = true,
-                }
-            }
-        });
-        if panicked {
-            return Err(DetectorError::ScoringPanicked);
-        }
-        Ok(out)
-    }
-
-    /// Score a response: Eq. 3 → Eq. 4 → Eq. 5 → Eq. 6 (or the configured mean).
-    ///
-    /// An empty response scores 0: nothing verifiable was said, which in a
-    /// high-precision QA system must not pass as correct.
-    pub fn score(&self, question: &str, context: &str, response: &str) -> DetectionResult {
-        let raw = self.raw_scores(question, context, response);
-        if raw.is_empty() {
-            return DetectionResult {
-                score: 0.0,
-                sentences: Vec::new(),
-                resilience: None,
-            };
-        }
-        let sentences: Vec<SentenceDetail> = raw
-            .into_iter()
-            .map(|s| {
-                let combined = self.combine(&s);
-                SentenceDetail {
-                    sentence: s.sentence,
-                    raw: s.per_model,
-                    combined,
-                }
-            })
-            .collect();
-        let scores: Vec<f64> = sentences.iter().map(|s| s.combined).collect();
-        DetectionResult {
-            score: self.config.mean.aggregate(&scores),
-            sentences,
-            resilience: None,
-        }
-    }
+    /// What the fault-tolerant executor did to produce this verdict.
+    pub resilience: ResilienceTelemetry,
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::resilient::ResilientDetector;
+    use slm_runtime::bpe::Bpe;
     use slm_runtime::profiles::{minicpm_sim, qwen2_sim};
+    use slm_runtime::verifier::{VerificationRequest, YesNoVerifier};
+    use slm_runtime::{engine_profile, ModelConfig, Precision};
 
     const CTX: &str = "The store operates from 9 AM to 5 PM, from Sunday to Saturday. \
                        There should be at least three shopkeepers to run a shop.";
@@ -402,11 +121,12 @@ mod tests {
         "The working hours are 9 AM to 5 PM. The store is open from Monday to Friday.";
     const WRONG: &str = "The working hours are 9 AM to 9 PM. You do not need to work on weekends.";
 
-    fn detector(config: DetectorConfig) -> HallucinationDetector {
-        let mut d = HallucinationDetector::new(
+    fn detector(config: DetectorConfig) -> ResilientDetector {
+        let mut d = ResilientDetector::reliable(
             vec![Box::new(qwen2_sim()), Box::new(minicpm_sim())],
             config,
-        );
+        )
+        .unwrap();
         // calibrate on a few neutral triples
         for r in [
             CORRECT,
@@ -420,12 +140,23 @@ mod tests {
         d
     }
 
+    /// Fault-free verifiers never abstain, so every verdict carries a result.
+    fn scored(d: &ResilientDetector, response: &str) -> DetectionResult {
+        d.score(Q, CTX, response)
+            .into_result()
+            .expect("fault-free verifiers never abstain")
+    }
+
+    fn score(d: &ResilientDetector, response: &str) -> f64 {
+        scored(d, response).score
+    }
+
     #[test]
     fn correct_beats_partial_beats_wrong() {
         let d = detector(DetectorConfig::default());
-        let c = d.score(Q, CTX, CORRECT).score;
-        let p = d.score(Q, CTX, PARTIAL).score;
-        let w = d.score(Q, CTX, WRONG).score;
+        let c = score(&d, CORRECT);
+        let p = score(&d, PARTIAL);
+        let w = score(&d, WRONG);
         assert!(c > p, "correct {c} vs partial {p}");
         assert!(p > w, "partial {p} vs wrong {w}");
     }
@@ -434,7 +165,7 @@ mod tests {
     fn scores_live_in_unit_interval() {
         let d = detector(DetectorConfig::default());
         for r in [CORRECT, PARTIAL, WRONG] {
-            let s = d.score(Q, CTX, r).score;
+            let s = score(&d, r);
             assert!((0.0..=1.0).contains(&s), "{r}: {s}");
         }
     }
@@ -442,7 +173,7 @@ mod tests {
     #[test]
     fn sentence_details_are_reported() {
         let d = detector(DetectorConfig::default());
-        let result = d.score(Q, CTX, PARTIAL);
+        let result = scored(&d, PARTIAL);
         assert_eq!(result.sentences.len(), 2);
         assert_eq!(result.sentences[0].raw.len(), 2);
         // the wrong-day sentence is the weak one
@@ -450,9 +181,24 @@ mod tests {
     }
 
     #[test]
+    fn raw_scores_keep_verifier_order_and_bits() {
+        let d = detector(DetectorConfig::default());
+        let sentence = "The working hours are 9 AM to 5 PM.";
+        let result = scored(&d, sentence);
+        assert_eq!(result.sentences.len(), 1);
+        let req = VerificationRequest::new(Q, CTX, sentence);
+        let want = [qwen2_sim().p_yes(&req), minicpm_sim().p_yes(&req)];
+        let got = &result.sentences[0].raw;
+        assert_eq!(got.len(), want.len());
+        for (g, w) in got.iter().zip(want) {
+            assert_eq!(g.to_bits(), w.to_bits(), "column order or bits changed");
+        }
+    }
+
+    #[test]
     fn empty_response_scores_zero() {
         let d = detector(DetectorConfig::default());
-        let r = d.score(Q, CTX, "");
+        let r = scored(&d, "");
         assert_eq!(r.score, 0.0);
         assert!(r.sentences.is_empty());
     }
@@ -464,7 +210,7 @@ mod tests {
             ..Default::default()
         };
         let d = detector(cfg);
-        let result = d.score(Q, CTX, PARTIAL);
+        let result = scored(&d, PARTIAL);
         assert_eq!(result.sentences.len(), 1);
     }
 
@@ -480,7 +226,7 @@ mod tests {
             split: false,
             ..Default::default()
         });
-        let auc = |d: &HallucinationDetector| {
+        let auc = |d: &ResilientDetector| {
             let n = 12;
             // Long responses: one wrong fact among many correct sentences is
             // where whole-response scoring dilutes and splitting pays off.
@@ -493,7 +239,7 @@ mod tests {
                              The store is open from {days}. \
                              The store operates for the whole week of shifts."
                         );
-                        d.score(Q, CTX, &r).score
+                        score(d, &r)
                     })
                     .collect()
             };
@@ -531,10 +277,10 @@ mod tests {
             ..Default::default()
         };
         let d = detector(cfg);
-        let result = d.score(Q, CTX, CORRECT);
+        let result = scored(&d, CORRECT);
         for s in &result.sentences {
             let avg = s.raw.iter().sum::<f64>() / s.raw.len() as f64;
-            assert!((s.combined - avg).abs() < 1e-12);
+            assert_eq!(s.combined.to_bits(), avg.to_bits());
         }
     }
 
@@ -546,24 +292,25 @@ mod tests {
         });
         let plain = detector(DetectorConfig::default());
         // correct still beats wrong under gating
-        let c = gated.score(Q, CTX, CORRECT).score;
-        let w = gated.score(Q, CTX, WRONG).score;
-        assert!(c > w);
+        assert!(score(&gated, CORRECT) > score(&gated, WRONG));
         // and gating changes at least some scores vs the plain ensemble
         let any_diff = [CORRECT, PARTIAL, WRONG]
             .iter()
-            .any(|r| (gated.score(Q, CTX, r).score - plain.score(Q, CTX, r).score).abs() > 1e-9);
+            .any(|r| (score(&gated, r) - score(&plain, r)).abs() > 1e-9);
         assert!(any_diff);
     }
 
     #[test]
     fn single_model_detector_works() {
-        let mut d =
-            HallucinationDetector::new(vec![Box::new(qwen2_sim())], DetectorConfig::default());
+        let mut d = ResilientDetector::reliable(
+            vec![Box::new(qwen2_sim()) as Box<dyn YesNoVerifier>],
+            DetectorConfig::default(),
+        )
+        .unwrap();
         d.calibrate(Q, CTX, CORRECT);
         d.calibrate(Q, CTX, WRONG);
         assert_eq!(d.num_models(), 1);
-        assert!(d.score(Q, CTX, CORRECT).score > d.score(Q, CTX, WRONG).score);
+        assert!(score(&d, CORRECT) > score(&d, WRONG));
     }
 
     #[test]
@@ -573,34 +320,21 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "at least one verifier")]
-    fn zero_verifiers_panics() {
-        HallucinationDetector::new(Vec::new(), DetectorConfig::default());
-    }
-
-    #[test]
     fn calibration_state_can_be_transplanted() {
         let fitted = detector(DetectorConfig::default());
-        let mut fresh = HallucinationDetector::new(
+        let mut fresh = ResilientDetector::reliable(
             vec![Box::new(qwen2_sim()), Box::new(minicpm_sim())],
             DetectorConfig::default(),
-        );
-        fresh.set_normalizer(fitted.normalizer().clone());
+        )
+        .unwrap();
+        fresh
+            .try_set_normalizer(fitted.normalizer().clone())
+            .unwrap();
         assert_eq!(
             fitted.score(Q, CTX, PARTIAL),
             fresh.score(Q, CTX, PARTIAL),
             "restored calibration must reproduce scores exactly"
         );
-    }
-
-    #[test]
-    #[should_panic(expected = "different number of models")]
-    fn transplant_rejects_wrong_model_count() {
-        let mut d = HallucinationDetector::new(
-            vec![Box::new(qwen2_sim()) as Box<dyn YesNoVerifier>],
-            DetectorConfig::default(),
-        );
-        d.set_normalizer(crate::zscore::ModelNormalizer::new(3));
     }
 
     #[test]
@@ -636,7 +370,7 @@ mod tests {
 
     #[test]
     fn try_new_reports_typed_error() {
-        let Err(err) = HallucinationDetector::try_new(Vec::new(), DetectorConfig::default()) else {
+        let Err(err) = ResilientDetector::reliable(Vec::new(), DetectorConfig::default()) else {
             panic!("empty verifier set must be rejected")
         };
         assert_eq!(err, DetectorError::NoVerifiers);
@@ -645,10 +379,11 @@ mod tests {
 
     #[test]
     fn try_set_normalizer_reports_mismatch() {
-        let mut d = HallucinationDetector::new(
+        let mut d = ResilientDetector::reliable(
             vec![Box::new(qwen2_sim()) as Box<dyn YesNoVerifier>],
             DetectorConfig::default(),
-        );
+        )
+        .unwrap();
         let err = d
             .try_set_normalizer(crate::zscore::ModelNormalizer::new(3))
             .unwrap_err();
@@ -663,85 +398,51 @@ mod tests {
     }
 
     #[test]
-    fn try_score_batch_succeeds_on_healthy_path() {
-        let d = detector(DetectorConfig {
-            parallel: true,
-            ..Default::default()
-        });
-        let out = d
-            .try_score_batch(&[(Q, CTX, CORRECT), (Q, CTX, WRONG)])
-            .unwrap();
-        assert_eq!(out.len(), 2);
-        assert_eq!(out[0], d.score(Q, CTX, CORRECT));
-    }
-
-    #[test]
-    fn plain_detector_reports_no_resilience_telemetry() {
-        let d = detector(DetectorConfig::default());
-        assert!(d.score(Q, CTX, CORRECT).resilience.is_none());
-    }
-
-    #[test]
     fn calibration_accumulates_observations() {
         let d = detector(DetectorConfig::default());
         assert!(d.normalizer().observations(0) >= 8);
         assert!(d.normalizer().observations(1) >= 8);
     }
 
-    fn ensemble_tokenizer() -> Bpe {
-        Bpe::train(
+    #[test]
+    fn mixed_precision_engine_members_build_and_score() {
+        let bpe = Bpe::train(
             &[
                 CTX,
                 "is the answer correct according to the context reply yes or no",
             ],
             250,
-        )
-    }
-
-    #[test]
-    fn engine_ensemble_builds_mixed_precision_members() {
-        let bpe = ensemble_tokenizer();
-        let model = ModelConfig::tiny(bpe.vocab_size());
-        let specs = vec![
-            EngineSpec::new("int8-screener-a", model.clone(), 11),
-            EngineSpec::new("int8-screener-b", model.clone(), 12),
-            EngineSpec::new("f32-tiebreak", model, 13).with_precision(Precision::F32),
+        );
+        let cfg = ModelConfig::tiny(bpe.vocab_size());
+        // Each member's precision lives in its own ModelConfig: two int8
+        // screeners and an f32 tie-breaker.
+        let members = vec![
+            engine_profile(
+                "int8-screener-a",
+                cfg.clone().with_precision(Precision::Int8),
+                11,
+                bpe.clone(),
+            ),
+            engine_profile(
+                "int8-screener-b",
+                cfg.clone().with_precision(Precision::Int8),
+                12,
+                bpe.clone(),
+            ),
+            engine_profile("f32-tiebreak", cfg, 13, bpe),
         ];
-        let config = DetectorConfig {
-            precision: Precision::Int8,
-            ..Default::default()
-        };
-        let mut d = HallucinationDetector::engine_ensemble(config, &specs, &bpe).unwrap();
+        let mut d = ResilientDetector::reliable(members, DetectorConfig::default()).unwrap();
         assert_eq!(
             d.model_names(),
             vec!["int8-screener-a", "int8-screener-b", "f32-tiebreak"]
         );
         d.calibrate(Q, CTX, CORRECT);
         d.calibrate(Q, CTX, WRONG);
-        let score = d.score(Q, CTX, CORRECT).score;
-        assert!((0.0..=1.0).contains(&score));
-    }
-
-    #[test]
-    fn engine_ensemble_member_override_beats_config_default() {
-        let bpe = ensemble_tokenizer();
-        let model = ModelConfig::tiny(bpe.vocab_size());
-        // config default f32, member pinned to int8: both must build and the
-        // verdicts stay in range (the precision plumbing, not the AUC gate).
-        let specs = vec![EngineSpec::new("pinned-int8", model, 5).with_precision(Precision::Int8)];
-        let d = HallucinationDetector::engine_ensemble(DetectorConfig::default(), &specs, &bpe)
-            .unwrap();
-        assert_eq!(d.num_models(), 1);
-        let score = d.score(Q, CTX, PARTIAL).score;
-        assert!((0.0..=1.0).contains(&score));
-    }
-
-    #[test]
-    fn engine_ensemble_rejects_empty_spec_list() {
-        let bpe = ensemble_tokenizer();
-        match HallucinationDetector::engine_ensemble(DetectorConfig::default(), &[], &bpe) {
-            Err(e) => assert_eq!(e, DetectorError::NoVerifiers),
-            Ok(_) => panic!("empty spec list must be rejected"),
-        }
+        let result = scored(&d, CORRECT);
+        assert!((0.0..=1.0).contains(&result.score));
+        assert_eq!(
+            result.resilience.models_consulted,
+            ["int8-screener-a", "int8-screener-b", "f32-tiebreak"]
+        );
     }
 }

@@ -1,35 +1,13 @@
 //! Cross-model score combination (Eq. 5) and the positivity adjustment.
 
-use crate::score::SentenceScores;
 use crate::zscore::ModelNormalizer;
 
-/// Eq. 5: average the per-model normalized scores of one sentence.
+/// Eq. 5: average the normalized scores of one sentence over the
+/// `(model_index, raw_score)` pairs that produced usable probabilities.
 ///
-/// # Panics
-/// Panics if the sentence has no model scores.
-pub fn combine_models(normalizer: &ModelNormalizer, scores: &SentenceScores) -> f64 {
-    assert!(
-        !scores.per_model.is_empty(),
-        "at least one model score required"
-    );
-    let m = scores.per_model.len();
-    let sum: f64 = scores
-        .per_model
-        .iter()
-        .enumerate()
-        .map(|(i, &s)| normalizer.normalize(i, s))
-        .sum();
-    sum / m as f64
-}
-
-/// Eq. 5 over a surviving subset of models: average the normalized scores of
-/// the `(model_index, raw_score)` pairs that produced usable probabilities.
-///
-/// This is the graceful-degradation form of [`combine_models`]: the ensemble
-/// renormalizes over whichever models answered (divide by the survivor count,
-/// not M). With every model surviving it performs the identical sequence of
-/// floating-point operations as [`combine_models`], so healthy-path results
-/// are bitwise equal.
+/// The ensemble renormalizes over whichever models answered (divide by the
+/// survivor count, not M), so with every model surviving this is Eq. 5
+/// exactly, and a fallen model degrades the ensemble instead of voiding it.
 ///
 /// # Panics
 /// Panics if no model survived — callers must abstain instead of fabricating
@@ -50,21 +28,9 @@ pub fn squash(z: f64) -> f64 {
     1.0 / (1.0 + (-z).exp())
 }
 
-/// Full per-sentence pipeline: Eq. 4 + Eq. 5 + squash.
-pub fn sentence_score(normalizer: &ModelNormalizer, scores: &SentenceScores) -> f64 {
-    squash(combine_models(normalizer, scores))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn sent(per_model: Vec<f64>) -> SentenceScores {
-        SentenceScores {
-            sentence: "s".into(),
-            per_model,
-        }
-    }
 
     fn calibrated(num_models: usize) -> ModelNormalizer {
         let mut n = ModelNormalizer::new(num_models);
@@ -79,27 +45,19 @@ mod tests {
 
     #[test]
     fn average_of_identical_models_is_single_model() {
+        // both models saw the same calibration stream, so they normalize a
+        // raw score identically and their average is either one alone
         let n = calibrated(2);
-        let one = combine_models(&n, &sent(vec![0.7]));
-        // can't build a 1-model score against 2-model normalizer, so compare
-        // two equal columns against a single column of a 1-model normalizer
-        let n1 = {
-            let mut x = ModelNormalizer::new(1);
-            for i in 0..20 {
-                x.observe(0, 0.3 + 0.4 * ((i % 10) as f64 / 10.0));
-            }
-            x
-        };
-        let _ = n1;
-        let two = combine_models(&n, &sent(vec![0.7, 0.7]));
+        let one = combine_surviving(&n, &[(0, 0.7)]);
+        let two = combine_surviving(&n, &[(0, 0.7), (1, 0.7)]);
         assert!((one - two).abs() < 1e-12);
     }
 
     #[test]
     fn higher_raw_scores_give_higher_combined() {
         let n = calibrated(2);
-        let low = combine_models(&n, &sent(vec![0.3, 0.35]));
-        let high = combine_models(&n, &sent(vec![0.8, 0.85]));
+        let low = combine_surviving(&n, &[(0, 0.3), (1, 0.35)]);
+        let high = combine_surviving(&n, &[(0, 0.8), (1, 0.85)]);
         assert!(high > low);
     }
 
@@ -124,25 +82,12 @@ mod tests {
 
     #[test]
     fn sentence_score_in_unit_interval() {
+        // Eq. 4 + Eq. 5 + squash: the per-sentence score s_{i,j}
         let n = calibrated(2);
         for raw in [0.0, 0.2, 0.5, 0.9, 1.0] {
-            let s = sentence_score(&n, &sent(vec![raw, raw]));
+            let s = squash(combine_surviving(&n, &[(0, raw), (1, raw)]));
             assert!((0.0..=1.0).contains(&s));
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one model")]
-    fn empty_model_scores_panic() {
-        combine_models(&calibrated(1), &sent(vec![]));
-    }
-
-    #[test]
-    fn surviving_all_models_is_bitwise_identical_to_full_combine() {
-        let n = calibrated(2);
-        let full = combine_models(&n, &sent(vec![0.62, 0.48]));
-        let surv = combine_surviving(&n, &[(0, 0.62), (1, 0.48)]);
-        assert_eq!(full.to_bits(), surv.to_bits());
     }
 
     #[test]

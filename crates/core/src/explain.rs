@@ -122,7 +122,9 @@ impl Explanation {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::detector::{DetectorConfig, HallucinationDetector, SentenceDetail};
+    use crate::detector::{DetectorConfig, SentenceDetail};
+    use crate::resilience::ResilienceTelemetry;
+    use crate::resilient::ResilientDetector;
     use slm_runtime::profiles::{minicpm_sim, qwen2_sim};
     use slm_runtime::verifier::YesNoVerifier;
 
@@ -138,7 +140,7 @@ mod tests {
                     combined: s,
                 })
                 .collect(),
-            resilience: None,
+            resilience: ResilienceTelemetry::empty(),
         }
     }
 
@@ -157,7 +159,7 @@ mod tests {
             &DetectionResult {
                 score: 0.0,
                 sentences: vec![],
-                resilience: None,
+                resilience: ResilienceTelemetry::empty(),
             },
             0.5,
         );
@@ -205,23 +207,27 @@ mod tests {
 
     #[test]
     fn end_to_end_explanation_flags_the_bad_sentence() {
-        let mut d = HallucinationDetector::new(
+        let mut d = ResilientDetector::reliable(
             vec![
                 Box::new(qwen2_sim()) as Box<dyn YesNoVerifier>,
                 Box::new(minicpm_sim()) as Box<dyn YesNoVerifier>,
             ],
             DetectorConfig::default(),
-        );
+        )
+        .unwrap();
         let ctx = "The store operates from 9 AM to 5 PM, from Sunday to Saturday.";
         let q = "What are the working hours?";
         for i in 0..8 {
             d.calibrate(q, ctx, &format!("The store opens at {} AM.", 8 + i % 3));
         }
-        let result = d.score(
-            q,
-            ctx,
-            "The working hours are 9 AM to 5 PM. The store is open from Monday to Friday.",
-        );
+        let result = d
+            .score(
+                q,
+                ctx,
+                "The working hours are 9 AM to 5 PM. The store is open from Monday to Friday.",
+            )
+            .into_result()
+            .unwrap();
         let e = explain(&result, 0.5);
         assert!(e.summary().contains("Monday to Friday"));
         let (weakest, _) = e.weakest_sentence.unwrap();

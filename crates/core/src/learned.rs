@@ -164,6 +164,7 @@ impl LogisticCombiner {
 mod tests {
     use super::*;
     use crate::detector::{DetectionResult, SentenceDetail};
+    use crate::resilience::ResilienceTelemetry;
 
     fn result(scores: &[f64]) -> DetectionResult {
         DetectionResult {
@@ -176,7 +177,7 @@ mod tests {
                     combined: s,
                 })
                 .collect(),
-            resilience: None,
+            resilience: ResilienceTelemetry::empty(),
         }
     }
 
@@ -219,7 +220,7 @@ mod tests {
         let f = response_features(&DetectionResult {
             score: 0.0,
             sentences: vec![],
-            resilience: None,
+            resilience: ResilienceTelemetry::empty(),
         });
         assert_eq!(f.values, [0.0; NUM_FEATURES]);
     }

@@ -22,16 +22,20 @@
 //! preserves their order and keeps every mean in Eq. 6–10 well-defined.
 //!
 //! Modules:
-//! * [`score`] — Eq. 2–3 sentence scoring against a set of verifiers.
+//! * [`resilient`] — the assembled [`ResilientDetector`]: Splitter → M SLMs
+//!   → Checker on the batch engine, with retries, deadlines, circuit
+//!   breakers and graceful degradation; it abstains rather than fabricating
+//!   a score when no verifier answers. [`ResilientDetector::reliable`] wraps
+//!   infallible verifiers for the fault-free case.
+//! * [`detector`] — its configuration ([`DetectorConfig`], whose flags are
+//!   the ablation axes, including the §VI gating extension) and its
+//!   per-response [`DetectionResult`].
+//! * [`score`] — the Eq. 2–3 probability-validity check.
 //! * [`zscore`] — Eq. 4 running per-model statistics (Welford).
 //! * [`ensemble`] — Eq. 5 cross-model combination and the logistic squash.
 //! * [`means`] — Eq. 6–10 aggregation means (harmonic/arithmetic/geometric/min/max).
-//! * [`detector`] — the assembled [`HallucinationDetector`], with optional
-//!   parallel sentence scoring and the §VI gating extension.
-
-//! * [`resilience`] / [`resilient`] — the fault-tolerant runtime: retry
-//!   policies, circuit breakers, and the [`ResilientDetector`] that degrades
-//!   gracefully (or abstains) when verifiers fail.
+//! * [`resilience`] — retry policies, circuit breakers and the telemetry
+//!   each verdict carries.
 
 pub mod detector;
 pub mod drift;
@@ -46,10 +50,7 @@ pub mod score;
 pub mod threshold;
 pub mod zscore;
 
-pub use detector::{
-    DetectionResult, DetectorConfig, DetectorError, EngineSpec, HallucinationDetector,
-    SentenceDetail,
-};
+pub use detector::{DetectionResult, DetectorConfig, DetectorError, SentenceDetail};
 pub use drift::{DriftMonitor, DriftStatus};
 pub use explain::{explain, Confidence, Explanation};
 pub use learned::{response_features, LogisticCombiner, ResponseFeatures};

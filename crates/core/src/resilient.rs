@@ -1,14 +1,14 @@
-//! Fault-tolerant detection: the paper's framework (Fig. 2b) executed
-//! against verifiers that can time out, fail, or return garbage.
+//! The detector: the paper's framework (Fig. 2b) executed against
+//! verifiers that can time out, fail, or return garbage.
 //!
-//! [`ResilientDetector`] runs the same Splitter → M SLMs → Checker pipeline
-//! as [`HallucinationDetector`](crate::HallucinationDetector), but through
-//! the fallible interface ([`FallibleVerifier`]) with a full resilience
-//! policy: bounded retry with deterministic exponential backoff, a per-call
-//! latency deadline, per-model circuit breakers, score quarantine, and
-//! graceful ensemble degradation (Eq. 5 renormalized over surviving models).
-//! When nothing at all survives it returns [`Verdict::Abstain`] — never a
-//! fabricated score.
+//! [`ResilientDetector`] runs the Splitter → M SLMs → Checker pipeline
+//! through the fallible interface ([`FallibleVerifier`]) with a full
+//! resilience policy: bounded retry with deterministic exponential backoff,
+//! a per-call latency deadline, per-model circuit breakers, score
+//! quarantine, and graceful ensemble degradation (Eq. 5 renormalized over
+//! surviving models). When nothing at all survives it returns
+//! [`Verdict::Abstain`] — never a fabricated score. Infallible verifiers
+//! enter through [`ResilientDetector::reliable`].
 //!
 //! # Determinism
 //!
@@ -147,10 +147,10 @@ impl Verdict {
     }
 
     /// Execution telemetry (present on both variants).
-    pub fn telemetry(&self) -> Option<&ResilienceTelemetry> {
+    pub fn telemetry(&self) -> &ResilienceTelemetry {
         match self {
-            Self::Scored(r) => r.resilience.as_ref(),
-            Self::Abstain(t) => Some(t),
+            Self::Scored(r) => &r.resilience,
+            Self::Abstain(t) => t,
         }
     }
 
@@ -168,7 +168,7 @@ impl Verdict {
 /// degradation.
 pub struct ResilientDetector {
     verifiers: Vec<Box<dyn FallibleVerifier>>,
-    /// Configuration (same axes as the plain detector).
+    /// Configuration: the ablation axes and scheduling knobs.
     pub config: DetectorConfig,
     /// Retry/deadline policy applied to every verification call.
     pub policy: RetryPolicy,
@@ -264,8 +264,10 @@ impl ResilientDetector {
         self
     }
 
-    /// Wrap infallible verifiers in [`Reliable`] adapters — the zero-fault
-    /// configuration, which reproduces the plain detector's scores exactly.
+    /// Wrap infallible verifiers in [`Reliable`] adapters: the fault-free
+    /// detector. A reliable verifier never errors and answers inside the
+    /// default deadline, so every cell scores on its first attempt and no
+    /// breaker trips; a verdict is only ever `Scored`.
     pub fn reliable(
         verifiers: Vec<Box<dyn YesNoVerifier>>,
         config: DetectorConfig,
@@ -317,7 +319,7 @@ impl ResilientDetector {
     }
 
     /// Split per the active config; no-split mode scores the response as one
-    /// unit (even when empty, matching the plain detector's convention).
+    /// unit, even when empty.
     fn split(&self, response: &str) -> Vec<String> {
         if self.config.split {
             SentenceSplitter::new()
@@ -358,18 +360,7 @@ impl ResilientDetector {
     /// restoration is what makes the result bitwise-identical to calling
     /// [`ResilientDetector::calibrate`] on each item in turn.
     pub fn calibrate_batch(&mut self, items: &[(&str, &str, &str)]) -> BatchReport {
-        let split: Vec<Vec<String>> = items.iter().map(|(_, _, r)| self.split(r)).collect();
-        let mut jobs: Vec<BatchJob<'_>> = Vec::new();
-        for ((q, c, _), sentences) in items.iter().zip(&split) {
-            for sentence in sentences {
-                for mi in 0..self.verifiers.len() {
-                    jobs.push(BatchJob::new(mi, VerificationRequest::new(q, c, sentence)));
-                }
-            }
-        }
-        let (outcomes, report) = self
-            .engine(jobs.len())
-            .run(&jobs, |job| self.probe_job(job));
+        let (outcomes, report) = self.probe_batch(items);
         let m = self.verifiers.len();
         let mut per_model: Vec<Vec<(u64, f64)>> = vec![Vec::new(); m];
         for (i, cell) in outcomes.iter().enumerate() {
@@ -377,7 +368,7 @@ impl ResilientDetector {
                 if valid_probability(p) {
                     // i / m is the flattened (item, sentence) cell ordinal —
                     // the submission index the fold must respect.
-                    per_model[jobs[i].model].push(((i / m) as u64, p));
+                    per_model[i % m].push(((i / m) as u64, p));
                 }
             }
         }
@@ -388,8 +379,7 @@ impl ResilientDetector {
     }
 
     /// Combine one sentence's surviving `(model, score)` pairs per the active
-    /// config. With every model surviving this performs the identical
-    /// floating-point operations as the plain detector's combine step.
+    /// config.
     fn combine(&self, survivors: &[(usize, f64)]) -> f64 {
         if !self.config.normalize {
             return survivors.iter().map(|&(_, s)| s).sum::<f64>() / survivors.len() as f64;
@@ -445,6 +435,25 @@ impl ResilientDetector {
         }
     }
 
+    /// Probe every (item, sentence, model) cell of a batch of triples on the
+    /// batch engine. Jobs are submitted item-major, sentence within item,
+    /// models in slot order, so outcome `i` belongs to model `i % M` of the
+    /// `i / M`-th flattened sentence; duplicate cells coalesce to one
+    /// evaluation.
+    fn probe_batch(&self, items: &[(&str, &str, &str)]) -> (Vec<ProbeOutcome>, BatchReport) {
+        let split: Vec<Vec<String>> = items.iter().map(|(_, _, r)| self.split(r)).collect();
+        let mut jobs: Vec<BatchJob<'_>> = Vec::new();
+        for ((q, c, _), sentences) in items.iter().zip(&split) {
+            for sentence in sentences {
+                for mi in 0..self.verifiers.len() {
+                    jobs.push(BatchJob::new(mi, VerificationRequest::new(q, c, sentence)));
+                }
+            }
+        }
+        self.engine(jobs.len())
+            .run(&jobs, |job| self.probe_job(job))
+    }
+
     /// Probe all (sentence, model) cells — phase 1, on the batch engine.
     /// Jobs are submitted sentence-major so the flat result reshapes into
     /// per-sentence rows; duplicate sentences coalesce to one evaluation.
@@ -479,19 +488,7 @@ impl ResilientDetector {
         if self.cache.is_none() {
             return BatchReport::default();
         }
-        let split: Vec<Vec<String>> = items.iter().map(|(_, _, r)| self.split(r)).collect();
-        let mut jobs: Vec<BatchJob<'_>> = Vec::new();
-        for ((q, c, _), sentences) in items.iter().zip(&split) {
-            for sentence in sentences {
-                for mi in 0..self.verifiers.len() {
-                    jobs.push(BatchJob::new(mi, VerificationRequest::new(q, c, sentence)));
-                }
-            }
-        }
-        let (_, report) = self
-            .engine(jobs.len())
-            .run(&jobs, |job| self.probe_job(job));
-        report
+        self.probe_batch(items).1
     }
 
     /// Score a response through the full resilience policy.
@@ -521,16 +518,17 @@ impl ResilientDetector {
         let _span = self.obs.span("detector.score");
         let sentences = self.split(response);
         if sentences.is_empty() {
-            // nothing verifiable was said — the plain detector's score-0
-            // convention, not a failure of the ensemble
-            let tele = self.empty_telemetry();
+            // nothing verifiable was said, which in a high-precision QA
+            // system must not pass as correct: score 0, not a failure of
+            // the ensemble
+            let tele = ResilienceTelemetry::empty();
             self.metrics.flush(&tele);
             self.obs
                 .flight("verdict", &[("outcome", "scored_empty".to_string())]);
             return Verdict::Scored(DetectionResult {
                 score: 0.0,
                 sentences: Vec::new(),
-                resilience: Some(tele),
+                resilience: tele,
             });
         }
 
@@ -541,7 +539,7 @@ impl ResilientDetector {
 
         // Phase 2: canonical-order breaker replay + quarantine + combine.
         let m = self.verifiers.len();
-        let mut tele = self.empty_telemetry();
+        let mut tele = ResilienceTelemetry::empty();
         let mut model_contributed = vec![false; m];
         let mut any_cell_lost = false;
         let mut details: Vec<SentenceDetail> = Vec::new();
@@ -730,16 +728,16 @@ impl ResilientDetector {
         Verdict::Scored(DetectionResult {
             score,
             sentences: details,
-            resilience: Some(tele),
+            resilience: tele,
         })
     }
 
     /// Score a batch, in input order.
     ///
-    /// Unlike the plain detector, batch items are processed sequentially:
-    /// breaker state evolves across calls, so item order is semantic.
-    /// Within-item sentence scoring still parallelizes via
-    /// `config.parallel`.
+    /// Batch items are processed sequentially: breaker state evolves across
+    /// calls, so item order is semantic. Within-item cell probing still
+    /// parallelizes via `config.parallel`, and [`ResilientDetector::score_all`]
+    /// probes the whole batch at once.
     pub fn score_batch(&self, items: &[(&str, &str, &str)]) -> Vec<Verdict> {
         items.iter().map(|(q, c, r)| self.score(q, c, r)).collect()
     }
@@ -757,16 +755,11 @@ impl ResilientDetector {
         self.prefetch(items);
         self.score_batch(items)
     }
-
-    fn empty_telemetry(&self) -> ResilienceTelemetry {
-        ResilienceTelemetry::empty()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::detector::HallucinationDetector;
     use crate::resilience::BreakerState;
     use slm_runtime::faults::{FaultInjector, FaultProfile};
     use slm_runtime::profiles::{minicpm_sim, qwen2_sim};
@@ -787,11 +780,11 @@ mod tests {
         "Staff wear uniforms.",
     ];
 
-    fn plain(config: DetectorConfig) -> HallucinationDetector {
-        let mut d = HallucinationDetector::new(
-            vec![Box::new(qwen2_sim()), Box::new(minicpm_sim())],
-            config,
-        );
+    fn reliable(
+        verifiers: Vec<Box<dyn YesNoVerifier>>,
+        config: DetectorConfig,
+    ) -> ResilientDetector {
+        let mut d = ResilientDetector::reliable(verifiers, config).unwrap();
         for r in CAL {
             d.calibrate(Q, CTX, r);
         }
@@ -815,46 +808,112 @@ mod tests {
         faulty(config, [FaultProfile::none(11), FaultProfile::none(12)])
     }
 
+    /// `(score, [combined per sentence])` bits for CORRECT, PARTIAL, WRONG
+    /// and the empty response, as the crate's earlier infallible ("plain")
+    /// detector scored them.
+    type Golden = [(u64, &'static [u64]); 4];
+
     #[test]
     fn zero_faults_reproduces_plain_scores_bitwise() {
-        for config in [
-            DetectorConfig::default(),
-            DetectorConfig {
-                parallel: true,
-                ..Default::default()
-            },
-            DetectorConfig {
-                normalize: false,
-                ..Default::default()
-            },
-            DetectorConfig {
-                split: false,
-                ..Default::default()
-            },
-            DetectorConfig {
-                gate_margin: Some(0.5),
-                ..Default::default()
-            },
-        ] {
-            let p = plain(config.clone());
-            let r = resilient(config.clone());
-            for resp in [CORRECT, PARTIAL, WRONG, ""] {
-                let want = p.score(Q, CTX, resp);
-                let got = r
-                    .score(Q, CTX, resp)
-                    .into_result()
-                    .expect("no abstain at 0 faults");
+        const DEFAULT: Golden = [
+            (
+                0x3fe8_13c5_8d6b_7203,
+                &[0x3fe7_cbd4_bb7d_1fbe, 0x3fe8_5d6e_8d8b_4ab8],
+            ),
+            (
+                0x3fd7_baae_a7cd_4333,
+                &[0x3fe7_cbd4_bb7d_1fbe, 0x3fcf_9bfb_b63d_9b83],
+            ),
+            (
+                0x3fcf_163f_b7a1_1443,
+                &[0x3fd6_8506_39a3_9318, 0x3fc7_bc02_d0cd_a2e7],
+            ),
+            (0, &[]),
+        ];
+        let cases: [(DetectorConfig, Golden); 5] = [
+            (DetectorConfig::default(), DEFAULT),
+            (
+                DetectorConfig {
+                    parallel: true,
+                    ..Default::default()
+                },
+                DEFAULT,
+            ),
+            (
+                DetectorConfig {
+                    normalize: false,
+                    ..Default::default()
+                },
+                [
+                    (
+                        0x3fe8_221d_1172_c75d,
+                        &[0x3fe7_d661_920e_cca3, 0x3fe8_6fbf_d282_a1f4],
+                    ),
+                    (
+                        0x3fc6_f235_1a06_1ebc,
+                        &[0x3fe7_d661_920e_cca3, 0x3fba_15b5_e472_432c],
+                    ),
+                    (
+                        0x3f73_6c55_deff_6e86,
+                        &[0x3fce_09fb_5f31_2b06, 0x3f63_9f15_8ee1_2598],
+                    ),
+                    (0, &[]),
+                ],
+            ),
+            (
+                DetectorConfig {
+                    split: false,
+                    ..Default::default()
+                },
+                [
+                    (0x3fea_3a56_d0ce_09e4, &[0x3fea_3a56_d0ce_09e4]),
+                    (0x3fd5_2969_4194_c218, &[0x3fd5_2969_4194_c218]),
+                    (0x3fbf_e125_936c_451c, &[0x3fbf_e125_936c_451c]),
+                    // no-split scores the empty response as one unit
+                    (0x3fd8_1b72_5317_267e, &[0x3fd8_1b72_5317_267e]),
+                ],
+            ),
+            (
+                DetectorConfig {
+                    gate_margin: Some(0.5),
+                    ..Default::default()
+                },
+                [
+                    (
+                        0x3fe7_d8f1_4b01_0a8b,
+                        &[0x3fe7_f6b2_f626_bc83, 0x3fe7_bb79_2ac8_5ba0],
+                    ),
+                    (
+                        0x3fd7_1d73_ba5b_a7f5,
+                        &[0x3fe7_f6b2_f626_bc83, 0x3fce_75e3_3f04_bb95],
+                    ),
+                    (
+                        0x3fcd_f708_fd15_06c8,
+                        &[0x3fd2_db84_92a7_0bf0, 0x3fc8_db6c_6e6b_3fe3],
+                    ),
+                    (0, &[]),
+                ],
+            ),
+        ];
+        for (config, golden) in cases {
+            let r = reliable(
+                vec![Box::new(qwen2_sim()), Box::new(minicpm_sim())],
+                config.clone(),
+            );
+            // the fault injector at zero faults is a bitwise no-op over it
+            let injected = resilient(config.clone());
+            for (resp, (score, combined)) in [CORRECT, PARTIAL, WRONG, ""].into_iter().zip(golden) {
+                let verdict = r.score(Q, CTX, resp);
                 assert_eq!(
-                    want.score.to_bits(),
-                    got.score.to_bits(),
+                    verdict,
+                    injected.score(Q, CTX, resp),
                     "{config:?} / {resp:?}"
                 );
-                assert_eq!(want.sentences.len(), got.sentences.len());
-                for (a, b) in want.sentences.iter().zip(&got.sentences) {
-                    assert_eq!(a.sentence, b.sentence);
-                    assert_eq!(a.raw, b.raw);
-                    assert_eq!(a.combined.to_bits(), b.combined.to_bits());
-                }
+                let got = verdict.into_result().expect("no abstain at 0 faults");
+                assert_eq!(got.score.to_bits(), score, "{config:?} / {resp:?}");
+                let got_combined: Vec<u64> =
+                    got.sentences.iter().map(|s| s.combined.to_bits()).collect();
+                assert_eq!(got_combined, combined, "{config:?} / {resp:?}");
             }
         }
     }
@@ -863,7 +922,7 @@ mod tests {
     fn zero_faults_reports_full_degradation_and_all_models() {
         let r = resilient(DetectorConfig::default());
         let v = r.score(Q, CTX, PARTIAL);
-        let t = v.telemetry().unwrap();
+        let t = v.telemetry();
         assert_eq!(t.degradation, DegradationLevel::Full);
         assert_eq!(t.models_consulted, ["qwen2-1.5b-sim", "minicpm-2b-sim"]);
         assert!(t.models_failed.is_empty());
@@ -883,7 +942,7 @@ mod tests {
             .clone()
             .into_result()
             .expect("one live model must still score");
-        let t = v.telemetry().unwrap();
+        let t = v.telemetry();
         assert_eq!(t.models_consulted, ["qwen2-1.5b-sim"]);
         assert_eq!(t.models_failed, ["minicpm-2b-sim"]);
         assert_eq!(t.degradation, DegradationLevel::Degraded);
@@ -892,18 +951,12 @@ mod tests {
             assert!(valid_probability(s.raw[0]));
             assert_eq!(s.raw[1], MISSING_SCORE);
         }
-        // and the verdict equals what a single-model plain detector (same
+        // and the verdict equals what a single-model detector (same
         // calibration data) would say
-        let mut single = HallucinationDetector::new(
-            vec![Box::new(qwen2_sim()) as Box<dyn YesNoVerifier>],
-            DetectorConfig::default(),
-        );
-        for resp in CAL {
-            single.calibrate(Q, CTX, resp);
-        }
+        let single = reliable(vec![Box::new(qwen2_sim())], DetectorConfig::default());
         assert_eq!(
-            result.score.to_bits(),
-            single.score(Q, CTX, PARTIAL).score.to_bits()
+            Some(result.score.to_bits()),
+            single.score(Q, CTX, PARTIAL).score().map(f64::to_bits)
         );
     }
 
@@ -916,7 +969,7 @@ mod tests {
         let v = r.score(Q, CTX, PARTIAL);
         assert!(v.is_abstain());
         assert_eq!(v.score(), None);
-        let t = v.telemetry().unwrap();
+        let t = v.telemetry();
         assert_eq!(t.degradation, DegradationLevel::Abstained);
         assert_eq!(t.models_consulted, Vec::<String>::new());
         assert_eq!(t.sentences_dropped, 2);
@@ -934,7 +987,7 @@ mod tests {
         let mut skips = 0;
         for _ in 0..4 {
             let v = r.score(Q, CTX, PARTIAL);
-            let t = v.telemetry().unwrap();
+            let t = v.telemetry();
             trips += t.breaker_trips;
             skips += t.breaker_skips;
         }
@@ -962,9 +1015,7 @@ mod tests {
         let mut scored = 0;
         for resp in [CORRECT, PARTIAL, WRONG] {
             let v = r.score(Q, CTX, resp);
-            if let Some(t) = v.telemetry() {
-                retries += t.retries;
-            }
+            retries += v.telemetry().retries;
             if !v.is_abstain() {
                 scored += 1;
             }
@@ -986,7 +1037,7 @@ mod tests {
             ],
         );
         let v = r.score(Q, CTX, PARTIAL);
-        let t = v.telemetry().unwrap();
+        let t = v.telemetry();
         assert!(t.quarantined > 0);
         // every surviving raw score is a valid probability or the sentinel
         if let Verdict::Scored(result) = &v {
@@ -1011,7 +1062,7 @@ mod tests {
             ],
         );
         let v = r.score(Q, CTX, PARTIAL);
-        let t = v.telemetry().unwrap();
+        let t = v.telemetry();
         assert!(t.timeouts > 0, "a 40x stall must blow the 120ms deadline");
         // model 1 still carries the verdict
         assert!(!v.is_abstain());
@@ -1074,7 +1125,7 @@ mod tests {
         let r = resilient(DetectorConfig::default());
         let v = r.score_within(Q, CTX, PARTIAL, 0.0);
         assert!(v.is_abstain(), "no budget, no fabricated score");
-        let t = v.telemetry().unwrap();
+        let t = v.telemetry();
         assert_eq!(t.deadline_skips, 2, "both sentences skipped");
         assert_eq!(t.sentences_dropped, 2);
         assert_eq!(t.attempts, 0, "nothing was attempted");
@@ -1089,7 +1140,7 @@ mod tests {
         // the verdict is a deterministic one-sentence prefix.
         let r = resilient(DetectorConfig::default());
         let v = r.score_within(Q, CTX, PARTIAL, 0.001);
-        let t = v.telemetry().unwrap().clone();
+        let t = v.telemetry().clone();
         let result = v.into_result().expect("prefix must be scored");
         assert_eq!(result.sentences.len(), 1, "only the first sentence fits");
         assert_eq!(t.deadline_skips, 1);
@@ -1287,7 +1338,7 @@ mod tests {
         for resp in [CORRECT, PARTIAL, WRONG, CORRECT, WRONG] {
             for budget in [f64::INFINITY, 40.0] {
                 let v = r.score_within(Q, CTX, resp, budget);
-                let t = v.telemetry().expect("telemetry on both variants");
+                let t = v.telemetry();
                 want.calls += 1;
                 want.attempts += t.attempts;
                 want.retries += t.retries;

@@ -1,7 +1,4 @@
-//! Sentence-level scoring against a set of verifiers (Eq. 2–3).
-
-use slm_runtime::verifier::{VerificationRequest, YesNoVerifier};
-use text_engine::sentence::SentenceSplitter;
+//! Score validity for sentence-level probes (Eq. 2–3).
 
 /// `true` when `p` is a usable probability: finite and inside `[0, 1]`.
 ///
@@ -12,177 +9,9 @@ pub fn valid_probability(p: f64) -> bool {
     p.is_finite() && (0.0..=1.0).contains(&p)
 }
 
-/// Last-resort guard on the infallible scoring path: finite out-of-range
-/// values are clamped into `[0, 1]`; non-finite values collapse to the
-/// neutral 0.5 (the calibration prior's mean). Valid probabilities pass
-/// through bitwise-unchanged, so healthy verifiers are unaffected.
-pub fn clamp_probability(p: f64) -> f64 {
-    if p.is_finite() {
-        p.clamp(0.0, 1.0)
-    } else {
-        0.5
-    }
-}
-
-/// Raw per-model scores for one split sentence `r_{i,j}`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SentenceScores {
-    /// The sentence text.
-    pub sentence: String,
-    /// `s_{i,j}^(m)` for each model m, in verifier order.
-    pub per_model: Vec<f64>,
-}
-
-/// Split a response and score every sentence with every verifier (Eq. 3).
-///
-/// When `parallel` is set and there is more than one sentence, sentences are
-/// scored on scoped threads — the multi-SLM check is embarrassingly parallel
-/// and this is the latency the paper's "efficient" claim rests on.
-pub fn score_sentences(
-    question: &str,
-    context: &str,
-    response: &str,
-    verifiers: &[Box<dyn YesNoVerifier>],
-    parallel: bool,
-) -> Vec<SentenceScores> {
-    let sentences: Vec<String> = SentenceSplitter::new()
-        .split(response)
-        .into_iter()
-        .map(|s| s.text.to_string())
-        .collect();
-    score_given_sentences(question, context, &sentences, verifiers, parallel)
-}
-
-/// Score pre-split sentences (used by the detector and the no-split baseline).
-pub fn score_given_sentences(
-    question: &str,
-    context: &str,
-    sentences: &[String],
-    verifiers: &[Box<dyn YesNoVerifier>],
-    parallel: bool,
-) -> Vec<SentenceScores> {
-    let score_one = |sentence: &str| -> Vec<f64> {
-        let req = VerificationRequest::new(question, context, sentence);
-        verifiers
-            .iter()
-            .map(|v| clamp_probability(v.p_yes(&req)))
-            .collect()
-    };
-
-    if parallel && sentences.len() > 1 {
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = sentences
-                .iter()
-                .map(|sentence| {
-                    scope.spawn(move || SentenceScores {
-                        sentence: sentence.clone(),
-                        per_model: score_one(sentence),
-                    })
-                })
-                .collect();
-            // joining in spawn order keeps results in sentence order; a
-            // worker's panic payload is propagated, not replaced
-            handles
-                .into_iter()
-                .map(|h| {
-                    h.join()
-                        .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
-                })
-                .collect()
-        })
-    } else {
-        sentences
-            .iter()
-            .map(|s| SentenceScores {
-                sentence: s.clone(),
-                per_model: score_one(s),
-            })
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use slm_runtime::profiles::{minicpm_sim, qwen2_sim};
-
-    fn verifiers() -> Vec<Box<dyn YesNoVerifier>> {
-        vec![Box::new(qwen2_sim()), Box::new(minicpm_sim())]
-    }
-
-    const CTX: &str = "The store operates from 9 AM to 5 PM, from Sunday to Saturday.";
-    const Q: &str = "What are the working hours?";
-    const RESP: &str =
-        "The working hours are 9 AM to 5 PM. The store is open from Monday to Friday.";
-
-    #[test]
-    fn one_entry_per_sentence_and_model() {
-        let scores = score_sentences(Q, CTX, RESP, &verifiers(), false);
-        assert_eq!(scores.len(), 2);
-        for s in &scores {
-            assert_eq!(s.per_model.len(), 2);
-            assert!(s.per_model.iter().all(|p| (0.0..=1.0).contains(p)));
-        }
-    }
-
-    #[test]
-    fn correct_sentence_outscores_wrong_one() {
-        let scores = score_sentences(Q, CTX, RESP, &verifiers(), false);
-        // sentence 0 is correct, sentence 1 has the wrong day range
-        let avg = |s: &SentenceScores| s.per_model.iter().sum::<f64>() / s.per_model.len() as f64;
-        assert!(avg(&scores[0]) > avg(&scores[1]), "{scores:?}");
-    }
-
-    #[test]
-    fn parallel_equals_sequential() {
-        let seq = score_sentences(Q, CTX, RESP, &verifiers(), false);
-        let par = score_sentences(Q, CTX, RESP, &verifiers(), true);
-        assert_eq!(seq, par);
-    }
-
-    #[test]
-    fn empty_response_yields_no_scores() {
-        assert!(score_sentences(Q, CTX, "", &verifiers(), false).is_empty());
-    }
-
-    #[test]
-    fn single_sentence_no_split_needed() {
-        let scores = score_sentences(
-            Q,
-            CTX,
-            "The working hours are 9 AM to 5 PM.",
-            &verifiers(),
-            true,
-        );
-        assert_eq!(scores.len(), 1);
-    }
-
-    struct Evil(f64);
-    impl YesNoVerifier for Evil {
-        fn name(&self) -> &str {
-            "evil"
-        }
-        fn p_yes(&self, _request: &VerificationRequest<'_>) -> f64 {
-            self.0
-        }
-    }
-
-    #[test]
-    fn garbage_scores_are_clamped_into_unit_interval() {
-        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -0.25, 1.5] {
-            let vs: Vec<Box<dyn YesNoVerifier>> = vec![Box::new(Evil(bad))];
-            let scores = score_given_sentences(Q, CTX, &["s.".to_string()], &vs, false);
-            let p = scores[0].per_model[0];
-            assert!((0.0..=1.0).contains(&p), "{bad} -> {p}");
-        }
-    }
-
-    #[test]
-    fn valid_scores_pass_through_bitwise_unchanged() {
-        for good in [0.0, 0.3, 0.999, 1.0] {
-            assert_eq!(clamp_probability(good).to_bits(), good.to_bits());
-        }
-    }
 
     #[test]
     fn probability_validity_classification() {
@@ -193,19 +22,5 @@ mod tests {
         assert!(!valid_probability(f64::INFINITY));
         assert!(!valid_probability(-0.01));
         assert!(!valid_probability(1.01));
-    }
-
-    #[test]
-    fn verifier_order_is_preserved() {
-        let vs = verifiers();
-        let scores = score_sentences(Q, CTX, "The working hours are 9 AM to 5 PM.", &vs, false);
-        // recompute directly per verifier to confirm column order
-        let req = slm_runtime::verifier::VerificationRequest::new(
-            Q,
-            CTX,
-            "The working hours are 9 AM to 5 PM.",
-        );
-        assert_eq!(scores[0].per_model[0], vs[0].p_yes(&req));
-        assert_eq!(scores[0].per_model[1], vs[1].p_yes(&req));
     }
 }

@@ -17,7 +17,7 @@
 //!   dataset's *partial*/*wrong* responses.
 //! * [`pipeline`] — ingestion + retrieval + generation glued together.
 //! * [`verified`] — the guarded-QA loop: answers are verified before they
-//!   are served, with a fault-tolerant variant that degrades gracefully.
+//!   are served, degrading gracefully when verifiers fail.
 //! * [`serving`] — the overload-resilient serving runtime: admission
 //!   control, deadline budgets, load shedding, and graceful drain on a
 //!   deterministic virtual clock.
@@ -49,6 +49,4 @@ pub use serving::{
     AbortedRequest, Disposition, Priority, RequestOutcome, ServingConfig, ServingRuntime,
     ServingStats, ShardIdentity, ShedPolicy, ShedReason,
 };
-pub use verified::{
-    FailurePolicy, GuardedAnswer, ResilientAnswer, ResilientVerifiedPipeline, VerifiedRagPipeline,
-};
+pub use verified::{FailurePolicy, ResilientAnswer, ResilientVerifiedPipeline};

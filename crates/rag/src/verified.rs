@@ -1,140 +1,20 @@
 //! The guarded QA pipeline: answer, verify, explain — one call.
 //!
-//! [`VerifiedRagPipeline`] is the downstream-user API the README's
-//! `hr_assistant` example assembles by hand: RAG generation (Fig. 2a) with
-//! the detection framework (Fig. 2b) bolted on, returning either a served
-//! answer or a structured refusal with the suspected hallucination.
-//!
-//! [`ResilientVerifiedPipeline`] is the fault-tolerant variant: it runs the
-//! same guard through [`ResilientDetector`], and a [`FailurePolicy`] knob
-//! decides what happens when every verifier is down and the detector
-//! abstains — serve unverified (fail-open), block (fail-closed), or surface
-//! the abstention to the caller.
+//! [`ResilientVerifiedPipeline`] is the downstream-user API the README's
+//! `hr_assistant` example uses: RAG generation (Fig. 2a) with the detection
+//! framework (Fig. 2b) run through [`ResilientDetector`], returning a served
+//! answer or a structured refusal with the suspected hallucination. A
+//! [`FailurePolicy`] knob decides what happens when every verifier is down
+//! and the detector abstains — serve unverified (fail-open), block
+//! (fail-closed), or surface the abstention to the caller.
 
-use hallu_core::{
-    explain, Confidence, HallucinationDetector, ResilienceTelemetry, ResilientDetector, Verdict,
-};
+use hallu_core::{explain, Confidence, ResilienceTelemetry, ResilientDetector, Verdict};
 use hallu_obs::Obs;
 use vectordb::error::VectorDbError;
 use vectordb::index::VectorIndex;
 
 use crate::generate::GenerationMode;
 use crate::pipeline::{RagAnswer, RagPipeline};
-
-/// Outcome of a guarded question.
-#[derive(Debug, Clone, PartialEq)]
-pub enum GuardedAnswer {
-    /// The answer passed verification.
-    Served {
-        /// The generated answer and its provenance.
-        answer: RagAnswer,
-        /// The verification score `s_i`.
-        score: f64,
-        /// Verdict confidence.
-        confidence: Confidence,
-    },
-    /// The answer was blocked.
-    Blocked {
-        /// The answer that was withheld (for logging/review).
-        answer: RagAnswer,
-        /// The verification score `s_i`.
-        score: f64,
-        /// The sentence most likely hallucinated.
-        suspected_sentence: Option<String>,
-    },
-}
-
-impl GuardedAnswer {
-    /// Whether the answer was served.
-    pub fn is_served(&self) -> bool {
-        matches!(self, GuardedAnswer::Served { .. })
-    }
-
-    /// The verification score either way.
-    pub fn score(&self) -> f64 {
-        match self {
-            GuardedAnswer::Served { score, .. } | GuardedAnswer::Blocked { score, .. } => *score,
-        }
-    }
-}
-
-/// RAG + verification under one roof.
-pub struct VerifiedRagPipeline<I> {
-    rag: RagPipeline<I>,
-    detector: HallucinationDetector,
-    /// Serve when `s_i >= threshold`.
-    pub threshold: f64,
-}
-
-impl<I: VectorIndex> VerifiedRagPipeline<I> {
-    /// Assemble from a RAG pipeline and a (possibly pre-calibrated) detector.
-    pub fn new(rag: RagPipeline<I>, detector: HallucinationDetector, threshold: f64) -> Self {
-        Self {
-            rag,
-            detector,
-            threshold,
-        }
-    }
-
-    /// The wrapped RAG pipeline (ingestion etc.).
-    pub fn rag(&self) -> &RagPipeline<I> {
-        &self.rag
-    }
-
-    /// Warm the detector's Eq. 4 statistics by answering (and discarding)
-    /// a list of representative questions.
-    ///
-    /// # Errors
-    /// Propagates retrieval failures.
-    pub fn warm_up(&mut self, questions: &[&str]) -> Result<(), VectorDbError> {
-        for q in questions {
-            let a = self.rag.answer(q, GenerationMode::Correct)?;
-            self.detector
-                .calibrate(&a.question, &a.context, &a.response);
-        }
-        Ok(())
-    }
-
-    /// Answer a question and verify the answer before serving it.
-    ///
-    /// The verification also feeds the running Eq. 4 statistics, so the
-    /// detector keeps calibrating on live traffic.
-    ///
-    /// # Errors
-    /// Propagates retrieval failures.
-    pub fn ask(&mut self, question: &str) -> Result<GuardedAnswer, VectorDbError> {
-        // Production mode generates faithfully; hallucinations come from the
-        // generator's own failures (simulated upstream), not injected here.
-        let answer = self.rag.answer(question, GenerationMode::Correct)?;
-        self.ask_with(answer)
-    }
-
-    /// Verify an externally produced answer (e.g. from a different LLM).
-    ///
-    /// # Errors
-    /// Never fails today; `Result` keeps the signature uniform with `ask`.
-    pub fn ask_with(&mut self, answer: RagAnswer) -> Result<GuardedAnswer, VectorDbError> {
-        self.detector
-            .calibrate(&answer.question, &answer.context, &answer.response);
-        let result = self
-            .detector
-            .score(&answer.question, &answer.context, &answer.response);
-        let verdict = explain(&result, self.threshold);
-        Ok(if verdict.accepted {
-            GuardedAnswer::Served {
-                answer,
-                score: result.score,
-                confidence: verdict.confidence,
-            }
-        } else {
-            GuardedAnswer::Blocked {
-                answer,
-                score: result.score,
-                suspected_sentence: verdict.weakest_sentence.map(|(s, _)| s),
-            }
-        })
-    }
-}
 
 /// What to do with an answer when verification abstains (every verifier
 /// failed and no sentence could be scored).
@@ -379,8 +259,9 @@ impl<I: VectorIndex> ResilientVerifiedPipeline<I> {
 
     /// Verify an externally produced answer (e.g. from a different LLM).
     ///
-    /// Like [`VerifiedRagPipeline::ask_with`], live traffic keeps feeding
-    /// the Eq. 4 statistics (invalid scores are never observed).
+    /// The verification also feeds the running Eq. 4 statistics, so the
+    /// detector keeps calibrating on live traffic (invalid scores are never
+    /// observed).
     pub fn ask_with(&mut self, answer: RagAnswer) -> ResilientAnswer {
         self.ask_within(answer, f64::INFINITY)
     }
@@ -416,9 +297,7 @@ impl<I: VectorIndex> ResilientVerifiedPipeline<I> {
                         ],
                     );
                 }
-                let telemetry = result
-                    .resilience
-                    .unwrap_or_else(hallu_core::ResilienceTelemetry::empty);
+                let telemetry = result.resilience;
                 if verdict.accepted {
                     ResilientAnswer::Served {
                         answer,
@@ -479,7 +358,12 @@ mod tests {
     use vectordb::flat::FlatIndex;
     use vectordb::metric::Metric;
 
-    fn guarded() -> VerifiedRagPipeline<FlatIndex> {
+    /// The handbook RAG pipeline guarded by `detector`, warmed up on four
+    /// representative questions.
+    fn guarded_by(
+        detector: ResilientDetector,
+        policy: FailurePolicy,
+    ) -> ResilientVerifiedPipeline<FlatIndex> {
         let collection = Collection::new(
             Box::new(HashingEmbedder::new(128, 3)),
             FlatIndex::new(128, Metric::Cosine),
@@ -497,14 +381,7 @@ mod tests {
             "leave",
         )
         .unwrap();
-        let detector = HallucinationDetector::new(
-            vec![
-                Box::new(qwen2_sim()) as Box<dyn YesNoVerifier>,
-                Box::new(minicpm_sim()) as Box<dyn YesNoVerifier>,
-            ],
-            DetectorConfig::default(),
-        );
-        let mut p = VerifiedRagPipeline::new(rag, detector, 0.45);
+        let mut p = ResilientVerifiedPipeline::new(rag, detector, 0.45, policy);
         p.warm_up(&[
             "From what time does the store operate?",
             "How many days of annual leave per year?",
@@ -515,12 +392,26 @@ mod tests {
         p
     }
 
+    /// Guarded by fault-free verifiers.
+    fn guarded() -> ResilientVerifiedPipeline<FlatIndex> {
+        let detector = ResilientDetector::reliable(
+            vec![
+                Box::new(qwen2_sim()) as Box<dyn YesNoVerifier>,
+                Box::new(minicpm_sim()) as Box<dyn YesNoVerifier>,
+            ],
+            DetectorConfig::default(),
+        )
+        .unwrap();
+        guarded_by(detector, FailurePolicy::FailClosed)
+    }
+
     #[test]
     fn faithful_answers_are_served() {
         let mut p = guarded();
-        let outcome = p.ask("From what time does the store operate?").unwrap();
-        assert!(outcome.is_served(), "{outcome:?}");
-        assert!(outcome.score() >= p.threshold);
+        match p.ask("From what time does the store operate?").unwrap() {
+            ResilientAnswer::Served { score, .. } => assert!(score >= p.threshold),
+            other => panic!("expected Served, got {other:?}"),
+        }
     }
 
     #[test]
@@ -533,9 +424,8 @@ mod tests {
                 GenerationMode::Wrong,
             )
             .unwrap();
-        let outcome = p.ask_with(bad).unwrap();
-        match outcome {
-            GuardedAnswer::Blocked {
+        match p.ask_with(bad) {
+            ResilientAnswer::Blocked {
                 suspected_sentence,
                 score,
                 ..
@@ -550,8 +440,12 @@ mod tests {
     #[test]
     fn scores_accessible_either_way() {
         let mut p = guarded();
-        let outcome = p.ask("How many days of annual leave per year?").unwrap();
-        assert!((0.0..=1.0).contains(&outcome.score()));
+        match p.ask("How many days of annual leave per year?").unwrap() {
+            ResilientAnswer::Served { score, .. } | ResilientAnswer::Blocked { score, .. } => {
+                assert!((0.0..=1.0).contains(&score));
+            }
+            other => panic!("fault-free verification must score, got {other:?}"),
+        }
     }
 
     fn resilient_guarded(
@@ -559,39 +453,13 @@ mod tests {
         policy: FailurePolicy,
     ) -> ResilientVerifiedPipeline<FlatIndex> {
         use slm_runtime::{FallibleVerifier, FaultInjector, Reliable};
-        let collection = Collection::new(
-            Box::new(HashingEmbedder::new(128, 3)),
-            FlatIndex::new(128, Metric::Cosine),
-        );
-        let rag = RagPipeline::new(collection, 7).with_llm(crate::generate::SimulatedLlm::new(2));
-        rag.ingest(
-            "The store operates from 9 AM to 5 PM, from Sunday to Saturday. There should be \
-             at least three shopkeepers to run a shop.",
-            "hours",
-        )
-        .unwrap();
-        rag.ingest(
-            "Annual leave entitlement is 14 days per calendar year. Unused leave carries over \
-             for three months.",
-            "leave",
-        )
-        .unwrap();
         let [p0, p1] = profiles;
         let verifiers: Vec<Box<dyn FallibleVerifier>> = vec![
             Box::new(FaultInjector::new(Reliable::new(qwen2_sim()), p0)),
             Box::new(FaultInjector::new(Reliable::new(minicpm_sim()), p1)),
         ];
-        let detector =
-            hallu_core::ResilientDetector::try_new(verifiers, DetectorConfig::default()).unwrap();
-        let mut p = ResilientVerifiedPipeline::new(rag, detector, 0.45, policy);
-        p.warm_up(&[
-            "From what time does the store operate?",
-            "How many days of annual leave per year?",
-            "How many shopkeepers run a shop?",
-            "Can unused leave be carried over?",
-        ])
-        .unwrap();
-        p
+        let detector = ResilientDetector::try_new(verifiers, DetectorConfig::default()).unwrap();
+        guarded_by(detector, policy)
     }
 
     #[test]
@@ -609,7 +477,8 @@ mod tests {
             let a = plain.ask(q).unwrap();
             let b = res.ask(q).unwrap();
             assert!(b.is_verified());
-            assert_eq!(a.is_served(), b.is_served(), "{q}");
+            // the fault injector at zero faults changes no bit of the answer
+            assert_eq!(a, b, "{q}");
             assert_eq!(
                 b.telemetry().degradation,
                 hallu_core::DegradationLevel::Full

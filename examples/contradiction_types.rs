@@ -5,7 +5,7 @@
 //! cargo run -p bench --example contradiction_types
 //! ```
 
-use hallu_core::{DetectorConfig, HallucinationDetector};
+use hallu_core::{DetectorConfig, ResilientDetector};
 use slm_runtime::profiles::{minicpm_sim, qwen2_sim};
 use slm_runtime::verifier::YesNoVerifier;
 
@@ -55,22 +55,25 @@ const CASES: &[Case] = &[
 fn main() {
     println!("Table I — contradiction types and detector scores\n");
     for case in CASES {
-        let mut detector = HallucinationDetector::new(
+        let mut detector = ResilientDetector::reliable(
             vec![
                 Box::new(qwen2_sim()) as Box<dyn YesNoVerifier>,
                 Box::new(minicpm_sim()) as Box<dyn YesNoVerifier>,
             ],
             DetectorConfig::default(),
-        );
+        )
+        .expect("two verifiers");
         for r in [case.faithful, case.hallucinated, case.context] {
             detector.calibrate(case.question, case.context, r);
         }
-        let good = detector
-            .score(case.question, case.context, case.faithful)
-            .score;
-        let bad = detector
-            .score(case.question, case.context, case.hallucinated)
-            .score;
+        let score = |response| {
+            detector
+                .score(case.question, case.context, response)
+                .score()
+                .expect("fault-free verifiers never abstain")
+        };
+        let good = score(case.faithful);
+        let bad = score(case.hallucinated);
         println!("== {} contradiction ==", case.kind);
         println!("prompt:       {}", case.question);
         println!("faithful:     s = {good:.3}");

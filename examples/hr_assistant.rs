@@ -6,15 +6,17 @@
 //! ```
 //!
 //! This is the full Fig. 2 flow through the high-level
-//! [`rag::VerifiedRagPipeline`] API: (a) vector-DB retrieval + generation,
-//! then (b) the proposed verification framework deciding whether each
-//! generated answer is safe to show. Hallucinations are injected into some
-//! answers to demonstrate the guardrail firing with its explanation.
+//! [`rag::ResilientVerifiedPipeline`] API: (a) vector-DB retrieval +
+//! generation, then (b) the proposed verification framework deciding whether
+//! each generated answer is safe to show. The guard fails closed: an answer
+//! no verifier could check is withheld, never served unverified.
+//! Hallucinations are injected into some answers to demonstrate the
+//! guardrail firing with its explanation.
 
-use hallu_core::{DetectorConfig, HallucinationDetector};
+use hallu_core::{DetectorConfig, ResilientDetector};
 use rag::generate::GenerationMode;
 use rag::pipeline::RagPipeline;
-use rag::verified::{GuardedAnswer, VerifiedRagPipeline};
+use rag::verified::{FailurePolicy, ResilientAnswer, ResilientVerifiedPipeline};
 use slm_runtime::profiles::{minicpm_sim, qwen2_sim};
 use slm_runtime::verifier::YesNoVerifier;
 use vectordb::collection::Collection;
@@ -61,7 +63,7 @@ fn main() {
     }
 
     // 2. The verification guardrail, wrapped with the RAG pipeline.
-    let detector = HallucinationDetector::new(
+    let detector = ResilientDetector::reliable(
         vec![
             Box::new(qwen2_sim()) as Box<dyn YesNoVerifier>,
             Box::new(minicpm_sim()) as Box<dyn YesNoVerifier>,
@@ -70,8 +72,10 @@ fn main() {
             parallel: true,
             ..Default::default()
         },
-    );
-    let mut assistant = VerifiedRagPipeline::new(rag, detector, 0.40);
+    )
+    .expect("two verifiers");
+    let mut assistant =
+        ResilientVerifiedPipeline::new(rag, detector, 0.40, FailurePolicy::FailClosed);
     assistant
         .warm_up(&[
             "From what time does the store operate?",
@@ -107,25 +111,33 @@ fn main() {
     ];
     for (question, mode) in traffic {
         let answer = assistant.rag().answer(question, mode).expect("rag answer");
-        match assistant.ask_with(answer).expect("verify") {
-            GuardedAnswer::Served {
+        match assistant.ask_with(answer) {
+            ResilientAnswer::Served {
                 answer,
                 score,
                 confidence,
+                ..
             } => {
                 println!("SERVE  (s={score:.3}, {confidence:?}) Q: {question}");
                 println!("        A: {}", answer.response);
             }
-            GuardedAnswer::Blocked {
+            ResilientAnswer::Blocked {
                 answer,
                 score,
                 suspected_sentence,
+                ..
             } => {
                 println!("BLOCK  (s={score:.3}) Q: {question}");
                 println!("        withheld: {}", answer.response);
                 if let Some(s) = suspected_sentence {
                     println!("        suspected hallucination: \"{s}\"");
                 }
+            }
+            // fail-closed: an answer no verifier could score is withheld
+            ResilientAnswer::Unverified { answer, .. }
+            | ResilientAnswer::Abstained { answer, .. } => {
+                println!("BLOCK  (unverified) Q: {question}");
+                println!("        withheld: {}", answer.response);
             }
         }
         println!();

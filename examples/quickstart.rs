@@ -9,7 +9,7 @@
 //! own running example: correct, partially-correct and wrong answers about
 //! store working hours.
 
-use hallu_core::{DetectorConfig, HallucinationDetector};
+use hallu_core::{DetectorConfig, ResilientDetector};
 use slm_runtime::profiles::{minicpm_sim, qwen2_sim};
 use slm_runtime::verifier::YesNoVerifier;
 
@@ -20,14 +20,16 @@ fn main() {
     let question = "What are the working hours?";
 
     // The proposed framework: Qwen2 + MiniCPM, sentence splitting, per-model
-    // normalization, harmonic-mean checker.
-    let mut detector = HallucinationDetector::new(
+    // normalization, harmonic-mean checker. `reliable` wraps verifiers that
+    // cannot fail; fallible ones go through `ResilientDetector::try_new`.
+    let mut detector = ResilientDetector::reliable(
         vec![
             Box::new(qwen2_sim()) as Box<dyn YesNoVerifier>,
             Box::new(minicpm_sim()) as Box<dyn YesNoVerifier>,
         ],
         DetectorConfig::default(),
-    );
+    )
+    .expect("two verifiers");
 
     // Calibrate the per-model score statistics on previous traffic.
     for previous in [
@@ -60,7 +62,10 @@ fn main() {
 
     println!("question: {question}\ncontext:  {context}\n");
     for (label, answer) in answers {
-        let result = detector.score(question, context, answer);
+        let result = detector
+            .score(question, context, answer)
+            .into_result()
+            .expect("fault-free verifiers never abstain");
         println!("[{label}] s_i = {:.3}   {answer}", result.score);
         for s in &result.sentences {
             println!("         {:.3}  <- {}", s.combined, s.sentence);

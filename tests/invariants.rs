@@ -22,7 +22,10 @@ proptest! {
         if calibrate {
             detector.calibrate(&question, &context, &response);
         }
-        let result = detector.score(&question, &context, &response);
+        let result = detector
+            .score(&question, &context, &response)
+            .into_result()
+            .expect("fault-free verifiers never abstain");
         prop_assert!((0.0..=1.0).contains(&result.score), "score {}", result.score);
         for s in &result.sentences {
             prop_assert!((0.0..=1.0).contains(&s.combined));
@@ -43,7 +46,10 @@ proptest! {
         let mut detector = build_detector(Approach::Proposed, mean);
         let ctx = "The store operates from 9 AM to 5 PM, from Sunday to Saturday.";
         detector.calibrate("q", ctx, "The store opens at 9 AM.");
-        let result = detector.score("q", ctx, &response);
+        let result = detector
+            .score("q", ctx, &response)
+            .into_result()
+            .expect("fault-free verifiers never abstain");
         if result.sentences.is_empty() {
             prop_assert_eq!(result.score, 0.0);
         } else {
@@ -84,7 +90,10 @@ proptest! {
         let mut detector = build_detector(Approach::Qwen2Only, AggregationMean::Harmonic);
         let ctx = "Some context.";
         detector.calibrate("q", ctx, "Some response.");
-        let result = detector.score("q", ctx, &response);
+        let result = detector
+            .score("q", ctx, &response)
+            .into_result()
+            .expect("fault-free verifiers never abstain");
         let total: usize = response.chars().filter(|c| c.is_alphanumeric()).count();
         let kept: usize = result
             .sentences
@@ -110,14 +119,14 @@ proptest! {
 
         let ctx = "The store operates from 9 AM to 5 PM, from Sunday to Saturday.";
         let rate = fault_pct as f64 * 0.1;
-        // plain detector: parallel flag must not change a single bit
-        let plain = |parallel: bool| {
+        // fault-free detector: parallel flag must not change a single bit
+        let fault_free = |parallel: bool| {
             let mut d = build_detector(Approach::Proposed, AggregationMean::Harmonic);
             d.config.parallel = parallel;
             d.calibrate("q", ctx, "The store opens at 9 AM.");
             d.score("q", ctx, &response)
         };
-        prop_assert_eq!(plain(false), plain(true));
+        prop_assert_eq!(fault_free(false), fault_free(true));
         // resilient detector under injected faults: same guarantee
         let resilient = |parallel: bool| {
             let verifiers: Vec<Box<dyn FallibleVerifier>> = vec![
@@ -151,7 +160,7 @@ proptest! {
     ) {
         let ctx = "The store operates from 9 AM to 5 PM, from Sunday to Saturday.";
         let build = |normalize: bool| {
-            let mut d = hallu_core::HallucinationDetector::new(
+            let mut d = hallu_core::ResilientDetector::reliable(
                 vec![Box::new(slm_runtime::profiles::qwen2_sim())
                     as Box<dyn slm_runtime::verifier::YesNoVerifier>],
                 hallu_core::DetectorConfig {
@@ -159,7 +168,8 @@ proptest! {
                     normalize,
                     ..Default::default()
                 },
-            );
+            )
+            .expect("one verifier");
             for i in 0..10 {
                 d.calibrate("q", ctx, &format!("The store opens at {} AM.", 8 + i % 3));
             }
@@ -167,8 +177,11 @@ proptest! {
         };
         let norm = build(true);
         let raw = build(false);
-        let (na, nb) = (norm.score("q", ctx, &a).score, norm.score("q", ctx, &b).score);
-        let (ra, rb) = (raw.score("q", ctx, &a).score, raw.score("q", ctx, &b).score);
+        let score = |d: &hallu_core::ResilientDetector, r: &str| {
+            d.score("q", ctx, r).score().expect("fault-free verifiers never abstain")
+        };
+        let (na, nb) = (score(&norm, &a), score(&norm, &b));
+        let (ra, rb) = (score(&raw, &a), score(&raw, &b));
         // strict order must agree (ties may resolve either way)
         if ra > rb + 1e-12 {
             prop_assert!(na >= nb - 1e-12, "normalization flipped the order");

@@ -9,6 +9,8 @@ use hallu_core::{
     explain, response_features, AggregationMean, DriftMonitor, DriftStatus, LogisticCombiner,
 };
 use hallu_dataset::{DatasetBuilder, ResponseLabel};
+use slm_runtime::{CacheConfig, VerificationCache};
+use std::sync::Arc;
 
 /// The full production loop: calibrate → fit threshold → explain verdicts.
 #[test]
@@ -27,7 +29,10 @@ fn calibrate_fit_explain_loop() {
     // sentence.
     let set = &dataset.sets[0];
     let wrong = set.response(ResponseLabel::Wrong);
-    let result = detector.score(&set.question, &set.context, &wrong.text);
+    let result = detector
+        .score(&set.question, &set.context, &wrong.text)
+        .into_result()
+        .expect("fault-free verifiers never abstain");
     let explanation = explain(&result, fitted.threshold);
     assert!(
         !explanation.accepted,
@@ -49,7 +54,7 @@ fn calibration_persistence_roundtrip() {
     let restored: hallu_core::ModelNormalizer = serde_json::from_str(&json).unwrap();
 
     let mut fresh = build_detector(Approach::Proposed, AggregationMean::Harmonic);
-    fresh.set_normalizer(restored);
+    fresh.try_set_normalizer(restored).unwrap();
     let set = &dataset.sets[0];
     let r = &set.response(ResponseLabel::Partial).text;
     assert_eq!(
@@ -93,13 +98,18 @@ fn drift_monitor_flags_domain_shift() {
     assert_eq!(shifted.status(), DriftStatus::Drifted);
 }
 
-/// Batch scoring over a dataset slice matches one-by-one scoring.
+/// Batched scoring over a dataset slice (every cell prefetched on parallel
+/// workers into a verification cache) matches one-by-one scoring.
 #[test]
 fn batch_scoring_is_consistent() {
     let dataset = DatasetBuilder::new(21, 6).build();
-    let mut detector = build_detector(Approach::Proposed, AggregationMean::Harmonic);
-    let _ = score_dataset_with(&mut detector, &dataset);
-    detector.config.parallel = true;
+    let mut sequential = build_detector(Approach::Proposed, AggregationMean::Harmonic);
+    let _ = score_dataset_with(&mut sequential, &dataset);
+    let mut batched = build_detector(Approach::Proposed, AggregationMean::Harmonic);
+    let _ = score_dataset_with(&mut batched, &dataset);
+    batched.config.parallel = true;
+    let cache = Arc::new(VerificationCache::new(CacheConfig::default()));
+    batched.set_cache(Arc::clone(&cache));
 
     let items: Vec<(&str, &str, &str)> = dataset
         .sets
@@ -110,11 +120,15 @@ fn batch_scoring_is_consistent() {
                 .map(move |r| (s.question.as_str(), s.context.as_str(), r.text.as_str()))
         })
         .collect();
-    let batch = detector.score_batch(&items);
+    let batch = batched.score_all(&items);
     assert_eq!(batch.len(), items.len());
-    for ((q, c, r), result) in items.iter().zip(&batch) {
-        assert_eq!(result, &detector.score(q, c, r));
+    for ((q, c, r), verdict) in items.iter().zip(&batch) {
+        assert_eq!(verdict, &sequential.score(q, c, r));
     }
+    assert!(
+        cache.stats().hits > 0,
+        "scoring must replay the prefetched cells"
+    );
 }
 
 /// The learned meta-checker generalizes across dataset seeds.
@@ -129,7 +143,10 @@ fn learned_combiner_transfers_across_seeds() {
         ds.iter_examples()
             .filter(|(_, r)| r.label != ResponseLabel::Wrong)
             .map(|(s, r)| {
-                let result = detector.score(&s.question, &s.context, &r.text);
+                let result = detector
+                    .score(&s.question, &s.context, &r.text)
+                    .into_result()
+                    .expect("fault-free verifiers never abstain");
                 (
                     response_features(&result),
                     r.label == ResponseLabel::Correct,

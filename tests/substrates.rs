@@ -2,7 +2,7 @@
 //! with its tokenizer, the vector database inside the RAG pipeline, and the
 //! splitter feeding the detector.
 
-use hallu_core::{DetectorConfig, HallucinationDetector};
+use hallu_core::{DetectorConfig, ResilientDetector};
 use rag::generate::GenerationMode;
 use rag::pipeline::RagPipeline;
 use slm_runtime::bpe::Bpe;
@@ -102,13 +102,14 @@ fn rag_to_detector_roundtrip() {
         )
         .unwrap();
 
-    let mut detector = HallucinationDetector::new(
+    let mut detector = ResilientDetector::reliable(
         vec![
             Box::new(qwen2_sim()) as Box<dyn YesNoVerifier>,
             Box::new(minicpm_sim()) as Box<dyn YesNoVerifier>,
         ],
         DetectorConfig::default(),
-    );
+    )
+    .unwrap();
 
     let question = "From what time does the store operate?";
     let good = pipeline.answer(question, GenerationMode::Correct).unwrap();
@@ -127,10 +128,12 @@ fn rag_to_detector_roundtrip() {
 
     let sg = detector
         .score(&good.question, &good.context, &good.response)
-        .score;
+        .score()
+        .unwrap();
     let sb = detector
         .score(&bad.question, &bad.context, &bad.response)
-        .score;
+        .score()
+        .unwrap();
     assert!(sg > sb, "grounded {sg} vs injected {sb}");
 }
 
@@ -162,14 +165,18 @@ fn hybrid_retrieval_end_to_end() {
 /// The splitter's sentence count drives the detector's per-sentence report.
 #[test]
 fn splitter_and_detector_agree_on_sentence_counts() {
-    let mut detector = HallucinationDetector::new(
+    let mut detector = ResilientDetector::reliable(
         vec![Box::new(qwen2_sim()) as Box<dyn YesNoVerifier>],
         DetectorConfig::default(),
-    );
+    )
+    .unwrap();
     let ctx = "The store opens at 9 AM. Dr. Lee manages the floor.";
     detector.calibrate("q", ctx, "The store opens at 9 AM.");
     let response = "The store opens at 9 AM. Dr. Lee manages the floor. Ask at the desk.";
-    let result = detector.score("who manages the floor?", ctx, response);
+    let result = detector
+        .score("who manages the floor?", ctx, response)
+        .into_result()
+        .unwrap();
     assert_eq!(
         result.sentences.len(),
         text_engine::split_sentences(response).len()
