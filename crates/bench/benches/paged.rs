@@ -8,26 +8,13 @@
 
 use std::sync::Arc;
 
+use bench::sweep::tokens;
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use slm_runtime::{ModelConfig, PagedKvPool, PagedPoolConfig, TransformerLM};
 
 const VOCAB: usize = 2048;
 const PREFIX_LENS: [usize; 3] = [32, 128, 224];
 const SUFFIX_LEN: usize = 16;
-
-/// Deterministic pseudo-random token ids (no tokenizer needed: prefill
-/// operates on raw ids).
-fn tokens(seed: u64, len: usize) -> Vec<u32> {
-    let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
-    (0..len)
-        .map(|_| {
-            state = state
-                .wrapping_mul(6_364_136_223_846_793_005)
-                .wrapping_add(1_442_695_040_888_963_407);
-            ((state >> 33) % VOCAB as u64) as u32
-        })
-        .collect()
-}
 
 fn bench_fork(c: &mut Criterion) {
     let model = TransformerLM::synthetic(ModelConfig::qwen2_like(VOCAB), 0xF222);
@@ -38,7 +25,7 @@ fn bench_fork(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("kv_fork");
     for &plen in &PREFIX_LENS {
-        let prefix = tokens(plen as u64, plen);
+        let prefix = tokens(plen as u64, plen, VOCAB);
         let need = plen + SUFFIX_LEN;
 
         let mut warm = model.new_cache_with_capacity(need);

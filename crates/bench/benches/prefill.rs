@@ -12,6 +12,7 @@
 
 use std::sync::Arc;
 
+use bench::sweep::tokens;
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use slm_runtime::{
     ModelConfig, PagedKvPool, PagedPoolConfig, PagedPrefixCache, PrefixCacheConfig, TransformerLM,
@@ -21,24 +22,10 @@ const VOCAB: usize = 2048;
 const PREFIX_LEN: usize = 128;
 const SUFFIX_LEN: usize = 16;
 
-/// Deterministic pseudo-random token ids (no tokenizer needed: prefill
-/// operates on raw ids).
-fn tokens(seed: u64, len: usize) -> Vec<u32> {
-    let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
-    (0..len)
-        .map(|_| {
-            state = state
-                .wrapping_mul(6_364_136_223_846_793_005)
-                .wrapping_add(1_442_695_040_888_963_407);
-            ((state >> 33) % VOCAB as u64) as u32
-        })
-        .collect()
-}
-
 fn bench_prefill(c: &mut Criterion) {
     let model = TransformerLM::synthetic(ModelConfig::qwen2_like(VOCAB), 0xF111);
-    let prefix = tokens(1, PREFIX_LEN);
-    let suffix = tokens(2, SUFFIX_LEN);
+    let prefix = tokens(1, PREFIX_LEN, VOCAB);
+    let suffix = tokens(2, SUFFIX_LEN, VOCAB);
     let full: Vec<u32> = prefix.iter().chain(&suffix).copied().collect();
 
     let mut group = c.benchmark_group("prefill_144_tokens");

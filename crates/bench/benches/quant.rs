@@ -7,6 +7,7 @@
 //! work (softmax, RoPE, norms) dominates and flattens the comparison. Record
 //! the headline numbers in EXPERIMENTS.md.
 
+use bench::sweep::tokens;
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use slm_runtime::{ModelConfig, Precision, QuantizedLM, TransformerLM};
 
@@ -14,26 +15,12 @@ const VOCAB: usize = 2048;
 const PREFIX_LEN: usize = 64;
 const DECODE_STEPS: usize = 8;
 
-/// Deterministic pseudo-random token ids (no tokenizer needed: prefill
-/// operates on raw ids).
-fn tokens(seed: u64, len: usize) -> Vec<u32> {
-    let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
-    (0..len)
-        .map(|_| {
-            state = state
-                .wrapping_mul(6_364_136_223_846_793_005)
-                .wrapping_add(1_442_695_040_888_963_407);
-            ((state >> 33) % VOCAB as u64) as u32
-        })
-        .collect()
-}
-
 fn bench_quant(c: &mut Criterion) {
     let cfg = ModelConfig::qwen2_wide(VOCAB);
     let f32_model = TransformerLM::synthetic(cfg.clone(), 0xF111);
     let int8_model = QuantizedLM::synthetic(cfg.with_precision(Precision::Int8), 0xF111);
-    let prompt = tokens(1, PREFIX_LEN);
-    let decode = tokens(2, DECODE_STEPS);
+    let prompt = tokens(1, PREFIX_LEN, VOCAB);
+    let decode = tokens(2, DECODE_STEPS, VOCAB);
 
     let mut group = c.benchmark_group(format!("quant_prefill_{PREFIX_LEN}_tokens"));
     group.bench_function("f32", |b| {

@@ -1,9 +1,9 @@
-//! Paged KV pool experiment: COW fork cost, bitwise parity, and continuous
-//! batching — the serving-side half of the prefix-sharing story.
+//! Paged KV pool experiment: COW fork cost and bitwise parity — the
+//! serving-side half of the prefix-sharing story.
 //!
 //! Four claims, each checked with `assert!` so the sweep doubles as a
-//! regression gate (the `fork_speedup ...` / `paged_pool ...` /
-//! `continuous_joins ...` lines are grepped by the CI `paged-smoke` job):
+//! regression gate (the `fork_speedup ...` / `fork_flatness ...` /
+//! `paged_pool ...` lines are grepped by the CI `paged-smoke` job):
 //!
 //! 1. **Parity** — a paged probe (pooled prefill, COW fork, suffix-only
 //!    extend) returns bitwise-identical logits to a cold contiguous
@@ -20,14 +20,11 @@
 //!    both actually observed.
 
 use std::sync::Arc;
-use std::time::Instant;
 
+use bench::sweep::{best_of_3, bits, tokens};
 use bench::{save_record, RESULTS_PATH};
 use eval::report::ExperimentRecord;
-use slm_runtime::{
-    ContinuousBatcher, ContinuousBatcherConfig, ModelConfig, PagedKvPool, PagedPoolConfig,
-    PrefillStream, TransformerLM, PREFILL_BLOCK,
-};
+use slm_runtime::{ModelConfig, PagedKvPool, PagedPoolConfig, TransformerLM};
 
 const VOCAB: usize = 8192;
 const MODEL_SEED: u64 = 0xF222;
@@ -37,48 +34,18 @@ const SUFFIX_LEN: usize = 16;
 /// timing batches keeps the clock granularity out of the ratio.
 const FORK_REPS: usize = 1024;
 
-/// Deterministic pseudo-random token ids in `[0, VOCAB)` — prefill operates
-/// on raw ids, so no tokenizer is needed to measure it.
-fn tokens(seed: u64, len: usize) -> Vec<u32> {
-    let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
-    (0..len)
-        .map(|_| {
-            state = state
-                .wrapping_mul(6_364_136_223_846_793_005)
-                .wrapping_add(1_442_695_040_888_963_407);
-            ((state >> 33) % VOCAB as u64) as u32
-        })
-        .collect()
-}
-
-/// Best-of-3 wall-clock for `f` (the minimum is the least noisy estimator
-/// for a deterministic workload).
-fn best_of_3(mut f: impl FnMut()) -> f64 {
-    (0..3)
-        .map(|_| {
-            let t = Instant::now();
-            f();
-            t.elapsed().as_secs_f64()
-        })
-        .fold(f64::INFINITY, f64::min)
-}
-
-fn bits(v: &[f32]) -> Vec<u32> {
-    v.iter().map(|x| x.to_bits()).collect()
-}
-
 /// One full paged probe pass: pooled prefix prefill, one COW fork per
 /// suffix, suffix-only extend. Returns the logit bits of every probe — the
 /// fingerprint the rerun must reproduce exactly.
 fn paged_probe_pass(model: &TransformerLM, pool: &Arc<PagedKvPool>) -> Vec<Vec<u32>> {
     let mut out = Vec::new();
     for &plen in &PREFIX_LENS {
-        let prefix = tokens(plen as u64, plen);
+        let prefix = tokens(plen as u64, plen, VOCAB);
         let mut warm = pool.new_cache(plen + SUFFIX_LEN);
         warm.try_reserve(plen).expect("pool sized for the sweep");
         model.prefill_cache_only(&prefix, &mut warm);
         for s in 0..4u64 {
-            let suffix = tokens(0xA0 + s, SUFFIX_LEN);
+            let suffix = tokens(0xA0 + s, SUFFIX_LEN, VOCAB);
             let mut fork = warm.fork_with_capacity(plen + SUFFIX_LEN);
             fork.try_reserve(SUFFIX_LEN)
                 .expect("pool sized for the sweep");
@@ -94,7 +61,7 @@ fn main() {
     let pool = Arc::new(PagedKvPool::new(pool_config));
     let mut record = ExperimentRecord::new(
         "ext-paged",
-        "Paged KV pool: COW fork cost x prefix length, parity rerun, continuous batching",
+        "Paged KV pool: COW fork cost x prefix length, parity rerun",
     );
 
     // ---- Part 1: parity + fork cost, per prefix length ----
@@ -107,8 +74,8 @@ fn main() {
     let mut paged_ns_long = 0.0f64;
     let mut contig_ns_long = 0.0f64;
     for &plen in &PREFIX_LENS {
-        let prefix = tokens(plen as u64, plen);
-        let suffix = tokens(0xA0, SUFFIX_LEN);
+        let prefix = tokens(plen as u64, plen, VOCAB);
+        let suffix = tokens(0xA0, SUFFIX_LEN, VOCAB);
         let need = plen + SUFFIX_LEN;
 
         // Cold contiguous truth: one full-prompt prefill.
@@ -205,49 +172,7 @@ fn main() {
         pass1.len()
     );
 
-    // ---- Part 3: continuous batching joins mid-flight, bits unchanged ----
-    let seqs: Vec<Vec<u32>> = (0..4)
-        .map(|i| tokens(0xC0 + i, 48 + 40 * i as usize))
-        .collect();
-    let isolated: Vec<Vec<u32>> = seqs
-        .iter()
-        .map(|s| {
-            let mut kv = pool.new_cache(s.len());
-            kv.try_reserve(s.len()).expect("pool sized for the sweep");
-            bits(&model.prefill(s, &mut kv))
-        })
-        .collect();
-    let mut batcher = ContinuousBatcher::new(ContinuousBatcherConfig {
-        max_active: 2,
-        block_ms: 1.0,
-    });
-    for (i, s) in seqs.iter().enumerate() {
-        let mut kv = pool.new_cache(s.len());
-        kv.try_reserve(s.len()).expect("pool sized for the sweep");
-        batcher.submit(1.5 * i as f64, PrefillStream::new(&model, s.clone(), kv));
-    }
-    let out = batcher.run(0.0);
-    for (i, (logits, _)) in out.results.iter().enumerate() {
-        assert_eq!(
-            bits(logits),
-            isolated[i],
-            "seq {i}: joining a prefill batch in flight must not change a logit"
-        );
-    }
-    let expected_blocks: u64 = seqs
-        .iter()
-        .map(|s| s.len().div_ceil(PREFILL_BLOCK) as u64)
-        .sum();
-    assert_eq!(out.blocks_run, expected_blocks, "no block may run twice");
-    println!(
-        "continuous_joins {} blocks_run {} (bit-identical to isolated prefill)",
-        out.joins.len(),
-        out.blocks_run
-    );
-    record.measure("continuous joins", out.joins.len() as f64);
-    drop(out);
-
-    // ---- Part 4: pool economics — no rejection, no leak, real sharing ----
+    // ---- Part 3: pool economics — no rejection, no leak, real sharing ----
     let stats = pool.stats();
     assert!(
         stats.cow_copies > 0,

@@ -24,8 +24,8 @@
 //! a logit.
 
 use std::sync::Arc;
-use std::time::Instant;
 
+use bench::sweep::{best_of_3, bits, tokens};
 use bench::{save_record, RESULTS_PATH};
 use eval::report::ExperimentRecord;
 use slm_runtime::{
@@ -39,32 +39,6 @@ const PREFIX_LENS: [usize; 4] = [4, 32, 128, 224];
 const SENTENCE_COUNTS: [usize; 2] = [4, 16];
 const SUFFIX_LEN: usize = 16;
 const CACHE_CAPS: [usize; 3] = [1, 2, 8];
-
-/// Deterministic pseudo-random token ids in `[0, VOCAB)` — prefill operates
-/// on raw ids, so no tokenizer is needed to measure it.
-fn tokens(seed: u64, len: usize) -> Vec<u32> {
-    let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
-    (0..len)
-        .map(|_| {
-            state = state
-                .wrapping_mul(6_364_136_223_846_793_005)
-                .wrapping_add(1_442_695_040_888_963_407);
-            ((state >> 33) % VOCAB as u64) as u32
-        })
-        .collect()
-}
-
-/// Best-of-3 wall-clock for `f` (the minimum is the least noisy estimator
-/// for a deterministic workload).
-fn best_of_3(mut f: impl FnMut()) -> f64 {
-    (0..3)
-        .map(|_| {
-            let t = Instant::now();
-            f();
-            t.elapsed().as_secs_f64()
-        })
-        .fold(f64::INFINITY, f64::min)
-}
 
 /// A prefix cache over its own pool, with pages for every entry at the
 /// model's full context plus one fork in flight, so no reservation is ever
@@ -108,15 +82,15 @@ fn main() {
     );
     let mut speedup_at_realistic = f64::INFINITY;
     for &plen in &PREFIX_LENS {
-        let prompt = tokens(plen as u64, plen);
+        let prompt = tokens(plen as u64, plen, VOCAB);
 
         let mut kv_seq = model.new_cache();
         let want = model.prefill_sequential(&prompt, &mut kv_seq);
         let mut kv_gemm = model.new_cache();
         let got = model.prefill(&prompt, &mut kv_gemm);
         assert_eq!(
-            want.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-            got.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+            bits(&want),
+            bits(&got),
             "prefix={plen}: GEMM prefill must be bit-identical to sequential"
         );
 
@@ -157,10 +131,10 @@ fn main() {
     );
     let mut warm_speedup_headline = 0.0f64;
     for &plen in &PREFIX_LENS {
-        let prefix = tokens(plen as u64, plen);
+        let prefix = tokens(plen as u64, plen, VOCAB);
         for &n_sent in &SENTENCE_COUNTS {
             let suffixes: Vec<Vec<u32>> = (0..n_sent)
-                .map(|i| tokens(0xA0 + i as u64, SUFFIX_LEN))
+                .map(|i| tokens(0xA0 + i as u64, SUFFIX_LEN, VOCAB))
                 .collect();
 
             // Cold: every sentence re-prefills (prefix ++ suffix) from scratch
@@ -179,8 +153,8 @@ fn main() {
                 let cold = cold_probe(suffix);
                 let warm = warm_probe(suffix);
                 assert_eq!(
-                    cold.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                    warm.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                    bits(&cold),
+                    bits(&warm),
                     "prefix={plen}: prefix-cache hit must be bit-identical to cold prefill"
                 );
             }
@@ -221,9 +195,9 @@ fn main() {
 
     // ---- Part 3: capacity — an undersized cache thrashes but stays correct ----
     println!("\ncapacity sweep: 4 distinct prefixes x 4 sentences, round-robin");
-    let cap_prefixes: Vec<Vec<u32>> = (0..4).map(|i| tokens(0xC0 + i as u64, 64)).collect();
+    let cap_prefixes: Vec<Vec<u32>> = (0..4).map(|i| tokens(0xC0 + i as u64, 64, VOCAB)).collect();
     let cap_suffixes: Vec<Vec<u32>> = (0..4)
-        .map(|i| tokens(0xD0 + i as u64, SUFFIX_LEN))
+        .map(|i| tokens(0xD0 + i as u64, SUFFIX_LEN, VOCAB))
         .collect();
     let cold_logits: Vec<Vec<Vec<u32>>> = cap_prefixes
         .iter()
@@ -233,11 +207,7 @@ fn main() {
                 .map(|suffix| {
                     let full: Vec<u32> = prefix.iter().chain(suffix).copied().collect();
                     let mut kv = model.new_cache();
-                    model
-                        .prefill(&full, &mut kv)
-                        .iter()
-                        .map(|v| v.to_bits())
-                        .collect()
+                    bits(&model.prefill(&full, &mut kv))
                 })
                 .collect()
         })
@@ -251,7 +221,7 @@ fn main() {
                 let logits = cached_probe(&model, &cache, prefix, suffix);
                 assert_eq!(
                     cold_logits[pi][si],
-                    logits.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                    bits(&logits),
                     "cap={cap}: eviction pressure must never change a logit"
                 );
             }

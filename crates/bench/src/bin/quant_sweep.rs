@@ -26,8 +26,8 @@
 //!    reproduces every int8 logit bit and every AUC digit.
 
 use std::process::ExitCode;
-use std::time::Instant;
 
+use bench::sweep::{best_of_3, bits, tokens};
 use bench::{save_record, RESULTS_PATH};
 use eval::report::ExperimentRecord;
 use eval::roc::auc;
@@ -51,35 +51,6 @@ const AUC_TOLERANCE: f64 = 0.05;
 /// Golden-dataset seed and size for the eval gate.
 const EVAL_SEED: u64 = 1105;
 const EVAL_SETS: usize = 24;
-
-/// Deterministic pseudo-random token ids in `[0, VOCAB)`.
-fn tokens(seed: u64, len: usize) -> Vec<u32> {
-    let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
-    (0..len)
-        .map(|_| {
-            state = state
-                .wrapping_mul(6_364_136_223_846_793_005)
-                .wrapping_add(1_442_695_040_888_963_407);
-            ((state >> 33) % VOCAB as u64) as u32
-        })
-        .collect()
-}
-
-/// Best-of-3 wall-clock for `f` (minimum = least-noise estimator for a
-/// deterministic workload).
-fn best_of_3(mut f: impl FnMut()) -> f64 {
-    (0..3)
-        .map(|_| {
-            let t = Instant::now();
-            f();
-            t.elapsed().as_secs_f64()
-        })
-        .fold(f64::INFINITY, f64::min)
-}
-
-fn bits(v: &[f32]) -> Vec<u32> {
-    v.iter().map(|x| x.to_bits()).collect()
-}
 
 /// Time one full prefill (cache build + final logits) for `model`.
 fn prefill_time<M: InferenceModel>(model: &M, prompt: &[u32]) -> f64 {
@@ -135,7 +106,7 @@ fn main() -> ExitCode {
     );
     let mut speedup_at_realistic = f64::INFINITY;
     for &plen in &PREFIX_LENS {
-        let prompt = tokens(plen as u64, plen);
+        let prompt = tokens(plen as u64, plen, VOCAB);
         let f32_s = prefill_time(&f32_model, &prompt);
         let int8_s = prefill_time(&int8_model, &prompt);
         let speedup = f32_s / int8_s;
@@ -167,8 +138,8 @@ fn main() -> ExitCode {
     }
 
     // Decode: per-token forward on a warm cache.
-    let warm_prompt = tokens(7, 128);
-    let decode_tokens = tokens(11, 64);
+    let warm_prompt = tokens(7, 128, VOCAB);
+    let decode_tokens = tokens(11, 64, VOCAB);
     let f32_decode = best_of_3(|| {
         let mut cache = f32_model.new_cache_with_capacity(256);
         f32_model.prefill_cache_only(&warm_prompt, &mut cache);
@@ -297,7 +268,7 @@ fn main() -> ExitCode {
 
     // ---- Part 3: bitwise reproducibility from (seed, config) ----
     let rerun_model = QuantizedLM::synthetic(cfg.with_precision(Precision::Int8), MODEL_SEED);
-    let probe = tokens(0xBEEF, 96);
+    let probe = tokens(0xBEEF, 96, VOCAB);
     let mut c1 = int8_model.new_cache_with_capacity(probe.len());
     let mut c2 = rerun_model.new_cache_with_capacity(probe.len());
     let logits_identical =

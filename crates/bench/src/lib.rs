@@ -2,11 +2,13 @@
 //!
 //! Each binary in `src/bin/` regenerates one table or figure of the paper
 //! (see DESIGN.md's experiment index). This library holds the common parts:
-//! the approach roster of §V-C, dataset scoring, and result collection.
+//! the approach roster of §V-C, dataset scoring, result collection, and the
+//! engine sweeps' token inputs and timer ([`sweep`]).
 
 pub mod approaches;
 pub mod experiments;
 pub mod runner;
+pub mod sweep;
 
 pub use approaches::{build_detector, Approach};
 pub use runner::{score_dataset, task_examples, LabeledScore, Task};

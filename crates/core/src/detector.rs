@@ -56,12 +56,6 @@ pub struct DetectorConfig {
     /// Probe the (sentence, model) cells on the batch engine's worker
     /// threads instead of inline. Output bits are identical either way.
     pub parallel: bool,
-    /// With `parallel`: probe workers pull jobs from a shared queue
-    /// (continuous batching) instead of fixed partitions, so a worker that
-    /// finishes early joins the next pending probe rather than idling at the
-    /// batch barrier. Output bits are identical either way — the batch
-    /// engine's determinism contract — so this is purely a latency knob.
-    pub continuous: bool,
     /// §VI gating extension: when set, if the first model's |z| exceeds this
     /// margin its verdict is used alone and the remaining models are not
     /// consulted (compute saving); otherwise all models vote.
@@ -75,7 +69,6 @@ impl Default for DetectorConfig {
             split: true,
             normalize: true,
             parallel: false,
-            continuous: false,
             gate_margin: None,
         }
     }

@@ -415,21 +415,16 @@ impl ResilientDetector {
         )
     }
 
-    /// Pick an engine for `jobs` pending cells: continuous-batching or
-    /// work-partitioned parallel when the config asks for it, inline
-    /// otherwise. Worker count and queue discipline shape wall-clock only —
-    /// the engine's ordered merge plus episode purity keep outputs
-    /// bitwise-identical in all three modes.
+    /// Pick an engine for `jobs` pending cells: work-partitioned parallel
+    /// when the config asks for it, inline otherwise. Worker count shapes
+    /// wall-clock only — the engine's ordered merge plus episode purity keep
+    /// outputs bitwise-identical either way.
     fn engine(&self, jobs: usize) -> BatchEngine {
         if self.config.parallel && jobs > 1 {
             let workers = std::thread::available_parallelism()
                 .map(std::num::NonZeroUsize::get)
                 .unwrap_or(1);
-            if self.config.continuous {
-                BatchEngine::continuous_batching(workers.min(jobs))
-            } else {
-                BatchEngine::parallel(workers.min(jobs))
-            }
+            BatchEngine::parallel(workers.min(jobs))
         } else {
             BatchEngine::sequential()
         }

@@ -534,25 +534,6 @@ impl<I: VectorIndex> ServingRuntime<I> {
         self.cache.as_deref()
     }
 
-    /// Switch the wrapped detector's probe executor to continuous batching:
-    /// with `parallel` scoring on, probe workers pull cells from a shared
-    /// queue and join the next pending probe the moment they free up,
-    /// instead of idling at the fixed-partition batch barrier. The engine's
-    /// ordered merge keeps verdicts, scores, and every serving metric
-    /// bitwise-identical to the barrier engine — admission stays a pure
-    /// function of the virtual clock — so the parity wall can assert
-    /// continuous vs barrier equality under chaos.
-    pub fn set_continuous_batching(&mut self, on: bool) {
-        self.pipeline.detector_mut().config.continuous = on;
-    }
-
-    /// Builder-style [`Self::set_continuous_batching`].
-    #[must_use]
-    pub fn with_continuous_batching(mut self, on: bool) -> Self {
-        self.set_continuous_batching(on);
-        self
-    }
-
     /// Gate admission on `pool` headroom: an arrival whose estimated page
     /// need exceeds [`PagedKvPool::pages_available`] is shed with the typed
     /// [`ShedReason::PoolSaturated`] instead of aborting mid-prefill on

@@ -159,11 +159,11 @@ impl<I: VectorIndex> ResilientVerifiedPipeline<I> {
     }
 
     /// Mutable access to the wrapped detector, for hosts flipping scoring
-    /// knobs (e.g. [`DetectorConfig::continuous`]) on an already-built
-    /// pipeline. Every knob reachable here is bitwise-neutral to verdicts by
-    /// the batch engine's determinism contract; only scheduling changes.
+    /// knobs (e.g. [`DetectorConfig::parallel`]) on an already-built
+    /// pipeline. `parallel` is bitwise-neutral to verdicts by the batch
+    /// engine's determinism contract; only scheduling changes.
     ///
-    /// [`DetectorConfig::continuous`]: hallu_core::DetectorConfig
+    /// [`DetectorConfig::parallel`]: hallu_core::DetectorConfig::parallel
     pub fn detector_mut(&mut self) -> &mut ResilientDetector {
         &mut self.detector
     }

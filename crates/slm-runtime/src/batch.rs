@@ -132,16 +132,12 @@ pub struct BatchReport {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BatchEngine {
     workers: usize,
-    continuous: bool,
 }
 
 impl BatchEngine {
     /// An engine that evaluates everything inline on the caller's thread.
     pub fn sequential() -> Self {
-        Self {
-            workers: 1,
-            continuous: false,
-        }
+        Self { workers: 1 }
     }
 
     /// An engine that partitions unique jobs across up to `workers` scoped
@@ -149,34 +145,12 @@ impl BatchEngine {
     pub fn parallel(workers: usize) -> Self {
         Self {
             workers: workers.max(1),
-            continuous: false,
-        }
-    }
-
-    /// An engine whose workers pull jobs from a shared queue instead of
-    /// receiving a fixed contiguous partition: a worker that finishes a cheap
-    /// job immediately joins the next pending one, the thread-level analogue
-    /// of [`crate::paged::ContinuousBatcher`]'s join-at-block-boundary
-    /// admission (no batch barrier between chunks). Results are still
-    /// scattered into submission-order slots, so output bits are identical
-    /// to [`BatchEngine::sequential`] — the queue changes wall-clock
-    /// assignment only.
-    pub fn continuous_batching(workers: usize) -> Self {
-        Self {
-            workers: workers.max(1),
-            continuous: true,
         }
     }
 
     /// Configured worker cap.
     pub fn workers(&self) -> usize {
         self.workers
-    }
-
-    /// Whether workers pull from a shared queue (continuous batching) rather
-    /// than fixed partitions.
-    pub fn is_continuous(&self) -> bool {
-        self.continuous
     }
 
     /// Group jobs into per-model batches, preserving submission order within
@@ -287,51 +261,6 @@ impl BatchEngine {
         // order — the ordered merge.
         let evaluated: Vec<R> = if workers <= 1 {
             unique.iter().map(|&idx| eval(&jobs[idx])).collect()
-        } else if self.continuous {
-            // Shared work queue: each worker atomically claims the next
-            // unique-list position. Which worker evaluates which job is
-            // racy, but each position is claimed exactly once and its result
-            // lands in its own slot, so the merged vector is bitwise
-            // independent of the race.
-            use std::sync::atomic::{AtomicUsize, Ordering};
-            let next = AtomicUsize::new(0);
-            let mut slots: Vec<Option<R>> = (0..unique.len()).map(|_| None).collect();
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..workers)
-                    .map(|_| {
-                        let next = &next;
-                        let unique = &unique;
-                        let jobs = &jobs;
-                        let eval = &eval;
-                        scope.spawn(move || {
-                            let mut mine: Vec<(usize, R)> = Vec::new();
-                            loop {
-                                let pos = next.fetch_add(1, Ordering::Relaxed);
-                                if pos >= unique.len() {
-                                    break;
-                                }
-                                mine.push((pos, eval(&jobs[unique[pos]])));
-                            }
-                            mine
-                        })
-                    })
-                    .collect();
-                for handle in handles {
-                    match handle.join() {
-                        Ok(part) => {
-                            for (pos, r) in part {
-                                debug_assert!(slots[pos].is_none(), "position claimed twice");
-                                slots[pos] = Some(r);
-                            }
-                        }
-                        Err(panic) => std::panic::resume_unwind(panic),
-                    }
-                }
-            });
-            slots
-                .into_iter()
-                .map(|slot| slot.expect("every queue position evaluated"))
-                .collect()
         } else {
             let chunk_len = unique.len().div_ceil(workers);
             let chunks: Vec<&[usize]> = unique.chunks(chunk_len).collect();
@@ -483,24 +412,34 @@ mod tests {
     fn duplicates_are_coalesced_to_one_evaluation() {
         use std::sync::atomic::{AtomicUsize, Ordering};
         let jobs = jobs_from(&[(0, "a"), (0, "a"), (1, "a"), (0, "a"), (1, "b")]);
-        let evals = AtomicUsize::new(0);
-        let (results, report) = BatchEngine::sequential().run(&jobs, |job| {
-            evals.fetch_add(1, Ordering::Relaxed);
-            tag(job)
-        });
-        assert_eq!(results, vec!["0:a", "0:a", "1:a", "0:a", "1:b"]);
-        assert_eq!(evals.load(Ordering::Relaxed), 3);
-        assert_eq!(report.unique_jobs, 3);
-        assert_eq!(report.coalesced, 2);
+        for engine in [BatchEngine::sequential(), BatchEngine::parallel(4)] {
+            let evals = AtomicUsize::new(0);
+            let (results, report) = engine.run(&jobs, |job| {
+                evals.fetch_add(1, Ordering::Relaxed);
+                tag(job)
+            });
+            assert_eq!(
+                results,
+                vec!["0:a", "0:a", "1:a", "0:a", "1:b"],
+                "{engine:?}"
+            );
+            assert_eq!(evals.load(Ordering::Relaxed), 3, "{engine:?}");
+            assert_eq!(report.unique_jobs, 3, "{engine:?}");
+            assert_eq!(report.coalesced, 2, "{engine:?}");
+        }
     }
 
     #[test]
     fn parallel_output_is_bitwise_identical_to_sequential() {
-        let cells: Vec<(usize, String)> = (0..97)
+        // 97 distinct cells, and 131 cells over 4 models and 23 sentences
+        // of which 39 repeat an earlier cell, so the fan-out from coalesced
+        // representatives runs across workers too.
+        let distinct: Vec<(usize, String)> = (0..97)
             .map(|i| (i % 5, format!("sentence number {i}")))
             .collect();
-        let borrowed: Vec<(usize, &str)> = cells.iter().map(|(m, r)| (*m, r.as_str())).collect();
-        let jobs = jobs_from(&borrowed);
+        let repeating: Vec<(usize, String)> = (0..131)
+            .map(|i| (i % 4, format!("cell {}", i % 23)))
+            .collect();
         // f64 output so "bitwise" means float bits, like real scores.
         let eval = |job: &BatchJob<'_>| {
             let mut acc = 0.017_f64;
@@ -509,58 +448,29 @@ mod tests {
             }
             acc
         };
-        let (seq, _) = BatchEngine::sequential().run(&jobs, eval);
-        for workers in [2, 3, 8, 64] {
-            let (par, report) = BatchEngine::parallel(workers).run(&jobs, eval);
+        for (cells, coalesced) in [(&distinct, 0), (&repeating, 39)] {
+            let borrowed: Vec<(usize, &str)> =
+                cells.iter().map(|(m, r)| (*m, r.as_str())).collect();
+            let jobs = jobs_from(&borrowed);
+            let (seq, seq_report) = BatchEngine::sequential().run(&jobs, eval);
+            assert_eq!(seq_report.coalesced, coalesced);
             let seq_bits: Vec<u64> = seq.iter().map(|s| s.to_bits()).collect();
-            let par_bits: Vec<u64> = par.iter().map(|s| s.to_bits()).collect();
-            assert_eq!(seq_bits, par_bits, "workers = {workers}");
-            assert!(report.workers <= workers.max(1));
-        }
-    }
-
-    #[test]
-    fn continuous_output_is_bitwise_identical_at_every_worker_count() {
-        let cells: Vec<(usize, String)> = (0..131)
-            .map(|i| (i % 4, format!("cell {} dup {}", i % 23, i % 3)))
-            .collect();
-        let borrowed: Vec<(usize, &str)> = cells.iter().map(|(m, r)| (*m, r.as_str())).collect();
-        let jobs = jobs_from(&borrowed);
-        let eval = |job: &BatchJob<'_>| {
-            let mut acc = 0.31_f64 + job.model as f64;
-            for b in job.request.response.bytes() {
-                acc = (acc * 1.0001 + f64::from(b) * 1e-3).sin();
+            for workers in [1, 2, 3, 7, 8, 32, 64] {
+                let (par, report) = BatchEngine::parallel(workers).run(&jobs, eval);
+                let par_bits: Vec<u64> = par.iter().map(|s| s.to_bits()).collect();
+                assert_eq!(seq_bits, par_bits, "workers = {workers}");
+                assert!(report.workers <= workers);
+                // The worker count never changes the dedup plan.
+                assert_eq!(
+                    BatchReport {
+                        workers: seq_report.workers,
+                        ..report
+                    },
+                    seq_report,
+                    "workers = {workers}"
+                );
             }
-            acc
-        };
-        let (seq, _) = BatchEngine::sequential().run(&jobs, eval);
-        let seq_bits: Vec<u64> = seq.iter().map(|s| s.to_bits()).collect();
-        for workers in [1usize, 2, 3, 7, 32] {
-            let engine = BatchEngine::continuous_batching(workers);
-            assert!(engine.is_continuous());
-            let (cont, report) = engine.run(&jobs, eval);
-            let cont_bits: Vec<u64> = cont.iter().map(|s| s.to_bits()).collect();
-            assert_eq!(seq_bits, cont_bits, "workers = {workers}");
-            // Same dedup plan as the partitioned engine: the queue changes
-            // assignment, never the set of evaluations.
-            let (_, part_report) = BatchEngine::parallel(workers).run(&jobs, eval);
-            assert_eq!(report, part_report);
         }
-    }
-
-    #[test]
-    fn continuous_evaluates_each_unique_job_exactly_once() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let jobs = jobs_from(&[(0, "a"), (0, "a"), (1, "a"), (0, "b"), (1, "a"), (1, "b")]);
-        let evals = AtomicUsize::new(0);
-        let (results, report) = BatchEngine::continuous_batching(4).run(&jobs, |job| {
-            evals.fetch_add(1, Ordering::Relaxed);
-            tag(job)
-        });
-        assert_eq!(results, vec!["0:a", "0:a", "1:a", "0:b", "1:a", "1:b"]);
-        assert_eq!(evals.load(Ordering::Relaxed), 4);
-        assert_eq!(report.unique_jobs, 4);
-        assert_eq!(report.coalesced, 2);
     }
 
     #[test]

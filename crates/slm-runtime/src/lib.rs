@@ -80,11 +80,10 @@ pub use gossip::{
 pub use hedge::{HedgeConfig, HedgeHandle, HedgeStats, HedgedVerifier};
 pub use kv::{KvCache, KvStore};
 pub use limit::{ConcurrencyGate, GateStats};
-pub use model::{InferenceModel, PrefillStream, TransformerLM, PREFILL_BLOCK};
+pub use model::{InferenceModel, TransformerLM, PREFILL_BLOCK};
 pub use paged::{
-    ContinuousBatcher, ContinuousBatcherConfig, ContinuousOutcome, JoinEvent, PagedKvCache,
-    PagedKvPool, PagedPoolConfig, PagedPrefixCache, PoolExhausted, PoolStats, PrefixCacheConfig,
-    PrefixStats,
+    PagedKvCache, PagedKvPool, PagedPoolConfig, PagedPrefixCache, PoolExhausted, PoolStats,
+    PrefixCacheConfig, PrefixStats,
 };
 pub use profiles::{chatgpt_sim, engine_profile, minicpm_sim, qwen2_sim};
 pub use quant::{QuantizedLM, QuantizedWeights};

@@ -133,10 +133,9 @@ fn lm_head_threads() -> usize {
 /// memory to `PREFILL_BLOCK × hidden` floats per buffer while keeping the
 /// projection matmuls wide enough that `B`-panel reuse pays off.
 ///
-/// Public because it is also the *join granularity* of continuous batching:
-/// [`PrefillStream`] advances one such block per step, and the paged
-/// scheduler admits new sequences only at these boundaries, so interleaving
-/// never splits a GEMM block (the determinism argument in DESIGN.md §15).
+/// Public because it is also the page size of the paged KV pool
+/// ([`crate::paged::PagedPoolConfig::for_model`]), so a prefill chunk fills
+/// whole pages, and callers size a pool's page budget from it.
 pub const PREFILL_BLOCK: usize = 64;
 
 /// A model the inference machinery can drive: the contract shared by the f32
@@ -145,8 +144,8 @@ pub const PREFILL_BLOCK: usize = 64;
 /// Implementors supply the per-token forward, the blocked forward, and the
 /// final-norm + LM-head projection; the prefill family, cache allocation and
 /// greedy decoding are provided in terms of those, so both precisions run the
-/// *same* chunking/finish logic — [`PrefillStream`], continuous batching and
-/// the `p_yes` probability extraction are generic over this trait.
+/// *same* chunking/finish logic — the paged KV machinery and the `p_yes`
+/// probability extraction are generic over this trait.
 pub trait InferenceModel {
     /// Model configuration.
     fn config(&self) -> &ModelConfig;
@@ -406,93 +405,6 @@ impl InferenceModel for TransformerLM {
     }
 }
 
-/// A prefill suspended between GEMM blocks: the unit continuous batching
-/// schedules.
-///
-/// Each [`PrefillStream::step`] runs exactly one [`PREFILL_BLOCK`]-sized
-/// chunk through [`TransformerLM`], against this stream's *own* cache. The
-/// chunk boundaries depend only on the stream's token list — never on what
-/// other streams run between its steps — and sequences share no KV state,
-/// so any interleaving of steps across streams produces bitwise-identical
-/// per-stream logits to running each prefill in isolation. That invariance
-/// is what lets a scheduler admit new sentence probes at block boundaries
-/// ("continuous batching") without re-opening the parity argument.
-pub struct PrefillStream<'m, C: KvStore, M: InferenceModel = TransformerLM> {
-    model: &'m M,
-    tokens: Vec<TokenId>,
-    cache: C,
-    consumed: usize,
-    /// Residual-stream row of the last processed token (pre final-norm).
-    last: Vec<f32>,
-}
-
-impl<'m, C: KvStore, M: InferenceModel> PrefillStream<'m, C, M> {
-    /// Begin a prefill of `tokens` into `cache` (which may already hold a
-    /// forked prefix; the stream extends from `cache.len()`).
-    ///
-    /// # Panics
-    /// Panics on an empty token list or when it exceeds `cache.remaining()`
-    /// — for a paged cache that means capacity must be reserved *before*
-    /// the stream is built, so stepping can never fail mid-flight.
-    pub fn new(model: &'m M, tokens: Vec<TokenId>, cache: C) -> Self {
-        assert!(!tokens.is_empty(), "prompt must not be empty");
-        assert!(
-            tokens.len() <= cache.remaining(),
-            "prompt longer than cache capacity"
-        );
-        Self {
-            model,
-            tokens,
-            cache,
-            consumed: 0,
-            last: Vec::new(),
-        }
-    }
-
-    /// Run the next [`PREFILL_BLOCK`] chunk (or the final partial chunk).
-    /// Returns how many tokens were processed — 0 when already done.
-    pub fn step(&mut self) -> usize {
-        if self.consumed >= self.tokens.len() {
-            return 0;
-        }
-        let end = (self.consumed + PREFILL_BLOCK).min(self.tokens.len());
-        let xs = self
-            .model
-            .forward_block_states(&self.tokens[self.consumed..end], &mut self.cache);
-        self.last = xs.row(xs.rows() - 1).to_vec();
-        let n = end - self.consumed;
-        self.consumed = end;
-        n
-    }
-
-    /// Whether every token has been processed.
-    pub fn is_done(&self) -> bool {
-        self.consumed >= self.tokens.len()
-    }
-
-    /// Tokens not yet run.
-    pub fn remaining_tokens(&self) -> usize {
-        self.tokens.len() - self.consumed
-    }
-
-    /// Blocks not yet run (what the scheduler charges per step).
-    pub fn remaining_blocks(&self) -> usize {
-        self.remaining_tokens().div_ceil(PREFILL_BLOCK)
-    }
-
-    /// The stream's cache (inspection).
-    pub fn cache(&self) -> &C {
-        &self.cache
-    }
-
-    /// Run any remaining blocks, then compute the final-token logits exactly
-    /// as [`InferenceModel::prefill`] does. Returns the logits and the cache.
-    pub fn finish(mut self) -> (Vec<f32>, C) {
-        while self.step() > 0 {}
-        (self.model.finish_logits(&self.last), self.cache)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -669,54 +581,5 @@ mod tests {
         let m = tiny_model();
         let mut cache = m.new_cache();
         m.prefill(&[], &mut cache);
-    }
-
-    #[test]
-    fn prefill_stream_is_bit_identical_to_prefill() {
-        // Partial block, exact block, and multi-block prompts.
-        let m = tiny_model();
-        for len in [1usize, 5, 63, 64, 65, 130] {
-            let prompt: Vec<TokenId> = (0..len).map(|i| ((i * 11 + 2) % 48) as TokenId).collect();
-            let mut c_direct = m.new_cache();
-            let want = m.prefill(&prompt, &mut c_direct);
-
-            let mut stream = PrefillStream::new(&m, prompt.clone(), m.new_cache());
-            let mut steps = 0;
-            while !stream.is_done() {
-                assert!(stream.step() > 0);
-                steps += 1;
-            }
-            assert_eq!(steps, len.div_ceil(PREFILL_BLOCK), "len {len}");
-            let (got, cache) = stream.finish();
-            assert_eq!(want, got, "len {len}");
-            assert_eq!(cache.len(), len, "len {len}");
-        }
-    }
-
-    #[test]
-    fn interleaved_streams_match_isolated_prefills() {
-        // The continuous-batching invariance: stepping two streams
-        // round-robin yields the same bits as prefilling each alone.
-        let m = tiny_model();
-        let a: Vec<TokenId> = (0..130).map(|i| ((i * 7 + 3) % 48) as TokenId).collect();
-        let b: Vec<TokenId> = (0..70).map(|i| ((i * 13 + 5) % 48) as TokenId).collect();
-
-        let mut ca = m.new_cache();
-        let mut cb = m.new_cache();
-        let want_a = m.prefill(&a, &mut ca);
-        let want_b = m.prefill(&b, &mut cb);
-
-        let mut sa = PrefillStream::new(&m, a, m.new_cache());
-        let mut sb = PrefillStream::new(&m, b, m.new_cache());
-        loop {
-            let ran = sa.step() + sb.step();
-            if ran == 0 {
-                break;
-            }
-        }
-        let (got_a, _) = sa.finish();
-        let (got_b, _) = sb.finish();
-        assert_eq!(want_a, got_a);
-        assert_eq!(want_b, got_b);
     }
 }

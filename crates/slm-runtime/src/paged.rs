@@ -1,5 +1,5 @@
-//! Paged KV pool: fixed-size refcounted blocks, copy-on-write sentence forks
-//! and continuous batching.
+//! Paged KV pool: fixed-size refcounted blocks and copy-on-write sentence
+//! forks.
 //!
 //! The contiguous [`crate::kv::KvCache`] allocates one dense `(max_seq,
 //! kv_dim)` buffer per layer, so forking a shared `(question, context)` prefix
@@ -39,14 +39,6 @@
 //! pair as a page-handle table, so every sentence probe against the same
 //! `(question, context)` cell forks it instead of prefilling the prefix
 //! again.
-//!
-//! **Continuous batching.** [`ContinuousBatcher`] interleaves
-//! [`PrefillStream`]s at [`PREFILL_BLOCK`] boundaries on virtual-clock time:
-//! a newly arrived sentence probe joins the in-flight round-robin at the next
-//! block boundary instead of waiting for a batch barrier. Per-sequence caches
-//! share no state and chunk boundaries depend only on each stream's own
-//! token list, so *any* interleaving is bitwise-neutral per sequence — the
-//! schedule affects wall-clock only, never bits.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -56,10 +48,9 @@ use hallu_obs::{Counter, Gauge, Obs};
 use tensor::{StridedRows, StridedRowsMut};
 
 use crate::bpe::TokenId;
-use crate::clock::{Clock, VirtualClock};
 use crate::config::ModelConfig;
 use crate::kv::KvStore;
-use crate::model::{InferenceModel, PrefillStream, TransformerLM, PREFILL_BLOCK};
+use crate::model::PREFILL_BLOCK;
 
 /// Typed pool-exhaustion error: the reservation would push the pool past its
 /// page budget. The failed cache is left exactly as it was (no torn fork);
@@ -94,7 +85,7 @@ pub struct PagedPoolConfig {
     /// K/V vector width (`n_kv_heads * head_dim`).
     pub kv_dim: usize,
     /// Positions per page. [`PREFILL_BLOCK`] aligns pages with GEMM prefill
-    /// chunks so a continuous-batching join lands on a page boundary.
+    /// chunks, so each full chunk fills whole pages.
     pub block_tokens: usize,
     /// Hard budget on distinct live pages; reservations beyond it fail with
     /// [`PoolExhausted`].
@@ -1006,192 +997,6 @@ impl PagedPrefixCache {
     }
 }
 
-/// One admission decision of the continuous batcher: sequence `seq` joined
-/// the in-flight round-robin at virtual time `at_ms`, after `boundary`
-/// completed prefill blocks.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct JoinEvent {
-    /// Submission index of the joining stream.
-    pub seq: usize,
-    /// Virtual time of the block boundary it joined at.
-    pub at_ms: f64,
-    /// Prefill blocks the engine had completed when it joined.
-    pub boundary: u64,
-}
-
-/// Knobs for [`ContinuousBatcher`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ContinuousBatcherConfig {
-    /// In-flight streams the round-robin serves at once.
-    pub max_active: usize,
-    /// Virtual milliseconds one [`PREFILL_BLOCK`] chunk costs.
-    pub block_ms: f64,
-}
-
-impl Default for ContinuousBatcherConfig {
-    fn default() -> Self {
-        Self {
-            max_active: 4,
-            block_ms: 1.0,
-        }
-    }
-}
-
-/// Everything a [`ContinuousBatcher::run`] produced.
-#[derive(Debug)]
-pub struct ContinuousOutcome<C: KvStore> {
-    /// `(final logits, cache)` per submission, in submission order.
-    pub results: Vec<(Vec<f32>, C)>,
-    /// Every admission, in the order it happened.
-    pub joins: Vec<JoinEvent>,
-    /// Prefill blocks executed.
-    pub blocks_run: u64,
-    /// Virtual time when the last stream finished.
-    pub end_ms: f64,
-}
-
-/// Deterministic continuous-batching scheduler over [`PrefillStream`]s.
-///
-/// New sentence probes join the in-flight round-robin at [`PREFILL_BLOCK`]
-/// boundaries as soon as their virtual arrival time has passed and a slot is
-/// free — instead of waiting for a batch barrier. Admission order is arrival
-/// order (ties broken by submission order), block time is fixed by config,
-/// and the streams share no state, so a run is a pure function of
-/// `(submissions, config, start time)` — rerunning it reproduces every join
-/// and every output bit. Interleaving never changes bits per sequence
-/// because each stream's chunk boundaries depend only on its own token list
-/// (asserted by the interleaving tests in [`crate::model`]).
-pub struct ContinuousBatcher<'m, C: KvStore, M: InferenceModel = TransformerLM> {
-    config: ContinuousBatcherConfig,
-    submissions: Vec<(f64, PrefillStream<'m, C, M>)>,
-    obs_joins: Counter,
-}
-
-impl<'m, C: KvStore, M: InferenceModel> ContinuousBatcher<'m, C, M> {
-    /// Build a batcher; `max_active` is clamped to ≥ 1 and non-finite or
-    /// negative `block_ms` to 0.
-    pub fn new(config: ContinuousBatcherConfig) -> Self {
-        Self {
-            config: ContinuousBatcherConfig {
-                max_active: config.max_active.max(1),
-                block_ms: if config.block_ms.is_finite() && config.block_ms >= 0.0 {
-                    config.block_ms
-                } else {
-                    0.0
-                },
-            },
-            submissions: Vec::new(),
-            obs_joins: Counter::default(),
-        }
-    }
-
-    /// Mirror join events into `obs` as `hallu_paged_join_total`.
-    pub fn with_obs(mut self, obs: &Obs) -> Self {
-        self.obs_joins = obs.counter(
-            "hallu_paged_join_total",
-            "Continuous-batching joins at prefill block boundaries",
-            &[],
-        );
-        self
-    }
-
-    /// Queue a stream arriving at virtual time `arrive_ms`; returns its
-    /// submission index (the key into [`ContinuousOutcome::results`]).
-    pub fn submit(&mut self, arrive_ms: f64, stream: PrefillStream<'m, C, M>) -> usize {
-        self.submissions.push((arrive_ms, stream));
-        self.submissions.len() - 1
-    }
-
-    /// Number of queued streams.
-    pub fn len(&self) -> usize {
-        self.submissions.len()
-    }
-
-    /// Whether no streams are queued.
-    pub fn is_empty(&self) -> bool {
-        self.submissions.is_empty()
-    }
-
-    /// Run every stream to completion starting at virtual time `start_ms`.
-    pub fn run(self, start_ms: f64) -> ContinuousOutcome<C> {
-        let ContinuousBatcher {
-            config,
-            submissions,
-            obs_joins,
-        } = self;
-        let n = submissions.len();
-        // Admission order: arrival time, ties broken by submission index —
-        // a total order, so the schedule is reproducible.
-        let mut order: Vec<usize> = (0..n).collect();
-        order.sort_by(|&a, &b| {
-            submissions[a]
-                .0
-                .total_cmp(&submissions[b].0)
-                .then(a.cmp(&b))
-        });
-        let mut streams: Vec<Option<(f64, PrefillStream<'m, C, M>)>> =
-            submissions.into_iter().map(Some).collect();
-
-        let mut t = start_ms;
-        let mut boundary = 0u64;
-        let mut joins = Vec::new();
-        let mut active: std::collections::VecDeque<(usize, PrefillStream<'m, C, M>)> =
-            std::collections::VecDeque::new();
-        let mut results: Vec<Option<(Vec<f32>, C)>> = (0..n).map(|_| None).collect();
-        let mut next = 0usize;
-        while next < n || !active.is_empty() {
-            // Admit at the block boundary: arrived, in order, up to capacity.
-            while next < n && active.len() < config.max_active {
-                let seq = order[next];
-                let arrive = streams[seq].as_ref().expect("not yet admitted").0;
-                if arrive > t {
-                    break;
-                }
-                let (_, stream) = streams[seq].take().expect("admitted once");
-                joins.push(JoinEvent {
-                    seq,
-                    at_ms: t,
-                    boundary,
-                });
-                obs_joins.inc();
-                active.push_back((seq, stream));
-                next += 1;
-            }
-            if active.is_empty() {
-                // Idle: jump to the next arrival.
-                let arrive = streams[order[next]].as_ref().expect("pending").0;
-                t = t.max(arrive);
-                continue;
-            }
-            // Round-robin: run one block of the front stream.
-            let (seq, mut stream) = active.pop_front().expect("non-empty");
-            stream.step();
-            boundary += 1;
-            t += config.block_ms;
-            if stream.is_done() {
-                results[seq] = Some(stream.finish());
-            } else {
-                active.push_back((seq, stream));
-            }
-        }
-        ContinuousOutcome {
-            results: results.into_iter().map(|r| r.expect("all ran")).collect(),
-            joins,
-            blocks_run: boundary,
-            end_ms: t,
-        }
-    }
-
-    /// [`ContinuousBatcher::run`] anchored to a [`VirtualClock`]: starts at
-    /// `clock.now_ms()` and advances the clock to the finish time, so serving
-    /// runs stay pure functions of `(seed, config)`.
-    pub fn run_with_clock(self, clock: &VirtualClock) -> ContinuousOutcome<C> {
-        let out = self.run(clock.now_ms());
-        clock.advance_to_ms(out.end_ms);
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1711,123 +1516,6 @@ mod tests {
         assert_eq!(err.requested, 2);
         assert!(cache.is_empty());
         assert_eq!(pool.stats().pages_live, 0);
-    }
-
-    #[test]
-    fn continuous_batcher_is_bit_identical_to_isolated_prefill() {
-        let cfg = ModelConfig::tiny(48);
-        let model = TransformerLM::synthetic(cfg.clone(), 23);
-        let mk = |salt: u32, len: usize| -> Vec<TokenId> {
-            (0..len as u32).map(|i| (i * 13 + salt) % 48).collect()
-        };
-        let seqs = [mk(1, 30), mk(2, 130), mk(3, 64), mk(4, 65)];
-        let isolated: Vec<Vec<u32>> = seqs
-            .iter()
-            .map(|s| {
-                let mut c = model.new_cache();
-                model
-                    .prefill(s, &mut c)
-                    .iter()
-                    .map(|x| x.to_bits())
-                    .collect()
-            })
-            .collect();
-        for max_active in [1usize, 2, 4] {
-            let mut b = ContinuousBatcher::new(ContinuousBatcherConfig {
-                max_active,
-                block_ms: 1.0,
-            });
-            for (i, s) in seqs.iter().enumerate() {
-                let arrive = [0.0, 0.5, 3.0, 40.0][i];
-                b.submit(
-                    arrive,
-                    PrefillStream::new(&model, s.clone(), model.new_cache()),
-                );
-            }
-            let out = b.run(0.0);
-            assert_eq!(out.results.len(), seqs.len());
-            for (i, (logits, cache)) in out.results.iter().enumerate() {
-                let bits: Vec<u32> = logits.iter().map(|x| x.to_bits()).collect();
-                assert_eq!(bits, isolated[i], "max_active {max_active} seq {i}");
-                assert_eq!(cache.len(), seqs[i].len());
-            }
-            assert_eq!(out.joins.len(), seqs.len());
-            let total_blocks: u64 = seqs
-                .iter()
-                .map(|s| s.len().div_ceil(PREFILL_BLOCK) as u64)
-                .sum();
-            assert_eq!(out.blocks_run, total_blocks);
-        }
-    }
-
-    #[test]
-    fn continuous_batcher_schedule_is_deterministic_and_joins_at_boundaries() {
-        let cfg = ModelConfig::tiny(48);
-        let model = TransformerLM::synthetic(cfg.clone(), 29);
-        let run_once = || {
-            let mut b = ContinuousBatcher::new(ContinuousBatcherConfig {
-                max_active: 2,
-                block_ms: 2.0,
-            });
-            for (arrive, salt, len) in [
-                (0.0, 1u32, 140usize),
-                (1.0, 2, 70),
-                (1.0, 3, 70),
-                (100.0, 4, 10),
-            ] {
-                let toks: Vec<TokenId> = (0..len as u32).map(|i| (i * 3 + salt) % 48).collect();
-                b.submit(arrive, PrefillStream::new(&model, toks, model.new_cache()));
-            }
-            b.run(0.0)
-        };
-        let a = run_once();
-        let b = run_once();
-        assert_eq!(a.joins, b.joins, "schedule must be reproducible");
-        assert_eq!(a.end_ms.to_bits(), b.end_ms.to_bits());
-        // Seq 0 joins at t=0 before any block; seqs 1 and 2 arrive at 1.0 but
-        // a slot frees only at a block boundary; both join in submission
-        // order. Seq 3 arrives after everything drained — the clock jumps.
-        assert_eq!((a.joins[0].seq, a.joins[0].boundary), (0, 0));
-        assert_eq!(a.joins[1].seq, 1);
-        assert!(a.joins[1].at_ms >= 1.0);
-        assert_eq!(a.joins[2].seq, 2);
-        assert!(a.joins[2].boundary > a.joins[1].boundary);
-        assert_eq!(a.joins[3].seq, 3);
-        assert_eq!(a.joins[3].at_ms, 100.0, "idle engine jumps to next arrival");
-        // Every admission happens at a block boundary by construction: its
-        // timestamp is start + boundary * block_ms until an idle jump.
-        for j in &a.joins[..3] {
-            assert_eq!(j.at_ms, j.boundary as f64 * 2.0);
-        }
-    }
-
-    #[test]
-    fn continuous_batcher_drives_paged_caches_and_virtual_clock() {
-        let cfg = ModelConfig::tiny(48);
-        let model = TransformerLM::synthetic(cfg.clone(), 31);
-        let pool = Arc::new(PagedKvPool::new(PagedPoolConfig::for_model(&cfg, 32)));
-        let obs = Obs::new();
-        let toks: Vec<TokenId> = (0..80u32).map(|i| (i * 7 + 5) % 48).collect();
-        let mut dense_cache = model.new_cache();
-        let dense = model.prefill(&toks, &mut dense_cache);
-        let clock = VirtualClock::starting_at(50.0);
-        let mut b = ContinuousBatcher::new(ContinuousBatcherConfig::default()).with_obs(&obs);
-        for _ in 0..2 {
-            let mut cache = pool.new_cache(cfg.max_seq_len);
-            cache.try_reserve(toks.len()).unwrap();
-            b.submit(50.0, PrefillStream::new(&model, toks.clone(), cache));
-        }
-        let out = b.run_with_clock(&clock);
-        for (logits, cache) in &out.results {
-            assert_eq!(logits, &dense, "paged continuous run diverged");
-            assert_eq!(cache.len(), toks.len());
-        }
-        assert_eq!(clock.now_ms(), out.end_ms, "clock advanced to finish");
-        assert!(out.end_ms >= 50.0 + out.blocks_run as f64);
-        assert_eq!(
-            obs.metrics_snapshot().value("hallu_paged_join_total", &[]),
-            Some(2.0)
-        );
     }
 
     proptest::proptest! {

@@ -11,11 +11,11 @@
 //! - [`QuantizedLM`]: a transformer that **computes in int8**. Every Q/K/V,
 //!   attention-output, FFN and LM-head projection runs the exact-integer
 //!   kernels; RoPE, softmax, RMSNorm, residuals and the KV cache stay f32.
-//!   It implements [`InferenceModel`], so blocked prefill, `PrefillStream`
-//!   continuous batching, and the paged `KvStore` machinery from the f32
-//!   engine drive it unchanged — and because the integer accumulation is
-//!   exact in a fixed order, `(seed, config) → logits` is bitwise
-//!   reproducible, same as the f32 path.
+//!   It implements [`InferenceModel`], so blocked prefill and the paged
+//!   `KvStore` machinery from the f32 engine drive it unchanged — and
+//!   because the integer accumulation is exact in a fixed order,
+//!   `(seed, config) → logits` is bitwise reproducible, same as the f32
+//!   path.
 
 use tensor::{Int8Matrix, Matrix};
 
@@ -189,8 +189,7 @@ impl QuantizedWeights {
 /// (embedding lookup, RMSNorm, RoPE, the causal attention core, SwiGLU,
 /// residuals — all f32), but every projection goes through the exact-integer
 /// [`Int8Matrix`] kernels. Implements [`InferenceModel`], so the blocked
-/// prefill, [`crate::model::PrefillStream`] continuous batching, and any
-/// [`KvStore`] (contiguous or paged) work unchanged.
+/// prefill and any [`KvStore`] (contiguous or paged) work unchanged.
 #[derive(Debug, Clone)]
 pub struct QuantizedLM {
     cfg: ModelConfig,
@@ -305,7 +304,7 @@ impl InferenceModel for QuantizedLM {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::{PrefillStream, TransformerLM};
+    use crate::model::TransformerLM;
 
     #[test]
     fn quantized_model_agrees_with_f32_on_argmax() {
@@ -351,20 +350,6 @@ mod tests {
                 "len {len}"
             );
         }
-    }
-
-    #[test]
-    fn int8_prefill_stream_matches_direct_prefill() {
-        // Continuous batching drives QuantizedLM through the same generic
-        // PrefillStream as the f32 engine; stepping must reproduce prefill.
-        let m = QuantizedLM::synthetic(ModelConfig::tiny(48), 5);
-        let prompt: Vec<TokenId> = (0..130).map(|i| ((i * 11 + 2) % 48) as TokenId).collect();
-        let mut c = m.new_cache();
-        let want = m.prefill(&prompt, &mut c);
-        let stream = PrefillStream::new(&m, prompt, m.new_cache());
-        let (got, cache) = stream.finish();
-        assert_eq!(want, got);
-        assert_eq!(cache.len(), 130);
     }
 
     #[test]

@@ -20,8 +20,9 @@
 //! - paged KV pool: copy-on-write sentence forks, LRU evict-then-refault,
 //!   and pool exhaustion all score bitwise-identically to the contiguous
 //!   uncached path;
-//! - continuous batching: the shared-queue engine decides exactly what the
-//!   barrier engine decides, down to identical telemetry snapshots.
+//! - parallel serving: a runtime probing on worker threads decides exactly
+//!   what the inline runtime decides under chaos overload, down to
+//!   identical telemetry snapshots.
 
 use std::sync::Arc;
 
@@ -540,101 +541,38 @@ fn starved_paged_pool_degrades_without_changing_verdicts() {
     );
 }
 
-// ---------------------------------------------------------------------------
-// Continuous batching parity wall
-// ---------------------------------------------------------------------------
-
-/// Detector-level continuous batching: `score_all` on a parallel detector
-/// draining a shared work queue equals `score_batch` on a sequential
-/// uncached detector, verdict for verdict, under injected faults.
+/// Serving-level parallel scoring: under chaos overload, a runtime whose
+/// detector probes on the batch engine's worker threads decides exactly
+/// what the inline runtime decides — same verdicts, sheds, and virtual
+/// timestamps.
 #[test]
-fn continuous_score_all_matches_sequential_score_batch_under_chaos() {
-    const CTX: &str = "The store operates from 9 AM to 5 PM, from Sunday to Saturday. \
-                       There should be at least three shopkeepers to run a shop.";
-    const Q: &str = "What are the working hours?";
-    let responses = [
-        "The working hours are 9 AM to 5 PM. The store is open from Sunday to Saturday.",
-        "The working hours are 9 AM to 5 PM. The store is open from Monday to Friday.",
-        "The working hours are 9 AM to 9 PM. You do not need to work on weekends.",
-        "The working hours are 9 AM to 5 PM. The store is open from Sunday to Saturday.",
-    ];
-    let items: Vec<(&str, &str, &str)> = responses.iter().map(|r| (Q, CTX, *r)).collect();
-
-    let build = |parallel: bool, continuous: bool| {
-        let [p0, p1] = chaos();
-        let verifiers: Vec<Box<dyn FallibleVerifier>> = vec![
-            Box::new(FaultInjector::new(Reliable::new(qwen2_sim()), p0)),
-            Box::new(FaultInjector::new(Reliable::new(minicpm_sim()), p1)),
-        ];
-        let config = DetectorConfig {
-            parallel,
-            continuous,
-            ..DetectorConfig::default()
-        };
-        let mut d = ResilientDetector::try_new(verifiers, config).unwrap();
-        for r in responses {
-            d.calibrate(Q, CTX, r);
-        }
-        d
-    };
-
-    let sequential = build(false, false);
-    let cache = Arc::new(VerificationCache::new(CacheConfig::default()));
-    let continuous = build(true, true).with_cache(cache.clone());
-
-    let want = sequential.score_batch(&items);
-    let got = continuous.score_all(&items);
-    assert_eq!(
-        want, got,
-        "continuous batching must be bitwise-identical to sequential scoring"
-    );
-    assert!(
-        cache.stats().hits > 0,
-        "the duplicate item must resolve from the cache: {:?}",
-        cache.stats()
-    );
-}
-
-/// Serving-level continuous batching: under chaos overload, a runtime with
-/// continuous batching switched on decides exactly what the barrier
-/// (batch-boundary) runtime decides — same verdicts, sheds, and virtual
-/// timestamps — and the two runs emit identical metric snapshots.
-#[test]
-fn continuous_serving_matches_the_barrier_engine_bitwise() {
+fn parallel_serving_matches_sequential_serving_bitwise() {
     let config = ServingConfig {
         queue_bound: Some(2),
         shed_policy: ShedPolicy::ShedLowestPriority,
         default_deadline_ms: 150.0,
     };
-    let run = |parallel: bool, continuous: bool, obs: &Obs| {
+    let run = |parallel: bool, obs: &Obs| {
         let mut pipeline = guarded(chaos(), FailurePolicy::Abstain);
         pipeline.detector_mut().config.parallel = parallel;
-        let mut rt = ServingRuntime::new(pipeline, config)
-            .with_continuous_batching(continuous)
-            .with_obs(obs);
+        let mut rt = ServingRuntime::new(pipeline, config).with_obs(obs);
         submit_overload(&mut rt);
         rt.run_until_idle();
         rt.drain_outcomes()
     };
 
     let obs_sequential = Obs::new();
-    let obs_barrier = Obs::new();
-    let obs_continuous = Obs::new();
-    let sequential = run(false, false, &obs_sequential);
-    let barrier = run(true, false, &obs_barrier);
-    let continuous = run(true, true, &obs_continuous);
+    let obs_parallel = Obs::new();
+    let sequential = run(false, &obs_sequential);
+    let parallel = run(true, &obs_parallel);
 
     assert_eq!(
-        sequential, barrier,
-        "the barrier engine must not move a verdict, shed, or timestamp"
+        sequential, parallel,
+        "parallel probing must not move a verdict, shed, or timestamp"
     );
     assert_eq!(
-        barrier, continuous,
-        "continuous batching must not move a verdict, shed, or timestamp"
-    );
-    assert_eq!(
-        obs_barrier.metrics_snapshot(),
-        obs_continuous.metrics_snapshot(),
-        "continuous and barrier runs must emit identical telemetry"
+        obs_sequential.metrics_snapshot(),
+        obs_parallel.metrics_snapshot(),
+        "parallel and inline runs must emit identical telemetry"
     );
 }
