@@ -1,7 +1,7 @@
 //! Explainable verdicts.
 //!
 //! A guardrail that silently blocks answers is hard to operate; this module
-//! turns a [`DetectionResult`](crate::detector::DetectionResult) into a
+//! turns a [`DetectionResult`] into a
 //! structured report: the verdict, the weakest sentence (the likely
 //! hallucination), how much the ensembled models disagree, and a confidence
 //! grade. Everything derives from the detector's own outputs — no extra

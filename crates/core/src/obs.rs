@@ -1,7 +1,7 @@
 //! Registry-backed views of the resilient detector's telemetry.
 //!
-//! PR 1 introduced [`ResilienceTelemetry`](crate::ResilienceTelemetry) as a
-//! per-call counter struct. That struct stays — it is the compatibility
+//! [`ResilienceTelemetry`] is the per-call counter struct. That struct
+//! stays — it is the compatibility
 //! facade every existing caller and test relies on — but the counts now
 //! *also* flow into a `hallu-obs` registry when the detector is built with
 //! an [`Obs`] handle, so aggregate questions ("how many breaker trips

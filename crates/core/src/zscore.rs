@@ -129,7 +129,7 @@ impl ModelNormalizer {
     }
 
     /// Eq. 4: `s̃ = (s − μ_m) / σ_m`, with the prior used until the model has
-    /// [`MIN_SAMPLES`] observations.
+    /// `MIN_SAMPLES` observations.
     ///
     /// A non-finite `score` maps to z = 0 (the neutral verdict) rather than
     /// propagating NaN/∞ through the ensemble average; upstream layers

@@ -2,7 +2,7 @@
 //!
 //! The paper's related work (§II) discusses detection methods that sample
 //! the generator multiple times and measure consistency — SelfCheckGPT and
-//! the semantic-entropy line [28]. This module implements that family as a
+//! the semantic-entropy line \[28\]. This module implements that family as a
 //! baseline the framework can be compared against: re-sample K grounded
 //! answers to the same question from the same context, then score each
 //! response sentence by its best agreement with any sampled answer's

@@ -1,11 +1,15 @@
 //! Causal multi-head attention with grouped-query KV sharing.
 //!
 //! The score, softmax and value-sum loops run at the widest SIMD level the
-//! host supports ([`tensor::simd`]). The score and value-sum lanes span only
-//! independent outputs, positions for the scores and head dimensions for the
-//! value sum, so each output keeps the exact operation sequence of the
-//! scalar loop; the softmax ([`tensor::nn::softmax_inplace`]) reduces in
-//! its one pinned lane order. So every level produces the same bits.
+//! host supports ([`tensor::simd`]). The causal core runs over tiles of
+//! consecutive query rows: each transposed key lane group and each value
+//! slice is loaded once per tile and serves every row of it. The score and
+//! value-sum lanes span only independent outputs, positions for the scores
+//! and head dimensions for the value sum, and the rows of a tile only share
+//! loads, so each output keeps the exact operation sequence of the scalar
+//! loop; the softmax ([`tensor::nn::softmax_inplace`]) reduces in its one
+//! pinned lane order. So every level and every tile height produces the
+//! same bits.
 
 use tensor::nn::softmax_inplace;
 use tensor::simd::{self, SimdLevel, LANES};
@@ -16,8 +20,10 @@ use crate::kv::KvStore;
 use crate::rope::RopeTable;
 use crate::weights::LayerView;
 
-/// Query heads per register group of the value sum: four independent
-/// accumulator chains per position.
+/// Query heads per register group of the value sum. With a tile of `R`
+/// query rows, a group keeps `R × VALUE_HEADS` independent accumulator
+/// chains per position, and each of its value slices is loaded once per
+/// position for all of them.
 const VALUE_HEADS: usize = 4;
 
 /// Shape of one layer's attention over the gathered positions.
@@ -28,9 +34,10 @@ struct Geometry {
     group: usize,
     kv_dim: usize,
     /// Floats per transposed key column and per head's score row: the
-    /// gathered position count rounded up to [`LANES`], so every query row
-    /// runs whole lane groups in the score kernel; scores past the row's
-    /// causal width are computed and never read.
+    /// gathered position count rounded up to [`LANES`], so every tile of
+    /// query rows runs whole lane groups up to its widest row in the score
+    /// kernel; scores past a row's own causal width are computed and never
+    /// read.
     stride: usize,
     /// `1 / sqrt(head_dim)`.
     scale: f32,
@@ -46,6 +53,34 @@ impl Geometry {
             stride: total.next_multiple_of(LANES),
             scale: 1.0 / (head_dim as f32).sqrt(),
         }
+    }
+
+    /// Query heads.
+    fn heads(self) -> usize {
+        self.kv_dim / self.head_dim * self.group
+    }
+
+    /// Floats per query row.
+    fn q_dim(self) -> usize {
+        self.kv_dim * self.group
+    }
+
+    /// The widest row of an `R`-row tile whose first row is `first`
+    /// positions wide, after checking that the tile fits: `rows` (the query
+    /// rows or the output rows) holds exactly `R` rows, `scores` an
+    /// `R`-row score block, and `stride` a whole number of lane groups at
+    /// least that wide. The kernels' unchecked loads rely on this check.
+    fn check_tile<const R: usize>(self, first: usize, rows: &[f32], scores: &[f32]) -> usize {
+        let widest = first + R - 1;
+        assert!(
+            self.head_dim > 0
+                && self.stride.is_multiple_of(LANES)
+                && widest <= self.stride
+                && rows.len() == R * self.q_dim()
+                && scores.len() >= R * self.heads() * self.stride,
+            "attention tile out of bounds"
+        );
+        widest
     }
 }
 
@@ -75,67 +110,109 @@ impl GatheredKv {
         Self { geo, kt, v }
     }
 
-    /// Causal attention of one query row over positions `0..width`, before
-    /// the output projection: scaled scores per head, softmax per head,
-    /// then the softmax-weighted sum of values into `out`. `scores` is
-    /// scratch of `n_heads * geo.stride` floats. Shared by
-    /// [`attention_step`] and [`attention_block`], so both run the same
-    /// arithmetic per row.
-    fn attend_row(
+    /// Causal attention of consecutive query rows, before the output
+    /// projection: scaled scores per head, softmax per head, then the
+    /// softmax-weighted sum of values into `out`. `q` and `out` hold the
+    /// rows back to back, and row `i` sees positions `0..first + i`.
+    ///
+    /// Rows run in tiles of the level's tile height, like the GEMM's panel
+    /// width: 4 at AVX-512, whose 32 vector registers hold four rows' score
+    /// accumulators; 2 at AVX2, whose 16 registers spill at 4 rows; 1 at
+    /// the baseline, where one row's 16-lane score accumulators fill all 16
+    /// SSE registers. The rows left below a whole tile run the one-row
+    /// instance of the same kernels. Shared by [`attention_step`] and
+    /// [`attention_block`], so both run the same arithmetic per row.
+    fn attend(&self, level: SimdLevel, q: &[f32], first: usize, out: &mut [f32]) {
+        match level {
+            #[cfg(target_arch = "x86_64")]
+            SimdLevel::Avx512(_) => self.attend_tiles::<4>(level, q, first, out),
+            #[cfg(target_arch = "x86_64")]
+            SimdLevel::Avx2(_) => self.attend_tiles::<2>(level, q, first, out),
+            SimdLevel::Scalar => self.attend_tiles::<1>(level, q, first, out),
+        }
+    }
+
+    fn attend_tiles<const T: usize>(
         &self,
         level: SimdLevel,
-        q_row: &[f32],
-        width: usize,
+        q: &[f32],
+        first: usize,
+        out: &mut [f32],
+    ) {
+        let q_dim = self.geo.q_dim();
+        let rows = q.len() / q_dim;
+        let tiled = rows - rows % T;
+        let mut scores = vec![0.0f32; T.min(rows) * self.geo.heads() * self.geo.stride];
+        let tiles = q
+            .chunks_exact(T * q_dim)
+            .zip(out.chunks_exact_mut(T * q_dim));
+        for (i, (q_tile, out_tile)) in tiles.enumerate() {
+            self.attend_tile::<T>(level, q_tile, first + i * T, &mut scores, out_tile);
+        }
+        for i in tiled..rows {
+            let (q_row, out_row) = (&q[i * q_dim..][..q_dim], &mut out[i * q_dim..][..q_dim]);
+            self.attend_tile::<1>(level, q_row, first + i, &mut scores, out_row);
+        }
+    }
+
+    /// One tile of `R` query rows, the first `first` positions wide.
+    fn attend_tile<const R: usize>(
+        &self,
+        level: SimdLevel,
+        q: &[f32],
+        first: usize,
         scores: &mut [f32],
         out: &mut [f32],
     ) {
-        scores_at(level, self.geo, q_row, &self.kt, width, scores);
-        for head_scores in scores.chunks_exact_mut(self.geo.stride) {
-            softmax_inplace(&mut head_scores[..width]);
+        let heads = self.geo.heads();
+        scores_at::<R>(level, self.geo, q, &self.kt, first, scores);
+        let rows = scores.chunks_exact_mut(self.geo.stride).take(R * heads);
+        for (i, head_scores) in rows.enumerate() {
+            softmax_inplace(&mut head_scores[..first + i / heads]);
         }
-        values_at(level, self.geo, scores, &self.v, width, out);
+        values_at::<R>(level, self.geo, scores, &self.v, first, out);
     }
 }
 
-fn scores_at(
+fn scores_at<const R: usize>(
     level: SimdLevel,
     geo: Geometry,
-    q_row: &[f32],
+    q: &[f32],
     kt: &[f32],
-    width: usize,
+    first: usize,
     scores: &mut [f32],
 ) {
     match level {
         // SAFETY: an Avx512 level carries the `tensor::simd` proof that the
         // CPU reported avx512f.
         #[cfg(target_arch = "x86_64")]
-        SimdLevel::Avx512(_) => unsafe { x86::scores_avx512(geo, q_row, kt, width, scores) },
+        SimdLevel::Avx512(_) => unsafe { x86::scores_avx512::<R>(geo, q, kt, first, scores) },
         // SAFETY: an Avx2 level carries the `tensor::simd` proof that the
         // CPU reported avx2.
         #[cfg(target_arch = "x86_64")]
-        SimdLevel::Avx2(_) => unsafe { x86::scores_avx2(geo, q_row, kt, width, scores) },
-        SimdLevel::Scalar => scores_body(geo, q_row, kt, width, scores),
+        SimdLevel::Avx2(_) => unsafe { x86::scores_avx2::<R>(geo, q, kt, first, scores) },
+        SimdLevel::Scalar => scores_tile::<R>(geo, q, kt, first, scores),
     }
 }
 
-fn values_at(
+fn values_at<const R: usize>(
     level: SimdLevel,
     geo: Geometry,
-    scores: &[f32],
+    probs: &[f32],
     v: &[f32],
-    width: usize,
+    first: usize,
     out: &mut [f32],
 ) {
     match level {
         // SAFETY: an Avx512 level carries the `tensor::simd` proof that the
         // CPU reported avx512f.
         #[cfg(target_arch = "x86_64")]
-        SimdLevel::Avx512(_) => unsafe { x86::values_avx512(geo, scores, v, width, out) },
+        SimdLevel::Avx512(_) => unsafe { x86::values_avx512::<R>(geo, probs, v, first, out) },
         // SAFETY: an Avx2 level carries the `tensor::simd` proof that the
         // CPU reported avx2.
         #[cfg(target_arch = "x86_64")]
-        SimdLevel::Avx2(_) => unsafe { x86::values_avx2(geo, scores, v, width, out) },
-        SimdLevel::Scalar => values_body(geo, scores, v, width, out),
+        SimdLevel::Avx2(_) => unsafe { x86::values_avx2::<R>(geo, probs, v, first, out) },
+        SimdLevel::Scalar => values_tile::<R>(geo, probs, v, first, out),
     }
 }
 
@@ -144,149 +221,285 @@ mod x86 {
     //! The attention kernel bodies instantiated for AVX-512F and AVX2.
     //! Neither feature set enables fused multiply-add contraction.
 
-    use super::{scores_body, values_body, Geometry};
+    use super::{scores_tile, values_tile, Geometry};
 
     #[target_feature(enable = "avx512f")]
-    pub fn scores_avx512(geo: Geometry, q: &[f32], kt: &[f32], width: usize, scores: &mut [f32]) {
-        scores_body(geo, q, kt, width, scores);
+    pub fn scores_avx512<const R: usize>(
+        geo: Geometry,
+        q: &[f32],
+        kt: &[f32],
+        first: usize,
+        scores: &mut [f32],
+    ) {
+        scores_tile::<R>(geo, q, kt, first, scores);
     }
 
     #[target_feature(enable = "avx2")]
-    pub fn scores_avx2(geo: Geometry, q: &[f32], kt: &[f32], width: usize, scores: &mut [f32]) {
-        scores_body(geo, q, kt, width, scores);
+    pub fn scores_avx2<const R: usize>(
+        geo: Geometry,
+        q: &[f32],
+        kt: &[f32],
+        first: usize,
+        scores: &mut [f32],
+    ) {
+        scores_tile::<R>(geo, q, kt, first, scores);
     }
 
     #[target_feature(enable = "avx512f")]
-    pub fn values_avx512(geo: Geometry, scores: &[f32], v: &[f32], width: usize, out: &mut [f32]) {
-        values_body(geo, scores, v, width, out);
+    pub fn values_avx512<const R: usize>(
+        geo: Geometry,
+        probs: &[f32],
+        v: &[f32],
+        first: usize,
+        out: &mut [f32],
+    ) {
+        values_tile::<R>(geo, probs, v, first, out);
     }
 
     #[target_feature(enable = "avx2")]
-    pub fn values_avx2(geo: Geometry, scores: &[f32], v: &[f32], width: usize, out: &mut [f32]) {
-        values_body(geo, scores, v, width, out);
+    pub fn values_avx2<const R: usize>(
+        geo: Geometry,
+        probs: &[f32],
+        v: &[f32],
+        first: usize,
+        out: &mut [f32],
+    ) {
+        values_tile::<R>(geo, probs, v, first, out);
     }
 }
 
-/// Scaled causal scores of every query head over positions `0..width`:
-/// `scores[head * stride + t]`, read from the transposed keys.
+/// The `N` floats of `data` from index `at`, loaded without a bounds check.
+///
+/// # Safety
+/// `at + N <= data.len()`.
+#[inline(always)]
+unsafe fn lanes<const N: usize>(data: &[f32], at: usize) -> &[f32; N] {
+    debug_assert!(at + N <= data.len());
+    // SAFETY: the caller guarantees `at + N <= data.len()`, so the `N`
+    // floats from `at` lie inside `data`.
+    unsafe { &*data.as_ptr().add(at).cast::<[f32; N]>() }
+}
+
+/// Scaled causal scores of a tile of `R` query rows, back to back in `q`,
+/// over the positions of its widest row, `first + R - 1`: row `r`, head
+/// `head` goes to `scores[(r * heads + head) * stride + t]`, read from the
+/// transposed keys. A narrower row also gets scores up to the tile's widest
+/// row, which are never read.
 ///
 /// Per position this computes exactly the 4-lane reduction of
 /// [`tensor::ops::dot`]: lane `l` accumulates dimensions `4c + l` in
 /// ascending chunk order, the lanes combine as `((s0 + s1) + s2) + s3`, the
 /// tail dimensions add sequentially, and the scale multiplies last. The
-/// vector lanes span positions, so no output bit differs from a
-/// per-position `dot`.
+/// vector lanes span positions and each key lane group is loaded once for
+/// every row of the tile, so no output bit differs from a per-position
+/// `dot`.
 #[inline(always)]
-fn scores_body(geo: Geometry, q_row: &[f32], kt: &[f32], width: usize, scores: &mut [f32]) {
-    let hd = geo.head_dim;
-    let heads = q_row
-        .chunks_exact(hd)
-        .zip(scores.chunks_exact_mut(geo.stride));
-    for (head, (q_head, head_scores)) in heads.enumerate() {
-        let kt_head = &kt[(head / geo.group) * hd * geo.stride..][..hd * geo.stride];
-        for t0 in (0..width).step_by(LANES) {
-            let column = |d: usize| -> &[f32; LANES] {
-                kt_head[d * geo.stride + t0..][..LANES]
-                    .try_into()
-                    .expect("slice of LANES")
-            };
-            let chunks = hd / 4;
-            let mut lanes = [[0.0f32; LANES]; 4];
-            for c in 0..chunks {
-                for (l, acc) in lanes.iter_mut().enumerate() {
-                    let qd = q_head[4 * c + l];
-                    for (s, &k) in acc.iter_mut().zip(column(4 * c + l)) {
-                        *s += qd * k;
+fn scores_tile<const R: usize>(
+    geo: Geometry,
+    q: &[f32],
+    kt: &[f32],
+    first: usize,
+    scores: &mut [f32],
+) {
+    let Geometry {
+        head_dim: hd,
+        group,
+        kv_dim,
+        stride,
+        scale,
+    } = geo;
+    let widest = geo.check_tile::<R>(first, q, scores);
+    assert!(kt.len() >= kv_dim * stride, "attention keys out of bounds");
+    let (q_dim, heads) = (geo.q_dim(), geo.heads());
+    let chunks = hd / 4;
+    for kv_head in 0..kv_dim / hd {
+        for head in kv_head * group..(kv_head + 1) * group {
+            // SAFETY: `check_tile` checked `q.len() == R * q_dim`, and
+            // `r < R`, `head < heads`, `d < hd`, so the index is below it.
+            let q_at = |r: usize, d: usize| unsafe { *q.get_unchecked(r * q_dim + head * hd + d) };
+            for t0 in (0..widest).step_by(LANES) {
+                // SAFETY: `check_tile` and the assert above checked that
+                // `stride` is a multiple of LANES at least `widest` wide and
+                // that `kt` holds `kv_dim * stride` floats; `t0 < widest` is
+                // a multiple of LANES, so `t0 + LANES <= stride`, and
+                // `kv_head * hd + d < kv_dim`.
+                let column =
+                    |d: usize| unsafe { lanes::<LANES>(kt, (kv_head * hd + d) * stride + t0) };
+                let mut acc = [[[0.0f32; LANES]; 4]; R];
+                for c in 0..chunks {
+                    for l in 0..4 {
+                        let k = column(4 * c + l);
+                        for (r, acc_r) in acc.iter_mut().enumerate() {
+                            let qd = q_at(r, 4 * c + l);
+                            for (s, &kd) in acc_r[l].iter_mut().zip(k) {
+                                *s += qd * kd;
+                            }
+                        }
                     }
                 }
-            }
-            let [s0, s1, s2, s3] = lanes;
-            let out = &mut head_scores[t0..t0 + LANES];
-            for (j, o) in out.iter_mut().enumerate() {
-                *o = ((s0[j] + s1[j]) + s2[j]) + s3[j];
-            }
-            for (d, &qd) in q_head.iter().enumerate().skip(chunks * 4) {
-                for (o, &k) in out.iter_mut().zip(column(d)) {
-                    *o += qd * k;
+                let mut sums = [[0.0f32; LANES]; R];
+                for (sum, [s0, s1, s2, s3]) in sums.iter_mut().zip(&acc) {
+                    for (j, s) in sum.iter_mut().enumerate() {
+                        *s = ((s0[j] + s1[j]) + s2[j]) + s3[j];
+                    }
                 }
-            }
-            for o in out.iter_mut() {
-                *o *= geo.scale;
+                for d in chunks * 4..hd {
+                    let k = column(d);
+                    for (r, sum) in sums.iter_mut().enumerate() {
+                        let qd = q_at(r, d);
+                        for (s, &kd) in sum.iter_mut().zip(k) {
+                            *s += qd * kd;
+                        }
+                    }
+                }
+                for (r, sum) in sums.iter().enumerate() {
+                    let out = &mut scores[(r * heads + head) * stride + t0..][..LANES];
+                    for (o, &s) in out.iter_mut().zip(sum) {
+                        *o = s * scale;
+                    }
+                }
             }
         }
     }
 }
 
-/// The softmax-weighted value sum of one query row: for every head,
-/// `out_head = Σ_t p[head][t] · v_t[kv_head]` over positions `0..width`,
-/// starting from zero and adding one product at a time in ascending `t`.
+/// The softmax-weighted value sums of a tile of `R` query rows: for row `r`
+/// and every head, `out_head = Σ_t p[r][head][t] · v_t[kv_head]` over
+/// positions `0..first + r`, starting from zero and adding one product at a
+/// time in ascending `t`.
 ///
 /// The vector lanes span head dimensions: each head splits into 16-wide,
 /// then 8-wide, then single-dimension slices, and slices of the same width
 /// run [`VALUE_HEADS`] at a time with their accumulators in registers
-/// across every position.
+/// across every position. Each value slice is loaded once per position for
+/// every row of the tile: the rows share that chain up to `first`, the
+/// tile's narrowest width, then each row continues alone to its own width.
 #[inline(always)]
-fn values_body(geo: Geometry, scores: &[f32], v: &[f32], width: usize, out: &mut [f32]) {
+fn values_tile<const R: usize>(
+    geo: Geometry,
+    probs: &[f32],
+    v: &[f32],
+    first: usize,
+    out: &mut [f32],
+) {
+    let widest = geo.check_tile::<R>(first, out, probs);
+    assert!(
+        v.len() >= widest * geo.kv_dim,
+        "attention values out of bounds"
+    );
     let hd = geo.head_dim;
     let wide = hd - hd % 16;
     let narrow = hd - hd % 8;
-    value_slices::<16>(geo, scores, v, width, out, (0, wide));
-    value_slices::<8>(geo, scores, v, width, out, (wide, narrow));
-    value_slices::<1>(geo, scores, v, width, out, (narrow, hd));
+    // SAFETY: `check_tile` and the assert above are the checks every
+    // `value_width` call requires, and the three ranges lie within `hd`.
+    unsafe {
+        value_width::<R, 16>(geo, probs, v, first, out, (0, wide));
+        value_width::<R, 8>(geo, probs, v, first, out, (wide, narrow));
+        value_width::<R, 1>(geo, probs, v, first, out, (narrow, hd));
+    }
 }
 
-/// The `L`-wide slices at head dimensions `dims.0..dims.1` of every head.
+/// The `L`-wide slices at head dimensions `dims.0..dims.1` of every head,
+/// in groups of [`VALUE_HEADS`] slices and then one at a time.
+///
+/// # Safety
+/// As for [`value_sums`], with `dims.1 <= head_dim`.
 #[inline(always)]
-fn value_slices<const L: usize>(
+unsafe fn value_width<const R: usize, const L: usize>(
     geo: Geometry,
-    scores: &[f32],
+    probs: &[f32],
     v: &[f32],
-    width: usize,
+    first: usize,
     out: &mut [f32],
     dims: (usize, usize),
 ) {
     let per_head = (dims.1 - dims.0) / L;
-    let count = per_head * (out.len() / geo.head_dim);
+    let count = per_head * geo.heads();
     // Slice `i` is head `i / per_head`, dimensions from `start(i)`.
     let start = |i: usize| (i / per_head, dims.0 + (i % per_head) * L);
     let mut i = 0;
     while i + VALUE_HEADS <= count {
-        let slices = std::array::from_fn(|g| start(i + g));
-        value_group::<L, VALUE_HEADS>(geo, scores, v, width, out, slices);
+        let mut slices = [(0, 0); VALUE_HEADS];
+        for (g, slice) in slices.iter_mut().enumerate() {
+            *slice = start(i + g);
+        }
+        // SAFETY: the caller's guarantee; each slice is a head below
+        // `heads` and `L` dimensions ending by `dims.1 <= head_dim`.
+        unsafe { value_sums::<R, L, VALUE_HEADS>(geo, probs, v, first, out, slices) };
         i += VALUE_HEADS;
     }
     while i < count {
-        value_group::<L, 1>(geo, scores, v, width, out, [start(i)]);
+        // SAFETY: as above.
+        unsafe { value_sums::<R, L, 1>(geo, probs, v, first, out, [start(i)]) };
         i += 1;
     }
 }
 
-/// `G` slices of `L` output dimensions, each `(head, first dimension)`,
-/// accumulated in registers over positions `0..width`.
+/// `G` slices of `L` output dimensions, each `(head, first dimension)`, for
+/// all `R` rows of a tile, accumulated in registers over the positions.
+///
+/// # Safety
+/// `geo.check_tile::<R>(first, out, probs)` passed, `v` holds
+/// `first + R - 1` positions of `kv_dim` floats, and every slice is a head
+/// below `heads` whose `L` dimensions end within `head_dim`.
 #[inline(always)]
-fn value_group<const L: usize, const G: usize>(
+unsafe fn value_sums<const R: usize, const L: usize, const G: usize>(
     geo: Geometry,
-    scores: &[f32],
+    probs: &[f32],
     v: &[f32],
-    width: usize,
+    first: usize,
     out: &mut [f32],
     slices: [(usize, usize); G],
 ) {
-    let hd = geo.head_dim;
-    let probs = slices.map(|(head, _)| &scores[head * geo.stride..][..width]);
-    let offsets = slices.map(|(head, d)| (head / geo.group) * hd + d);
-    let mut acc = [[0.0f32; L]; G];
-    for (t, v_t) in v.chunks_exact(geo.kv_dim).take(width).enumerate() {
-        for ((acc_g, p), &off) in acc.iter_mut().zip(&probs).zip(&offsets) {
-            let p_t = p[t];
-            let v_slice: &[f32; L] = v_t[off..off + L].try_into().expect("slice of L");
-            for (a, &x) in acc_g.iter_mut().zip(v_slice) {
-                *a += p_t * x;
+    let Geometry {
+        head_dim: hd,
+        group,
+        kv_dim,
+        stride,
+        ..
+    } = geo;
+    let row_probs = geo.heads() * stride;
+    let mut p_at = [0; G];
+    let mut v_at = [0; G];
+    for ((p_g, v_g), &(head, d)) in p_at.iter_mut().zip(&mut v_at).zip(&slices) {
+        *p_g = head * stride;
+        *v_g = (head / group) * hd + d;
+    }
+    // SAFETY: the caller checked that `v` holds the `widest` positions of
+    // `kv_dim` floats; `t < widest` and a slice ends within its head, so
+    // within `kv_dim`.
+    let v_slice = |t: usize, g: usize| unsafe { lanes::<L>(v, t * kv_dim + v_at[g]) };
+    // SAFETY: the caller's `check_tile` checked that `probs` holds `R` rows
+    // of `heads * stride` floats, and `t < first + r <= widest <= stride`.
+    let p =
+        |r: usize, g: usize, t: usize| unsafe { *probs.get_unchecked(r * row_probs + p_at[g] + t) };
+    let mut acc = [[[0.0f32; L]; R]; G];
+    for t in 0..first {
+        for (g, acc_g) in acc.iter_mut().enumerate() {
+            let x = v_slice(t, g);
+            for (r, acc_r) in acc_g.iter_mut().enumerate() {
+                let p_t = p(r, g, t);
+                for (a, &x) in acc_r.iter_mut().zip(x) {
+                    *a += p_t * x;
+                }
             }
         }
     }
-    for ((head, d), acc_g) in slices.into_iter().zip(acc) {
-        out[head * hd + d..][..L].copy_from_slice(&acc_g);
+    for r in 1..R {
+        for t in first..first + r {
+            for (g, acc_g) in acc.iter_mut().enumerate() {
+                let p_t = p(r, g, t);
+                for (a, &x) in acc_g[r].iter_mut().zip(v_slice(t, g)) {
+                    *a += p_t * x;
+                }
+            }
+        }
+    }
+    let q_dim = geo.q_dim();
+    for (&(head, d), acc_g) in slices.iter().zip(&acc) {
+        for (r, sums) in acc_g.iter().enumerate() {
+            out[r * q_dim + head * hd + d..][..L].copy_from_slice(sums);
+        }
     }
 }
 
@@ -327,9 +540,8 @@ pub fn attention_step<C: KvStore, L: LayerView>(
     // Attend: causal, so positions 0..=pos.
     let total = pos + 1;
     let kv = GatheredKv::new(cfg, cache, layer, total);
-    let mut scores = vec![0.0f32; cfg.n_heads * kv.geo.stride];
     let mut out = vec![0.0f32; cfg.hidden];
-    kv.attend_row(simd::detect(), &q, total, &mut scores, &mut out);
+    kv.attend(simd::detect(), &q, total, &mut out);
 
     weights.wo().apply(&out)
 }
@@ -339,9 +551,10 @@ pub fn attention_step<C: KvStore, L: LayerView>(
 ///
 /// The Q/K/V and output projections run as blocked GEMMs over the whole block
 /// ([`Linear::apply_block`] rows are bit-identical to [`Linear::apply`]); the causal
-/// score/softmax/weighted-sum core runs per row in exactly the order
-/// [`attention_step`] uses, so row `i` of the result carries the same bits the
-/// sequential path would produce at position `cache.len() + i`.
+/// score/softmax/weighted-sum core runs over tiles of rows that keep, per row,
+/// exactly the operation sequence [`attention_step`] uses, so row `i` of the
+/// result carries the same bits the sequential path would produce at position
+/// `cache.len() + i`.
 ///
 /// K/V rows for the block are *staged* via [`KvStore::write_at`]; the caller
 /// commits them with [`KvStore::advance_by`] once every layer has run.
@@ -370,16 +583,12 @@ pub fn attention_block<C: KvStore, L: LayerView>(
 
     // Causal attention per row: position start + i sees 0..=start + i,
     // which includes the staged rows of this block that precede it. Keys
-    // and values are gathered once for the whole block, and each row runs
-    // the same core as [`attention_step`].
+    // and values are gathered once for the whole block, and the rows run
+    // the same core as [`attention_step`], in tiles of consecutive rows.
     let total = start + block;
     let kv = GatheredKv::new(cfg, cache, layer, total);
-    let level = simd::detect();
-    let mut scores = vec![0.0f32; cfg.n_heads * kv.geo.stride];
     let mut out = Matrix::zeros(block, cfg.hidden);
-    for i in 0..block {
-        kv.attend_row(level, q.row(i), start + i + 1, &mut scores, out.row_mut(i));
-    }
+    kv.attend(simd::detect(), q.as_slice(), start + 1, out.as_mut_slice());
 
     weights.wo().apply_block(&out)
 }
@@ -467,8 +676,11 @@ mod tests {
         // Parity core for the GEMM prefill: attention_block must reproduce
         // attention_step exactly, including when the block starts
         // mid-sequence, for the test shape and the two benchmark shapes
-        // (GQA group 3 at head_dim 16, MHA at head_dim 8). Twenty tokens
-        // straddle the score kernel's 16-position lane groups.
+        // (GQA group 3 at head_dim 16, MHA at head_dim 8). Blocks of 20, 19,
+        // 17, 6 and 3 rows leave every remainder below a 4-row tile and
+        // straddle the score kernel's 16-position lane groups; the last
+        // case is a full PREFILL_BLOCK after a 76-position warm-up, the
+        // benchmark's prefix geometry.
         for cfg in [
             ModelConfig::tiny(32),
             ModelConfig::qwen2_like(32),
@@ -477,15 +689,22 @@ mod tests {
             let w = ModelWeights::synthetic(&cfg, 7);
             let rope = RopeTable::new(cfg.head_dim(), cfg.max_seq_len, cfg.rope_theta);
             let kv_dim = cfg.n_kv_heads * cfg.head_dim();
-            let tokens: Vec<Vec<f32>> = (0..20)
-                .map(|t| {
-                    (0..cfg.hidden)
-                        .map(|i| ((t * 17 + i * 5) % 13) as f32 * 0.11 - 0.6)
-                        .collect()
-                })
-                .collect();
+            let token = |t: usize| -> Vec<f32> {
+                (0..cfg.hidden)
+                    .map(|i| ((t * 17 + i * 5) % 13) as f32 * 0.11 - 0.6)
+                    .collect()
+            };
 
-            for split in [0usize, 1, 3, 17] {
+            let cases = [
+                (0, 20),
+                (1, 19),
+                (3, 17),
+                (14, 6),
+                (17, 3),
+                (76, crate::PREFILL_BLOCK),
+            ];
+            for (split, block) in cases {
+                let tokens: Vec<Vec<f32>> = (0..split + block).map(token).collect();
                 let mut seq_cache = KvCache::new(cfg.n_layers, cfg.max_seq_len, kv_dim);
                 let mut blk_cache = KvCache::new(cfg.n_layers, cfg.max_seq_len, kv_dim);
 
@@ -507,7 +726,6 @@ mod tests {
                     })
                     .collect();
 
-                let block = tokens.len() - split;
                 let xs = Matrix::from_fn(block, cfg.hidden, |r, c| tokens[split + r][c]);
                 let blk_out = attention_block(&cfg, &w.layers[0], &rope, &mut blk_cache, 0, &xs);
                 blk_cache.advance_by(block);
@@ -517,7 +735,7 @@ mod tests {
                     assert_eq!(
                         blk_out.row(i),
                         seq.as_slice(),
-                        "{shape} split {split} row {i}"
+                        "{shape} split {split} block {block} row {i}"
                     );
                 }
                 // Staged K/V must match what the sequential path committed.
@@ -537,83 +755,107 @@ mod tests {
         }
     }
 
-    #[test]
-    fn kernels_match_reference_at_every_simd_level() {
-        // At every SIMD level the host supports, the score kernel must equal
-        // `dot(q_head, k_t) * scale` and the value sum the textbook
-        // ascending-position sum, bit for bit. Head dims cover the 16-, 8-
-        // and single-lane value slices and the dot's tail dimensions; widths
-        // straddle the 16-position lane groups; inputs mix ±0 and
-        // subnormals into normal values. Probabilities hold NaN past
-        // `width`, so a value sum that read the padding would fail.
+    /// Scores and value sums of one tile of `R` query rows whose first row
+    /// is `first` positions wide, at `level`, against `dot(q_head, k_t) *
+    /// scale` and the textbook ascending-position sum, bit for bit.
+    fn check_tile<const R: usize>(
+        level: SimdLevel,
+        head_dim: usize,
+        (n_heads, n_kv_heads): (usize, usize),
+        first: usize,
+    ) {
         let value = |i: usize| match i % 9 {
             0 => 0.0,
             1 => -0.0,
             2 => 2.0e-39,
             _ => ((i * 37) % 29) as f32 * 0.07 - 1.0,
         };
-        for head_dim in [1, 3, 4, 8, 12, 16, 24, 40] {
-            for (n_heads, n_kv_heads) in [(1, 1), (3, 1), (4, 2), (6, 2), (8, 8)] {
-                for width in [1usize, 15, 16, 17, 33, 70] {
-                    let kv_dim = n_kv_heads * head_dim;
-                    let group = n_heads / n_kv_heads;
-                    let geo = Geometry {
-                        head_dim,
-                        group,
-                        kv_dim,
-                        stride: width.next_multiple_of(LANES),
-                        scale: 1.0 / (head_dim as f32).sqrt(),
-                    };
-                    let v: Vec<f32> = (0..width * kv_dim).map(|i| value(i * 5 + 2)).collect();
-                    let keys: Vec<f32> = (0..width * kv_dim).map(|i| value(i * 7 + 1)).collect();
-                    let mut kt = vec![0.0; kv_dim * geo.stride];
-                    for (i, &key) in keys.iter().enumerate() {
-                        kt[(i % kv_dim) * geo.stride + i / kv_dim] = key;
+        let widest = first + R - 1;
+        let kv_dim = n_kv_heads * head_dim;
+        let group = n_heads / n_kv_heads;
+        let geo = Geometry {
+            head_dim,
+            group,
+            kv_dim,
+            stride: widest.next_multiple_of(LANES),
+            scale: 1.0 / (head_dim as f32).sqrt(),
+        };
+        let q_dim = n_heads * head_dim;
+        let v: Vec<f32> = (0..widest * kv_dim).map(|i| value(i * 5 + 2)).collect();
+        let keys: Vec<f32> = (0..widest * kv_dim).map(|i| value(i * 7 + 1)).collect();
+        let mut kt = vec![0.0; kv_dim * geo.stride];
+        for (i, &key) in keys.iter().enumerate() {
+            kt[(i % kv_dim) * geo.stride + i / kv_dim] = key;
+        }
+        let q: Vec<f32> = (0..R * q_dim).map(|i| value(i * 11 + 4)).collect();
+        // Row r's probabilities are NaN past its own width, so a row that
+        // read a wider row's positions would fail.
+        let probs: Vec<f32> = (0..R * n_heads * geo.stride)
+            .map(|i| {
+                let r = i / (n_heads * geo.stride);
+                if i % geo.stride < first + r {
+                    value(i * 13 + 5).abs()
+                } else {
+                    f32::NAN
+                }
+            })
+            .collect();
+
+        let mut want_scores = Vec::new();
+        let mut want_out = Vec::new();
+        for r in 0..R {
+            let width = first + r;
+            for head in 0..n_heads {
+                let q_head = &q[r * q_dim + head * head_dim..][..head_dim];
+                let p = &probs[(r * n_heads + head) * geo.stride..][..width];
+                let off = (head / group) * head_dim;
+                for t in 0..width {
+                    let key = &keys[t * kv_dim + off..][..head_dim];
+                    want_scores.push((tensor::ops::dot(q_head, key) * geo.scale).to_bits());
+                }
+                for d in 0..head_dim {
+                    let mut s = 0.0f32;
+                    for (t, &p_t) in p.iter().enumerate() {
+                        s += p_t * v[t * kv_dim + off + d];
                     }
-                    let q: Vec<f32> = (0..n_heads * head_dim).map(|i| value(i * 11 + 4)).collect();
-                    let probs: Vec<f32> = (0..n_heads * geo.stride)
-                        .map(|i| {
-                            if i % geo.stride < width {
-                                value(i * 13 + 5).abs()
-                            } else {
-                                f32::NAN
-                            }
-                        })
-                        .collect();
+                    want_out.push(s.to_bits());
+                }
+            }
+        }
 
-                    let mut want_scores = Vec::new();
-                    let mut want_out = Vec::new();
-                    for head in 0..n_heads {
-                        let q_head = &q[head * head_dim..(head + 1) * head_dim];
-                        let off = (head / group) * head_dim;
-                        for t in 0..width {
-                            let key = &keys[t * kv_dim + off..t * kv_dim + off + head_dim];
-                            want_scores.push((tensor::ops::dot(q_head, key) * geo.scale).to_bits());
-                        }
-                        for d in 0..head_dim {
-                            let mut s = 0.0f32;
-                            for t in 0..width {
-                                s += probs[head * geo.stride + t] * v[t * kv_dim + off + d];
-                            }
-                            want_out.push(s.to_bits());
-                        }
-                    }
+        let shape = format!(
+            "{level:?} rows {R} head_dim {head_dim} heads {n_heads}/{n_kv_heads} first {first}"
+        );
+        let mut scores = vec![f32::NAN; R * n_heads * geo.stride];
+        scores_at::<R>(level, geo, &q, &kt, first, &mut scores);
+        let got: Vec<u32> = scores
+            .chunks_exact(geo.stride)
+            .enumerate()
+            .flat_map(|(i, row)| row[..first + i / n_heads].iter().map(|s| s.to_bits()))
+            .collect();
+        assert_eq!(got, want_scores, "scores {shape}");
 
-                    let shape =
-                        format!("head_dim {head_dim} heads {n_heads}/{n_kv_heads} width {width}");
-                    for level in simd::supported() {
-                        let mut scores = vec![f32::NAN; n_heads * geo.stride];
-                        scores_at(level, geo, &q, &kt, width, &mut scores);
-                        let got: Vec<u32> = scores
-                            .chunks_exact(geo.stride)
-                            .flat_map(|row| row[..width].iter().map(|s| s.to_bits()))
-                            .collect();
-                        assert_eq!(got, want_scores, "scores {level:?} {shape}");
+        let mut out = vec![f32::NAN; R * q_dim];
+        values_at::<R>(level, geo, &probs, &v, first, &mut out);
+        let got: Vec<u32> = out.iter().map(|s| s.to_bits()).collect();
+        assert_eq!(got, want_out, "values {shape}");
+    }
 
-                        let mut out = vec![f32::NAN; n_heads * head_dim];
-                        values_at(level, geo, &probs, &v, width, &mut out);
-                        let got: Vec<u32> = out.iter().map(|s| s.to_bits()).collect();
-                        assert_eq!(got, want_out, "values {level:?} {shape}");
+    #[test]
+    fn kernels_match_reference_at_every_simd_level() {
+        // At every SIMD level the host supports, the tiles of query rows
+        // with consecutive widths (4 rows at AVX-512, 2 at AVX2) and the
+        // one-row instance must match the references bit for bit. Head dims cover the 16-, 8- and
+        // single-lane value slices and the dot's tail dimensions; first
+        // widths put a tile's rows on both sides of a 16-position lane
+        // group; inputs mix ±0 and subnormals into normal values.
+        for level in simd::supported() {
+            for head_dim in [1, 3, 4, 8, 12, 16, 24, 40] {
+                for heads in [(1, 1), (3, 1), (4, 2), (6, 2), (8, 8)] {
+                    for first in [1usize, 13, 15, 16, 17, 33, 70] {
+                        check_tile::<4>(level, head_dim, heads, first);
+                        check_tile::<2>(level, head_dim, heads, first);
+                        check_tile::<1>(level, head_dim, heads, first);
                     }
                 }
             }

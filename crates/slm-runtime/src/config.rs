@@ -96,8 +96,8 @@ impl ModelConfig {
     /// A wider Qwen2-0.5B-proportioned preset. At `hidden = 96` and below,
     /// precision-independent work caps what any GEMM optimization can show
     /// end to end: a stage-timed warm-probe forward of `qwen2_like` and
-    /// `minicpm_like` spends about 46% of its time in the f32 GEMMs, 18% in
-    /// the attention softmax, 23% in attention scores and value sum, and the
+    /// `minicpm_like` spends about 55% of its time in the f32 GEMMs, 18% in
+    /// the attention softmax, 12% in attention scores and value sum, and the
     /// rest in K/V gathers, RoPE, SwiGLU, norms and residuals. This shape
     /// keeps the weight GEMMs dominant — the regime every real
     /// half-billion-parameter SLM lives in — and is what the quantization

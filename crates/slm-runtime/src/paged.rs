@@ -280,7 +280,7 @@ impl PagedKvPool {
         }
     }
 
-    /// Pages an [`allocate_n`](Self::allocate_n) call could still hand out
+    /// Pages an `allocate_n` call could still hand out
     /// right now: the budget headroom `max_pages − pages_live`. Free-list
     /// buffers are already counted — they are recycled storage, not extra
     /// capacity. This is the admission-control number: a prompt needing more

@@ -3,7 +3,7 @@
 //! Beyond yes/no verification, a deployed SLM is often asked "how surprising
 //! is this text?" — perplexity underlies fluency filters and the
 //! probability-based hallucination tests the paper's related work cites
-//! ([29]'s distribution tests). One pass over the text yields the full
+//! (\[29\]'s distribution tests). One pass over the text yields the full
 //! per-token log-likelihood profile.
 
 use tensor::nn::log_softmax;

@@ -7,7 +7,7 @@
 //! embedded in its small language models. This crate provides from-scratch,
 //! dependency-free equivalents:
 //!
-//! * [`normalize`] — text canonicalization (case folding, whitespace collapse,
+//! * [`normalize`](mod@normalize) — text canonicalization (case folding, whitespace collapse,
 //!   light unicode folding).
 //! * [`token`] — span-preserving word tokenization.
 //! * [`sentence`] — the paper's **Splitter** component: a rule-based sentence
