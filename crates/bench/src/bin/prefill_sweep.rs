@@ -11,8 +11,10 @@
 //!    prefill) returns bitwise-identical logits to a cold full-prompt
 //!    prefill, at every configuration swept.
 //! 2. **GEMM prefill throughput** — ≥ 3× tokens/s over sequential at
-//!    realistic prefix lengths (≥ 128 tokens). Short prompts are reported
-//!    too, honestly: blocking cannot amortize anything at 4 tokens.
+//!    realistic prefix lengths (≥ 128 tokens), as the median of per-pair
+//!    ratios over alternating samples ([`bench::sweep::paired`]). Short
+//!    prompts are reported too, honestly: blocking cannot amortize
+//!    anything at 4 tokens.
 //! 3. **Warm-probe speedup** — with a warm paged prefix cache, scoring a
 //!    sentence costs one page-handle fork, a copy-on-write of a partial tail
 //!    page and a suffix-only prefill: ≥ 5× over re-prefilling the full
@@ -25,7 +27,7 @@
 
 use std::sync::Arc;
 
-use bench::sweep::{best_of_3, bits, tokens};
+use bench::sweep::{best_of_3, bits, paired, tokens};
 use bench::{save_record, RESULTS_PATH};
 use eval::report::ExperimentRecord;
 use slm_runtime::{
@@ -94,15 +96,17 @@ fn main() {
             "prefix={plen}: GEMM prefill must be bit-identical to sequential"
         );
 
-        let seq_s = best_of_3(|| {
-            let mut kv = model.new_cache();
-            std::hint::black_box(model.prefill_sequential(&prompt, &mut kv));
-        });
-        let gemm_s = best_of_3(|| {
-            let mut kv = model.new_cache();
-            std::hint::black_box(model.prefill(&prompt, &mut kv));
-        });
-        let speedup = seq_s / gemm_s;
+        let timed = paired(
+            || {
+                let mut kv = model.new_cache();
+                std::hint::black_box(model.prefill_sequential(&prompt, &mut kv));
+            },
+            || {
+                let mut kv = model.new_cache();
+                std::hint::black_box(model.prefill(&prompt, &mut kv));
+            },
+        );
+        let (seq_s, gemm_s, speedup) = (timed.a_s, timed.b_s, timed.ratio);
         if plen >= 128 {
             speedup_at_realistic = speedup_at_realistic.min(speedup);
         }

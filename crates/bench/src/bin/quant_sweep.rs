@@ -9,7 +9,9 @@
 //! non-zero, and saves its record only when all of them pass:
 //!
 //! 1. **Prefill speedup** — the int8 engine's blocked prefill is ≥ 2× the
-//!    f32 engine at realistic prefix lengths (≥ 64 tokens). Measured on the
+//!    f32 engine at realistic prefix lengths (≥ 64 tokens): the median of
+//!    per-pair ratios over alternating f32/int8 samples
+//!    ([`bench::sweep::paired`]). Measured on the
 //!    GEMM-bound [`ModelConfig::qwen2_wide`] shape. Every weight matrix here
 //!    fits in L2, so the GEMMs are bound by instructions, not weight bytes:
 //!    int8 wins because each `pmaddwd` lane adds two exact `i16` products
@@ -27,7 +29,7 @@
 
 use std::process::ExitCode;
 
-use bench::sweep::{best_of_3, bits, tokens};
+use bench::sweep::{best_of_3, bits, paired, tokens};
 use bench::{save_record, RESULTS_PATH};
 use eval::report::ExperimentRecord;
 use eval::roc::auc;
@@ -52,12 +54,10 @@ const AUC_TOLERANCE: f64 = 0.05;
 const EVAL_SEED: u64 = 1105;
 const EVAL_SETS: usize = 24;
 
-/// Time one full prefill (cache build + final logits) for `model`.
-fn prefill_time<M: InferenceModel>(model: &M, prompt: &[u32]) -> f64 {
-    best_of_3(|| {
-        let mut cache = model.new_cache_with_capacity(prompt.len());
-        std::hint::black_box(model.prefill(prompt, &mut cache));
-    })
+/// One full prefill (cache build + final logits) for `model`.
+fn prefill<M: InferenceModel>(model: &M, prompt: &[u32]) {
+    let mut cache = model.new_cache_with_capacity(prompt.len());
+    std::hint::black_box(model.prefill(prompt, &mut cache));
 }
 
 /// Per-response detection scores of `detector` on the correct-vs-wrong task
@@ -107,9 +107,11 @@ fn main() -> ExitCode {
     let mut speedup_at_realistic = f64::INFINITY;
     for &plen in &PREFIX_LENS {
         let prompt = tokens(plen as u64, plen, VOCAB);
-        let f32_s = prefill_time(&f32_model, &prompt);
-        let int8_s = prefill_time(&int8_model, &prompt);
-        let speedup = f32_s / int8_s;
+        let timed = paired(
+            || prefill(&f32_model, &prompt),
+            || prefill(&int8_model, &prompt),
+        );
+        let (f32_s, int8_s, speedup) = (timed.a_s, timed.b_s, timed.ratio);
         if plen >= 64 {
             speedup_at_realistic = speedup_at_realistic.min(speedup);
         }

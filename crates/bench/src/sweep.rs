@@ -30,6 +30,51 @@ pub fn best_of_3(mut f: impl FnMut()) -> f64 {
         .fold(f64::INFINITY, f64::min)
 }
 
+/// Timed pairs in [`paired`]; odd, so the median is one pair's ratio.
+const PAIRS: usize = 7;
+
+/// The two sides of a speed ratio, timed in alternation by [`paired`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Paired {
+    /// Median wall-clock seconds of side `a`.
+    pub a_s: f64,
+    /// Median wall-clock seconds of side `b`.
+    pub b_s: f64,
+    /// Median over the pairs of `a`'s time over `b`'s: how many times
+    /// faster `b` is.
+    pub ratio: f64,
+}
+
+/// Time `a` and `b` alternately, sample by sample (one untimed call of
+/// each, then `a, b, a, b, …` for seven pairs), and take the median of the
+/// per-pair ratios. The two samples of a pair run back to back, so a
+/// change in the machine's speed between pairs moves both and cancels out
+/// of their ratio; two separate best-of-3 minima can catch the machine at
+/// different speeds, and their ratio then measures the machine, not the
+/// code.
+pub fn paired(mut a: impl FnMut(), mut b: impl FnMut()) -> Paired {
+    fn time(f: &mut impl FnMut()) -> f64 {
+        let t = Instant::now();
+        f();
+        t.elapsed().as_secs_f64()
+    }
+    time(&mut a);
+    time(&mut b);
+    let samples: Vec<(f64, f64)> = (0..PAIRS).map(|_| (time(&mut a), time(&mut b))).collect();
+    Paired {
+        a_s: median(samples.iter().map(|s| s.0)),
+        b_s: median(samples.iter().map(|s| s.1)),
+        ratio: median(samples.iter().map(|s| s.0 / s.1)),
+    }
+}
+
+/// The middle value of an odd-length sample (upper middle when even).
+fn median(values: impl Iterator<Item = f64>) -> f64 {
+    let mut v: Vec<f64> = values.collect();
+    v.sort_by(f64::total_cmp);
+    v[v.len() / 2]
+}
+
 /// The bit patterns of `v`, so logit vectors compare bitwise.
 pub fn bits(v: &[f32]) -> Vec<u32> {
     v.iter().map(|x| x.to_bits()).collect()

@@ -24,6 +24,13 @@
 //!    combined. Breaker state transitions therefore see the identical outcome
 //!    sequence regardless of thread interleaving in phase 1.
 //!
+//! Phase 1 reads no breaker and no normalizer, so it need not run per
+//! response: [`ResilientDetector::score_all`] splits a whole batch once,
+//! probes every cell of it in one batch-engine pass, and replays each
+//! response's slice of outcomes in input order — the same replay
+//! [`ResilientDetector::score`] runs on its own one-response pass, hence
+//! the same bits.
+//!
 //! The only deliberate asymmetry with a real deployment: a cell that the
 //! breaker skips in phase 2 was speculatively probed in phase 1, but its cost
 //! is *not* charged to the telemetry — exactly as if the call had never been
@@ -32,7 +39,7 @@
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use hallu_obs::Obs;
-use slm_runtime::batch::{BatchEngine, BatchJob, BatchReport, ProbeOutcome};
+use slm_runtime::batch::{host_parallelism, BatchEngine, BatchJob, BatchReport, ProbeOutcome};
 use slm_runtime::cache::{CacheKeyRef, VerificationCache};
 use slm_runtime::fallible::{FallibleVerifier, Reliable};
 use slm_runtime::verifier::{VerificationRequest, YesNoVerifier};
@@ -360,7 +367,7 @@ impl ResilientDetector {
     /// restoration is what makes the result bitwise-identical to calling
     /// [`ResilientDetector::calibrate`] on each item in turn.
     pub fn calibrate_batch(&mut self, items: &[(&str, &str, &str)]) -> BatchReport {
-        let (outcomes, report) = self.probe_batch(items);
+        let (outcomes, report) = self.probe_batch(items, &self.split_all(items));
         let m = self.verifiers.len();
         let mut per_model: Vec<Vec<(u64, f64)>> = vec![Vec::new(); m];
         for (i, cell) in outcomes.iter().enumerate() {
@@ -415,30 +422,36 @@ impl ResilientDetector {
         )
     }
 
-    /// Pick an engine for `jobs` pending cells: work-partitioned parallel
-    /// when the config asks for it, inline otherwise. Worker count shapes
+    /// Pick an engine for `jobs` pending cells: parallel (workers claiming
+    /// whole prefix groups) when the config asks for it, inline otherwise. Worker count shapes
     /// wall-clock only — the engine's ordered merge plus episode purity keep
     /// outputs bitwise-identical either way.
     fn engine(&self, jobs: usize) -> BatchEngine {
         if self.config.parallel && jobs > 1 {
-            let workers = std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1);
-            BatchEngine::parallel(workers.min(jobs))
+            BatchEngine::parallel(host_parallelism().min(jobs))
         } else {
             BatchEngine::sequential()
         }
     }
 
-    /// Probe every (item, sentence, model) cell of a batch of triples on the
-    /// batch engine. Jobs are submitted item-major, sentence within item,
-    /// models in slot order, so outcome `i` belongs to model `i % M` of the
-    /// `i / M`-th flattened sentence; duplicate cells coalesce to one
-    /// evaluation.
-    fn probe_batch(&self, items: &[(&str, &str, &str)]) -> (Vec<ProbeOutcome>, BatchReport) {
-        let split: Vec<Vec<String>> = items.iter().map(|(_, _, r)| self.split(r)).collect();
+    /// Split every item's response once, per the active config.
+    fn split_all(&self, items: &[(&str, &str, &str)]) -> Vec<Vec<String>> {
+        items.iter().map(|(_, _, r)| self.split(r)).collect()
+    }
+
+    /// Probe every (item, sentence, model) cell of a batch of triples on one
+    /// batch engine — phase 1. `split[i]` holds item `i`'s sentences. Jobs
+    /// are submitted item-major, sentence within item, models in slot order,
+    /// so outcome `j` belongs to model `j % M` of the `j / M`-th flattened
+    /// sentence, and each item owns one contiguous run of outcomes;
+    /// duplicate cells coalesce to one evaluation.
+    fn probe_batch(
+        &self,
+        items: &[(&str, &str, &str)],
+        split: &[Vec<String>],
+    ) -> (Vec<ProbeOutcome>, BatchReport) {
         let mut jobs: Vec<BatchJob<'_>> = Vec::new();
-        for ((q, c, _), sentences) in items.iter().zip(&split) {
+        for ((q, c, _), sentences) in items.iter().zip(split) {
             for sentence in sentences {
                 for mi in 0..self.verifiers.len() {
                     jobs.push(BatchJob::new(mi, VerificationRequest::new(q, c, sentence)));
@@ -449,41 +462,19 @@ impl ResilientDetector {
             .run(&jobs, |job| self.probe_job(job))
     }
 
-    /// Probe all (sentence, model) cells — phase 1, on the batch engine.
-    /// Jobs are submitted sentence-major so the flat result reshapes into
-    /// per-sentence rows; duplicate sentences coalesce to one evaluation.
-    fn probe_all(
-        &self,
-        question: &str,
-        context: &str,
-        sentences: &[String],
-    ) -> Vec<Vec<ProbeOutcome>> {
-        let m = self.verifiers.len();
-        let jobs: Vec<BatchJob<'_>> = sentences
-            .iter()
-            .flat_map(|sentence| {
-                (0..m).map(move |mi| {
-                    BatchJob::new(mi, VerificationRequest::new(question, context, sentence))
-                })
-            })
-            .collect();
-        let (flat, _report) = self
-            .engine(jobs.len())
-            .run(&jobs, |job| self.probe_job(job));
-        flat.chunks(m).map(<[ProbeOutcome]>::to_vec).collect()
-    }
-
     /// Warm the attached cache with every (item, sentence, model) cell of a
     /// batch of triples, coalescing duplicates across items. No-op without a
     /// cache (the probes would be discarded). Never touches breakers, the
     /// normalizer, or telemetry — prefetching is pure speculation, so a
     /// subsequent [`ResilientDetector::score`] sequence is bitwise-identical
-    /// to one that never prefetched.
+    /// to one that never prefetched. For callers that score each item
+    /// separately afterwards (`ResilientVerifiedPipeline::ask_batch`);
+    /// [`ResilientDetector::score_all`] needs no prefetch or cache.
     pub fn prefetch(&self, items: &[(&str, &str, &str)]) -> BatchReport {
         if self.cache.is_none() {
             return BatchReport::default();
         }
-        self.probe_batch(items).1
+        self.probe_batch(items, &self.split_all(items)).1
     }
 
     /// Score a response through the full resilience policy.
@@ -512,6 +503,29 @@ impl ResilientDetector {
     ) -> Verdict {
         let _span = self.obs.span("detector.score");
         let sentences = self.split(response);
+        let cells = if sentences.is_empty() {
+            Vec::new()
+        } else {
+            let _probe_span = self.obs.span("detector.probe");
+            self.probe_batch(
+                &[(question, context, response)],
+                std::slice::from_ref(&sentences),
+            )
+            .0
+        };
+        self.replay(&sentences, &cells, budget_ms)
+    }
+
+    /// Phase 2 for one response: fold its phase-1 outcomes through the
+    /// breakers in canonical order (sentences in response order, models in
+    /// slot order), quarantine invalid scores, combine per Eq. 4–6, flush
+    /// the call's telemetry and record its flight events. `cells` holds
+    /// `M` outcomes per sentence, sentence-major — the response's run of a
+    /// [`ResilientDetector::probe_batch`] result. Sentences past
+    /// `budget_ms` of charged time are deadline skips.
+    fn replay(&self, sentences: &[String], cells: &[ProbeOutcome], budget_ms: f64) -> Verdict {
+        let m = self.verifiers.len();
+        debug_assert_eq!(cells.len(), sentences.len() * m);
         if sentences.is_empty() {
             // nothing verifiable was said, which in a high-precision QA
             // system must not pass as correct: score 0, not a failure of
@@ -527,13 +541,6 @@ impl ResilientDetector {
             });
         }
 
-        let cells = {
-            let _probe_span = self.obs.span("detector.probe");
-            self.probe_all(question, context, &sentences)
-        };
-
-        // Phase 2: canonical-order breaker replay + quarantine + combine.
-        let m = self.verifiers.len();
         let mut tele = ResilienceTelemetry::empty();
         let mut model_contributed = vec![false; m];
         let mut any_cell_lost = false;
@@ -542,7 +549,7 @@ impl ResilientDetector {
         let mut breakers = self.lock_breakers();
         let replay_span = self.obs.span("detector.replay");
         let trips_before: Vec<u64> = breakers.iter().map(|b| b.trips()).collect();
-        for (si, (sentence, row)) in sentences.iter().zip(&cells).enumerate() {
+        for (si, (sentence, row)) in sentences.iter().zip(cells.chunks(m)).enumerate() {
             if tele.simulated_ms >= budget_ms {
                 // Budget exhausted: the remaining sentences are never
                 // attempted, exactly as if the caller had hung up — no
@@ -727,28 +734,45 @@ impl ResilientDetector {
         })
     }
 
-    /// Score a batch, in input order.
+    /// Score a batch, in input order, one [`ResilientDetector::score`] call
+    /// per item.
     ///
-    /// Batch items are processed sequentially: breaker state evolves across
-    /// calls, so item order is semantic. Within-item cell probing still
-    /// parallelizes via `config.parallel`, and [`ResilientDetector::score_all`]
-    /// probes the whole batch at once.
+    /// Breaker state evolves across items, so item order is semantic.
+    /// Within-item cell probing still parallelizes via `config.parallel`;
+    /// [`ResilientDetector::score_all`] probes the whole batch at once.
     pub fn score_batch(&self, items: &[(&str, &str, &str)]) -> Vec<Verdict> {
         items.iter().map(|(q, c, r)| self.score(q, c, r)).collect()
     }
 
-    /// Batch-aware scoring: [`ResilientDetector::prefetch`] all cells
-    /// through the batch engine (when a cache is attached), then score each
-    /// item in input order.
+    /// Batch-aware scoring in one probe pass: split every item once, run
+    /// phase 1 for every (item, sentence, model) cell of the batch on one
+    /// batch engine (duplicate cells across items coalesce to one
+    /// evaluation, through the cache when one is attached), then replay each
+    /// item's run of outcomes through phase 2 in input order.
     ///
-    /// Bitwise-identical to [`ResilientDetector::score_batch`]: prefetching
-    /// only warms the cache, and cache hits replay exactly what a
-    /// recomputation would produce, so breaker replay, z-score state, and
-    /// every verdict are unchanged — the batched path merely pays the
-    /// expensive probe evaluations once, in parallel.
+    /// Bitwise-identical to [`ResilientDetector::score_batch`]: phase 1
+    /// never reads the breakers or the normalizer and every probe episode
+    /// is a pure function of its cell, so probing the whole batch up front
+    /// hands each item's replay exactly the outcomes its own `score` call
+    /// would have produced, and the replays see the breakers in the same
+    /// order. Needs no cache.
     pub fn score_all(&self, items: &[(&str, &str, &str)]) -> Vec<Verdict> {
-        self.prefetch(items);
-        self.score_batch(items)
+        let _span = self.obs.span("detector.score");
+        let split = self.split_all(items);
+        let outcomes = {
+            let _probe_span = self.obs.span("detector.probe");
+            self.probe_batch(items, &split).0
+        };
+        let m = self.verifiers.len();
+        let mut rest = outcomes.as_slice();
+        split
+            .iter()
+            .map(|sentences| {
+                let (cells, tail) = rest.split_at(sentences.len() * m);
+                rest = tail;
+                self.replay(sentences, cells, f64::INFINITY)
+            })
+            .collect()
     }
 }
 
@@ -1206,6 +1230,19 @@ mod tests {
         assert!(stats.hits > 0, "second pass must hit the cache");
     }
 
+    /// The distinct (model, sentence) cells of `items`, which all share one
+    /// (question, context) prefix.
+    fn distinct_cells(
+        d: &ResilientDetector,
+        items: &[(&str, &str, &str)],
+    ) -> std::collections::HashSet<(usize, String)> {
+        items
+            .iter()
+            .flat_map(|(_, _, r)| d.split(r))
+            .flat_map(|s| (0..d.num_models()).map(move |m| (m, s.clone())))
+            .collect()
+    }
+
     #[test]
     fn score_all_matches_score_batch_bitwise() {
         use slm_runtime::cache::{CacheConfig, VerificationCache};
@@ -1213,7 +1250,7 @@ mod tests {
         let items: Vec<(&str, &str, &str)> = vec![
             (Q, CTX, CORRECT),
             (Q, CTX, WRONG),
-            (Q, CTX, CORRECT), // duplicate item: coalesced by the cache
+            (Q, CTX, CORRECT), // duplicate item: coalesced by the engine
             (Q, CTX, PARTIAL),
         ];
         let sequential = faulty(DetectorConfig::default(), profiles());
@@ -1226,8 +1263,90 @@ mod tests {
         );
         let cache = Arc::new(VerificationCache::new(CacheConfig::default()));
         batched.set_cache(Arc::clone(&cache));
+        let unique = distinct_cells(&sequential, &items).len() as u64;
         assert_eq!(sequential.score_batch(&items), batched.score_all(&items));
-        assert!(cache.stats().hits > 0, "duplicate items must coalesce");
+        // One lookup per distinct cell, none twice: duplicates coalesced in
+        // the engine, and there is no second pass to hit the cache.
+        let first = cache.stats();
+        assert_eq!(first.hits, 0, "{first:?}");
+        assert_eq!(first.misses, unique, "{first:?}");
+        assert_eq!(first.inserts + first.rejected, unique, "{first:?}");
+        // The same batch again (breakers have moved on, identically on both
+        // sides): every memoized cell hits, only the uncacheable re-probe.
+        assert_eq!(sequential.score_batch(&items), batched.score_all(&items));
+        let second = cache.stats();
+        assert_eq!(second.hits, first.inserts, "{second:?}");
+        assert_eq!(second.misses - first.misses, first.rejected, "{second:?}");
+    }
+
+    /// A verifier that counts its probes per (model, sentence) cell.
+    struct Counting {
+        inner: Box<dyn YesNoVerifier>,
+        probes: Arc<Mutex<std::collections::HashMap<(String, String), usize>>>,
+    }
+
+    impl YesNoVerifier for Counting {
+        fn name(&self) -> &str {
+            self.inner.name()
+        }
+
+        fn p_yes(&self, request: &VerificationRequest<'_>) -> f64 {
+            let cell = (self.name().to_string(), request.response.to_string());
+            *self
+                .probes
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .entry(cell)
+                .or_default() += 1;
+            self.inner.p_yes(request)
+        }
+    }
+
+    #[test]
+    fn uncached_score_all_probes_each_distinct_cell_once() {
+        let probes = Arc::new(Mutex::new(std::collections::HashMap::new()));
+        let counting = |inner: Box<dyn YesNoVerifier>| -> Box<dyn YesNoVerifier> {
+            Box::new(Counting {
+                inner,
+                probes: Arc::clone(&probes),
+            })
+        };
+        let batched = reliable(
+            vec![
+                counting(Box::new(qwen2_sim())),
+                counting(Box::new(minicpm_sim())),
+            ],
+            DetectorConfig {
+                parallel: true,
+                ..Default::default()
+            },
+        );
+        let sequential = reliable(
+            vec![Box::new(qwen2_sim()), Box::new(minicpm_sim())],
+            DetectorConfig::default(),
+        );
+        let items: Vec<(&str, &str, &str)> = [CORRECT, PARTIAL, WRONG, CORRECT, "", PARTIAL]
+            .iter()
+            .map(|&r| (Q, CTX, r))
+            .collect();
+        // forget the calibration probes
+        probes
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clear();
+        assert!(batched.cache().is_none());
+        assert_eq!(sequential.score_batch(&items), batched.score_all(&items));
+        let names = batched.model_names();
+        let want: std::collections::HashMap<(String, String), usize> =
+            distinct_cells(&batched, &items)
+                .into_iter()
+                .map(|(m, s)| ((names[m].to_string(), s), 1))
+                .collect();
+        let got = probes
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clone();
+        assert_eq!(got, want, "each distinct cell probed exactly once");
     }
 
     #[test]
@@ -1313,6 +1432,15 @@ mod tests {
                 "{resp:?} budgeted"
             );
         }
+        let items: Vec<(&str, &str, &str)> = [WRONG, "", CORRECT, PARTIAL, WRONG]
+            .iter()
+            .map(|&r| (Q, CTX, r))
+            .collect();
+        assert_eq!(
+            bare.score_all(&items),
+            instrumented.score_all(&items),
+            "batched"
+        );
         obs.end_flight("done");
         assert!(
             !obs.flight_records()[0].events.is_empty(),

@@ -4,19 +4,30 @@
 //! with every SLM in the ensemble, so an N-response workload is a flat list
 //! of (model, question, context, sentence) probe jobs — most of them
 //! near-duplicates. [`BatchEngine`] turns that list into per-model batches
-//! ([`BatchEngine::plan`]), coalesces exact-duplicate jobs so each unique
-//! cell is evaluated once, and executes the unique jobs on a
-//! work-partitioned pool of scoped threads.
+//! ([`BatchEngine::plan`]) and, within each, prefix groups
+//! ([`BatchEngine::plan_prefix_groups`]), coalesces exact-duplicate jobs so
+//! each unique cell is evaluated once, and executes the unique jobs on scoped
+//! worker threads that claim whole prefix groups, in plan order, from one
+//! shared cursor. A group never straddles two workers, so its first job
+//! builds the prefix KV snapshot and the rest fork it on the same thread; a
+//! worker that finishes early takes the next group instead of idling.
 //!
 //! **Determinism contract.** The engine never changes *what* is computed,
-//! only *where*: results are written into a slot array indexed by submission
-//! position (the ordered merge), so the output vector is bitwise-identical to
-//! evaluating jobs one by one in submission order — provided the evaluator
-//! is a pure function of the job. That is exactly the contract
+//! only *where*: every result is tagged with its position in the unique list
+//! and merged back by that position (the ordered merge), so the output
+//! vector is bitwise-identical to evaluating jobs one by one in submission
+//! order — provided the evaluator is a pure function of the job. That is
+//! exactly the contract
 //! [`crate::fallible::FallibleVerifier::try_p_yes_attempt`] provides; probe
 //! episodes built on it are safe to batch, reorder across workers, coalesce,
 //! and memoize (see [`crate::cache`]) without the ensemble ever observing a
-//! difference. Worker count affects wall-clock time only, never output bits.
+//! difference. Worker count and claim order affect wall-clock time only,
+//! never output bits.
+
+use std::num::NonZeroUsize;
+use std::ops::Range;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 use crate::verifier::VerificationRequest;
 
@@ -118,10 +129,19 @@ pub struct BatchReport {
     pub batches: usize,
     /// Jobs answered by copying another job's result (`jobs - unique_jobs`).
     pub coalesced: usize,
-    /// Worker threads the unique jobs were partitioned across.
+    /// Worker threads that claimed prefix groups: the configured cap, but
+    /// never more than there are groups.
     pub workers: usize,
     /// Distinct (model, question, context) prefix groups in the plan.
     pub prefix_groups: usize,
+}
+
+/// The host's available parallelism, read once per process:
+/// `available_parallelism` re-reads the cgroup limits on every call. Sizes
+/// both the detector's batch workers and the engine's LM-head threads.
+pub fn host_parallelism() -> usize {
+    static THREADS: OnceLock<usize> = OnceLock::new();
+    *THREADS.get_or_init(|| std::thread::available_parallelism().map_or(1, NonZeroUsize::get))
 }
 
 /// Deterministic batched executor for verification jobs.
@@ -140,8 +160,8 @@ impl BatchEngine {
         Self { workers: 1 }
     }
 
-    /// An engine that partitions unique jobs across up to `workers` scoped
-    /// threads (clamped to at least 1).
+    /// An engine that runs unique jobs on up to `workers` scoped threads
+    /// (clamped to at least 1), each claiming whole prefix groups.
     pub fn parallel(workers: usize) -> Self {
         Self {
             workers: workers.max(1),
@@ -172,11 +192,11 @@ impl BatchEngine {
 
     /// Refine [`BatchEngine::plan`] one level: within each model's batch,
     /// group jobs by `(question, context)` prefix in first-appearance order.
-    /// The order is model-major and prefix-contiguous — flattening the groups
-    /// gives the evaluation order [`BatchEngine::run`] uses, so same-prefix
-    /// cells land adjacent (and therefore, chunk boundaries aside, on the
-    /// same worker, where the first probe builds the prefix KV snapshot and
-    /// the rest hit it).
+    /// The order is model-major and prefix-contiguous. It is the order in
+    /// which [`BatchEngine::run`]'s workers claim groups, and a group is the
+    /// unit they claim, so same-prefix cells always run back to back on one
+    /// worker, where the first probe builds the prefix KV snapshot and the
+    /// rest hit it.
     pub fn plan_prefix_groups(jobs: &[BatchJob<'_>]) -> Vec<PrefixGroup> {
         let mut out: Vec<PrefixGroup> = Vec::new();
         for batch in Self::plan(jobs) {
@@ -203,6 +223,12 @@ impl BatchEngine {
     /// coalescing exact-duplicate jobs (same model, question, context,
     /// sentence) so each unique cell is evaluated exactly once.
     ///
+    /// With more than one worker, each worker repeatedly claims the next
+    /// whole prefix group of [`BatchEngine::plan_prefix_groups`] from a
+    /// shared atomic cursor and evaluates its unique jobs in order. There is
+    /// no cost model: plan order plus first-free-takes-next is the whole
+    /// schedule.
+    ///
     /// `eval` must be pure per the module determinism contract; under that
     /// contract the returned vector is bitwise-identical to
     /// `jobs.iter().map(eval).collect()` regardless of worker count.
@@ -213,34 +239,39 @@ impl BatchEngine {
     {
         let batches = Self::plan(jobs);
         let groups = Self::plan_prefix_groups(jobs);
+        debug_assert_eq!(
+            groups.iter().map(|g| g.jobs.len()).sum::<usize>(),
+            jobs.len(),
+            "prefix groups must cover every job"
+        );
 
         // Coalesce duplicates: rep[i] is the position in `unique` of the
-        // first submitted job with the same identity as job i. Evaluation
-        // order walks the prefix-group plan (model-major,
-        // prefix-contiguous), so each model's unique jobs stay contiguous
-        // AND cells sharing a (question, context) prefix sit adjacent — the
-        // order that lets a shared-prefix KV cache prefill each prefix
-        // once. Reordering evaluation is output-invariant: the
-        // representative fan-out below restores submission order.
+        // first submitted job with the same identity as job i. `unique`
+        // walks the prefix-group plan, so each group's unique jobs form one
+        // contiguous span, `spans[g]`. A duplicate shares its group's
+        // (model, question, context), so only that group's span is searched.
         let mut rep: Vec<usize> = vec![0; jobs.len()];
-        let mut covered = 0usize;
         let mut unique: Vec<usize> = Vec::with_capacity(jobs.len());
+        let mut spans: Vec<Range<usize>> = Vec::with_capacity(groups.len());
         for group in &groups {
+            let start = unique.len();
             for &idx in &group.jobs {
-                covered += 1;
                 let identity = jobs[idx].identity();
-                match unique.iter().position(|&u| jobs[u].identity() == identity) {
-                    Some(pos) => rep[idx] = pos,
+                match unique[start..]
+                    .iter()
+                    .position(|&u| jobs[u].identity() == identity)
+                {
+                    Some(pos) => rep[idx] = start + pos,
                     None => {
                         rep[idx] = unique.len();
                         unique.push(idx);
                     }
                 }
             }
+            spans.push(start..unique.len());
         }
-        debug_assert_eq!(covered, jobs.len(), "prefix groups must cover every job");
 
-        let workers = self.workers.min(unique.len()).max(1);
+        let workers = self.workers.min(groups.len()).max(1);
         let report = BatchReport {
             jobs: jobs.len(),
             unique_jobs: unique.len(),
@@ -255,27 +286,23 @@ impl BatchEngine {
         }
 
         // Evaluate unique jobs: inline when there is no parallelism to
-        // exploit, otherwise contiguous index chunks on scoped threads. Each
-        // chunk returns results in chunk order; concatenation restores the
-        // unique-list order, and the slot scatter below restores submission
+        // exploit, otherwise on scoped threads that claim whole groups. Each
+        // result carries its position in `unique`; sorting by it restores
+        // the unique-list order, and the fan-out below restores submission
         // order — the ordered merge.
         let evaluated: Vec<R> = if workers <= 1 {
             unique.iter().map(|&idx| eval(&jobs[idx])).collect()
         } else {
-            let chunk_len = unique.len().div_ceil(workers);
-            let chunks: Vec<&[usize]> = unique.chunks(chunk_len).collect();
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = chunks
-                    .into_iter()
-                    .map(|chunk| {
-                        scope.spawn(|| {
-                            chunk
-                                .iter()
-                                .map(|&idx| eval(&jobs[idx]))
-                                .collect::<Vec<R>>()
-                        })
-                    })
-                    .collect();
+            let next = AtomicUsize::new(0);
+            let claim = || {
+                let mut done: Vec<(usize, R)> = Vec::new();
+                while let Some(span) = spans.get(next.fetch_add(1, Ordering::Relaxed)) {
+                    done.extend(span.clone().map(|pos| (pos, eval(&jobs[unique[pos]]))));
+                }
+                done
+            };
+            let mut claimed: Vec<(usize, R)> = std::thread::scope(|scope| {
+                let handles: Vec<_> = (0..workers).map(|_| scope.spawn(claim)).collect();
                 let mut out = Vec::with_capacity(unique.len());
                 for handle in handles {
                     match handle.join() {
@@ -284,7 +311,9 @@ impl BatchEngine {
                     }
                 }
                 out
-            })
+            });
+            claimed.sort_unstable_by_key(|&(pos, _)| pos);
+            claimed.into_iter().map(|(_, r)| r).collect()
         };
 
         // Fan out to submission order: every job clones its
@@ -470,6 +499,91 @@ mod tests {
                     "workers = {workers}"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn workers_never_split_a_prefix_group() {
+        use std::collections::{HashMap, HashSet};
+        use std::sync::{Barrier, Mutex};
+        use std::thread::ThreadId;
+        // 12 prefixes x 2 models = 24 groups of 3, 2 or 1 sentences, plus
+        // one duplicate cell each, submitted sentence-major so every group
+        // is interleaved with the others. The first group has more cells
+        // than one, so a scheduler that hands out single cells splits it
+        // at any worker count; the sizes are uneven, so contiguous chunks
+        // of the unique list cut groups too.
+        let questions: Vec<String> = (0..12).map(|i| format!("q{i}")).collect();
+        let mut jobs: Vec<BatchJob<'_>> = Vec::new();
+        for round in 0..4 {
+            for (i, q) in questions.iter().enumerate() {
+                let sentence = match round {
+                    3 => "a",
+                    r if r < 3 - i % 3 => ["a", "b", "c"][r],
+                    _ => continue,
+                };
+                for model in 0..2 {
+                    jobs.push(BatchJob::new(
+                        model,
+                        VerificationRequest::new(q, "c", sentence),
+                    ));
+                }
+            }
+        }
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+        let eval = |job: &BatchJob<'_>| {
+            let text = format!("{}{}", job.request.question, job.request.response);
+            text.bytes().fold(0.3_f64, |acc, b| {
+                (acc + f64::from(b)).sqrt() + job.model as f64
+            })
+        };
+        let (seq, seq_report) = BatchEngine::sequential().run(&jobs, eval);
+        assert_eq!(seq_report.prefix_groups, 24);
+        assert_eq!(
+            seq_report.coalesced, 24,
+            "the repeated \"a\" of every group"
+        );
+        for workers in [2, 3, 8] {
+            // Every thread's first evaluation waits until all `workers`
+            // threads hold a group, so each worker provably takes part.
+            let barrier = Barrier::new(workers);
+            let started: Mutex<HashSet<ThreadId>> = Mutex::new(HashSet::new());
+            let owners: Mutex<HashMap<(usize, String), HashSet<ThreadId>>> =
+                Mutex::new(HashMap::new());
+            let (par, report) = BatchEngine::parallel(workers).run(&jobs, |job| {
+                let me = std::thread::current().id();
+                let first = started.lock().unwrap_or_else(|e| e.into_inner()).insert(me);
+                owners
+                    .lock()
+                    .unwrap_or_else(|e| e.into_inner())
+                    .entry((
+                        job.model,
+                        format!("{}/{}", job.request.question, job.request.context),
+                    ))
+                    .or_default()
+                    .insert(me);
+                if first {
+                    barrier.wait();
+                }
+                eval(job)
+            });
+            assert_eq!(report.workers, workers);
+            assert_eq!(
+                started.into_inner().unwrap_or_default().len(),
+                workers,
+                "workers = {workers}"
+            );
+            let owners = owners.into_inner().unwrap_or_default();
+            assert_eq!(owners.len(), 24);
+            for (group, threads) in &owners {
+                assert_eq!(
+                    threads.len(),
+                    1,
+                    "workers = {workers}: group {group:?} ran on {} threads",
+                    threads.len()
+                );
+            }
+            assert_eq!(bits(&par), bits(&seq), "workers = {workers}");
         }
     }
 

@@ -117,16 +117,9 @@ pub(crate) fn finish_logits_core<Lin: Linear>(
     }
 }
 
-/// Threads for the wide LM head: the host's parallelism, capped at 8. Read
-/// once per process, since `available_parallelism` re-reads the cgroup
-/// limits on every call.
+/// Threads for the wide LM head: the host's parallelism, capped at 8.
 fn lm_head_threads() -> usize {
-    static THREADS: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *THREADS.get_or_init(|| {
-        std::thread::available_parallelism()
-            .map_or(1, |n| n.get())
-            .min(8)
-    })
+    crate::batch::host_parallelism().min(8)
 }
 
 /// Tokens per GEMM block in [`TransformerLM::prefill`]. Bounds activation

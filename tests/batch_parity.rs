@@ -13,8 +13,8 @@
 //! - overload: all three [`ShedPolicy`]s × all three [`FailurePolicy`]s
 //!   under chaos faults, queue bound 2, 150 ms deadlines;
 //! - `ask_batch` vs per-question `ask`, including the Eq. 4 normalizer;
-//! - `score_all` (parallel + cached) vs `score_batch` (sequential) under
-//!   injected faults;
+//! - `score_all` (one parallel, cached probe pass) vs `score_batch`
+//!   (sequential) under injected faults, twice;
 //! - fault isolation: injected garbage, transients, and a hard-down model
 //!   never leave an invalid entry in the cache.
 //! - paged KV pool: copy-on-write sentence forks, LRU evict-then-refault,
@@ -24,6 +24,7 @@
 //!   what the inline runtime decides under chaos overload, down to
 //!   identical telemetry snapshots.
 
+use std::collections::HashSet;
 use std::sync::Arc;
 
 use hallu_core::{DetectorConfig, ResilientDetector};
@@ -37,6 +38,7 @@ use slm_runtime::{
     PagedKvPool, PagedPoolConfig, PagedPrefixCache, PrefixCacheConfig, Reliable, TransformerLM,
     VerificationCache,
 };
+use text_engine::sentence::SentenceSplitter;
 use vectordb::collection::Collection;
 use vectordb::embed::HashingEmbedder;
 use vectordb::flat::FlatIndex;
@@ -212,9 +214,10 @@ fn ask_batch_matches_sequential_asks_under_chaos() {
     );
 }
 
-/// Detector-level parity: `score_all` (parallel executor + warm cache) on a
-/// duplicate-heavy item list equals `score_batch` on a sequential uncached
-/// detector, verdict for verdict, under injected faults.
+/// Detector-level parity: `score_all` (one parallel probe pass through a
+/// cache) on a duplicate-heavy item list equals `score_batch` on a
+/// sequential uncached detector, verdict for verdict, under injected faults
+/// — first with a cold cache, then with a warm one.
 #[test]
 fn score_all_matches_sequential_score_batch_under_chaos() {
     const CTX: &str = "The store operates from 9 AM to 5 PM, from Sunday to Saturday. \
@@ -249,6 +252,15 @@ fn score_all_matches_sequential_score_batch_under_chaos() {
     let sequential = build(false);
     let cache = Arc::new(VerificationCache::new(CacheConfig::default()));
     let batched = build(true).with_cache(cache.clone());
+    // Every distinct (model, sentence) cell of the batch; the duplicate item
+    // adds none.
+    let unique = responses
+        .iter()
+        .flat_map(|r| SentenceSplitter::new().split(r))
+        .map(|s| s.text.to_string())
+        .collect::<HashSet<String>>()
+        .len() as u64
+        * 2;
 
     let want = sequential.score_batch(&items);
     let got = batched.score_all(&items);
@@ -256,11 +268,23 @@ fn score_all_matches_sequential_score_batch_under_chaos() {
         want, got,
         "score_all must be bitwise-identical to score_batch"
     );
-    assert!(
-        cache.stats().hits > 0,
-        "the duplicate item must resolve from the cache: {:?}",
-        cache.stats()
+    // One probe pass: each distinct cell is looked up once (the duplicate
+    // item coalesces in the batch engine, before the cache) and never again.
+    let first = cache.stats();
+    assert_eq!(first.hits, 0, "{first:?}");
+    assert_eq!(first.misses, unique, "{first:?}");
+    assert_eq!(first.inserts + first.rejected, unique, "{first:?}");
+
+    // The same batch again: identical verdicts, and every memoized cell
+    // resolves from the cache while fault outcomes (never cached) re-probe.
+    assert_eq!(
+        sequential.score_batch(&items),
+        batched.score_all(&items),
+        "a cache-served score_all must stay bitwise-identical"
     );
+    let second = cache.stats();
+    assert_eq!(second.hits, first.inserts, "{second:?}");
+    assert_eq!(second.misses - first.misses, first.rejected, "{second:?}");
 }
 
 /// Fault isolation: a backend spewing garbage scores and transients — plus

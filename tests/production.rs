@@ -10,7 +10,9 @@ use hallu_core::{
 };
 use hallu_dataset::{DatasetBuilder, ResponseLabel};
 use slm_runtime::{CacheConfig, VerificationCache};
+use std::collections::HashSet;
 use std::sync::Arc;
+use text_engine::sentence::SentenceSplitter;
 
 /// The full production loop: calibrate → fit threshold → explain verdicts.
 #[test]
@@ -98,8 +100,9 @@ fn drift_monitor_flags_domain_shift() {
     assert_eq!(shifted.status(), DriftStatus::Drifted);
 }
 
-/// Batched scoring over a dataset slice (every cell prefetched on parallel
-/// workers into a verification cache) matches one-by-one scoring.
+/// Batched scoring over a dataset slice (every cell probed once, on parallel
+/// workers, through a verification cache) matches one-by-one scoring, cold
+/// and warm.
 #[test]
 fn batch_scoring_is_consistent() {
     let dataset = DatasetBuilder::new(21, 6).build();
@@ -120,14 +123,43 @@ fn batch_scoring_is_consistent() {
                 .map(move |r| (s.question.as_str(), s.context.as_str(), r.text.as_str()))
         })
         .collect();
+    // Every distinct (model, question, context, sentence) cell.
+    let unique = items
+        .iter()
+        .flat_map(|&(q, c, r)| {
+            SentenceSplitter::new()
+                .split(r)
+                .into_iter()
+                .map(move |s| (q, c, s.text))
+        })
+        .collect::<HashSet<_>>()
+        .len() as u64
+        * batched.num_models() as u64;
+    assert!(batched.config.split);
+
     let batch = batched.score_all(&items);
     assert_eq!(batch.len(), items.len());
     for ((q, c, r), verdict) in items.iter().zip(&batch) {
         assert_eq!(verdict, &sequential.score(q, c, r));
     }
-    assert!(
-        cache.stats().hits > 0,
-        "scoring must replay the prefetched cells"
+    // One probe pass: every distinct cell probed and memoized exactly once.
+    let first = cache.stats();
+    assert_eq!(
+        (first.hits, first.misses, first.inserts),
+        (0, unique, unique),
+        "{first:?}"
+    );
+
+    // A second pass replays every cell from the cache, verdicts unchanged.
+    let again = batched.score_all(&items);
+    for ((q, c, r), verdict) in items.iter().zip(&again) {
+        assert_eq!(verdict, &sequential.score(q, c, r));
+    }
+    let second = cache.stats();
+    assert_eq!(
+        (second.hits, second.misses, second.inserts),
+        (unique, unique, unique),
+        "{second:?}"
     );
 }
 
