@@ -4,8 +4,9 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use slm_runtime::bpe::Bpe;
 use slm_runtime::config::ModelConfig;
-use slm_runtime::model::TransformerLM;
+use slm_runtime::model::{InferenceModel, TransformerLM};
 use slm_runtime::prob::p_yes;
+use slm_runtime::quant::QuantizedLM;
 
 fn setup() -> (TransformerLM, TransformerLM, Bpe) {
     let corpus = [
@@ -41,27 +42,17 @@ fn bench_engine(c: &mut Criterion) {
             qwen_like.prefill(black_box(&prompt), &mut cache)
         })
     });
+    let (q, ctx, r) = (
+        "what are the working hours?",
+        "the store operates from 9 am to 5 pm",
+        "9 am to 5 pm",
+    );
     group.bench_function("p_yes_qwen2_like", |b| {
-        b.iter(|| {
-            p_yes(
-                &qwen_like,
-                &bpe,
-                black_box("what are the working hours?"),
-                "the store operates from 9 am to 5 pm",
-                "9 am to 5 pm",
-            )
-        })
+        b.iter(|| p_yes(&qwen_like, &bpe, black_box(q), ctx, r, None))
     });
+    let minicpm_int8 = QuantizedLM::synthetic(ModelConfig::minicpm_like(bpe.vocab_size()), 7);
     group.bench_function("p_yes_quantized_minicpm_like", |b| {
-        use slm_runtime::quant::{QuantizedLM, QuantizedWeights};
-        use slm_runtime::weights::ModelWeights;
-        let cfg = slm_runtime::config::ModelConfig::minicpm_like(bpe.vocab_size());
-        let q = QuantizedWeights::quantize(&ModelWeights::synthetic(&cfg, 7));
-        let model = QuantizedLM::new(cfg, &q);
-        b.iter(|| {
-            let mut cache = model.new_cache();
-            model.prefill(black_box(&prompt), &mut cache)
-        })
+        b.iter(|| p_yes(&minicpm_int8, &bpe, black_box(q), ctx, r, None))
     });
     group.finish();
 }

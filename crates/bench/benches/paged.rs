@@ -10,7 +10,7 @@ use std::sync::Arc;
 
 use bench::sweep::tokens;
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use slm_runtime::{ModelConfig, PagedKvPool, PagedPoolConfig, TransformerLM};
+use slm_runtime::{InferenceModel, ModelConfig, PagedKvPool, PagedPoolConfig, TransformerLM};
 
 const VOCAB: usize = 2048;
 const PREFIX_LENS: [usize; 3] = [32, 128, 224];

@@ -2,7 +2,7 @@
 //!
 //! Three ways to reach the same logits (bitwise — see
 //! `gemm_prefill_is_bit_identical_to_sequential` in `slm-runtime`):
-//! `sequential` feeds the 144-token prompt through `prefill_sequential`
+//! `sequential` feeds the 144-token prompt through `model::prefill_sequential`
 //! (one `forward_token` per position, lm_head every step); `gemm` runs the
 //! blocked multi-token `prefill` (lm_head only on the last row); `prefix_hit`
 //! forks a warm 128-token prefix snapshot from a [`PagedPrefixCache`] and
@@ -14,8 +14,10 @@ use std::sync::Arc;
 
 use bench::sweep::tokens;
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use slm_runtime::model::prefill_sequential;
 use slm_runtime::{
-    ModelConfig, PagedKvPool, PagedPoolConfig, PagedPrefixCache, PrefixCacheConfig, TransformerLM,
+    InferenceModel, ModelConfig, PagedKvPool, PagedPoolConfig, PagedPrefixCache, PrefixCacheConfig,
+    TransformerLM,
 };
 
 const VOCAB: usize = 2048;
@@ -33,7 +35,7 @@ fn bench_prefill(c: &mut Criterion) {
     group.bench_function("sequential", |b| {
         b.iter(|| {
             let mut kv = model.new_cache();
-            model.prefill_sequential(black_box(&full), &mut kv)
+            prefill_sequential(&model, black_box(&full), &mut kv)
         })
     });
 

@@ -1,4 +1,4 @@
-//! Int8 vs f32 engine throughput: blocked prefill and per-token decode.
+//! Int8 vs f32 engine throughput: blocked prefill.
 //!
 //! Both engines reach equivalent verdicts (the AUC eval gate in `quant_sweep`
 //! bounds the drift); this bench quantifies what the int8 path buys. Measured
@@ -9,18 +9,16 @@
 
 use bench::sweep::tokens;
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use slm_runtime::{ModelConfig, Precision, QuantizedLM, TransformerLM};
+use slm_runtime::{InferenceModel, ModelConfig, Precision, QuantizedLM, TransformerLM};
 
 const VOCAB: usize = 2048;
 const PREFIX_LEN: usize = 64;
-const DECODE_STEPS: usize = 8;
 
 fn bench_quant(c: &mut Criterion) {
     let cfg = ModelConfig::qwen2_wide(VOCAB);
     let f32_model = TransformerLM::synthetic(cfg.clone(), 0xF111);
     let int8_model = QuantizedLM::synthetic(cfg.with_precision(Precision::Int8), 0xF111);
     let prompt = tokens(1, PREFIX_LEN, VOCAB);
-    let decode = tokens(2, DECODE_STEPS, VOCAB);
 
     let mut group = c.benchmark_group(format!("quant_prefill_{PREFIX_LEN}_tokens"));
     group.bench_function("f32", |b| {
@@ -33,29 +31,6 @@ fn bench_quant(c: &mut Criterion) {
         b.iter(|| {
             let mut kv = int8_model.new_cache_with_capacity(prompt.len());
             int8_model.prefill(black_box(&prompt), &mut kv)
-        })
-    });
-    group.finish();
-
-    // Decode: per-token forwards against a warm cache (the p_yes probe shape:
-    // one prompt, a handful of generated tokens).
-    let mut group = c.benchmark_group(format!("quant_decode_{DECODE_STEPS}_tokens"));
-    group.bench_function("f32", |b| {
-        b.iter(|| {
-            let mut kv = f32_model.new_cache_with_capacity(PREFIX_LEN + DECODE_STEPS);
-            f32_model.prefill_cache_only(&prompt, &mut kv);
-            for &t in &decode {
-                black_box(f32_model.forward_token(t, &mut kv));
-            }
-        })
-    });
-    group.bench_function("int8", |b| {
-        b.iter(|| {
-            let mut kv = int8_model.new_cache_with_capacity(PREFIX_LEN + DECODE_STEPS);
-            int8_model.prefill_cache_only(&prompt, &mut kv);
-            for &t in &decode {
-                black_box(int8_model.forward_token(t, &mut kv));
-            }
         })
     });
     group.finish();

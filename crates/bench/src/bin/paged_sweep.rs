@@ -24,7 +24,7 @@ use std::sync::Arc;
 use bench::sweep::{best_of_3, bits, tokens};
 use bench::{save_record, RESULTS_PATH};
 use eval::report::ExperimentRecord;
-use slm_runtime::{ModelConfig, PagedKvPool, PagedPoolConfig, TransformerLM};
+use slm_runtime::{InferenceModel, ModelConfig, PagedKvPool, PagedPoolConfig, TransformerLM};
 
 const VOCAB: usize = 8192;
 const MODEL_SEED: u64 = 0xF222;

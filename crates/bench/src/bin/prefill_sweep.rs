@@ -30,9 +30,10 @@ use std::sync::Arc;
 use bench::sweep::{best_of_3, bits, paired, tokens};
 use bench::{save_record, RESULTS_PATH};
 use eval::report::ExperimentRecord;
+use slm_runtime::model::prefill_sequential;
 use slm_runtime::{
-    ModelConfig, PagedKvPool, PagedPoolConfig, PagedPrefixCache, PrefixCacheConfig, TransformerLM,
-    PREFILL_BLOCK,
+    InferenceModel, ModelConfig, PagedKvPool, PagedPoolConfig, PagedPrefixCache, PrefixCacheConfig,
+    TransformerLM, PREFILL_BLOCK,
 };
 
 const VOCAB: usize = 8192;
@@ -87,7 +88,7 @@ fn main() {
         let prompt = tokens(plen as u64, plen, VOCAB);
 
         let mut kv_seq = model.new_cache();
-        let want = model.prefill_sequential(&prompt, &mut kv_seq);
+        let want = prefill_sequential(&model, &prompt, &mut kv_seq);
         let mut kv_gemm = model.new_cache();
         let got = model.prefill(&prompt, &mut kv_gemm);
         assert_eq!(
@@ -99,7 +100,7 @@ fn main() {
         let timed = paired(
             || {
                 let mut kv = model.new_cache();
-                std::hint::black_box(model.prefill_sequential(&prompt, &mut kv));
+                std::hint::black_box(prefill_sequential(&model, &prompt, &mut kv));
             },
             || {
                 let mut kv = model.new_cache();

@@ -1,4 +1,4 @@
-//! Quantized-engine sweep: int8 prefill/decode throughput vs f32, the
+//! Quantized-engine sweep: int8 prefill throughput vs f32, the
 //! detection-AUC eval gate for int8 and mixed-precision ensembles, and the
 //! bitwise reproducibility contract.
 //!
@@ -29,7 +29,7 @@
 
 use std::process::ExitCode;
 
-use bench::sweep::{best_of_3, bits, paired, tokens};
+use bench::sweep::{bits, paired, tokens};
 use bench::{save_record, RESULTS_PATH};
 use eval::report::ExperimentRecord;
 use eval::roc::auc;
@@ -138,27 +138,6 @@ fn main() -> ExitCode {
              (got {speedup_at_realistic:.2}x)"
         ));
     }
-
-    // Decode: per-token forward on a warm cache.
-    let warm_prompt = tokens(7, 128, VOCAB);
-    let decode_tokens = tokens(11, 64, VOCAB);
-    let f32_decode = best_of_3(|| {
-        let mut cache = f32_model.new_cache_with_capacity(256);
-        f32_model.prefill_cache_only(&warm_prompt, &mut cache);
-        for &t in &decode_tokens {
-            std::hint::black_box(f32_model.forward_token(t, &mut cache));
-        }
-    });
-    let int8_decode = best_of_3(|| {
-        let mut cache = int8_model.new_cache_with_capacity(256);
-        int8_model.prefill_cache_only(&warm_prompt, &mut cache);
-        for &t in &decode_tokens {
-            std::hint::black_box(int8_model.forward_token(t, &mut cache));
-        }
-    });
-    let decode_speedup = f32_decode / int8_decode;
-    println!("quant_decode_speedup {decode_speedup:.2}");
-    record.measure("decode speedup", decode_speedup);
 
     // Calibration summary: the largest per-channel weight scale bounds the
     // worst per-element dequantization error (scale/2).

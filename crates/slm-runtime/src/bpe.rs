@@ -6,6 +6,12 @@
 //! marker, merges are learned greedily by pair frequency, and encoding
 //! replays merges in rank order.
 //!
+//! Both sides apply a merge the same way (`merge_pair`): every occurrence
+//! of the pair, left to right, in one linear pass. Encoding runs over token
+//! ids, one pass per lowest-rank pair present, so a word's cost is bounded by
+//! its length times the merges it takes — a long run of text without
+//! whitespace is untrusted input, not a quadratic stall.
+//!
 //! The vocabulary always reserves the special tokens the verification prompt
 //! needs: `<pad>`, `<bos>`, `<eos>`, `<unk>`, and whole-word `yes</w>` /
 //! `no</w>` pieces so that `P(token_1 = "yes")` is a single-token probability
@@ -37,8 +43,9 @@ pub struct Bpe {
     vocab: Vec<String>,
     /// piece text → id.
     ids: HashMap<String, TokenId>,
-    /// merge (left, right) → rank (lower = earlier = higher priority).
-    merge_ranks: HashMap<(String, String), usize>,
+    /// merge (left id, right id) → (rank, merged id); lower rank = earlier
+    /// = higher priority. Ids are the canonical ones of `ids`.
+    merges: HashMap<(TokenId, TokenId), (usize, TokenId)>,
 }
 
 impl Bpe {
@@ -103,8 +110,9 @@ impl Bpe {
             let Some(((left, right), _)) = best else {
                 break;
             };
+            let merged = format!("{left}{right}");
             for (syms, _) in words.iter_mut() {
-                merge_pair(syms, &left, &right);
+                merge_pair(syms, &left, &right, &merged);
             }
             merges.push((left, right));
         }
@@ -113,19 +121,17 @@ impl Bpe {
             vocab.push(format!("{l}{r}"));
         }
 
-        let mut bpe = Self {
-            ids: vocab
-                .iter()
-                .enumerate()
-                .map(|(i, p)| (p.clone(), i as TokenId))
-                .collect(),
-            merge_ranks: merges
-                .into_iter()
-                .enumerate()
-                .map(|(rank, pair)| (pair, rank))
-                .collect(),
-            vocab,
-        };
+        let ids: HashMap<String, TokenId> = vocab
+            .iter()
+            .enumerate()
+            .map(|(i, p)| (p.clone(), i as TokenId))
+            .collect();
+        let merges = merges
+            .iter()
+            .enumerate()
+            .map(|(rank, (l, r))| ((ids[l], ids[r]), (rank, ids[&format!("{l}{r}")])))
+            .collect();
+        let mut bpe = Self { vocab, ids, merges };
         // Guarantee single-token "yes"/"no" pieces for Eq. 2.
         bpe.ensure_word_token("yes");
         bpe.ensure_word_token("no");
@@ -181,31 +187,33 @@ impl Bpe {
     }
 
     /// Encode one word (no whitespace) into token ids.
+    ///
+    /// Each pass finds the lowest-rank pair in the word and merges all of its
+    /// occurrences, left to right; characters outside the vocabulary are
+    /// [`UNK`] and never merge.
     pub fn encode_word(&self, word: &str) -> Vec<TokenId> {
         // Whole word shortcut (covers reserved yes/no even when the corpus
         // never contained them).
         if let Some(id) = self.word_token(word) {
             return vec![id];
         }
-        let mut syms: Vec<String> = word.chars().map(|c| c.to_string()).collect();
-        syms.push(WORD_END.to_string());
-        // Replay merges: repeatedly merge the lowest-rank adjacent pair.
-        loop {
-            let mut best: Option<(usize, usize)> = None; // (rank, position)
-            for (i, w) in syms.windows(2).enumerate() {
-                if let Some(&rank) = self.merge_ranks.get(&(w[0].clone(), w[1].clone())) {
-                    if best.is_none_or(|(r, _)| rank < r) {
-                        best = Some((rank, i));
-                    }
-                }
-            }
-            let Some((_, pos)) = best else { break };
-            let merged = format!("{}{}", syms[pos], syms[pos + 1]);
-            syms.splice(pos..=pos + 1, [merged]);
+        let id = |piece: &str| self.ids.get(piece).copied().unwrap_or(UNK);
+        let mut syms: Vec<TokenId> = word
+            .chars()
+            .map(|c| id(c.encode_utf8(&mut [0; 4])))
+            .collect();
+        syms.push(id(WORD_END));
+        while let Some((_, left, right, merged)) = syms
+            .windows(2)
+            .filter_map(|w| {
+                let &(rank, merged) = self.merges.get(&(w[0], w[1]))?;
+                Some((rank, w[0], w[1], merged))
+            })
+            .min()
+        {
+            merge_pair(&mut syms, &left, &right, &merged);
         }
-        syms.iter()
-            .map(|s| self.ids.get(s).copied().unwrap_or(UNK))
-            .collect()
+        syms
     }
 
     /// Encode text: normalize, split on whitespace, encode each word.
@@ -237,17 +245,22 @@ impl Bpe {
     }
 }
 
-/// Merge every adjacent occurrence of (left, right) in `syms`.
-fn merge_pair(syms: &mut Vec<String>, left: &str, right: &str) {
-    let mut i = 0;
-    while i + 1 < syms.len() {
-        if syms[i] == left && syms[i + 1] == right {
-            let merged = format!("{left}{right}");
-            syms.splice(i..=i + 1, [merged]);
+/// Replace every adjacent occurrence of `(left, right)` in `syms` with
+/// `merged`, left to right and non-overlapping, in one linear pass.
+fn merge_pair<T: PartialEq + Clone>(syms: &mut Vec<T>, left: &T, right: &T, merged: &T) {
+    // `syms[..out]` is the merged prefix; `syms[out..i]` holds stale values.
+    let (mut out, mut i) = (0, 0);
+    while i < syms.len() {
+        if i + 1 < syms.len() && syms[i] == *left && syms[i + 1] == *right {
+            syms[out] = merged.clone();
+            i += 2;
         } else {
+            syms.swap(out, i);
             i += 1;
         }
+        out += 1;
     }
+    syms.truncate(out);
 }
 
 #[cfg(test)]
@@ -354,7 +367,104 @@ mod tests {
         assert_eq!(bpe.decode(&ids), "the store");
     }
 
+    /// The merge loop `encode_word` replaced, kept as its oracle: rescan the
+    /// whole word of `String` pieces for the lowest-rank pair and merge only
+    /// its leftmost occurrence, until no pair has a rank. Quadratic in the
+    /// word's length.
+    fn reference_encode_word(bpe: &Bpe, word: &str) -> Vec<TokenId> {
+        if let Some(id) = bpe.word_token(word) {
+            return vec![id];
+        }
+        let piece = |id: TokenId| bpe.vocab[id as usize].clone();
+        let merge_ranks: HashMap<(String, String), usize> = bpe
+            .merges
+            .iter()
+            .map(|(&(l, r), &(rank, _))| ((piece(l), piece(r)), rank))
+            .collect();
+        let mut syms: Vec<String> = word.chars().map(|c| c.to_string()).collect();
+        syms.push(WORD_END.to_string());
+        loop {
+            let mut best: Option<(usize, usize)> = None; // (rank, position)
+            for (i, w) in syms.windows(2).enumerate() {
+                if let Some(&rank) = merge_ranks.get(&(w[0].clone(), w[1].clone())) {
+                    if best.is_none_or(|(r, _)| rank < r) {
+                        best = Some((rank, i));
+                    }
+                }
+            }
+            let Some((_, pos)) = best else { break };
+            let merged = format!("{}{}", syms[pos], syms[pos + 1]);
+            syms.splice(pos..=pos + 1, [merged]);
+        }
+        syms.iter()
+            .map(|s| bpe.ids.get(s).copied().unwrap_or(UNK))
+            .collect()
+    }
+
+    /// A tokenizer whose alphabet covers a few multibyte characters too.
+    fn multibyte_bpe() -> Bpe {
+        let mut corpus = sample_corpus();
+        corpus.extend(["café déjà vu über", "привет мир", "日本語の文章"]);
+        Bpe::train(&corpus, 300)
+    }
+
+    #[test]
+    fn merge_pair_is_left_to_right_and_non_overlapping() {
+        let mut syms = vec![1, 1, 1, 2, 1, 1];
+        merge_pair(&mut syms, &1, &1, &9);
+        assert_eq!(syms, vec![9, 1, 2, 9]);
+        let mut syms = vec![1, 2];
+        merge_pair(&mut syms, &2, &1, &9);
+        assert_eq!(syms, vec![1, 2]);
+    }
+
+    #[test]
+    fn long_words_encode_in_bounded_time() {
+        // 64 KB with no whitespace. The reference rescans the whole word for
+        // every single merge, so its cost grows with the square of the
+        // length (16 KB took 1.4–8.8 s in a release build on a 2-vCPU
+        // guest); one pass per rank is linear for each merge the word takes.
+        let bpe = Bpe::train(&sample_corpus(), 300);
+        let word = "thestoreoperatesfrom9amto5pmépreuve".repeat(1900);
+        assert!(word.len() >= 64 * 1024);
+        let started = std::time::Instant::now();
+        let ids = bpe.encode_word(&word);
+        let took = started.elapsed();
+        assert!(took.as_secs_f64() < 2.0, "64 KB word took {took:?}");
+        assert!(ids.len() < word.chars().count(), "the word takes merges");
+        // The same ids as the reference, on a prefix it can afford.
+        let short: String = word.chars().take(2_000).collect();
+        assert_eq!(bpe.encode_word(&short), reference_encode_word(&bpe, &short));
+    }
+
     proptest::proptest! {
+        #[test]
+        fn encode_word_matches_the_reference_merge_loop(
+            word in "(the|store|operates|from|am|pm|sunday|saturday|working|hours|annual|leave|days|yes|no|[a-z0-9]|é|ü|ж|日|本|\\PC){1,16}",
+        ) {
+            let bpe = multibyte_bpe();
+            proptest::prop_assert_eq!(bpe.encode_word(&word), reference_encode_word(&bpe, &word));
+        }
+
+        #[test]
+        fn unicode_text_round_trips_but_for_unknown_characters(text in "(\\PC|[ \t\n]){0,80}") {
+            // Never panics; every id is in the vocabulary; decoding gives the
+            // normalized text back with each out-of-alphabet char as <unk>.
+            let bpe = multibyte_bpe();
+            let ids = bpe.encode(&text, false);
+            proptest::prop_assert!(ids.iter().all(|&id| (id as usize) < bpe.vocab_size()));
+            let known = |c: char| bpe.ids.contains_key(c.encode_utf8(&mut [0; 4]) as &str);
+            let expected: Vec<String> = text_engine::normalize(&text)
+                .split_whitespace()
+                .map(|w| {
+                    w.chars()
+                        .map(|c| if known(c) { c.to_string() } else { "<unk>".to_string() })
+                        .collect()
+                })
+                .collect();
+            proptest::prop_assert_eq!(bpe.decode(&ids), expected.join(" "));
+        }
+
         #[test]
         fn encode_decode_roundtrips_lowercase_ascii(text in "[a-z ]{0,40}") {
             let bpe = Bpe::train(&["abcdefghijklmnopqrstuvwxyz abc xyz the quick brown fox"], 60);
@@ -364,7 +474,7 @@ mod tests {
         }
 
         #[test]
-        fn encoding_never_empty_for_nonempty_word(word in "[a-z]{1,10}") {
+        fn encoding_never_empty_for_nonempty_word(word in "(\\PC|[a-z]){1,10}") {
             let bpe = Bpe::train(&sample_corpus(), 100);
             proptest::prop_assert!(!bpe.encode_word(&word).is_empty());
         }

@@ -12,7 +12,7 @@ use std::sync::Arc;
 use crate::bpe::Bpe;
 use crate::model::{InferenceModel, TransformerLM};
 use crate::paged::PagedPrefixCache;
-use crate::prob::{p_yes, p_yes_paged};
+use crate::prob::p_yes;
 use crate::verifier::{VerificationRequest, YesNoVerifier};
 
 /// A verifier slot running an actual engine — the f32 [`TransformerLM`] by
@@ -74,24 +74,14 @@ impl<M: InferenceModel + Send + Sync> YesNoVerifier for EngineVerifier<M> {
     }
 
     fn p_yes(&self, request: &VerificationRequest<'_>) -> f64 {
-        match &self.paged_cache {
-            Some(cache) => p_yes_paged(
-                &self.model,
-                &self.name,
-                cache,
-                &self.tokenizer,
-                request.question,
-                request.context,
-                request.response,
-            ),
-            None => p_yes(
-                &self.model,
-                &self.tokenizer,
-                request.question,
-                request.context,
-                request.response,
-            ),
-        }
+        p_yes(
+            &self.model,
+            &self.tokenizer,
+            request.question,
+            request.context,
+            request.response,
+            self.paged_cache.as_deref().map(|c| (c, self.name.as_str())),
+        )
     }
 }
 

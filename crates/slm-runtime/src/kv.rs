@@ -1,4 +1,4 @@
-//! Per-layer key/value cache for incremental decoding.
+//! Per-layer key/value cache for prompt prefill.
 //!
 //! The paper's efficiency argument for local SLM deployment is that the
 //! yes-probability falls out of a *single* forward pass over the prompt; the
@@ -234,11 +234,6 @@ impl KvCache {
         out.len = self.len;
         out
     }
-
-    /// Reset to empty without deallocating.
-    pub fn clear(&mut self) {
-        self.len = 0;
-    }
 }
 
 impl KvStore for KvCache {
@@ -312,16 +307,6 @@ mod tests {
         assert_eq!(c.len(), 3);
         assert_eq!(c.key(1, 2), &[2.0; 4]);
         assert_eq!(c.value(0, 1), &[11.0; 4]);
-    }
-
-    #[test]
-    fn clear_retains_capacity() {
-        let mut c = KvCache::new(1, 4, 2);
-        c.write(0, &[1.0, 2.0], &[3.0, 4.0]);
-        c.advance();
-        c.clear();
-        assert!(c.is_empty());
-        assert_eq!(c.remaining(), 4);
     }
 
     #[test]

@@ -7,11 +7,12 @@
 //! instead of paying for repeated API sampling. This crate reproduces that
 //! capability in two layers (see DESIGN.md for the substitution argument):
 //!
-//! 1. **Engine** ([`model`], [`attention`], [`bpe`], [`prob`]) — a complete
-//!    decoder-only transformer inference stack written from scratch: BPE
-//!    tokenizer, RoPE attention with KV cache, SwiGLU MLPs, RMSNorm, greedy /
-//!    top-k / nucleus sampling, and first-token probability extraction. It
-//!    runs on deterministic synthetic weights (real checkpoints are not
+//! 1. **Engine** ([`model`], [`attention`], [`bpe`], [`prob`]) — a
+//!    probe-only decoder-only transformer written from scratch: BPE
+//!    tokenizer, RoPE attention with KV cache, SwiGLU MLPs, RMSNorm, and
+//!    first-token probability extraction ([`prob::p_yes`]). It prefills a
+//!    prompt and reads one next-token distribution; it does not generate.
+//!    It runs on deterministic synthetic weights (real checkpoints are not
 //!    available offline) and demonstrates the exact code path the paper's
 //!    local deployment relies on.
 //! 2. **Behavioral verifiers** ([`sim`], [`profiles`]) — calibrated models of
@@ -29,8 +30,8 @@
 //!    ([`fallible::FallibleVerifier::try_p_yes_attempt`]): batched, cached,
 //!    and sequential runs produce bitwise-identical scores. The engine's
 //!    prompt processing itself runs as a blocked GEMM prefill
-//!    ([`model::TransformerLM::prefill`]) that is bit-identical to the
-//!    token-at-a-time loop.
+//!    ([`InferenceModel::prefill`]) that is bit-identical to the
+//!    token-at-a-time loop ([`model::prefill_sequential`]).
 //!
 //! All verifier layers implement the common [`verifier::YesNoVerifier`] trait,
 //! so the framework in `hallu-core` is agnostic to which one backs a model
@@ -38,10 +39,8 @@
 
 pub mod attention;
 pub mod batch;
-pub mod beam;
 pub mod bpe;
 pub mod cache;
-pub mod chat;
 pub mod clock;
 pub mod config;
 pub mod engine_verifier;
@@ -54,13 +53,11 @@ pub mod kv;
 pub mod limit;
 pub mod model;
 pub mod paged;
-pub mod perplexity;
 pub mod prob;
 pub mod profiles;
 pub mod quant;
 pub mod ring;
 pub mod rope;
-pub mod sample;
 pub mod sim;
 pub mod verifier;
 pub mod weights;

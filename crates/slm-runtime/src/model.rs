@@ -122,7 +122,7 @@ fn lm_head_threads() -> usize {
     crate::batch::host_parallelism().min(8)
 }
 
-/// Tokens per GEMM block in [`TransformerLM::prefill`]. Bounds activation
+/// Tokens per GEMM block in [`InferenceModel::prefill`]. Bounds activation
 /// memory to `PREFILL_BLOCK × hidden` floats per buffer while keeping the
 /// projection matmuls wide enough that `B`-panel reuse pays off.
 ///
@@ -131,20 +131,22 @@ fn lm_head_threads() -> usize {
 /// whole pages, and callers size a pool's page budget from it.
 pub const PREFILL_BLOCK: usize = 64;
 
-/// A model the inference machinery can drive: the contract shared by the f32
-/// [`TransformerLM`] and the int8 `quant::QuantizedLM`.
+/// A model the probe can drive: the one API of the f32 [`TransformerLM`] and
+/// the int8 `quant::QuantizedLM`.
 ///
 /// Implementors supply the per-token forward, the blocked forward, and the
-/// final-norm + LM-head projection; the prefill family, cache allocation and
-/// greedy decoding are provided in terms of those, so both precisions run the
-/// *same* chunking/finish logic — the paged KV machinery and the `p_yes`
-/// probability extraction are generic over this trait.
+/// final-norm + LM-head projection; the prefill family and cache allocation
+/// are provided in terms of those, so both precisions run the *same*
+/// chunking/finish logic — the paged KV machinery and the `p_yes`
+/// probability extraction are generic over this trait. The engine is
+/// probe-only: it prefills a prompt and returns one next-token distribution.
 pub trait InferenceModel {
     /// Model configuration.
     fn config(&self) -> &ModelConfig;
 
     /// Run one token at position `cache.len()`, advance the cache, return the
-    /// next-token logits.
+    /// next-token logits. The sequential reference the blocked forward is
+    /// checked against (see [`prefill_sequential`]).
     ///
     /// # Panics
     /// Panics if the cache is full or the token id is out of vocabulary.
@@ -166,7 +168,8 @@ pub trait InferenceModel {
     }
 
     /// Allocate a fresh KV cache with exactly `max_seq` positions (clamped to
-    /// the model's context window, floored at 1).
+    /// the model's context window, floored at 1). Per-probe forks size their
+    /// cache for the prompt actually being scored.
     fn new_cache_with_capacity(&self, max_seq: usize) -> KvCache {
         let cfg = self.config();
         KvCache::new(
@@ -178,6 +181,11 @@ pub trait InferenceModel {
 
     /// Blocked-GEMM prefill: run the prompt in [`PREFILL_BLOCK`] chunks and
     /// return the logits after the final prompt token.
+    ///
+    /// Bit-identical to [`prefill_sequential`], and faster on two counts: the
+    /// projection/FFN matmuls process [`PREFILL_BLOCK`] tokens per
+    /// weight-matrix pass, and the LM head (the widest matrix in the model)
+    /// is applied once, to the final token.
     ///
     /// # Panics
     /// Panics on an empty prompt or when the prompt exceeds the cache.
@@ -210,50 +218,30 @@ pub trait InferenceModel {
             self.forward_block_states(chunk, cache);
         }
     }
+}
 
-    /// Token-at-a-time prefill: the parity reference and bench baseline. Note
-    /// it computes (and discards) full-vocabulary logits for every prompt
-    /// token — the cost the blocked path avoids.
-    ///
-    /// # Panics
-    /// Panics on an empty prompt or when the prompt exceeds the cache.
-    fn prefill_sequential<C: KvStore>(&self, prompt: &[TokenId], cache: &mut C) -> Vec<f32> {
-        assert!(!prompt.is_empty(), "prompt must not be empty");
-        assert!(
-            prompt.len() <= cache.remaining(),
-            "prompt longer than cache capacity"
-        );
-        let mut logits = Vec::new();
-        for &t in prompt {
-            logits = self.forward_token(t, cache);
-        }
-        logits
+/// Token-at-a-time prefill: the parity reference for
+/// [`InferenceModel::prefill`] and the baseline the prefill bench and sweep
+/// time. It computes (and discards) full-vocabulary logits for every prompt
+/// token — the cost the blocked path avoids.
+///
+/// # Panics
+/// Panics on an empty prompt or when the prompt exceeds the cache.
+pub fn prefill_sequential<M: InferenceModel, C: KvStore>(
+    model: &M,
+    prompt: &[TokenId],
+    cache: &mut C,
+) -> Vec<f32> {
+    assert!(!prompt.is_empty(), "prompt must not be empty");
+    assert!(
+        prompt.len() <= cache.remaining(),
+        "prompt longer than cache capacity"
+    );
+    let mut logits = Vec::new();
+    for &t in prompt {
+        logits = model.forward_token(t, cache);
     }
-
-    /// Greedy-decode up to `max_new` tokens after a prompt, stopping at
-    /// `stop_token` if given. Returns the generated ids.
-    fn generate_greedy(
-        &self,
-        prompt: &[TokenId],
-        max_new: usize,
-        stop_token: Option<TokenId>,
-    ) -> Vec<TokenId> {
-        let mut cache = self.new_cache();
-        let mut logits = self.prefill(prompt, &mut cache);
-        let mut out = Vec::new();
-        for _ in 0..max_new {
-            let next = crate::sample::argmax(&logits) as TokenId;
-            if Some(next) == stop_token {
-                break;
-            }
-            out.push(next);
-            if cache.remaining() == 0 {
-                break;
-            }
-            logits = self.forward_token(next, &mut cache);
-        }
-        out
-    }
+    logits
 }
 
 /// A runnable transformer LM: config + weights + RoPE tables.
@@ -283,89 +271,6 @@ impl TransformerLM {
         let weights = ModelWeights::synthetic(&cfg, seed);
         Self::new(cfg, weights)
     }
-
-    /// Model configuration.
-    pub fn config(&self) -> &ModelConfig {
-        &self.cfg
-    }
-
-    /// Allocate a fresh KV cache sized for this model.
-    pub fn new_cache(&self) -> KvCache {
-        InferenceModel::new_cache(self)
-    }
-
-    /// Allocate a fresh KV cache with exactly `max_seq` positions (clamped
-    /// to the model's context window). Per-probe forks should size their
-    /// cache for the prompt actually being scored — allocating the full
-    /// window per sentence is the over-allocation the fork-capacity
-    /// regression tests pin down.
-    pub fn new_cache_with_capacity(&self, max_seq: usize) -> KvCache {
-        InferenceModel::new_cache_with_capacity(self, max_seq)
-    }
-
-    /// Run one token through the model, returning the next-token logits.
-    ///
-    /// The token is processed at position `cache.len()`; the cache is
-    /// advanced before returning.
-    ///
-    /// # Panics
-    /// Panics if the cache is full or the token id is out of vocabulary.
-    pub fn forward_token<C: KvStore>(&self, token: TokenId, cache: &mut C) -> Vec<f32> {
-        let x = forward_token_core(
-            &self.cfg,
-            &self.weights.embed,
-            &self.weights.layers,
-            &self.rope,
-            token,
-            cache,
-        );
-        InferenceModel::finish_logits(self, &x)
-    }
-
-    /// Prefill a prompt with the blocked GEMM forward, returning the logits
-    /// after the final prompt token.
-    ///
-    /// Bit-identical to [`TransformerLM::prefill_sequential`] — and faster on
-    /// two counts: the projection/FFN matmuls process [`PREFILL_BLOCK`] tokens
-    /// per weight-matrix pass, and the LM head (the widest matrix in the
-    /// model) is applied once to the final token instead of once per prompt
-    /// token.
-    ///
-    /// # Panics
-    /// Panics on an empty prompt or when the prompt exceeds the cache.
-    pub fn prefill<C: KvStore>(&self, prompt: &[TokenId], cache: &mut C) -> Vec<f32> {
-        InferenceModel::prefill(self, prompt, cache)
-    }
-
-    /// Prefill a prompt's K/V state without computing any logits: the form
-    /// used when snapshotting a shared prefix, whose next-token distribution
-    /// is never consumed. Skips the final norm and the LM head entirely.
-    ///
-    /// # Panics
-    /// Panics on an empty prompt or when the prompt exceeds the cache.
-    pub fn prefill_cache_only<C: KvStore>(&self, prompt: &[TokenId], cache: &mut C) {
-        InferenceModel::prefill_cache_only(self, prompt, cache)
-    }
-
-    /// The original token-at-a-time prefill, kept as the parity reference and
-    /// bench baseline.
-    ///
-    /// # Panics
-    /// Panics on an empty prompt or when the prompt exceeds the cache.
-    pub fn prefill_sequential<C: KvStore>(&self, prompt: &[TokenId], cache: &mut C) -> Vec<f32> {
-        InferenceModel::prefill_sequential(self, prompt, cache)
-    }
-
-    /// Greedy-decode up to `max_new` tokens after a prompt, stopping at
-    /// `stop_token` if given. Returns the generated ids.
-    pub fn generate_greedy(
-        &self,
-        prompt: &[TokenId],
-        max_new: usize,
-        stop_token: Option<TokenId>,
-    ) -> Vec<TokenId> {
-        InferenceModel::generate_greedy(self, prompt, max_new, stop_token)
-    }
 }
 
 impl InferenceModel for TransformerLM {
@@ -374,7 +279,15 @@ impl InferenceModel for TransformerLM {
     }
 
     fn forward_token<C: KvStore>(&self, token: TokenId, cache: &mut C) -> Vec<f32> {
-        TransformerLM::forward_token(self, token, cache)
+        let x = forward_token_core(
+            &self.cfg,
+            &self.weights.embed,
+            &self.weights.layers,
+            &self.rope,
+            token,
+            cache,
+        );
+        self.finish_logits(&x)
     }
 
     fn forward_block_states<C: KvStore>(&self, tokens: &[TokenId], cache: &mut C) -> Matrix {
@@ -483,7 +396,7 @@ mod tests {
             let mut c_blk = m.new_cache();
             let mut c_seq = m.new_cache();
             let blk = m.prefill(&prompt, &mut c_blk);
-            let seq = m.prefill_sequential(&prompt, &mut c_seq);
+            let seq = prefill_sequential(&m, &prompt, &mut c_seq);
             assert_eq!(blk, seq, "len {len}");
             assert_eq!(c_blk.len(), c_seq.len(), "len {len}");
             for layer in 0..m.config().n_layers {
@@ -539,25 +452,6 @@ mod tests {
         let via_fork = m.prefill(&suffix, &mut forked);
 
         assert_eq!(scratch, via_fork);
-    }
-
-    #[test]
-    fn greedy_generation_is_deterministic_and_bounded() {
-        let m = tiny_model();
-        let a = m.generate_greedy(&[1, 2], 8, None);
-        let b = m.generate_greedy(&[1, 2], 8, None);
-        assert_eq!(a, b);
-        assert!(a.len() <= 8);
-    }
-
-    #[test]
-    fn stop_token_halts_generation() {
-        let m = tiny_model();
-        let unbounded = m.generate_greedy(&[1, 2], 8, None);
-        if let Some(&first) = unbounded.first() {
-            let stopped = m.generate_greedy(&[1, 2], 8, Some(first));
-            assert!(stopped.is_empty());
-        }
     }
 
     #[test]

@@ -1001,7 +1001,7 @@ impl PagedPrefixCache {
 mod tests {
     use super::*;
     use crate::kv::KvCache;
-    use crate::model::TransformerLM;
+    use crate::model::{InferenceModel, TransformerLM};
 
     fn tiny_pool(max_pages: usize) -> Arc<PagedKvPool> {
         Arc::new(PagedKvPool::new(PagedPoolConfig {

@@ -43,107 +43,77 @@ pub fn suffix_prompt(response: &str) -> String {
     )
 }
 
-/// Probability of the next token over the whole vocabulary.
+/// `P(yes)` renormalized against `P(no)` for one `(question, context,
+/// response)` cell (the paper follows Kadavath et al.'s P(True), which
+/// restricts mass to the two answer tokens). Returns a value in `[0, 1]`;
+/// when both token probabilities are zero (degenerate weights) returns 0.5.
 ///
 /// Generic over [`InferenceModel`]: the f32 and int8 engines run the same
 /// extraction — the paper's Eq. 2 does not care what precision produced the
 /// logits, only the eval gate does.
-pub fn next_token_distribution<M: InferenceModel>(model: &M, prompt_ids: &[u32]) -> Vec<f32> {
-    let mut cache = model.new_cache();
-    let logits = model.prefill(prompt_ids, &mut cache);
-    softmax(&logits)
-}
-
-/// `P(yes)` renormalized against `P(no)` (the paper follows Kadavath et al.'s
-/// P(True), which restricts mass to the two answer tokens).
 ///
-/// Returns a value in `[0, 1]`. When both token probabilities are zero
-/// (degenerate weights) returns 0.5.
+/// The prompt is tokenized once, as the [`prefix_prompt`] and
+/// [`suffix_prompt`] halves; token-level concatenation at the whitespace
+/// split makes `prefix ++ suffix` the ids of the whole
+/// [`verification_prompt`]. With `paged = Some((cache, key))` the prefix's
+/// KV state comes from the shared-prefix cache under snapshot `key` (the
+/// verifier's name, so models never read each other's state): a hit forks
+/// it in `O(blocks)` and copies zero floats, with copy-on-write only for the
+/// partial tail page the suffix extends; a miss builds and deposits it.
+/// Only the suffix is then prefilled. Fork-then-extend walks the same states
+/// as a fresh full prefill, so the result is bitwise identical to
+/// `paged = None`.
+///
+/// Two cases score through the uncached prefill of `prefix ++ suffix`
+/// instead. Prompts that exceed the model's context window clamp from the
+/// front — the tail (the response under test and the instruction) is the
+/// signal-bearing part — which cuts into the shared prefix, so no reusable
+/// snapshot exists. [`PoolExhausted`] at any reservation point degrades too
+/// (the pool already counted the rejection), so exhaustion can never panic,
+/// tear a fork, or change a verdict.
 pub fn p_yes<M: InferenceModel>(
     model: &M,
     tokenizer: &Bpe,
     question: &str,
     context: &str,
     response: &str,
-) -> f64 {
-    let prompt = verification_prompt(question, context, response);
-    let ids = tokenizer.encode(&prompt, true);
-    // Clamp to cache capacity from the front: the tail (the response under
-    // test and the instruction) is the signal-bearing part.
-    let max = model.config().max_seq_len;
-    let ids = if ids.len() > max {
-        &ids[ids.len() - max..]
-    } else {
-        &ids[..]
-    };
-    let dist = next_token_distribution(model, ids);
-    renormalized_yes(&dist, tokenizer)
-}
-
-/// `P(yes)` for one cell through the paged shared-prefix KV cache.
-///
-/// Tokenizes the `(question, context)` prefix and the sentence suffix
-/// separately, forks the prefix snapshot on a hit (building and depositing it
-/// on a miss), and prefills only the suffix. Bitwise identical to [`p_yes`]:
-/// token-level concatenation holds at the whitespace split, and
-/// fork-then-extend walks the same states as a fresh full prefill. A hit
-/// forks in `O(blocks)` and copies zero floats, with copy-on-write only for
-/// the partial tail page the suffix extends.
-///
-/// Two cases score through the uncached [`p_yes`], which computes the same
-/// renormalized probability. Prompts that would exceed the model's context
-/// window clamp from the front, which cuts into the shared prefix, so no
-/// reusable snapshot exists. [`PoolExhausted`] at any reservation point
-/// degrades too (the pool already counted the rejection), so exhaustion can
-/// never panic, tear a fork, or change a verdict.
-pub fn p_yes_paged<M: InferenceModel>(
-    model: &M,
-    model_name: &str,
-    paged_cache: &PagedPrefixCache,
-    tokenizer: &Bpe,
-    question: &str,
-    context: &str,
-    response: &str,
+    paged: Option<(&PagedPrefixCache, &str)>,
 ) -> f64 {
     let prefix_ids = tokenizer.encode(&prefix_prompt(question, context), true);
     let suffix_ids = tokenizer.encode(&suffix_prompt(response), false);
     let max = model.config().max_seq_len;
-    if prefix_ids.is_empty() || suffix_ids.is_empty() || prefix_ids.len() + suffix_ids.len() > max {
-        return p_yes(model, tokenizer, question, context, response);
+    let fits = prefix_ids.len() + suffix_ids.len() <= max;
+    if let Some((cache, key)) = paged.filter(|_| fits) {
+        if let Ok(logits) = forked_logits(model, cache, key, &prefix_ids, &suffix_ids) {
+            return renormalized_yes(&softmax(&logits), tokenizer);
+        }
     }
-    match p_yes_paged_attempt(
-        model,
-        model_name,
-        paged_cache,
-        tokenizer,
-        &prefix_ids,
-        &suffix_ids,
-    ) {
-        Ok(p) => p,
-        Err(_exhausted) => p_yes(model, tokenizer, question, context, response),
-    }
+    let mut ids = prefix_ids;
+    ids.extend(suffix_ids);
+    let ids = &ids[ids.len().saturating_sub(max)..];
+    let mut kv = model.new_cache();
+    renormalized_yes(&softmax(&model.prefill(ids, &mut kv)), tokenizer)
 }
 
-/// The pool-backed scoring attempt behind [`p_yes_paged`]; every reservation
-/// failure surfaces as a typed error before any state was torn.
-fn p_yes_paged_attempt<M: InferenceModel>(
+/// The pool-backed path of [`p_yes`]: fork (or build) the prefix snapshot
+/// and prefill the suffix. Every reservation failure surfaces as a typed
+/// error before any state was torn.
+fn forked_logits<M: InferenceModel>(
     model: &M,
-    model_name: &str,
-    paged_cache: &PagedPrefixCache,
-    tokenizer: &Bpe,
+    cache: &PagedPrefixCache,
+    key: &str,
     prefix_ids: &[u32],
     suffix_ids: &[u32],
-) -> Result<f64, PoolExhausted> {
+) -> Result<Vec<f32>, PoolExhausted> {
     let need = prefix_ids.len() + suffix_ids.len();
-    let mut kv = paged_cache.fork_or_build(model_name, prefix_ids, need, |built| {
+    let mut kv = cache.fork_or_build(key, prefix_ids, need, |built| {
         model.prefill_cache_only(prefix_ids, built)
     })?;
     // On the miss path the cache shares the builder's pages, so this
     // reservation also copy-on-writes the partial tail page before the suffix
     // extends it.
     kv.try_reserve(suffix_ids.len())?;
-    let logits = model.prefill(suffix_ids, &mut kv);
-    Ok(renormalized_yes(&softmax(&logits), tokenizer))
+    Ok(model.prefill(suffix_ids, &mut kv))
 }
 
 /// Yes-mass renormalized against no-mass; 0.5 when both are zero. One shared
@@ -196,32 +166,11 @@ mod tests {
     }
 
     #[test]
-    fn distribution_sums_to_one() {
-        let (model, bpe) = setup();
-        let ids = bpe.encode("the store", true);
-        let dist = next_token_distribution(&model, &ids);
-        let sum: f32 = dist.iter().sum();
-        assert!((sum - 1.0).abs() < 1e-4);
-        assert_eq!(dist.len(), bpe.vocab_size());
-    }
-
-    #[test]
     fn p_yes_is_probability_and_deterministic() {
         let (model, bpe) = setup();
-        let p1 = p_yes(
-            &model,
-            &bpe,
-            "what are the hours?",
-            "store opens 9 am",
-            "9 am",
-        );
-        let p2 = p_yes(
-            &model,
-            &bpe,
-            "what are the hours?",
-            "store opens 9 am",
-            "9 am",
-        );
+        let (q, c, r) = ("what are the hours?", "store opens 9 am", "9 am");
+        let p1 = p_yes(&model, &bpe, q, c, r, None);
+        let p2 = p_yes(&model, &bpe, q, c, r, None);
         assert!((0.0..=1.0).contains(&p1));
         assert_eq!(p1, p2);
     }
@@ -232,20 +181,9 @@ mod tests {
         // change with the input — the probability is really being read from
         // the forward pass, not a constant.
         let (model, bpe) = setup();
-        let a = p_yes(
-            &model,
-            &bpe,
-            "hours?",
-            "store opens 9 am",
-            "the store opens 9 am",
-        );
-        let b = p_yes(
-            &model,
-            &bpe,
-            "hours?",
-            "store opens 9 am",
-            "the store opens 5 pm",
-        );
+        let (q, c) = ("hours?", "store opens 9 am");
+        let a = p_yes(&model, &bpe, q, c, "the store opens 9 am", None);
+        let b = p_yes(&model, &bpe, q, c, "the store opens 5 pm", None);
         assert_ne!(a, b);
     }
 
@@ -253,7 +191,7 @@ mod tests {
     fn long_prompts_are_clamped_not_crashed() {
         let (model, bpe) = setup();
         let long_context = "the store operates from 9 am to 5 pm ".repeat(60);
-        let p = p_yes(&model, &bpe, "hours?", &long_context, "9 am to 5 pm");
+        let p = p_yes(&model, &bpe, "hours?", &long_context, "9 am to 5 pm", None);
         assert!((0.0..=1.0).contains(&p));
     }
 
@@ -279,20 +217,22 @@ mod tests {
         }
     }
 
-    #[test]
-    fn tokenization_concatenates_at_the_split() {
-        // The property the prefix-cached path rests on: encoding the two
-        // halves separately yields exactly the tokens of the whole prompt.
-        let (_, bpe) = setup();
-        for (q, c, r) in [
-            ("what are the hours?", "store opens 9 am", "9 am to 5 pm"),
-            ("hours?", "working hours are from sunday to saturday", ""),
-            ("q", "context", "  odd   whitespace\tresponse "),
-        ] {
-            let full = bpe.encode(&verification_prompt(q, c, r), true);
-            let mut split = bpe.encode(&prefix_prompt(q, c), true);
-            split.extend(bpe.encode(&suffix_prompt(r), false));
-            assert_eq!(split, full, "({q:?}, {c:?}, {r:?})");
+    proptest::proptest! {
+        /// The property every probe rests on: encoding the two halves
+        /// separately yields exactly the tokens of the whole prompt, for
+        /// arbitrary Unicode (question, context, response) triples. `p_yes`
+        /// only ever tokenizes the halves.
+        #[test]
+        fn tokenization_concatenates_at_the_split(
+            q in "(\\PC|[ \t\n]){0,40}",
+            c in "(\\PC|[ \t\n]){0,80}",
+            r in "(\\PC|[ \t\n]){0,40}",
+        ) {
+            let (_, bpe) = setup();
+            let full = bpe.encode(&verification_prompt(&q, &c, &r), true);
+            let mut split = bpe.encode(&prefix_prompt(&q, &c), true);
+            split.extend(bpe.encode(&suffix_prompt(&r), false));
+            proptest::prop_assert_eq!(split, full);
         }
     }
 
@@ -311,9 +251,9 @@ mod tests {
             ),
         ];
         for &(q, c, r) in &cells {
-            let plain = p_yes(&model, &bpe, q, c, r);
-            let cold = p_yes_paged(&model, "m", &cache, &bpe, q, c, r);
-            let warm = p_yes_paged(&model, "m", &cache, &bpe, q, c, r);
+            let plain = p_yes(&model, &bpe, q, c, r, None);
+            let cold = p_yes(&model, &bpe, q, c, r, Some((&cache, "m")));
+            let warm = p_yes(&model, &bpe, q, c, r, Some((&cache, "m")));
             assert_eq!(plain, cold, "cold ({q:?}, {r:?})");
             assert_eq!(plain, warm, "warm ({q:?}, {r:?})");
         }
@@ -330,7 +270,7 @@ mod tests {
     fn exhausted_pool_degrades_to_the_uncached_path() {
         let (model, bpe) = setup();
         let (q, c, r) = ("what are the hours?", "store opens 9 am", "9 am");
-        let plain = p_yes(&model, &bpe, q, c, r);
+        let plain = p_yes(&model, &bpe, q, c, r, None);
         for max_pages in 1..4 {
             let mut cfg = PagedPoolConfig::for_model(model.config(), max_pages);
             // Tiny pages so even short prompts need several of them.
@@ -338,7 +278,7 @@ mod tests {
             let pool = Arc::new(PagedKvPool::new(cfg));
             let cache = PagedPrefixCache::new(Arc::clone(&pool), PrefixCacheConfig::default());
             for round in 0..2 {
-                let p = p_yes_paged(&model, "m", &cache, &bpe, q, c, r);
+                let p = p_yes(&model, &bpe, q, c, r, Some((&cache, "m")));
                 assert_eq!(plain, p, "max_pages {max_pages} round {round}");
             }
             let prefix_len = bpe.encode(&prefix_prompt(q, c), true).len();
@@ -357,8 +297,9 @@ mod tests {
         let (model, bpe) = setup();
         let (pool, cache) = paged_cache(&model);
         let long_context = "the store operates from 9 am to 5 pm ".repeat(60);
-        let plain = p_yes(&model, &bpe, "hours?", &long_context, "9 am");
-        let via_paged = p_yes_paged(&model, "m", &cache, &bpe, "hours?", &long_context, "9 am");
+        let (q, r) = ("hours?", "9 am");
+        let plain = p_yes(&model, &bpe, q, &long_context, r, None);
+        let via_paged = p_yes(&model, &bpe, q, &long_context, r, Some((&cache, "m")));
         assert_eq!(plain, via_paged);
         assert!(cache.is_empty(), "nothing cacheable for clamped prompts");
         assert_eq!(

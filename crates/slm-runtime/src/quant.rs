@@ -21,7 +21,7 @@ use tensor::{Int8Matrix, Matrix};
 
 use crate::bpe::TokenId;
 use crate::config::{ModelConfig, Precision};
-use crate::kv::{KvCache, KvStore};
+use crate::kv::KvStore;
 use crate::model::{finish_logits_core, forward_block_core, forward_token_core, InferenceModel};
 use crate::rope::RopeTable;
 use crate::weights::{LayerView, LayerWeights, ModelWeights};
@@ -229,46 +229,10 @@ impl QuantizedLM {
         let weights = QuantizedWeights::quantize(&ModelWeights::synthetic(&cfg, seed));
         Self::new(cfg, &weights)
     }
-
-    /// Model configuration (`precision` is always [`Precision::Int8`]).
-    pub fn config(&self) -> &ModelConfig {
-        &self.cfg
-    }
-
-    /// Forward one token (see [`InferenceModel::forward_token`]).
-    pub fn forward_token<C: KvStore>(&self, token: TokenId, cache: &mut C) -> Vec<f32> {
-        InferenceModel::forward_token(self, token, cache)
-    }
-
-    /// Blocked-GEMM prefill (see [`InferenceModel::prefill`]).
-    pub fn prefill<C: KvStore>(&self, prompt: &[TokenId], cache: &mut C) -> Vec<f32> {
-        InferenceModel::prefill(self, prompt, cache)
-    }
-
-    /// K/V-only prefill for prefix snapshotting
-    /// (see [`InferenceModel::prefill_cache_only`]).
-    pub fn prefill_cache_only<C: KvStore>(&self, prompt: &[TokenId], cache: &mut C) {
-        InferenceModel::prefill_cache_only(self, prompt, cache)
-    }
-
-    /// Token-at-a-time prefill, the parity reference
-    /// (see [`InferenceModel::prefill_sequential`]).
-    pub fn prefill_sequential<C: KvStore>(&self, prompt: &[TokenId], cache: &mut C) -> Vec<f32> {
-        InferenceModel::prefill_sequential(self, prompt, cache)
-    }
-
-    /// Fresh KV cache sized for the full context window.
-    pub fn new_cache(&self) -> KvCache {
-        InferenceModel::new_cache(self)
-    }
-
-    /// Fresh KV cache with exactly `max_seq` positions (clamped).
-    pub fn new_cache_with_capacity(&self, max_seq: usize) -> KvCache {
-        InferenceModel::new_cache_with_capacity(self, max_seq)
-    }
 }
 
 impl InferenceModel for QuantizedLM {
+    /// Model configuration (`precision` is always [`Precision::Int8`]).
     fn config(&self) -> &ModelConfig {
         &self.cfg
     }
@@ -304,7 +268,7 @@ impl InferenceModel for QuantizedLM {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::TransformerLM;
+    use crate::model::{prefill_sequential, TransformerLM};
 
     #[test]
     fn quantized_model_agrees_with_f32_on_argmax() {
@@ -346,7 +310,7 @@ mod tests {
             let mut c_seq = m.new_cache();
             assert_eq!(
                 m.prefill(&prompt, &mut c_blk),
-                m.prefill_sequential(&prompt, &mut c_seq),
+                prefill_sequential(&m, &prompt, &mut c_seq),
                 "len {len}"
             );
         }

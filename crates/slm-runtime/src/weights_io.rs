@@ -200,7 +200,7 @@ pub fn load_file(path: &Path) -> io::Result<(ModelConfig, ModelWeights)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::TransformerLM;
+    use crate::model::{InferenceModel, TransformerLM};
 
     fn setup() -> (ModelConfig, ModelWeights) {
         let cfg = ModelConfig::tiny(48);

@@ -224,13 +224,6 @@ pub fn softmax(x: &[f32]) -> Vec<f32> {
     out
 }
 
-/// Log-softmax (stable), returning a new vector.
-pub fn log_softmax(x: &[f32]) -> Vec<f32> {
-    let max = x.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-    let log_sum: f32 = x.iter().map(|v| exp(v - max)).sum::<f32>().ln();
-    x.iter().map(|v| v - max - log_sum).collect()
-}
-
 /// RMSNorm: `x_i * g_i / sqrt(mean(x^2) + eps)` — the normalization used by
 /// Llama/Qwen-family decoders.
 pub fn rmsnorm(x: &[f32], gain: &[f32], eps: f32, out: &mut [f32]) {
@@ -337,16 +330,6 @@ mod tests {
     #[test]
     fn softmax_empty_ok() {
         softmax_inplace(&mut []);
-    }
-
-    #[test]
-    fn log_softmax_consistent_with_softmax() {
-        let x = [0.5, -1.0, 2.0];
-        let p = softmax(&x);
-        let lp = log_softmax(&x);
-        for (pi, lpi) in p.iter().zip(&lp) {
-            assert_close(pi.ln(), *lpi, 1e-5);
-        }
     }
 
     #[test]

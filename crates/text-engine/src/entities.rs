@@ -846,7 +846,7 @@ mod tests {
 
     proptest::proptest! {
         #[test]
-        fn extraction_never_panics(s in "[a-zA-Z0-9 :.%$,!?-]{0,100}") {
+        fn extraction_never_panics(s in "(\\PC|[a-zA-Z0-9 :.%$,!?-]){0,100}") {
             let _ = extract_entities(&s);
         }
 

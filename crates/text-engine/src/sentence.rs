@@ -390,19 +390,21 @@ mod tests {
 
     proptest::proptest! {
         #[test]
-        fn spans_are_ordered_and_valid(s in "[ -~\\n]{0,120}") {
+        fn spans_are_ordered_and_valid(s in "(\\PC|[ -~\\n]){0,120}") {
             let sents = SentenceSplitter::new().split(&s);
             let mut prev = 0usize;
             for sent in &sents {
                 proptest::prop_assert!(sent.start >= prev);
                 proptest::prop_assert!(sent.end <= s.len());
-                proptest::prop_assert_eq!(&s[sent.start..sent.end], sent.text);
+                proptest::prop_assert!(s.is_char_boundary(sent.start));
+                proptest::prop_assert!(s.is_char_boundary(sent.end));
+                proptest::prop_assert_eq!(s.get(sent.start..sent.end), Some(sent.text));
                 prev = sent.end;
             }
         }
 
         #[test]
-        fn every_alphanumeric_char_is_kept(s in "[a-zA-Z0-9 .!?]{0,120}") {
+        fn every_alphanumeric_char_is_kept(s in "(\\PC|[a-zA-Z0-9 .!?]){0,120}") {
             let total: usize = s.chars().filter(|c| c.is_alphanumeric()).count();
             let kept: usize = SentenceSplitter::new()
                 .split(&s)

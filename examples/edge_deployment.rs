@@ -40,26 +40,14 @@ fn main() {
         quantized.quantized_bytes() as f64 / (1024.0 * 1024.0),
     );
 
-    // 2. The verification probability survives quantization.
+    // 2. The verification probability survives quantization: the same
+    // prompt through the same probe, so the drift is quantization error only.
     let q_model = QuantizedLM::new(cfg.clone(), &quantized);
     let question = "what are the working hours?";
     let context = "the store operates from 9 am to 5 pm from sunday to saturday";
     let response = "9 am to 5 pm";
-    let prompt = bpe.encode(
-        &format!("context: {context} question: {question} answer: {response} reply yes or no:"),
-        true,
-    );
-    let p_f32 = p_yes(&f32_model, &bpe, question, context, response);
-    let mut cache = q_model.new_cache();
-    let logits = q_model.prefill(&prompt, &mut cache);
-    let dist = tensor::nn::softmax(&logits);
-    let yes = f64::from(dist[bpe.yes_token() as usize]);
-    let no = f64::from(dist[bpe.no_token() as usize]);
-    let p_int8 = if yes + no > 0.0 {
-        yes / (yes + no)
-    } else {
-        0.5
-    };
+    let p_f32 = p_yes(&f32_model, &bpe, question, context, response, None);
+    let p_int8 = p_yes(&q_model, &bpe, question, context, response, None);
     println!(
         "P(yes): f32 {p_f32:.4}  int8 {p_int8:.4}  (drift {:.4})",
         (p_f32 - p_int8).abs()
@@ -72,7 +60,7 @@ fn main() {
     let (cfg2, weights2) = weights_io::load_file(&path).expect("load weights");
     std::fs::remove_file(&path).ok();
     let reloaded = TransformerLM::new(cfg2, weights2);
-    let p_reloaded = p_yes(&reloaded, &bpe, question, context, response);
+    let p_reloaded = p_yes(&reloaded, &bpe, question, context, response, None);
     println!(
         "weights file: {:.1} MiB on disk; reloaded P(yes) {p_reloaded:.4} (exact: {})",
         size as f64 / (1024.0 * 1024.0),

@@ -222,6 +222,7 @@ fn engine_quantize_persist_verify() {
         "open at nine?",
         "the store opens at nine",
         "nine",
+        None,
     );
     assert!((0.0..=1.0).contains(&p));
 }

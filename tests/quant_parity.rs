@@ -26,9 +26,9 @@ use proptest::prelude::*;
 use slm_runtime::bpe::Bpe;
 use slm_runtime::weights::ModelWeights;
 use slm_runtime::{
-    EngineVerifier, FallibleVerifier, FaultInjector, FaultProfile, ModelConfig, PagedKvPool,
-    PagedPoolConfig, PagedPrefixCache, Precision, PrefixCacheConfig, QuantizedLM, Reliable,
-    TransformerLM,
+    EngineVerifier, FallibleVerifier, FaultInjector, FaultProfile, InferenceModel, ModelConfig,
+    PagedKvPool, PagedPoolConfig, PagedPrefixCache, Precision, PrefixCacheConfig, QuantizedLM,
+    Reliable, TransformerLM,
 };
 use tensor::{Int8Matrix, Linear, Matrix};
 

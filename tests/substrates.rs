@@ -30,20 +30,9 @@ fn engine_extracts_first_token_probability_end_to_end() {
     let bpe = Bpe::train(&corpus, 300);
     let model = TransformerLM::synthetic(ModelConfig::qwen2_like(bpe.vocab_size()), 7);
 
-    let p1 = p_yes(
-        &model,
-        &bpe,
-        "what are the working hours?",
-        corpus[0],
-        "9 am to 5 pm",
-    );
-    let p2 = p_yes(
-        &model,
-        &bpe,
-        "what are the working hours?",
-        corpus[0],
-        "9 am to 9 pm",
-    );
+    let question = "what are the working hours?";
+    let p1 = p_yes(&model, &bpe, question, corpus[0], "9 am to 5 pm", None);
+    let p2 = p_yes(&model, &bpe, question, corpus[0], "9 am to 9 pm", None);
     assert!((0.0..=1.0).contains(&p1));
     assert!((0.0..=1.0).contains(&p2));
     // Synthetic weights are uninformative, but the probability must be a
