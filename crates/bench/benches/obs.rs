@@ -13,16 +13,16 @@
 //! that tracing costs at most 5% end to end — the cross-member span
 //! machinery must stay invisible next to the scoring work it decorates.
 
+use bench::handbook;
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use hallu_core::{DetectorConfig, ResilientDetector};
+use hallu_core::ResilientDetector;
 use hallu_obs::Obs;
 use rag::cluster::{ClusterConfig, ClusterRuntime};
 use rag::serving::ShardIdentity;
 use rag::{
     FailurePolicy, Priority, RagPipeline, ResilientVerifiedPipeline, ServingConfig, SimulatedLlm,
 };
-use slm_runtime::profiles::{minicpm_sim, qwen2_sim};
-use slm_runtime::{FallibleVerifier, FaultInjector, FaultProfile, Reliable};
+use slm_runtime::FaultProfile;
 use vectordb::collection::Collection;
 use vectordb::embed::HashingEmbedder;
 use vectordb::flat::FlatIndex;
@@ -37,18 +37,7 @@ const RESP: &str = "The working hours are 9 AM to 5 PM. The store is open from S
                     keep the floor covered.";
 
 fn detector(obs: Option<&Obs>) -> ResilientDetector {
-    let verifiers: Vec<Box<dyn FallibleVerifier>> = vec![
-        Box::new(FaultInjector::new(
-            Reliable::new(qwen2_sim()),
-            FaultProfile::none(1),
-        )),
-        Box::new(FaultInjector::new(
-            Reliable::new(minicpm_sim()),
-            FaultProfile::none(2),
-        )),
-    ];
-    let mut d =
-        ResilientDetector::try_new(verifiers, DetectorConfig::default()).expect("two verifiers");
+    let mut d = handbook::detector([FaultProfile::none(1), FaultProfile::none(2)], None);
     if let Some(obs) = obs {
         d.set_obs(obs);
     }
@@ -91,18 +80,10 @@ fn member_pipeline(identity: ShardIdentity) -> ResilientVerifiedPipeline<FlatInd
     );
     let rag = RagPipeline::new(collection, 7).with_llm(SimulatedLlm::new(2));
     rag.ingest(CTX, "hours").expect("ingest");
-    let verifiers: Vec<Box<dyn FallibleVerifier>> = vec![
-        Box::new(FaultInjector::new(
-            Reliable::new(qwen2_sim()),
-            FaultProfile::none(seed),
-        )),
-        Box::new(FaultInjector::new(
-            Reliable::new(minicpm_sim()),
-            FaultProfile::none(seed + 1),
-        )),
-    ];
-    let detector =
-        ResilientDetector::try_new(verifiers, DetectorConfig::default()).expect("two verifiers");
+    let detector = handbook::detector(
+        [FaultProfile::none(seed), FaultProfile::none(seed + 1)],
+        None,
+    );
     let mut p = ResilientVerifiedPipeline::new(rag, detector, 0.45, FailurePolicy::Abstain);
     p.warm_up(&[Q]).expect("warm-up retrieval");
     p

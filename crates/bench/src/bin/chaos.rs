@@ -14,30 +14,19 @@
 //! (seed, model, request text, attempt), never by call order.
 
 use bench::approaches::{build_detector, Approach};
+use bench::handbook;
 use bench::runner::{score_dataset_with, task_examples, LabeledScore, Task};
 use bench::{save_record, RESULTS_PATH};
 use eval::report::ExperimentRecord;
 use eval::sweep::best_f1;
-use hallu_core::{AggregationMean, DetectorConfig, ResilientDetector};
+use hallu_core::{AggregationMean, ResilientDetector};
 use hallu_dataset::{Dataset, DatasetBuilder};
 use rag::FailurePolicy;
-use slm_runtime::profiles::{minicpm_sim, qwen2_sim};
-use slm_runtime::{FallibleVerifier, FaultInjector, FaultProfile, Reliable};
+use slm_runtime::FaultProfile;
 
 const DATASET_SEED: u64 = 0xC4A05;
 const DATASET_SETS: usize = 60;
 const FAULT_SEEDS: [u64; 2] = [1101, 2202];
-
-/// Build the proposed two-model detector behind fault injectors.
-fn resilient_detector(profiles: [FaultProfile; 2]) -> ResilientDetector {
-    let [p0, p1] = profiles;
-    let verifiers: Vec<Box<dyn FallibleVerifier>> = vec![
-        Box::new(FaultInjector::new(Reliable::new(qwen2_sim()), p0)),
-        Box::new(FaultInjector::new(Reliable::new(minicpm_sim()), p1)),
-    ];
-    ResilientDetector::try_new(verifiers, DetectorConfig::default())
-        .expect("two verifiers supplied")
-}
 
 /// Aggregate counters over one dataset pass.
 #[derive(Debug, Default, Clone, Copy)]
@@ -125,10 +114,13 @@ fn main() {
     {
         let mut fault_free = build_detector(Approach::Proposed, AggregationMean::Harmonic);
         let fault_free_scores = score_dataset_with(&mut fault_free, &dataset);
-        let mut res = resilient_detector([
-            FaultProfile::none(FAULT_SEEDS[0]),
-            FaultProfile::none(FAULT_SEEDS[1]),
-        ]);
+        let mut res = handbook::detector(
+            [
+                FaultProfile::none(FAULT_SEEDS[0]),
+                FaultProfile::none(FAULT_SEEDS[1]),
+            ],
+            None,
+        );
         let (scored, tally) = score_resilient(&mut res, &dataset);
         assert_eq!(tally.abstained, 0, "no faults, no abstentions");
         for (p, (s, _)) in fault_free_scores.iter().zip(&scored) {
@@ -147,10 +139,13 @@ fn main() {
 
     // (b) One model hard-down: graceful degradation to the single-SLM level.
     {
-        let mut down = resilient_detector([
-            FaultProfile::none(FAULT_SEEDS[0]),
-            FaultProfile::down(FAULT_SEEDS[1]),
-        ]);
+        let mut down = handbook::detector(
+            [
+                FaultProfile::none(FAULT_SEEDS[0]),
+                FaultProfile::down(FAULT_SEEDS[1]),
+            ],
+            None,
+        );
         let (scored, tally) = score_resilient(&mut down, &dataset);
         assert_eq!(
             tally.abstained, 0,
@@ -182,10 +177,13 @@ fn main() {
 
     // (c) Total outage: abstain, never fabricate.
     {
-        let mut dead = resilient_detector([
-            FaultProfile::down(FAULT_SEEDS[0]),
-            FaultProfile::down(FAULT_SEEDS[1]),
-        ]);
+        let mut dead = handbook::detector(
+            [
+                FaultProfile::down(FAULT_SEEDS[0]),
+                FaultProfile::down(FAULT_SEEDS[1]),
+            ],
+            None,
+        );
         let (scored, tally) = score_resilient(&mut dead, &dataset);
         assert_eq!(
             tally.abstained, tally.responses,
@@ -208,10 +206,13 @@ fn main() {
         "rate", "abstain%", "f1-open", "f1-closed", "f1-drop", "retries", "timeouts", "trips"
     );
     for rate in [0.0, 0.05, 0.1, 0.2, 0.3, 0.5] {
-        let mut det = resilient_detector([
-            FaultProfile::uniform(FAULT_SEEDS[0], rate),
-            FaultProfile::uniform(FAULT_SEEDS[1], rate),
-        ]);
+        let mut det = handbook::detector(
+            [
+                FaultProfile::uniform(FAULT_SEEDS[0], rate),
+                FaultProfile::uniform(FAULT_SEEDS[1], rate),
+            ],
+            None,
+        );
         let (scored, tally) = score_resilient(&mut det, &dataset);
         let abstain_frac = tally.abstained as f64 / tally.responses as f64;
         let task = Task::CorrectVsWrong;

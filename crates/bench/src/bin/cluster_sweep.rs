@@ -16,108 +16,20 @@
 //!
 //! Pass `--smoke` for a reduced load (used by the CI cluster-smoke job).
 
+use bench::handbook::{self, p99};
 use bench::{save_record, RESULTS_PATH};
 use eval::report::ExperimentRecord;
-use hallu_core::{DetectorConfig, ResilientDetector};
 use rag::cluster::{ChaosPlan, ClusterConfig, ClusterOutcome, ClusterRuntime, ClusterStats};
-use rag::serving::ShardIdentity;
-use rag::{
-    FailurePolicy, Priority, RagPipeline, ResilientVerifiedPipeline, ServingConfig, SimulatedLlm,
-};
-use slm_runtime::profiles::{minicpm_sim, qwen2_sim};
-use slm_runtime::{FallibleVerifier, FaultInjector, FaultProfile, Reliable};
-use vectordb::collection::Collection;
-use vectordb::embed::HashingEmbedder;
-use vectordb::flat::FlatIndex;
-use vectordb::metric::Metric;
+use rag::ServingConfig;
 
 const ARRIVAL_SEED: u64 = 0x0C10_50AD;
 const CHAOS_SEED: u64 = 0xC4A0_5EED;
+/// Base of the per-member fault seeds (healthy verifiers).
+const MEMBER_SEED: u64 = 5000;
 const SHARDS: u32 = 8;
 const RATE_PER_S: f64 = 30.0;
 /// End-to-end deadline per request, in simulated milliseconds.
 const DEADLINE_MS: f64 = 2_000.0;
-
-const QUESTIONS: [&str; 4] = [
-    "From what time does the store operate?",
-    "How many days of annual leave per year?",
-    "How many shopkeepers run a shop?",
-    "Can unused leave be carried over?",
-];
-
-/// SplitMix64 finalizer for the arrival-process draws.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
-
-/// Deterministic exponential inter-arrival gap (ms) for request `i` at
-/// `rate_per_s` requests per second, via inverse-CDF sampling.
-fn interarrival_ms(seed: u64, i: u64, rate_per_s: f64) -> f64 {
-    let h = splitmix64(seed ^ i.wrapping_mul(0x9e37_79b9_7f4a_7c15));
-    let unit = (h >> 11) as f64 / (1u64 << 53) as f64;
-    let rate_per_ms = rate_per_s / 1000.0;
-    -(1.0 - unit).max(f64::MIN_POSITIVE).ln() / rate_per_ms
-}
-
-fn priority_for(i: u64) -> Priority {
-    match i % 3 {
-        0 => Priority::Low,
-        1 => Priority::Normal,
-        _ => Priority::High,
-    }
-}
-
-/// The guarded two-SLM pipeline each member runs, healthy verifiers,
-/// seeded per member so construction is reproducible.
-fn member_pipeline(identity: ShardIdentity) -> ResilientVerifiedPipeline<FlatIndex> {
-    let seed = 5000 + u64::from(identity.shard) * 10 + u64::from(identity.replica);
-    let collection = Collection::new(
-        Box::new(HashingEmbedder::new(128, 3)),
-        FlatIndex::new(128, Metric::Cosine),
-    );
-    let rag = RagPipeline::new(collection, 7).with_llm(SimulatedLlm::new(2));
-    rag.ingest(
-        "The store operates from 9 AM to 5 PM, from Sunday to Saturday. There should be \
-         at least three shopkeepers to run a shop.",
-        "hours",
-    )
-    .expect("ingest hours doc");
-    rag.ingest(
-        "Annual leave entitlement is 14 days per calendar year. Unused leave carries over \
-         for three months.",
-        "leave",
-    )
-    .expect("ingest leave doc");
-    let verifiers: Vec<Box<dyn FallibleVerifier>> = vec![
-        Box::new(FaultInjector::new(
-            Reliable::new(qwen2_sim()),
-            FaultProfile::none(seed),
-        )),
-        Box::new(FaultInjector::new(
-            Reliable::new(minicpm_sim()),
-            FaultProfile::none(seed + 1),
-        )),
-    ];
-    let detector =
-        ResilientDetector::try_new(verifiers, DetectorConfig::default()).expect("two verifiers");
-    let mut p = ResilientVerifiedPipeline::new(rag, detector, 0.45, FailurePolicy::Abstain);
-    p.warm_up(&QUESTIONS).expect("warm-up retrieval");
-    p
-}
-
-/// Nearest-rank p99 of `values` (unsorted input).
-fn p99(values: &[f64]) -> f64 {
-    if values.is_empty() {
-        return 0.0;
-    }
-    let mut sorted = values.to_vec();
-    sorted.sort_by(f64::total_cmp);
-    let rank = ((0.99 * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
-    sorted[rank - 1]
-}
 
 /// One swept cell's aggregates.
 struct CellResult {
@@ -144,15 +56,10 @@ fn run_cell(replicas: u32, chaos: bool, n: u64, horizon_ms: f64, episodes: usize
     } else {
         ChaosPlan::none()
     };
-    let mut cluster = ClusterRuntime::new(SHARDS, config, member_pipeline).with_chaos(plan);
-    let mut t = 0.0;
-    for i in 0..n {
-        t += interarrival_ms(ARRIVAL_SEED, i, RATE_PER_S);
-        cluster.submit_at(
-            t,
-            QUESTIONS[(i % QUESTIONS.len() as u64) as usize],
-            priority_for(i),
-        );
+    let mut cluster =
+        ClusterRuntime::new(SHARDS, config, handbook::member(MEMBER_SEED, 0.0)).with_chaos(plan);
+    for (at_ms, question, priority) in handbook::arrivals(ARRIVAL_SEED, n, RATE_PER_S) {
+        cluster.submit_at(at_ms, question, priority);
     }
     cluster.run_until_idle();
     let outcomes = cluster.drain_outcomes();

@@ -18,15 +18,14 @@
 //!
 //! Pass `--smoke` for the time-bounded CI variant.
 
+use bench::handbook::{self, QUESTIONS};
 use bench::{save_record, RESULTS_PATH};
 use eval::report::ExperimentRecord;
-use hallu_core::{DetectorConfig, ResilientDetector};
 use hallu_obs::{FlightRecord, Obs};
 use rag::cluster::{ChaosPlan, ClusterConfig, ClusterRuntime, DetectorKind, ReplicationConfig};
-use rag::serving::ShardIdentity;
 use rag::{
-    FailurePolicy, Priority, RagPipeline, RequestOutcome, ResilientVerifiedPipeline, ServingConfig,
-    ServingRuntime, ServingStats, ShedPolicy, SimulatedLlm,
+    FailurePolicy, Priority, RequestOutcome, ServingConfig, ServingRuntime, ServingStats,
+    ShedPolicy,
 };
 use slm_runtime::gossip::GossipConfig;
 use slm_runtime::profiles::{minicpm_sim, qwen2_sim};
@@ -35,10 +34,6 @@ use slm_runtime::{
     ConcurrencyGate, FallibleVerifier, FaultInjector, FaultProfile, HedgeConfig, HedgedVerifier,
     Reliable,
 };
-use vectordb::collection::Collection;
-use vectordb::embed::HashingEmbedder;
-use vectordb::flat::FlatIndex;
-use vectordb::metric::Metric;
 
 const ARRIVAL_SEED: u64 = 0x0B5E7;
 const FAULT_SEEDS: [u64; 2] = [5501, 6602];
@@ -69,66 +64,6 @@ const REQUIRED_CLUSTER_FAMILIES: [&str; 6] = [
     "hallu_detector_probes_total",
 ];
 
-const QUESTIONS: [&str; 4] = [
-    "From what time does the store operate?",
-    "How many days of annual leave per year?",
-    "How many shopkeepers run a shop?",
-    "Can unused leave be carried over?",
-];
-
-/// SplitMix64 finalizer for the arrival-process draws.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
-
-/// Deterministic exponential inter-arrival gap (ms) at `rate_per_s`.
-fn interarrival_ms(seed: u64, i: u64, rate_per_s: f64) -> f64 {
-    let h = splitmix64(seed ^ i.wrapping_mul(0x9e37_79b9_7f4a_7c15));
-    let unit = (h >> 11) as f64 / (1u64 << 53) as f64;
-    -(1.0 - unit).max(f64::MIN_POSITIVE).ln() / (rate_per_s / 1000.0)
-}
-
-/// The guarded two-SLM pipeline, with the fault injectors optionally wired
-/// to the same sink as everything above them.
-fn pipeline(
-    profiles: [FaultProfile; 2],
-    obs: Option<&Obs>,
-) -> ResilientVerifiedPipeline<FlatIndex> {
-    let collection = Collection::new(
-        Box::new(HashingEmbedder::new(128, 3)),
-        FlatIndex::new(128, Metric::Cosine),
-    );
-    let rag = RagPipeline::new(collection, 7).with_llm(SimulatedLlm::new(2));
-    rag.ingest(
-        "The store operates from 9 AM to 5 PM, from Sunday to Saturday. There should be \
-         at least three shopkeepers to run a shop.",
-        "hours",
-    )
-    .expect("ingest hours doc");
-    rag.ingest(
-        "Annual leave entitlement is 14 days per calendar year. Unused leave carries over \
-         for three months.",
-        "leave",
-    )
-    .expect("ingest leave doc");
-    let [p0, p1] = profiles;
-    let mut i0 = FaultInjector::new(Reliable::new(qwen2_sim()), p0);
-    let mut i1 = FaultInjector::new(Reliable::new(minicpm_sim()), p1);
-    if let Some(obs) = obs {
-        i0 = i0.with_obs(obs);
-        i1 = i1.with_obs(obs);
-    }
-    let verifiers: Vec<Box<dyn FallibleVerifier>> = vec![Box::new(i0), Box::new(i1)];
-    let detector =
-        ResilientDetector::try_new(verifiers, DetectorConfig::default()).expect("two verifiers");
-    let mut p = ResilientVerifiedPipeline::new(rag, detector, 0.45, FailurePolicy::Abstain);
-    p.warm_up(&QUESTIONS).expect("warm-up retrieval");
-    p
-}
-
 /// Chaos profiles: transients, stalls, garbage, and a mid-run outage.
 fn chaos_profiles() -> [FaultProfile; 2] {
     [
@@ -149,7 +84,10 @@ fn chaos_profiles() -> [FaultProfile; 2] {
 /// Drive `n` Poisson arrivals through a fresh overloaded runtime.
 fn run_scenario(n: u64, obs: Option<&Obs>) -> Vec<RequestOutcome> {
     let mut rt = ServingRuntime::new(
-        pipeline(chaos_profiles(), obs),
+        handbook::pipeline(
+            handbook::detector(chaos_profiles(), obs),
+            FailurePolicy::Abstain,
+        ),
         ServingConfig {
             queue_bound: Some(4),
             shed_policy: ShedPolicy::ShedLowestPriority,
@@ -159,19 +97,8 @@ fn run_scenario(n: u64, obs: Option<&Obs>) -> Vec<RequestOutcome> {
     if let Some(obs) = obs {
         rt = rt.with_obs(obs);
     }
-    let mut t = 0.0;
-    for i in 0..n {
-        t += interarrival_ms(ARRIVAL_SEED, i, 30.0);
-        let priority = match i % 3 {
-            0 => Priority::Low,
-            1 => Priority::Normal,
-            _ => Priority::High,
-        };
-        rt.submit_at(
-            t,
-            QUESTIONS[(i % QUESTIONS.len() as u64) as usize],
-            priority,
-        );
+    for (at_ms, question, priority) in handbook::arrivals(ARRIVAL_SEED, n, 30.0) {
+        rt.submit_at(at_ms, question, priority);
     }
     rt.run_until_idle();
     rt.drain_outcomes()
@@ -207,8 +134,8 @@ fn abstain_flight_record() -> FlightRecord {
         FaultProfile::down(FAULT_SEEDS[0]),
         FaultProfile::down(FAULT_SEEDS[1]),
     ];
-    let mut rt =
-        ServingRuntime::new(pipeline(down, Some(&obs)), ServingConfig::default()).with_obs(&obs);
+    let pipeline = handbook::pipeline(handbook::detector(down, Some(&obs)), FailurePolicy::Abstain);
+    let mut rt = ServingRuntime::new(pipeline, ServingConfig::default()).with_obs(&obs);
     rt.submit_at(0.0, QUESTIONS[0], Priority::Normal);
     rt.run_until_idle();
     let outcomes = rt.drain_outcomes();
@@ -236,14 +163,8 @@ fn cluster_federation_page(n: u64) -> String {
         ..ClusterConfig::default()
     };
     let horizon_ms = n as f64 * 25.0;
-    let mut cluster = ClusterRuntime::new(4, config, |identity: ShardIdentity| {
-        let seed = 7_000 + u64::from(identity.shard) * 10 + u64::from(identity.replica);
-        pipeline(
-            [FaultProfile::none(seed), FaultProfile::none(seed + 1)],
-            None,
-        )
-    })
-    .with_chaos(ChaosPlan::seeded(0xB5E7_CA05, 4, 1, horizon_ms, 3));
+    let mut cluster = ClusterRuntime::new(4, config, handbook::member(7_000, 0.0))
+        .with_chaos(ChaosPlan::seeded(0xB5E7_CA05, 4, 1, horizon_ms, 3));
     for i in 0..n {
         cluster.submit_at(
             25.0 * i as f64,

@@ -19,107 +19,32 @@
 //!
 //! Pass `--smoke` for a reduced load (used by the CI robustness job).
 
+use bench::handbook::{self, p99, QUESTIONS};
 use bench::{save_record, RESULTS_PATH};
 use eval::report::ExperimentRecord;
-use hallu_core::{DetectorConfig, ResilientDetector};
 use rag::{
-    Disposition, FailurePolicy, Priority, RagPipeline, RequestOutcome, ResilientVerifiedPipeline,
-    ServingConfig, ServingRuntime, ServingStats, ShedPolicy, SimulatedLlm,
+    Disposition, FailurePolicy, RequestOutcome, ResilientVerifiedPipeline, ServingConfig,
+    ServingRuntime, ServingStats, ShedPolicy,
 };
 use slm_runtime::profiles::{minicpm_sim, qwen2_sim};
 use slm_runtime::verifier::VerificationRequest;
 use slm_runtime::{
     FallibleVerifier, FaultInjector, FaultProfile, HedgeConfig, HedgedVerifier, Reliable,
 };
-use vectordb::collection::Collection;
-use vectordb::embed::HashingEmbedder;
 use vectordb::flat::FlatIndex;
-use vectordb::metric::Metric;
 
 const ARRIVAL_SEED: u64 = 0x0FF10AD;
 const FAULT_SEEDS: [u64; 2] = [3301, 4402];
 /// End-to-end deadline for swept cells, in simulated milliseconds.
 const DEADLINE_MS: f64 = 400.0;
 
-const QUESTIONS: [&str; 4] = [
-    "From what time does the store operate?",
-    "How many days of annual leave per year?",
-    "How many shopkeepers run a shop?",
-    "Can unused leave be carried over?",
-];
-
-/// SplitMix64 finalizer for the arrival-process draws.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
-
-/// Deterministic exponential inter-arrival gap (ms) for request `i` at
-/// `rate_per_s` requests per second, via inverse-CDF sampling.
-fn interarrival_ms(seed: u64, i: u64, rate_per_s: f64) -> f64 {
-    let h = splitmix64(seed ^ i.wrapping_mul(0x9e37_79b9_7f4a_7c15));
-    let unit = (h >> 11) as f64 / (1u64 << 53) as f64;
-    let rate_per_ms = rate_per_s / 1000.0;
-    -(1.0 - unit).max(f64::MIN_POSITIVE).ln() / rate_per_ms
-}
-
-fn priority_for(i: u64) -> Priority {
-    match i % 3 {
-        0 => Priority::Low,
-        1 => Priority::Normal,
-        _ => Priority::High,
-    }
-}
-
-/// The guarded two-SLM pipeline the serving runtime protects.
-fn pipeline(profiles: [FaultProfile; 2]) -> ResilientVerifiedPipeline<FlatIndex> {
-    let collection = Collection::new(
-        Box::new(HashingEmbedder::new(128, 3)),
-        FlatIndex::new(128, Metric::Cosine),
-    );
-    let rag = RagPipeline::new(collection, 7).with_llm(SimulatedLlm::new(2));
-    rag.ingest(
-        "The store operates from 9 AM to 5 PM, from Sunday to Saturday. There should be \
-         at least three shopkeepers to run a shop.",
-        "hours",
-    )
-    .expect("ingest hours doc");
-    rag.ingest(
-        "Annual leave entitlement is 14 days per calendar year. Unused leave carries over \
-         for three months.",
-        "leave",
-    )
-    .expect("ingest leave doc");
-    let [p0, p1] = profiles;
-    let verifiers: Vec<Box<dyn FallibleVerifier>> = vec![
-        Box::new(FaultInjector::new(Reliable::new(qwen2_sim()), p0)),
-        Box::new(FaultInjector::new(Reliable::new(minicpm_sim()), p1)),
-    ];
-    let detector =
-        ResilientDetector::try_new(verifiers, DetectorConfig::default()).expect("two verifiers");
-    let mut p = ResilientVerifiedPipeline::new(rag, detector, 0.45, FailurePolicy::Abstain);
-    p.warm_up(&QUESTIONS).expect("warm-up retrieval");
-    p
-}
-
+/// The guarded pipeline the serving runtime protects, on healthy verifiers.
 fn healthy_pipeline() -> ResilientVerifiedPipeline<FlatIndex> {
-    pipeline([
+    let profiles = [
         FaultProfile::none(FAULT_SEEDS[0]),
         FaultProfile::none(FAULT_SEEDS[1]),
-    ])
-}
-
-/// Nearest-rank p99 of `values` (unsorted input).
-fn p99(values: &[f64]) -> f64 {
-    if values.is_empty() {
-        return 0.0;
-    }
-    let mut sorted = values.to_vec();
-    sorted.sort_by(f64::total_cmp);
-    let rank = ((0.99 * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
-    sorted[rank - 1]
+    ];
+    handbook::pipeline(handbook::detector(profiles, None), FailurePolicy::Abstain)
 }
 
 fn policy_label(policy: ShedPolicy) -> &'static str {
@@ -148,14 +73,8 @@ fn run_cell(rate_per_s: f64, bound: usize, policy: ShedPolicy, n: u64) -> CellRe
             default_deadline_ms: DEADLINE_MS,
         },
     );
-    let mut t = 0.0;
-    for i in 0..n {
-        t += interarrival_ms(ARRIVAL_SEED, i, rate_per_s);
-        rt.submit_at(
-            t,
-            QUESTIONS[(i % QUESTIONS.len() as u64) as usize],
-            priority_for(i),
-        );
+    for (at_ms, question, priority) in handbook::arrivals(ARRIVAL_SEED, n, rate_per_s) {
+        rt.submit_at(at_ms, question, priority);
     }
     rt.run_until_idle();
     let outcomes = rt.drain_outcomes();
@@ -183,11 +102,8 @@ fn check_zero_pressure_parity(record: &mut ExperimentRecord, n: u64) {
     let mut rt = ServingRuntime::new(healthy_pipeline(), ServingConfig::default());
     // arrivals a full second apart: far slower than any service time
     for i in 0..n {
-        rt.submit_at(
-            1000.0 * i as f64,
-            QUESTIONS[(i % QUESTIONS.len() as u64) as usize],
-            priority_for(i),
-        );
+        let (question, priority) = handbook::request(i);
+        rt.submit_at(1000.0 * i as f64, question, priority);
     }
     rt.run_until_idle();
     let outcomes = rt.drain_outcomes();

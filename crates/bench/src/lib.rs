@@ -2,11 +2,14 @@
 //!
 //! Each binary in `src/bin/` regenerates one table or figure of the paper
 //! (see DESIGN.md's experiment index). This library holds the common parts:
-//! the approach roster of §V-C, dataset scoring, result collection, and the
-//! engine sweeps' token inputs and timer ([`sweep`]).
+//! the approach roster of §V-C, dataset scoring, result collection, the
+//! engine sweeps' token inputs and timer ([`sweep`]), and the guarded
+//! handbook pipeline and seeded workload of the serving experiments
+//! ([`handbook`]).
 
 pub mod approaches;
 pub mod experiments;
+pub mod handbook;
 pub mod runner;
 pub mod sweep;
 

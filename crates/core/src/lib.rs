@@ -43,7 +43,7 @@ pub mod ensemble;
 pub mod explain;
 pub mod learned;
 pub mod means;
-pub mod obs;
+mod obs;
 pub mod resilience;
 pub mod resilient;
 pub mod score;
@@ -55,7 +55,6 @@ pub use drift::{DriftMonitor, DriftStatus};
 pub use explain::{explain, Confidence, Explanation};
 pub use learned::{response_features, LogisticCombiner, ResponseFeatures};
 pub use means::AggregationMean;
-pub use obs::ResilienceTotals;
 pub use resilience::{
     BreakerConfig, BreakerState, CircuitBreaker, DegradationLevel, ModelHealth,
     ResilienceTelemetry, RetryPolicy,

@@ -1,30 +1,31 @@
-//! Registry-backed views of the resilient detector's telemetry.
+//! The resilient detector's registry export.
 //!
-//! [`ResilienceTelemetry`] is the per-call counter struct. That struct
-//! stays — it is the compatibility
-//! facade every existing caller and test relies on — but the counts now
-//! *also* flow into a `hallu-obs` registry when the detector is built with
-//! an [`Obs`] handle, so aggregate questions ("how many breaker trips
-//! across the whole run?") are answered by one snapshot instead of by
-//! summing structs by hand. [`ResilienceTotals`] is that derived view.
+//! [`ResilienceTelemetry`] is the per-call record every verdict carries,
+//! and `DetectorMetrics::flush` is its one export: when the detector has
+//! an [`Obs`] sink, each call's record is added into `hallu-obs` registry
+//! series, so run-wide questions ("how many breaker trips across the whole
+//! run?") are answered by one snapshot instead of by summing records by
+//! hand.
 //!
 //! Metric families written here (see DESIGN.md §9 for the scheme):
 //!
 //! - `hallu_detector_events_total{event}` — attempts, retries, timeouts,
 //!   quarantined, breaker_trips, breaker_skips, sentences_dropped,
-//!   deadline_skips; each increment equals the facade's per-call delta.
+//!   deadline_skips; each increment equals the record's per-call count.
 //! - `hallu_detector_verdicts_total{degradation}` — one per scoring call.
-//! - `hallu_detector_simulated_ms` — histogram of per-call charged cost.
+//! - `hallu_detector_simulated_us_total` — charged simulated time in whole
+//!   microseconds, and `hallu_detector_simulated_ms`, its per-call
+//!   histogram.
 //! - `hallu_detector_cell_outcomes_total{model, outcome}` — ok /
 //!   quarantined / failed / breaker_skip per (sentence, model) cell.
 //! - `hallu_breaker_trips_total{model}` — breaker transitions to open.
 
-use hallu_obs::{Counter, Histogram, MetricsSnapshot, Obs, DEFAULT_LATENCY_BUCKETS_MS};
+use hallu_obs::{Counter, Histogram, Obs, DEFAULT_LATENCY_BUCKETS_MS};
 
 use crate::resilience::{DegradationLevel, ResilienceTelemetry};
 
 /// Fixed-point quantum for charging fractional simulated milliseconds to a
-/// counter (1 unit = 1 µs), so the registry total reconstructs the facade's
+/// counter (1 unit = 1 µs), so the registry total reconstructs the records'
 /// f64 sum without drift.
 const MS_TO_MICROS: f64 = 1000.0;
 
@@ -51,7 +52,7 @@ pub(crate) struct DetectorMetrics {
     pub(crate) sentences_dropped: Counter,
     pub(crate) deadline_skips: Counter,
     /// Charged simulated time in whole microseconds (fixed-point so the
-    /// registry view reconstructs the facade's f64 sum exactly).
+    /// registry total reconstructs the records' f64 sum exactly).
     pub(crate) simulated_us: Counter,
     pub(crate) simulated_ms: Histogram,
     pub(crate) verdicts: [Counter; 4],
@@ -143,10 +144,9 @@ impl DetectorMetrics {
             .unwrap_or_else(|| DISCONNECTED.get_or_init(ModelCells::default))
     }
 
-    /// Flush one call's facade telemetry into the registry. The facade is
-    /// the source of truth; the registry mirrors its deltas, which is what
-    /// keeps the two views provably consistent (see
-    /// `totals_equal_summed_telemetry` in `resilient.rs`).
+    /// Add one call's telemetry record into the registry. The registry only
+    /// ever sums records, so its series equal the summed records of a run
+    /// (see `totals_equal_summed_telemetry` in `resilient.rs`).
     pub(crate) fn flush(&self, tele: &ResilienceTelemetry) {
         self.attempts.add(tele.attempts);
         self.retries.add(tele.retries);
@@ -160,65 +160,6 @@ impl DetectorMetrics {
             .add((tele.simulated_ms * MS_TO_MICROS).round() as u64);
         self.simulated_ms.observe(tele.simulated_ms);
         self.verdicts[verdict_slot(tele.degradation)].inc();
-    }
-}
-
-/// Aggregate resilience counts reconstructed from a registry snapshot —
-/// the registry-derived equivalent of summing every per-call
-/// [`ResilienceTelemetry`] a run produced.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct ResilienceTotals {
-    /// Scoring calls observed (sum over degradation levels).
-    pub calls: u64,
-    /// Calls per degradation level: `[full, degraded, partial, abstained]`.
-    pub by_degradation: [u64; 4],
-    /// Verifier attempts, including retries.
-    pub attempts: u64,
-    /// Retries after transient failures.
-    pub retries: u64,
-    /// Calls abandoned at the per-call deadline.
-    pub timeouts: u64,
-    /// Garbage scores quarantined.
-    pub quarantined: u64,
-    /// Breaker transitions to open.
-    pub breaker_trips: u64,
-    /// Calls skipped by an open breaker.
-    pub breaker_skips: u64,
-    /// Sentences with no usable score.
-    pub sentences_dropped: u64,
-    /// Sentences never attempted due to an exhausted budget.
-    pub deadline_skips: u64,
-    /// Total charged simulated time, reconstructed from the fixed-point
-    /// microsecond counter.
-    pub simulated_ms: f64,
-}
-
-impl ResilienceTotals {
-    /// Derive totals from a snapshot taken on the detector's sink.
-    pub fn from_snapshot(snap: &MetricsSnapshot) -> Self {
-        let event = |name: &str| {
-            snap.value("hallu_detector_events_total", &[("event", name)])
-                .unwrap_or(0.0) as u64
-        };
-        let mut by_degradation = [0u64; 4];
-        for (slot, label) in DEGRADATION_LABELS.iter().enumerate() {
-            by_degradation[slot] = snap
-                .value("hallu_detector_verdicts_total", &[("degradation", label)])
-                .unwrap_or(0.0) as u64;
-        }
-        Self {
-            calls: by_degradation.iter().sum(),
-            by_degradation,
-            attempts: event("attempts"),
-            retries: event("retries"),
-            timeouts: event("timeouts"),
-            quarantined: event("quarantined"),
-            breaker_trips: event("breaker_trips"),
-            breaker_skips: event("breaker_skips"),
-            sentences_dropped: event("sentences_dropped"),
-            deadline_skips: event("deadline_skips"),
-            simulated_ms: snap.total("hallu_detector_simulated_us_total") / MS_TO_MICROS,
-        }
     }
 }
 
@@ -247,25 +188,35 @@ mod tests {
         let metrics = DetectorMetrics::register(&obs, &["m0", "m1"]);
         metrics.flush(&sample_tele(DegradationLevel::Degraded));
         metrics.flush(&sample_tele(DegradationLevel::Abstained));
-        let totals = ResilienceTotals::from_snapshot(&obs.metrics_snapshot());
-        assert_eq!(totals.calls, 2);
-        assert_eq!(totals.by_degradation, [0, 1, 0, 1]);
-        assert_eq!(totals.attempts, 8);
-        assert_eq!(totals.retries, 2);
-        assert_eq!(totals.timeouts, 4);
-        assert_eq!(totals.quarantined, 2);
-        assert_eq!(totals.breaker_trips, 2);
-        assert_eq!(totals.breaker_skips, 6);
-        assert_eq!(totals.sentences_dropped, 2);
-        assert_eq!(totals.deadline_skips, 4);
-        assert_eq!(totals.simulated_ms, 25.25, "µs fixed-point is exact here");
+        let snap = obs.metrics_snapshot();
+        let event = |name: &str| snap.value("hallu_detector_events_total", &[("event", name)]);
+        let verdicts = DEGRADATION_LABELS
+            .map(|level| snap.value("hallu_detector_verdicts_total", &[("degradation", level)]));
+        assert_eq!(snap.total("hallu_detector_verdicts_total"), 2.0);
+        assert_eq!(verdicts, [Some(0.0), Some(1.0), Some(0.0), Some(1.0)]);
+        assert_eq!(event("attempts"), Some(8.0));
+        assert_eq!(event("retries"), Some(2.0));
+        assert_eq!(event("timeouts"), Some(4.0));
+        assert_eq!(event("quarantined"), Some(2.0));
+        assert_eq!(event("breaker_trips"), Some(2.0));
+        assert_eq!(event("breaker_skips"), Some(6.0));
+        assert_eq!(event("sentences_dropped"), Some(2.0));
+        assert_eq!(event("deadline_skips"), Some(4.0));
+        assert_eq!(
+            snap.total("hallu_detector_simulated_us_total") / MS_TO_MICROS,
+            25.25,
+            "µs fixed-point is exact here"
+        );
     }
 
     #[test]
     fn disconnected_metrics_flush_is_free_and_silent() {
+        let obs = Obs::new();
         let metrics = DetectorMetrics::default();
         metrics.flush(&sample_tele(DegradationLevel::Full));
-        let totals = ResilienceTotals::from_snapshot(&MetricsSnapshot::default());
-        assert_eq!(totals, ResilienceTotals::default());
+        assert!(
+            obs.metrics_snapshot().series.is_empty(),
+            "a disconnected flush reaches no registry"
+        );
     }
 }

@@ -8,26 +8,11 @@
 
 use std::fmt;
 
-/// SplitMix64 finalizer (local copy; full-avalanche bijection on u64).
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
+use slm_runtime::sim::{fnv1a, splitmix64};
 
-/// FNV-1a hash of string parts (stable across platforms).
+/// The key of one verifier call: the unseeded FNV-1a hash of its parts.
 pub(crate) fn call_key(parts: &[&str]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for part in parts {
-        for b in part.as_bytes() {
-            h ^= u64::from(*b);
-            h = h.wrapping_mul(0x100_0000_01b3);
-        }
-        h ^= 0x1f;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
+    fnv1a(0, parts)
 }
 
 /// Bounded-retry policy with exponential backoff and a per-call deadline.

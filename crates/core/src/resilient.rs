@@ -251,13 +251,12 @@ impl ResilientDetector {
         self.cache.as_ref()
     }
 
-    /// Attach an observability sink: per-call telemetry (the
-    /// [`ResilienceTelemetry`] facade is unchanged) is additionally flushed
-    /// into registry counters, phase 2 records spans, and the decision
-    /// trail — per-cell scores, z-inputs, breaker trips, the verdict — goes
-    /// to the in-flight flight record. Instrumentation is strictly
-    /// observational: scores and verdicts are bitwise-identical with or
-    /// without it.
+    /// Attach an observability sink: each call's [`ResilienceTelemetry`]
+    /// record is also added into registry counters, phase 2 records spans,
+    /// and the decision trail — per-cell scores, z-inputs, breaker trips,
+    /// the verdict — goes to the in-flight flight record. Instrumentation
+    /// is strictly observational: scores and verdicts are bitwise-identical
+    /// with or without it.
     pub fn set_obs(&mut self, obs: &Obs) {
         let names: Vec<&str> = self.verifiers.iter().map(|v| v.name()).collect();
         self.metrics = DetectorMetrics::register(obs, &names);
@@ -1450,50 +1449,76 @@ mod tests {
 
     #[test]
     fn totals_equal_summed_telemetry() {
-        use crate::obs::ResilienceTotals;
+        const EVENTS: [&str; 8] = [
+            "attempts",
+            "retries",
+            "timeouts",
+            "quarantined",
+            "breaker_trips",
+            "breaker_skips",
+            "sentences_dropped",
+            "deadline_skips",
+        ];
         let obs = Obs::new();
         let mut r = faulty(
             DetectorConfig::default(),
             [FaultProfile::uniform(5, 0.4), FaultProfile::down(12)],
         );
         r.set_obs(&obs);
-        let mut want = ResilienceTotals::default();
+        let mut want_events = [0u64; 8];
+        let mut want_by_degradation = [0u64; 4];
+        let mut want_simulated_ms = 0.0;
         for resp in [CORRECT, PARTIAL, WRONG, CORRECT, WRONG] {
             for budget in [f64::INFINITY, 40.0] {
                 let v = r.score_within(Q, CTX, resp, budget);
                 let t = v.telemetry();
-                want.calls += 1;
-                want.attempts += t.attempts;
-                want.retries += t.retries;
-                want.timeouts += t.timeouts;
-                want.quarantined += t.quarantined;
-                want.breaker_trips += t.breaker_trips;
-                want.breaker_skips += t.breaker_skips;
-                want.sentences_dropped += t.sentences_dropped;
-                want.deadline_skips += t.deadline_skips;
-                want.simulated_ms += (t.simulated_ms * 1000.0).round() / 1000.0;
+                let counts = [
+                    t.attempts,
+                    t.retries,
+                    t.timeouts,
+                    t.quarantined,
+                    t.breaker_trips,
+                    t.breaker_skips,
+                    t.sentences_dropped,
+                    t.deadline_skips,
+                ];
+                for (sum, n) in want_events.iter_mut().zip(counts) {
+                    *sum += n;
+                }
+                want_simulated_ms += (t.simulated_ms * 1000.0).round() / 1000.0;
                 let slot = match t.degradation {
                     DegradationLevel::Full => 0,
                     DegradationLevel::Degraded => 1,
                     DegradationLevel::Partial => 2,
                     DegradationLevel::Abstained => 3,
                 };
-                want.by_degradation[slot] += 1;
+                want_by_degradation[slot] += 1;
             }
         }
-        let got = ResilienceTotals::from_snapshot(&obs.metrics_snapshot());
+        let snap = obs.metrics_snapshot();
+        let series =
+            |name: &str, labels: &[(&str, &str)]| snap.value(name, labels).unwrap_or(0.0) as u64;
+        let got_events =
+            EVENTS.map(|event| series("hallu_detector_events_total", &[("event", event)]));
+        let got_by_degradation = ["full", "degraded", "partial", "abstained"]
+            .map(|level| series("hallu_detector_verdicts_total", &[("degradation", level)]));
         // simulated_ms goes through µs fixed-point on both sides; compare
         // with that quantization applied
+        let got_simulated_ms = snap.total("hallu_detector_simulated_us_total") / 1000.0;
         assert!(
-            (got.simulated_ms - want.simulated_ms).abs() < 0.002,
-            "{} vs {}",
-            got.simulated_ms,
-            want.simulated_ms
+            (got_simulated_ms - want_simulated_ms).abs() < 0.002,
+            "{got_simulated_ms} vs {want_simulated_ms}"
         );
-        want.simulated_ms = 0.0;
-        let mut got = got;
-        got.simulated_ms = 0.0;
-        assert_eq!(got, want, "registry view must equal summed facade structs");
+        assert_eq!(
+            snap.total("hallu_detector_verdicts_total") as u64,
+            10,
+            "one verdict per scoring call"
+        );
+        assert_eq!(
+            (got_events, got_by_degradation),
+            (want_events, want_by_degradation),
+            "registry series must equal the summed telemetry records"
+        );
     }
 
     #[test]

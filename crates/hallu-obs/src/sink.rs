@@ -110,11 +110,6 @@ impl Obs {
         obs
     }
 
-    /// Connect to an existing sink.
-    pub fn with_sink(sink: Arc<ObsSink>) -> Self {
-        Self(Some(sink))
-    }
-
     /// Whether this handle records anything.
     pub fn enabled(&self) -> bool {
         self.0.is_some()

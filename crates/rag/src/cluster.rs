@@ -88,6 +88,7 @@ use slm_runtime::gossip::{
     SwimDetector, ViewEvent,
 };
 use slm_runtime::ring::RingOp;
+use slm_runtime::sim::splitmix64;
 use slm_runtime::{
     CacheConfig, Clock, HashRing, RebalanceReport, RingError, VerificationCache, VirtualClock,
 };
@@ -98,15 +99,6 @@ use crate::serving::{
     ServingRuntime, ShardIdentity, ShedReason,
 };
 use crate::verified::{ResilientAnswer, ResilientVerifiedPipeline};
-
-/// SplitMix64 — scrambles chaos-plan draws so every episode parameter is a
-/// pure function of `(seed, episode index)`, never of call order.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
 
 /// One kind of injected failure.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -1979,96 +1971,28 @@ impl<I: VectorIndex> ClusterRuntime<I> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::generate::SimulatedLlm;
-    use crate::pipeline::RagPipeline;
     use crate::serving::ServingStats;
+    use crate::testkit::{self, QUESTIONS};
     use crate::verified::FailurePolicy;
-    use hallu_core::{DetectorConfig, ResilientDetector};
-    use slm_runtime::profiles::{minicpm_sim, qwen2_sim};
-    use slm_runtime::{FallibleVerifier, FaultInjector, FaultProfile, Reliable};
-    use vectordb::collection::Collection;
-    use vectordb::embed::HashingEmbedder;
+    use slm_runtime::FaultProfile;
     use vectordb::flat::FlatIndex;
-    use vectordb::metric::Metric;
 
-    const QUESTIONS: [&str; 4] = [
-        "From what time does the store operate?",
-        "How many days of annual leave per year?",
-        "How many shopkeepers run a shop?",
-        "Can unused leave be carried over?",
-    ];
-
-    fn pipeline(fault_rate: f64, seed_base: u64) -> ResilientVerifiedPipeline<FlatIndex> {
-        let collection = Collection::new(
-            Box::new(HashingEmbedder::new(128, 3)),
-            FlatIndex::new(128, Metric::Cosine),
-        );
-        let rag = RagPipeline::new(collection, 7).with_llm(SimulatedLlm::new(2));
-        rag.ingest(
-            "The store operates from 9 AM to 5 PM, from Sunday to Saturday. There should be \
-             at least three shopkeepers to run a shop.",
-            "hours",
-        )
-        .unwrap();
-        rag.ingest(
-            "Annual leave entitlement is 14 days per calendar year. Unused leave carries over \
-             for three months.",
-            "leave",
-        )
-        .unwrap();
-        let profiles = if fault_rate > 0.0 {
-            [
-                FaultProfile::uniform(seed_base, fault_rate),
-                FaultProfile::uniform(seed_base + 1, fault_rate),
-            ]
-        } else {
-            [
-                FaultProfile::none(seed_base),
-                FaultProfile::none(seed_base + 1),
-            ]
-        };
-        let [p0, p1] = profiles;
-        let verifiers: Vec<Box<dyn FallibleVerifier>> = vec![
-            Box::new(FaultInjector::new(Reliable::new(qwen2_sim()), p0)),
-            Box::new(FaultInjector::new(Reliable::new(minicpm_sim()), p1)),
-        ];
-        let detector = ResilientDetector::try_new(verifiers, DetectorConfig::default()).unwrap();
-        let mut p = ResilientVerifiedPipeline::new(rag, detector, 0.45, FailurePolicy::Abstain);
-        p.warm_up(&QUESTIONS).unwrap();
-        p
-    }
-
-    fn factory(
-        fault_rate: f64,
-    ) -> impl FnMut(ShardIdentity) -> ResilientVerifiedPipeline<FlatIndex> {
-        move |identity| {
-            pipeline(
-                fault_rate,
-                1000 + u64::from(identity.shard) * 10 + u64::from(identity.replica),
-            )
-        }
-    }
+    /// Base of the per-member fault seeds.
+    const MEMBER_SEED: u64 = 1000;
 
     fn submit_load(cluster: &mut ClusterRuntime<FlatIndex>, n: u32, spacing_ms: f64) -> Vec<u64> {
         (0..n)
             .map(|i| {
-                let priority = match i % 3 {
-                    0 => Priority::Low,
-                    1 => Priority::Normal,
-                    _ => Priority::High,
-                };
-                cluster.submit_at(
-                    spacing_ms * f64::from(i),
-                    QUESTIONS[i as usize % QUESTIONS.len()],
-                    priority,
-                )
+                let (question, priority) = testkit::request(i);
+                cluster.submit_at(spacing_ms * f64::from(i), question, priority)
             })
             .collect()
     }
 
     #[test]
     fn healthy_cluster_gives_every_request_exactly_one_outcome() {
-        let mut cluster = ClusterRuntime::new(4, ClusterConfig::default(), factory(0.0));
+        let mut cluster =
+            ClusterRuntime::new(4, ClusterConfig::default(), testkit::member(MEMBER_SEED));
         let tickets = submit_load(&mut cluster, 24, 10.0);
         cluster.run_until_idle();
         let outcomes = cluster.drain_outcomes();
@@ -2091,7 +2015,8 @@ mod tests {
 
     #[test]
     fn routing_is_sticky_per_question() {
-        let mut cluster = ClusterRuntime::new(4, ClusterConfig::default(), factory(0.0));
+        let mut cluster =
+            ClusterRuntime::new(4, ClusterConfig::default(), testkit::member(MEMBER_SEED));
         for round in 0..3u32 {
             for (i, q) in QUESTIONS.iter().enumerate() {
                 cluster.submit_at(f64::from(round) * 100.0 + i as f64, q, Priority::Normal);
@@ -2121,14 +2046,14 @@ mod tests {
             probe_timeout_ms: 10.0,
             ..ClusterConfig::default()
         };
-        let mut probe = ClusterRuntime::new(2, config, factory(0.0));
+        let mut probe = ClusterRuntime::new(2, config, testkit::member(MEMBER_SEED));
         probe.submit_at(0.0, QUESTIONS[0], Priority::Normal);
         probe.run_until_idle();
         let home = probe.drain_outcomes()[0].home_shard;
 
         // Crash the home shard's primary for a window that covers the next
         // submissions; traffic must fail over to replica 1 and come back.
-        let mut cluster = ClusterRuntime::new(2, config, factory(0.0))
+        let mut cluster = ClusterRuntime::new(2, config, testkit::member(MEMBER_SEED))
             .with_chaos(ChaosPlan::none().crash(home, 0, 50.0, 400.0));
         let during = cluster.submit_at(100.0, QUESTIONS[0], Priority::Normal);
         let after = cluster.submit_at(600.0, QUESTIONS[0], Priority::Normal);
@@ -2168,12 +2093,12 @@ mod tests {
             probe_timeout_ms: 10.0,
             ..ClusterConfig::default()
         };
-        let mut probe = ClusterRuntime::new(2, config, factory(0.0));
+        let mut probe = ClusterRuntime::new(2, config, testkit::member(MEMBER_SEED));
         probe.submit_at(0.0, QUESTIONS[0], Priority::Normal);
         probe.run_until_idle();
         let home = probe.drain_outcomes()[0].home_shard;
 
-        let mut cluster = ClusterRuntime::new(2, config, factory(0.0))
+        let mut cluster = ClusterRuntime::new(2, config, testkit::member(MEMBER_SEED))
             .with_chaos(ChaosPlan::none().crash(home, 0, 10.0, f64::INFINITY));
         let lost = cluster.submit_at(100.0, QUESTIONS[0], Priority::Normal);
         cluster.run_until_idle();
@@ -2196,12 +2121,12 @@ mod tests {
             probe_timeout_ms: 10.0,
             ..ClusterConfig::default()
         };
-        let mut probe = ClusterRuntime::new(2, config, factory(0.0));
+        let mut probe = ClusterRuntime::new(2, config, testkit::member(MEMBER_SEED));
         probe.submit_at(0.0, QUESTIONS[0], Priority::Normal);
         probe.run_until_idle();
         let home = probe.drain_outcomes()[0].home_shard;
 
-        let mut cluster = ClusterRuntime::new(2, config, factory(0.0))
+        let mut cluster = ClusterRuntime::new(2, config, testkit::member(MEMBER_SEED))
             .with_chaos(ChaosPlan::none().partition(home, 5.0, 500.0));
         let accepted = cluster.submit_at(0.0, QUESTIONS[0], Priority::Normal);
         let cut_off = cluster.submit_at(100.0, QUESTIONS[0], Priority::Normal);
@@ -2239,7 +2164,7 @@ mod tests {
             probe_timeout_ms: 10.0,
             ..ClusterConfig::default()
         };
-        let mut cluster = ClusterRuntime::new(1, config, factory(0.0))
+        let mut cluster = ClusterRuntime::new(1, config, testkit::member(MEMBER_SEED))
             .with_chaos(ChaosPlan::none().crash(0, 0, 150.0, f64::INFINITY));
         let tickets = submit_load(&mut cluster, 12, 5.0);
         cluster.run_until_idle();
@@ -2274,12 +2199,12 @@ mod tests {
         };
         // Slow every shard's primary except let the ring successor absorb:
         // slow factor applies to shard that owns the repeated question.
-        let mut probe = ClusterRuntime::new(3, config, factory(0.0));
+        let mut probe = ClusterRuntime::new(3, config, testkit::member(MEMBER_SEED));
         probe.submit_at(0.0, QUESTIONS[0], Priority::Normal);
         probe.run_until_idle();
         let home = probe.drain_outcomes()[0].home_shard;
 
-        let mut cluster = ClusterRuntime::new(3, config, factory(0.0))
+        let mut cluster = ClusterRuntime::new(3, config, testkit::member(MEMBER_SEED))
             .with_chaos(ChaosPlan::none().slow(home, 0, 50.0, 0.0, f64::INFINITY));
         for i in 0..10u32 {
             cluster.submit_at(5.0 * f64::from(i), QUESTIONS[0], Priority::Normal);
@@ -2303,12 +2228,13 @@ mod tests {
 
     #[test]
     fn add_and_remove_shard_rebalance_within_bounds() {
-        let mut cluster = ClusterRuntime::new(4, ClusterConfig::default(), factory(0.0));
+        let mut cluster =
+            ClusterRuntime::new(4, ClusterConfig::default(), testkit::member(MEMBER_SEED));
         let before: Vec<Option<u32>> = QUESTIONS
             .iter()
             .map(|q| cluster.ring().shard_for(q))
             .collect();
-        let mut f = factory(0.0);
+        let mut f = testkit::member(MEMBER_SEED);
         let report = cluster.add_shard(&mut f);
         assert!(report.within_bound());
         assert_eq!(report.shards_after, 5);
@@ -2348,7 +2274,7 @@ mod tests {
             },
             ..ClusterConfig::default()
         };
-        let mut cluster = ClusterRuntime::new(1, config, factory(0.0));
+        let mut cluster = ClusterRuntime::new(1, config, testkit::member(MEMBER_SEED));
         let tickets = submit_load(&mut cluster, 16, 1.0);
         cluster.run_until_idle();
         let outcomes = cluster.drain_outcomes();
@@ -2375,7 +2301,7 @@ mod tests {
             probe_timeout_ms: 25.0,
             ..ClusterConfig::default()
         };
-        let mut cluster = ClusterRuntime::new(2, config, factory(0.0))
+        let mut cluster = ClusterRuntime::new(2, config, testkit::member(MEMBER_SEED))
             .with_chaos(ChaosPlan::none().crash(0, 0, 10.0, f64::INFINITY));
         // Keep the loop alive past the probe timeout with a late request.
         cluster.submit_at(200.0, QUESTIONS[1], Priority::Normal);
@@ -2401,12 +2327,21 @@ mod tests {
 
     #[test]
     fn single_shard_cluster_matches_standalone_serving_runtime() {
-        let mut standalone = ServingRuntime::new(pipeline(0.0, 1000), ServingConfig::default());
+        let mut standalone = ServingRuntime::new(
+            testkit::guarded(
+                [
+                    FaultProfile::none(MEMBER_SEED),
+                    FaultProfile::none(MEMBER_SEED + 1),
+                ],
+                FailurePolicy::Abstain,
+            ),
+            ServingConfig::default(),
+        );
         let config = ClusterConfig {
             replicas: 0,
             ..ClusterConfig::default()
         };
-        let mut cluster = ClusterRuntime::new(1, config, factory(0.0));
+        let mut cluster = ClusterRuntime::new(1, config, testkit::member(MEMBER_SEED));
         for (i, q) in QUESTIONS.iter().enumerate() {
             standalone.submit_at(10.0 * i as f64, q, Priority::Normal);
             cluster.submit_at(10.0 * i as f64, q, Priority::Normal);
@@ -2450,12 +2385,12 @@ mod tests {
             detector: DetectorKind::Gossip(GossipConfig::default()),
             ..ClusterConfig::default()
         };
-        let mut probe = ClusterRuntime::new(2, config, factory(0.0));
+        let mut probe = ClusterRuntime::new(2, config, testkit::member(MEMBER_SEED));
         probe.submit_at(0.0, QUESTIONS[0], Priority::Normal);
         probe.run_until_idle();
         let home = probe.drain_outcomes()[0].home_shard;
 
-        let mut cluster = ClusterRuntime::new(2, config, factory(0.0))
+        let mut cluster = ClusterRuntime::new(2, config, testkit::member(MEMBER_SEED))
             .with_chaos(ChaosPlan::none().crash(home, 0, 50.0, 400.0));
         let during = cluster.submit_at(200.0, QUESTIONS[0], Priority::Normal);
         let after = cluster.submit_at(900.0, QUESTIONS[0], Priority::Normal);
@@ -2495,11 +2430,12 @@ mod tests {
                 }),
                 ..ClusterConfig::default()
             };
-            let mut cluster = ClusterRuntime::new(2, config, factory(0.0)).with_chaos(
-                ChaosPlan::none()
-                    .crash(0, 0, 50.0, 300.0)
-                    .partition(1, 400.0, 600.0),
-            );
+            let mut cluster = ClusterRuntime::new(2, config, testkit::member(MEMBER_SEED))
+                .with_chaos(
+                    ChaosPlan::none()
+                        .crash(0, 0, 50.0, 300.0)
+                        .partition(1, 400.0, 600.0),
+                );
             cluster.submit_at(900.0, QUESTIONS[2], Priority::Normal);
             cluster.run_until_idle();
             drop(cluster.drain_outcomes());
@@ -2522,14 +2458,14 @@ mod tests {
             replication: Some(ReplicationConfig::default()),
             ..ClusterConfig::default()
         };
-        let mut probe = ClusterRuntime::new(2, config, factory(0.0));
+        let mut probe = ClusterRuntime::new(2, config, testkit::member(MEMBER_SEED));
         probe.submit_at(0.0, QUESTIONS[0], Priority::Normal);
         probe.run_until_idle();
         let home = probe.drain_outcomes()[0].home_shard;
 
         // Warm the primary, let sync rounds run, then crash it: the
         // replica must serve cache hits on entries it never computed.
-        let mut cluster = ClusterRuntime::new(2, config, factory(0.0))
+        let mut cluster = ClusterRuntime::new(2, config, testkit::member(MEMBER_SEED))
             .with_chaos(ChaosPlan::none().crash(home, 0, 1200.0, f64::INFINITY));
         for i in 0..6u32 {
             cluster.submit_at(150.0 * f64::from(i), QUESTIONS[0], Priority::Normal);
@@ -2575,7 +2511,7 @@ mod tests {
                 hysteresis,
                 ..ClusterConfig::default()
             };
-            let mut cluster = ClusterRuntime::new(2, config, factory(0.0))
+            let mut cluster = ClusterRuntime::new(2, config, testkit::member(MEMBER_SEED))
                 .with_chaos(ChaosPlan::none().flap(0, 0, 100.0, 60.0, 8));
             cluster.submit_at(900.0, QUESTIONS[1], Priority::Normal);
             cluster.run_until_idle();
@@ -2621,7 +2557,7 @@ mod tests {
             spill: Some(policy),
             ..ClusterConfig::default()
         };
-        let mut probe = ClusterRuntime::new(3, config, factory(0.0));
+        let mut probe = ClusterRuntime::new(3, config, testkit::member(MEMBER_SEED));
         probe.submit_at(0.0, QUESTIONS[0], Priority::Normal);
         probe.run_until_idle();
         let home = probe.drain_outcomes()[0].home_shard;
@@ -2633,7 +2569,8 @@ mod tests {
             let at = 100.0 + 400.0 * f64::from(c);
             plan = plan.slow(home, 0, 4.0, at, at + 200.0);
         }
-        let mut cluster = ClusterRuntime::new(3, config, factory(0.0)).with_chaos(plan);
+        let mut cluster =
+            ClusterRuntime::new(3, config, testkit::member(MEMBER_SEED)).with_chaos(plan);
         for i in 0..40u32 {
             cluster.submit_at(150.0 * f64::from(i), QUESTIONS[0], Priority::Normal);
         }

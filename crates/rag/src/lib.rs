@@ -33,6 +33,8 @@ pub mod prompt;
 pub mod retrieve;
 pub mod selfcheck;
 pub mod serving;
+#[cfg(test)]
+mod testkit;
 pub mod verified;
 
 pub use chunk::{chunk_text, ChunkConfig};

@@ -557,11 +557,6 @@ impl<I: VectorIndex> ServingRuntime<I> {
         Some(tokens.div_ceil(block))
     }
 
-    /// The shared verification cache as a cloneable handle, when attached.
-    pub fn cache_handle(&self) -> Option<Arc<VerificationCache>> {
-        self.cache.clone()
-    }
-
     /// The wrapped pipeline (e.g. for health inspection).
     pub fn pipeline(&self) -> &ResilientVerifiedPipeline<I> {
         &self.pipeline
@@ -586,11 +581,6 @@ impl<I: VectorIndex> ServingRuntime<I> {
     /// Admitted requests currently waiting (excludes any in-flight one).
     pub fn queue_len(&self) -> usize {
         self.queue.len()
-    }
-
-    /// Whether a request is currently being served.
-    pub fn is_busy(&self) -> bool {
-        self.in_flight.is_some()
     }
 
     /// Current virtual time.
@@ -1210,55 +1200,10 @@ pub fn outcome_telemetry(outcome: &RequestOutcome) -> Option<&ResilienceTelemetr
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::generate::SimulatedLlm;
-    use crate::pipeline::RagPipeline;
+    use crate::testkit::{self, guarded, QUESTIONS};
     use crate::verified::FailurePolicy;
-    use hallu_core::{DetectorConfig, ResilientDetector};
-    use slm_runtime::profiles::{minicpm_sim, qwen2_sim};
-    use slm_runtime::{FallibleVerifier, FaultInjector, FaultProfile, Reliable};
-    use vectordb::collection::Collection;
-    use vectordb::embed::HashingEmbedder;
+    use slm_runtime::FaultProfile;
     use vectordb::flat::FlatIndex;
-    use vectordb::metric::Metric;
-
-    const QUESTIONS: [&str; 4] = [
-        "From what time does the store operate?",
-        "How many days of annual leave per year?",
-        "How many shopkeepers run a shop?",
-        "Can unused leave be carried over?",
-    ];
-
-    fn guarded(
-        profiles: [FaultProfile; 2],
-        policy: FailurePolicy,
-    ) -> ResilientVerifiedPipeline<FlatIndex> {
-        let collection = Collection::new(
-            Box::new(HashingEmbedder::new(128, 3)),
-            FlatIndex::new(128, Metric::Cosine),
-        );
-        let rag = RagPipeline::new(collection, 7).with_llm(SimulatedLlm::new(2));
-        rag.ingest(
-            "The store operates from 9 AM to 5 PM, from Sunday to Saturday. There should be \
-             at least three shopkeepers to run a shop.",
-            "hours",
-        )
-        .unwrap();
-        rag.ingest(
-            "Annual leave entitlement is 14 days per calendar year. Unused leave carries over \
-             for three months.",
-            "leave",
-        )
-        .unwrap();
-        let [p0, p1] = profiles;
-        let verifiers: Vec<Box<dyn FallibleVerifier>> = vec![
-            Box::new(FaultInjector::new(Reliable::new(qwen2_sim()), p0)),
-            Box::new(FaultInjector::new(Reliable::new(minicpm_sim()), p1)),
-        ];
-        let detector = ResilientDetector::try_new(verifiers, DetectorConfig::default()).unwrap();
-        let mut p = ResilientVerifiedPipeline::new(rag, detector, 0.45, policy);
-        p.warm_up(&QUESTIONS).unwrap();
-        p
-    }
 
     fn healthy() -> ResilientVerifiedPipeline<FlatIndex> {
         guarded(
@@ -1304,16 +1249,8 @@ mod tests {
             );
             let mut tickets = Vec::new();
             for i in 0..30u32 {
-                let priority = match i % 3 {
-                    0 => Priority::Low,
-                    1 => Priority::Normal,
-                    _ => Priority::High,
-                };
-                tickets.push(rt.submit_at(
-                    5.0 * f64::from(i),
-                    QUESTIONS[i as usize % QUESTIONS.len()],
-                    priority,
-                ));
+                let (question, priority) = testkit::request(i);
+                tickets.push(rt.submit_at(5.0 * f64::from(i), question, priority));
             }
             rt.run_until_idle();
             (tickets, rt.drain_outcomes())
@@ -1560,16 +1497,8 @@ mod tests {
         let profiles = || [FaultProfile::uniform(7, 0.2), FaultProfile::uniform(8, 0.2)];
         let load = |rt: &mut ServingRuntime<FlatIndex>| {
             for i in 0..20u32 {
-                let priority = match i % 3 {
-                    0 => Priority::Low,
-                    1 => Priority::Normal,
-                    _ => Priority::High,
-                };
-                rt.submit_at(
-                    4.0 * f64::from(i),
-                    QUESTIONS[i as usize % QUESTIONS.len()],
-                    priority,
-                );
+                let (question, priority) = testkit::request(i);
+                rt.submit_at(4.0 * f64::from(i), question, priority);
             }
             rt.run_until_idle();
             rt.drain_outcomes()

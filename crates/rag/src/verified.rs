@@ -350,47 +350,11 @@ impl<I: VectorIndex> ResilientVerifiedPipeline<I> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testkit;
     use hallu_core::DetectorConfig;
     use slm_runtime::profiles::{minicpm_sim, qwen2_sim};
     use slm_runtime::verifier::YesNoVerifier;
-    use vectordb::collection::Collection;
-    use vectordb::embed::HashingEmbedder;
     use vectordb::flat::FlatIndex;
-    use vectordb::metric::Metric;
-
-    /// The handbook RAG pipeline guarded by `detector`, warmed up on four
-    /// representative questions.
-    fn guarded_by(
-        detector: ResilientDetector,
-        policy: FailurePolicy,
-    ) -> ResilientVerifiedPipeline<FlatIndex> {
-        let collection = Collection::new(
-            Box::new(HashingEmbedder::new(128, 3)),
-            FlatIndex::new(128, Metric::Cosine),
-        );
-        let rag = RagPipeline::new(collection, 7).with_llm(crate::generate::SimulatedLlm::new(2));
-        rag.ingest(
-            "The store operates from 9 AM to 5 PM, from Sunday to Saturday. There should be \
-             at least three shopkeepers to run a shop.",
-            "hours",
-        )
-        .unwrap();
-        rag.ingest(
-            "Annual leave entitlement is 14 days per calendar year. Unused leave carries over \
-             for three months.",
-            "leave",
-        )
-        .unwrap();
-        let mut p = ResilientVerifiedPipeline::new(rag, detector, 0.45, policy);
-        p.warm_up(&[
-            "From what time does the store operate?",
-            "How many days of annual leave per year?",
-            "How many shopkeepers run a shop?",
-            "Can unused leave be carried over?",
-        ])
-        .unwrap();
-        p
-    }
 
     /// Guarded by fault-free verifiers.
     fn guarded() -> ResilientVerifiedPipeline<FlatIndex> {
@@ -402,7 +366,7 @@ mod tests {
             DetectorConfig::default(),
         )
         .unwrap();
-        guarded_by(detector, FailurePolicy::FailClosed)
+        testkit::pipeline(detector, FailurePolicy::FailClosed)
     }
 
     #[test]
@@ -448,25 +412,11 @@ mod tests {
         }
     }
 
-    fn resilient_guarded(
-        profiles: [slm_runtime::FaultProfile; 2],
-        policy: FailurePolicy,
-    ) -> ResilientVerifiedPipeline<FlatIndex> {
-        use slm_runtime::{FallibleVerifier, FaultInjector, Reliable};
-        let [p0, p1] = profiles;
-        let verifiers: Vec<Box<dyn FallibleVerifier>> = vec![
-            Box::new(FaultInjector::new(Reliable::new(qwen2_sim()), p0)),
-            Box::new(FaultInjector::new(Reliable::new(minicpm_sim()), p1)),
-        ];
-        let detector = ResilientDetector::try_new(verifiers, DetectorConfig::default()).unwrap();
-        guarded_by(detector, policy)
-    }
-
     #[test]
     fn healthy_resilient_pipeline_matches_plain_decisions() {
         use slm_runtime::FaultProfile;
         let mut plain = guarded();
-        let mut res = resilient_guarded(
+        let mut res = testkit::guarded(
             [FaultProfile::none(1), FaultProfile::none(2)],
             FailurePolicy::Abstain,
         );
@@ -498,7 +448,7 @@ mod tests {
             (FailurePolicy::FailClosed, false),
             (FailurePolicy::Abstain, false),
         ] {
-            let mut p = resilient_guarded([FaultProfile::down(1), FaultProfile::down(2)], policy);
+            let mut p = testkit::guarded([FaultProfile::down(1), FaultProfile::down(2)], policy);
             let outcome = p.ask("From what time does the store operate?").unwrap();
             assert_eq!(outcome.is_served(), expect_served, "{policy:?}");
             assert!(!outcome.is_verified(), "{policy:?} cannot verify an outage");
@@ -527,7 +477,7 @@ mod tests {
             (FailurePolicy::FailClosed, false),
             (FailurePolicy::Abstain, false),
         ] {
-            let mut p = resilient_guarded([FaultProfile::none(1), FaultProfile::none(2)], policy);
+            let mut p = testkit::guarded([FaultProfile::none(1), FaultProfile::none(2)], policy);
             let answer = p
                 .rag
                 .answer(
@@ -553,7 +503,7 @@ mod tests {
     #[test]
     fn total_outage_fail_open_serves_unverified() {
         use slm_runtime::FaultProfile;
-        let mut p = resilient_guarded(
+        let mut p = testkit::guarded(
             [FaultProfile::down(1), FaultProfile::down(2)],
             FailurePolicy::FailOpen,
         );
@@ -569,7 +519,7 @@ mod tests {
     #[test]
     fn total_outage_fail_closed_blocks() {
         use slm_runtime::FaultProfile;
-        let mut p = resilient_guarded(
+        let mut p = testkit::guarded(
             [FaultProfile::down(1), FaultProfile::down(2)],
             FailurePolicy::FailClosed,
         );
@@ -584,7 +534,7 @@ mod tests {
     #[test]
     fn total_outage_abstain_policy_surfaces_abstention() {
         use slm_runtime::FaultProfile;
-        let mut p = resilient_guarded(
+        let mut p = testkit::guarded(
             [FaultProfile::down(1), FaultProfile::down(2)],
             FailurePolicy::Abstain,
         );
@@ -613,8 +563,8 @@ mod tests {
             "How many shopkeepers run a shop?",
         ];
         let profiles = || [FaultProfile::uniform(21, 0.3), FaultProfile::none(22)];
-        let mut sequential = resilient_guarded(profiles(), FailurePolicy::Abstain);
-        let mut batched = resilient_guarded(profiles(), FailurePolicy::Abstain);
+        let mut sequential = testkit::guarded(profiles(), FailurePolicy::Abstain);
+        let mut batched = testkit::guarded(profiles(), FailurePolicy::Abstain);
         let cache = Arc::new(VerificationCache::new(CacheConfig::default()));
         batched.set_cache(Arc::clone(&cache));
 
@@ -638,7 +588,7 @@ mod tests {
     #[test]
     fn one_model_down_still_verifies() {
         use slm_runtime::FaultProfile;
-        let mut p = resilient_guarded(
+        let mut p = testkit::guarded(
             [FaultProfile::none(1), FaultProfile::down(2)],
             FailurePolicy::Abstain,
         );

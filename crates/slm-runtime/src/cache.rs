@@ -36,7 +36,7 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 
 use hallu_obs::{Counter, Gauge, Obs};
 
@@ -441,60 +441,31 @@ impl VerificationCache {
             return false;
         }
         let hash = key.hash();
-        let cost = key.byte_cost();
-        let mut evicted = 0u64;
-        let updated;
-        {
-            let mut shard = self
-                .shard_for(hash)
-                .lock()
-                .unwrap_or_else(|e| e.into_inner());
-            shard.tick += 1;
-            let tick = shard.tick;
-            let existing = shard
-                .buckets
-                .get_mut(&hash)
-                .and_then(|bucket| bucket.iter_mut().find(|entry| entry.key.matches(key)));
-            if let Some(entry) = existing {
-                entry.value = value;
-                entry.last_used = tick;
-                // Locally recomputed: the entry no longer owes its
-                // existence to a peer.
-                entry.replicated = false;
-                updated = true;
-            } else {
-                updated = false;
-                let entry = Entry {
-                    key: CacheKey::from_ref(key),
-                    value,
-                    last_used: tick,
-                    bytes: cost,
-                    replicated: false,
-                };
-                shard.bytes += cost;
-                shard.entries += 1;
-                shard.buckets.entry(hash).or_default().push(entry);
-                while shard.entries > self.shard_max_entries || shard.bytes > self.shard_max_bytes {
-                    if shard.evict_lru().is_none() {
-                        break;
-                    }
-                    evicted += 1;
-                }
-            }
-        }
-        if updated {
+        let mut shard = self
+            .shard_for(hash)
+            .lock()
+            .unwrap_or_else(|e| e.into_inner());
+        shard.tick += 1;
+        let tick = shard.tick;
+        let existing = shard
+            .buckets
+            .get_mut(&hash)
+            .and_then(|bucket| bucket.iter_mut().find(|entry| entry.key.matches(key)));
+        if let Some(entry) = existing {
+            entry.value = value;
+            entry.last_used = tick;
+            // Locally recomputed: the entry no longer owes its existence to
+            // a peer.
+            entry.replicated = false;
+            drop(shard);
             self.updates.fetch_add(1, Ordering::Relaxed);
             self.obs.updates.inc();
+            self.publish_occupancy();
         } else {
+            self.admit(shard, hash, key, value, tick, false);
             self.inserts.fetch_add(1, Ordering::Relaxed);
             self.obs.inserts.inc();
-            self.journal_admission(key);
         }
-        if evicted > 0 {
-            self.evictions.fetch_add(evicted, Ordering::Relaxed);
-            self.obs.evictions.add(evicted);
-        }
-        self.publish_occupancy();
         true
     }
 
@@ -511,51 +482,66 @@ impl VerificationCache {
             return false;
         }
         let hash = key.hash();
-        let cost = key.byte_cost();
-        let mut evicted = 0u64;
-        {
-            let mut shard = self
-                .shard_for(hash)
-                .lock()
-                .unwrap_or_else(|e| e.into_inner());
-            let exists = shard
-                .buckets
-                .get(&hash)
-                .is_some_and(|bucket| bucket.iter().any(|entry| entry.key.matches(key)));
-            if exists {
-                return false;
-            }
-            shard.tick += 1;
-            let tick = shard.tick;
-            let entry = Entry {
-                key: CacheKey::from_ref(key),
-                value,
-                last_used: tick,
-                bytes: cost,
-                replicated: true,
-            };
-            shard.bytes += cost;
-            shard.entries += 1;
-            shard.buckets.entry(hash).or_default().push(entry);
-            while shard.entries > self.shard_max_entries || shard.bytes > self.shard_max_bytes {
-                if shard.evict_lru().is_none() {
-                    break;
-                }
-                evicted += 1;
-            }
+        let mut shard = self
+            .shard_for(hash)
+            .lock()
+            .unwrap_or_else(|e| e.into_inner());
+        let exists = shard
+            .buckets
+            .get(&hash)
+            .is_some_and(|bucket| bucket.iter().any(|entry| entry.key.matches(key)));
+        if exists {
+            return false;
         }
+        shard.tick += 1;
+        let tick = shard.tick;
+        self.admit(shard, hash, key, value, tick, true);
         self.replicated_inserts.fetch_add(1, Ordering::Relaxed);
         self.obs.replicated_inserts.inc();
-        // Journal replicated admissions too, so a peer-of-a-peer (e.g. the
-        // ring successor chain) can pick them up; the skip-if-resident rule
-        // above keeps the exchange from ping-ponging.
-        self.journal_admission(key);
+        true
+    }
+
+    /// The admission steps both inserts share, for a key not resident in
+    /// its locked `shard`: push the new entry, account its bytes, evict
+    /// least-recently-used entries past the shard bounds, then, with the
+    /// lock released, count the evictions, journal the admission and
+    /// publish occupancy. Replicated admissions are journaled too, so a
+    /// peer-of-a-peer (e.g. the ring successor chain) can pick them up;
+    /// `insert_replicated`'s skip-if-resident rule keeps the exchange from
+    /// ping-ponging.
+    fn admit(
+        &self,
+        mut shard: MutexGuard<'_, Shard>,
+        hash: u64,
+        key: &CacheKeyRef<'_>,
+        value: ProbeOutcome,
+        tick: u64,
+        replicated: bool,
+    ) {
+        let bytes = key.byte_cost();
+        shard.bytes += bytes;
+        shard.entries += 1;
+        shard.buckets.entry(hash).or_default().push(Entry {
+            key: CacheKey::from_ref(key),
+            value,
+            last_used: tick,
+            bytes,
+            replicated,
+        });
+        let mut evicted = 0u64;
+        while shard.entries > self.shard_max_entries || shard.bytes > self.shard_max_bytes {
+            if shard.evict_lru().is_none() {
+                break;
+            }
+            evicted += 1;
+        }
+        drop(shard);
         if evicted > 0 {
             self.evictions.fetch_add(evicted, Ordering::Relaxed);
             self.obs.evictions.add(evicted);
         }
+        self.journal_admission(key);
         self.publish_occupancy();
-        true
     }
 
     /// Whether `key` is resident, without touching recency or hit/miss

@@ -351,6 +351,13 @@ mod tests {
     }
 
     #[test]
+    fn uniform_at_zero_rate_is_the_fault_free_profile() {
+        for seed in [0, 1, 1000, u64::MAX] {
+            assert_eq!(FaultProfile::uniform(seed, 0.0), FaultProfile::none(seed));
+        }
+    }
+
+    #[test]
     fn hard_down_always_outage() {
         let inj = FaultInjector::new(Reliable::new(Constant(0.6)), FaultProfile::down(1));
         let req = VerificationRequest::new("q", "c", "r");

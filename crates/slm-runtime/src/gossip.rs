@@ -255,11 +255,6 @@ impl Damper {
         why: &'static str,
         incarnation: u64,
     ) -> Option<ViewEvent> {
-        let dwell = {
-            let s = self.members.get(&m)?;
-            self.dwell_ms(s.flaps)
-        };
-        let _ = dwell;
         let cfg = self.cfg;
         let s = self.members.get_mut(&m)?;
         s.consec_up = 0;

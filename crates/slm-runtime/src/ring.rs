@@ -77,11 +77,6 @@ pub struct RebalanceReport {
 }
 
 impl RebalanceReport {
-    /// Fraction of the keyspace that moved.
-    pub fn moved_fraction(&self) -> f64 {
-        self.moved_slots as f64 / self.slot_count.max(1) as f64
-    }
-
     /// The bounded-rebalance contract, in slot space:
     /// adding the `N`-th shard moves at most `⌊S/N⌋` slots; removing one of
     /// `N` shards moves at most `⌈S/N⌉` (the departing shard's balanced
@@ -160,11 +155,6 @@ impl HashRing {
     /// The slot `key` hashes to.
     pub fn key_slot(&self, key: &str) -> usize {
         (splitmix64(fnv1a(self.seed, &[key])) % self.slots.len() as u64) as usize
-    }
-
-    /// Owner of `slot`, if any.
-    pub fn slot_owner(&self, slot: usize) -> Option<u32> {
-        self.slots.get(slot).copied().flatten()
     }
 
     /// The shard responsible for `key` (`None` on an empty ring).

@@ -390,9 +390,12 @@ impl YesNoVerifier for SimVerifier {
     }
 }
 
-/// FNV-1a 64-bit hash (stable across platforms and Rust versions, unlike
-/// `DefaultHasher`).
-pub(crate) fn fnv1a(seed: u64, parts: &[&str]) -> u64 {
+/// FNV-1a 64-bit hash of string parts, each closed by a `0x1f` separator so
+/// `["ab", "c"]` and `["a", "bc"]` differ; `seed` is XORed into the offset
+/// basis. Stable across platforms and Rust versions, unlike
+/// `DefaultHasher`; the crates above this one key their seeded draws with
+/// it.
+pub fn fnv1a(seed: u64, parts: &[&str]) -> u64 {
     let mut h: u64 = 0xcbf29ce484222325 ^ seed;
     for part in parts {
         for b in part.as_bytes() {
@@ -434,8 +437,11 @@ pub fn tail_shock(seed: u64, request: &VerificationRequest<'_>, prob: f64) -> bo
     u < prob
 }
 
-/// SplitMix64 finalizer: a full-avalanche bijection on u64.
-pub(crate) fn splitmix64(mut x: u64) -> u64 {
+/// SplitMix64 finalizer: a full-avalanche bijection on u64. The one
+/// scrambler behind the seeded draws of this crate and the crates above it
+/// (fault schedules, gossip probe order, backoff jitter, chaos plans,
+/// arrival streams).
+pub fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
     x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);

@@ -276,13 +276,6 @@ pub fn sigmoid(x: f32) -> f32 {
     1.0 / (1.0 + exp(-x))
 }
 
-/// Apply an activation elementwise in place.
-pub fn map_inplace(x: &mut [f32], f: impl Fn(f32) -> f32) {
-    for v in x.iter_mut() {
-        *v = f(*v);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

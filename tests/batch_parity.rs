@@ -27,64 +27,19 @@
 use std::collections::HashSet;
 use std::sync::Arc;
 
+use bench::handbook::{self, QUESTIONS};
 use hallu_core::{DetectorConfig, ResilientDetector};
 use hallu_obs::Obs;
 use rag::serving::{Priority, ServingConfig, ServingRuntime, ShedPolicy};
-use rag::{FailurePolicy, RagPipeline, ResilientVerifiedPipeline, SimulatedLlm};
+use rag::FailurePolicy;
 use slm_runtime::bpe::Bpe;
-use slm_runtime::profiles::{minicpm_sim, qwen2_sim};
 use slm_runtime::{
     CacheConfig, EngineVerifier, FallibleVerifier, FaultInjector, FaultProfile, ModelConfig,
     PagedKvPool, PagedPoolConfig, PagedPrefixCache, PrefixCacheConfig, Reliable, TransformerLM,
     VerificationCache,
 };
 use text_engine::sentence::SentenceSplitter;
-use vectordb::collection::Collection;
-use vectordb::embed::HashingEmbedder;
 use vectordb::flat::FlatIndex;
-use vectordb::metric::Metric;
-
-const QUESTIONS: [&str; 4] = [
-    "From what time does the store operate?",
-    "How many days of annual leave per year?",
-    "How many shopkeepers run a shop?",
-    "Can unused leave be carried over?",
-];
-
-/// A guarded pipeline over the HR corpus with fault-injected verifiers,
-/// warmed on the question set (identical construction on every call, so two
-/// calls yield bitwise-identical pipelines).
-fn guarded(
-    profiles: [FaultProfile; 2],
-    policy: FailurePolicy,
-) -> ResilientVerifiedPipeline<FlatIndex> {
-    let collection = Collection::new(
-        Box::new(HashingEmbedder::new(128, 3)),
-        FlatIndex::new(128, Metric::Cosine),
-    );
-    let rag = RagPipeline::new(collection, 7).with_llm(SimulatedLlm::new(2));
-    rag.ingest(
-        "The store operates from 9 AM to 5 PM, from Sunday to Saturday. There should be \
-         at least three shopkeepers to run a shop.",
-        "hours",
-    )
-    .unwrap();
-    rag.ingest(
-        "Annual leave entitlement is 14 days per calendar year. Unused leave carries over \
-         for three months.",
-        "leave",
-    )
-    .unwrap();
-    let [p0, p1] = profiles;
-    let verifiers: Vec<Box<dyn FallibleVerifier>> = vec![
-        Box::new(FaultInjector::new(Reliable::new(qwen2_sim()), p0)),
-        Box::new(FaultInjector::new(Reliable::new(minicpm_sim()), p1)),
-    ];
-    let detector = ResilientDetector::try_new(verifiers, DetectorConfig::default()).unwrap();
-    let mut p = ResilientVerifiedPipeline::new(rag, detector, 0.45, policy);
-    p.warm_up(&QUESTIONS).unwrap();
-    p
-}
 
 /// The chaos profiles used throughout: both models flaky at a 20% mixed
 /// fault rate (transients + stalls + garbage).
@@ -92,21 +47,13 @@ fn chaos() -> [FaultProfile; 2] {
     [FaultProfile::uniform(7, 0.2), FaultProfile::uniform(8, 0.2)]
 }
 
-/// Submit the standard overload workload: 30 requests, 5 ms apart, cycling
-/// priorities Low/Normal/High and cycling the four questions (so every
-/// question repeats ~7x — plenty of cache reuse).
+/// Submit the standard overload workload: 30 requests, 5 ms apart, on the
+/// handbook cycle of priorities Low/Normal/High and the four questions (so
+/// every question repeats ~7x — plenty of cache reuse).
 fn submit_overload(rt: &mut ServingRuntime<FlatIndex>) {
     for i in 0..30u32 {
-        let priority = match i % 3 {
-            0 => Priority::Low,
-            1 => Priority::Normal,
-            _ => Priority::High,
-        };
-        rt.submit_at(
-            5.0 * f64::from(i),
-            QUESTIONS[i as usize % QUESTIONS.len()],
-            priority,
-        );
+        let (question, priority) = handbook::request(u64::from(i));
+        rt.submit_at(5.0 * f64::from(i), question, priority);
     }
 }
 
@@ -135,10 +82,16 @@ fn overload_outcomes_are_bitwise_identical_across_all_policies() {
                 shed_policy,
                 default_deadline_ms: 150.0,
             };
-            let mut plain = ServingRuntime::new(guarded(chaos(), failure_policy), config);
+            let mut plain = ServingRuntime::new(
+                handbook::pipeline(handbook::detector(chaos(), None), failure_policy),
+                config,
+            );
             let cache = Arc::new(VerificationCache::new(CacheConfig::default()));
-            let mut batched =
-                ServingRuntime::new(guarded(chaos(), failure_policy), config).with_cache(cache);
+            let mut batched = ServingRuntime::new(
+                handbook::pipeline(handbook::detector(chaos(), None), failure_policy),
+                config,
+            )
+            .with_cache(cache);
             submit_overload(&mut plain);
             submit_overload(&mut batched);
             plain.run_until_idle();
@@ -163,10 +116,8 @@ fn overload_outcomes_are_bitwise_identical_across_all_policies() {
 #[test]
 fn zero_load_cached_runtime_is_a_transparent_wrapper() {
     let healthy = || {
-        guarded(
-            [FaultProfile::none(1), FaultProfile::none(2)],
-            FailurePolicy::Abstain,
-        )
+        let detector = handbook::detector([FaultProfile::none(1), FaultProfile::none(2)], None);
+        handbook::pipeline(detector, FailurePolicy::Abstain)
     };
     let mut direct = healthy();
     let cache = Arc::new(VerificationCache::new(CacheConfig::default()));
@@ -192,9 +143,11 @@ fn zero_load_cached_runtime_is_a_transparent_wrapper() {
 #[test]
 fn ask_batch_matches_sequential_asks_under_chaos() {
     let questions = [QUESTIONS[0], QUESTIONS[1], QUESTIONS[0], QUESTIONS[3]];
-    let mut sequential = guarded(chaos(), FailurePolicy::Abstain);
+    let mut sequential =
+        handbook::pipeline(handbook::detector(chaos(), None), FailurePolicy::Abstain);
     let cache = Arc::new(VerificationCache::new(CacheConfig::default()));
-    let mut batched = guarded(chaos(), FailurePolicy::Abstain).with_cache(cache.clone());
+    let mut batched = handbook::pipeline(handbook::detector(chaos(), None), FailurePolicy::Abstain)
+        .with_cache(cache.clone());
 
     let want: Vec<_> = questions
         .iter()
@@ -233,16 +186,8 @@ fn score_all_matches_sequential_score_batch_under_chaos() {
     let items: Vec<(&str, &str, &str)> = responses.iter().map(|r| (Q, CTX, *r)).collect();
 
     let build = |parallel: bool| {
-        let [p0, p1] = chaos();
-        let verifiers: Vec<Box<dyn FallibleVerifier>> = vec![
-            Box::new(FaultInjector::new(Reliable::new(qwen2_sim()), p0)),
-            Box::new(FaultInjector::new(Reliable::new(minicpm_sim()), p1)),
-        ];
-        let config = DetectorConfig {
-            parallel,
-            ..DetectorConfig::default()
-        };
-        let mut d = ResilientDetector::try_new(verifiers, config).unwrap();
+        let mut d = handbook::detector(chaos(), None);
+        d.config.parallel = parallel;
         for r in responses {
             d.calibrate(Q, CTX, r);
         }
@@ -306,20 +251,9 @@ fn injected_faults_never_poison_the_cache() {
         garbage_rate: 0.5,
         ..FaultProfile::none(41)
     };
-    let verifiers: Vec<Box<dyn FallibleVerifier>> = vec![
-        Box::new(FaultInjector::new(
-            Reliable::new(qwen2_sim()),
-            garbage_heavy,
-        )),
-        Box::new(FaultInjector::new(
-            Reliable::new(minicpm_sim()),
-            FaultProfile::down(42),
-        )),
-    ];
     let cache = Arc::new(VerificationCache::new(CacheConfig::default()));
-    let detector = ResilientDetector::try_new(verifiers, DetectorConfig::default())
-        .unwrap()
-        .with_cache(cache.clone());
+    let detector =
+        handbook::detector([garbage_heavy, FaultProfile::down(42)], None).with_cache(cache.clone());
 
     let items: Vec<(&str, &str, &str)> = responses.iter().map(|r| (Q, CTX, *r)).collect();
     let _ = detector.score_all(&items);
@@ -577,7 +511,8 @@ fn parallel_serving_matches_sequential_serving_bitwise() {
         default_deadline_ms: 150.0,
     };
     let run = |parallel: bool, obs: &Obs| {
-        let mut pipeline = guarded(chaos(), FailurePolicy::Abstain);
+        let mut pipeline =
+            handbook::pipeline(handbook::detector(chaos(), None), FailurePolicy::Abstain);
         pipeline.detector_mut().config.parallel = parallel;
         let mut rt = ServingRuntime::new(pipeline, config).with_obs(obs);
         submit_overload(&mut rt);

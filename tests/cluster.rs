@@ -14,96 +14,26 @@
 //! - **One outcome per request**, with the serving member named on every
 //!   completed outcome.
 
-use hallu_core::{DetectorConfig, ResilientDetector};
+use bench::handbook::{self, QUESTIONS};
 use hallu_obs::{critical_path, AlertEvent, Obs, SegmentKind, SloConfig, TraceContext, TraceTree};
 use rag::cluster::{
     AbstainCause, ChaosPlan, ClusterConfig, ClusterDisposition, ClusterOutcome, ClusterRuntime,
     ClusterStats, DetectorKind, ReplicationConfig, RouteKind,
 };
-use rag::serving::{Priority, ServingConfig, ShardIdentity};
-use rag::{FailurePolicy, RagPipeline, ResilientVerifiedPipeline, SimulatedLlm};
+use rag::serving::{Priority, ServingConfig};
 use slm_runtime::gossip::GossipConfig;
-use slm_runtime::profiles::{minicpm_sim, qwen2_sim};
-use slm_runtime::{FallibleVerifier, FaultInjector, FaultProfile, Reliable};
-use vectordb::collection::Collection;
-use vectordb::embed::HashingEmbedder;
 use vectordb::flat::FlatIndex;
-use vectordb::metric::Metric;
 
-const QUESTIONS: [&str; 4] = [
-    "From what time does the store operate?",
-    "How many days of annual leave per year?",
-    "How many shopkeepers run a shop?",
-    "Can unused leave be carried over?",
-];
+/// Base of the per-member fault seeds: member `(shard, replica)` seeds its
+/// verifiers from `MEMBER_SEED + 10·shard + replica`.
+const MEMBER_SEED: u64 = 1000;
 
-/// A guarded pipeline over the HR corpus, warmed on the question set.
-/// Identical construction per seed, so two calls with the same arguments
-/// yield bitwise-identical pipelines.
-fn pipeline(fault_rate: f64, seed_base: u64) -> ResilientVerifiedPipeline<FlatIndex> {
-    let collection = Collection::new(
-        Box::new(HashingEmbedder::new(128, 3)),
-        FlatIndex::new(128, Metric::Cosine),
-    );
-    let rag = RagPipeline::new(collection, 7).with_llm(SimulatedLlm::new(2));
-    rag.ingest(
-        "The store operates from 9 AM to 5 PM, from Sunday to Saturday. There should be \
-         at least three shopkeepers to run a shop.",
-        "hours",
-    )
-    .unwrap();
-    rag.ingest(
-        "Annual leave entitlement is 14 days per calendar year. Unused leave carries over \
-         for three months.",
-        "leave",
-    )
-    .unwrap();
-    let profiles = if fault_rate > 0.0 {
-        [
-            FaultProfile::uniform(seed_base, fault_rate),
-            FaultProfile::uniform(seed_base + 1, fault_rate),
-        ]
-    } else {
-        [
-            FaultProfile::none(seed_base),
-            FaultProfile::none(seed_base + 1),
-        ]
-    };
-    let [p0, p1] = profiles;
-    let verifiers: Vec<Box<dyn FallibleVerifier>> = vec![
-        Box::new(FaultInjector::new(Reliable::new(qwen2_sim()), p0)),
-        Box::new(FaultInjector::new(Reliable::new(minicpm_sim()), p1)),
-    ];
-    let detector = ResilientDetector::try_new(verifiers, DetectorConfig::default()).unwrap();
-    let mut p = ResilientVerifiedPipeline::new(rag, detector, 0.45, FailurePolicy::Abstain);
-    p.warm_up(&QUESTIONS).unwrap();
-    p
-}
-
-/// Member factory: one deterministic seed per (shard, replica).
-fn factory(fault_rate: f64) -> impl FnMut(ShardIdentity) -> ResilientVerifiedPipeline<FlatIndex> {
-    move |identity| {
-        pipeline(
-            fault_rate,
-            1000 + u64::from(identity.shard) * 10 + u64::from(identity.replica),
-        )
-    }
-}
-
-/// Submit `n` requests, `spacing_ms` apart, cycling the four questions and
-/// the three priority classes.
+/// Submit `n` requests, `spacing_ms` apart, on the handbook cycle of the
+/// four questions and the three priority classes.
 fn submit_load(cluster: &mut ClusterRuntime<FlatIndex>, n: u32, spacing_ms: f64) {
     for i in 0..n {
-        let priority = match i % 3 {
-            0 => Priority::Low,
-            1 => Priority::Normal,
-            _ => Priority::High,
-        };
-        cluster.submit_at(
-            spacing_ms * f64::from(i),
-            QUESTIONS[i as usize % QUESTIONS.len()],
-            priority,
-        );
+        let (question, priority) = handbook::request(u64::from(i));
+        cluster.submit_at(spacing_ms * f64::from(i), question, priority);
     }
 }
 
@@ -148,7 +78,9 @@ fn seeded_plan() -> ChaosPlan {
 #[test]
 fn chaos_degrades_to_abstention_never_to_different_verdicts() {
     let run = |plan: ChaosPlan| {
-        let mut cluster = ClusterRuntime::new(8, chaos_config(), factory(0.0)).with_chaos(plan);
+        let mut cluster =
+            ClusterRuntime::new(8, chaos_config(), handbook::member(MEMBER_SEED, 0.0))
+                .with_chaos(plan);
         submit_load(&mut cluster, 96, 20.0);
         cluster.run_until_idle();
         let mut outcomes = cluster.drain_outcomes();
@@ -199,9 +131,10 @@ fn chaos_degrades_to_abstention_never_to_different_verdicts() {
 #[test]
 fn seeded_chaos_runs_are_bitwise_reproducible() {
     let run = |obs: &Obs| {
-        let mut cluster = ClusterRuntime::new(8, chaos_config(), factory(0.0))
-            .with_obs(obs)
-            .with_chaos(seeded_plan());
+        let mut cluster =
+            ClusterRuntime::new(8, chaos_config(), handbook::member(MEMBER_SEED, 0.0))
+                .with_obs(obs)
+                .with_chaos(seeded_plan());
         submit_load(&mut cluster, 64, 25.0);
         cluster.run_until_idle();
         cluster.drain_outcomes()
@@ -236,13 +169,14 @@ fn killing_one_shard_loses_only_that_shards_keys() {
         ..ClusterConfig::default()
     };
     // Find the victim: the home shard of the first question.
-    let mut probe = ClusterRuntime::new(8, config, factory(0.0));
+    let mut probe = ClusterRuntime::new(8, config, handbook::member(MEMBER_SEED, 0.0));
     probe.submit_at(0.0, QUESTIONS[0], Priority::Normal);
     probe.run_until_idle();
     let victim = probe.drain_outcomes()[0].home_shard;
 
     let run = |plan: ChaosPlan| {
-        let mut cluster = ClusterRuntime::new(8, config, factory(0.0)).with_chaos(plan);
+        let mut cluster =
+            ClusterRuntime::new(8, config, handbook::member(MEMBER_SEED, 0.0)).with_chaos(plan);
         submit_load(&mut cluster, 64, 25.0);
         cluster.run_until_idle();
         let mut outcomes = cluster.drain_outcomes();
@@ -299,7 +233,7 @@ fn healthy_routing_names_the_primary_member_on_every_outcome() {
             serving: roomy(),
             ..ClusterConfig::default()
         },
-        factory(0.0),
+        handbook::member(MEMBER_SEED, 0.0),
     );
     submit_load(&mut cluster, 32, 30.0);
     cluster.run_until_idle();
@@ -339,9 +273,10 @@ fn healing_config() -> ClusterConfig {
 #[test]
 fn gossip_chaos_runs_are_bitwise_reproducible() {
     let run = |obs: &Obs| {
-        let mut cluster = ClusterRuntime::new(8, healing_config(), factory(0.0))
-            .with_obs(obs)
-            .with_chaos(seeded_plan());
+        let mut cluster =
+            ClusterRuntime::new(8, healing_config(), handbook::member(MEMBER_SEED, 0.0))
+                .with_obs(obs)
+                .with_chaos(seeded_plan());
         submit_load(&mut cluster, 64, 25.0);
         cluster.run_until_idle();
         let outcomes = cluster.drain_outcomes();
@@ -380,7 +315,9 @@ fn gossip_chaos_runs_are_bitwise_reproducible() {
 #[test]
 fn chaos_with_gossip_and_replication_never_changes_a_verdict() {
     let run = |plan: ChaosPlan| {
-        let mut cluster = ClusterRuntime::new(8, healing_config(), factory(0.0)).with_chaos(plan);
+        let mut cluster =
+            ClusterRuntime::new(8, healing_config(), handbook::member(MEMBER_SEED, 0.0))
+                .with_chaos(plan);
         submit_load(&mut cluster, 96, 20.0);
         cluster.run_until_idle();
         let mut outcomes = cluster.drain_outcomes();
@@ -425,13 +362,14 @@ fn killing_one_shard_of_eight_is_contained_under_gossip() {
         detector: DetectorKind::Gossip(GossipConfig::default()),
         ..ClusterConfig::default()
     };
-    let mut probe = ClusterRuntime::new(8, config, factory(0.0));
+    let mut probe = ClusterRuntime::new(8, config, handbook::member(MEMBER_SEED, 0.0));
     probe.submit_at(0.0, QUESTIONS[0], Priority::Normal);
     probe.run_until_idle();
     let victim = probe.drain_outcomes()[0].home_shard;
 
     let run = |plan: ChaosPlan| {
-        let mut cluster = ClusterRuntime::new(8, config, factory(0.0)).with_chaos(plan);
+        let mut cluster =
+            ClusterRuntime::new(8, config, handbook::member(MEMBER_SEED, 0.0)).with_chaos(plan);
         submit_load(&mut cluster, 64, 25.0);
         cluster.run_until_idle();
         let mut outcomes = cluster.drain_outcomes();
@@ -469,7 +407,7 @@ fn killing_one_shard_of_eight_is_contained_under_gossip() {
 fn failover_targets_serve_replicated_entries_and_flaps_are_damped() {
     let mut config = healing_config();
     config.hysteresis = slm_runtime::HysteresisConfig::default();
-    let mut probe = ClusterRuntime::new(4, config, factory(0.0));
+    let mut probe = ClusterRuntime::new(4, config, handbook::member(MEMBER_SEED, 0.0));
     probe.submit_at(0.0, QUESTIONS[0], Priority::Normal);
     probe.run_until_idle();
     let home = probe.drain_outcomes()[0].home_shard;
@@ -477,7 +415,8 @@ fn failover_targets_serve_replicated_entries_and_flaps_are_damped() {
     let plan = ChaosPlan::none()
         .crash(home, 0, 2_500.0, f64::INFINITY)
         .flap((home + 1) % 4, 0, 300.0, 80.0, 10);
-    let mut cluster = ClusterRuntime::new(4, config, factory(0.0)).with_chaos(plan);
+    let mut cluster =
+        ClusterRuntime::new(4, config, handbook::member(MEMBER_SEED, 0.0)).with_chaos(plan);
     // Warm the primary, then keep asking the same question after the crash.
     for i in 0..10u32 {
         cluster.submit_at(200.0 * f64::from(i), QUESTIONS[0], Priority::Normal);
@@ -541,7 +480,7 @@ fn failover_targets_serve_replicated_entries_and_flaps_are_damped() {
 /// SLO burn-rate alerting, returning the three observability artifacts
 /// the golden assertions compare.
 fn observed_run() -> (Vec<ClusterOutcome>, Vec<TraceTree>, String, Vec<AlertEvent>) {
-    let mut cluster = ClusterRuntime::new(8, healing_config(), factory(0.0))
+    let mut cluster = ClusterRuntime::new(8, healing_config(), handbook::member(MEMBER_SEED, 0.0))
         .with_chaos(seeded_plan())
         .with_slos(vec![
             SloConfig::availability(0.99),
@@ -630,8 +569,8 @@ fn stitched_traces_decompose_request_latency() {
 /// (serving outcomes), and the detector's probe counter all co-exist.
 #[test]
 fn federated_snapshot_spans_router_and_members() {
-    let mut cluster =
-        ClusterRuntime::new(8, healing_config(), factory(0.0)).with_chaos(seeded_plan());
+    let mut cluster = ClusterRuntime::new(8, healing_config(), handbook::member(MEMBER_SEED, 0.0))
+        .with_chaos(seeded_plan());
     submit_load(&mut cluster, 64, 25.0);
     cluster.run_until_idle();
     let fed = cluster.federated();

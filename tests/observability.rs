@@ -10,45 +10,14 @@
 //! 3. **Self-containment**: serving flight records and outcomes carry the
 //!    request's priority class and the queue depth at decision time.
 
-use hallu_core::{DetectorConfig, ResilientDetector};
+use bench::handbook;
 use hallu_obs::Obs;
-use rag::{
-    Disposition, FailurePolicy, Priority, RagPipeline, RequestOutcome, ResilientVerifiedPipeline,
-    ServingConfig, ServingRuntime, ShedPolicy, SimulatedLlm,
-};
-use slm_runtime::profiles::{minicpm_sim, qwen2_sim};
-use slm_runtime::{FallibleVerifier, FaultInjector, FaultProfile, Reliable};
-use vectordb::collection::Collection;
-use vectordb::embed::HashingEmbedder;
-use vectordb::flat::FlatIndex;
-use vectordb::metric::Metric;
+use rag::{Disposition, FailurePolicy, RequestOutcome, ServingConfig, ServingRuntime, ShedPolicy};
+use slm_runtime::FaultProfile;
 
-const QUESTIONS: [&str; 4] = [
-    "From what time does the store operate?",
-    "How many days of annual leave per year?",
-    "How many shopkeepers run a shop?",
-    "Can unused leave be carried over?",
-];
-
-fn pipeline(obs: Option<&Obs>) -> ResilientVerifiedPipeline<FlatIndex> {
-    let collection = Collection::new(
-        Box::new(HashingEmbedder::new(128, 3)),
-        FlatIndex::new(128, Metric::Cosine),
-    );
-    let rag = RagPipeline::new(collection, 7).with_llm(SimulatedLlm::new(2));
-    rag.ingest(
-        "The store operates from 9 AM to 5 PM, from Sunday to Saturday. There should be \
-         at least three shopkeepers to run a shop.",
-        "hours",
-    )
-    .unwrap();
-    rag.ingest(
-        "Annual leave entitlement is 14 days per calendar year. Unused leave carries over \
-         for three months.",
-        "leave",
-    )
-    .unwrap();
-    let profiles = [
+/// Flaky verifiers: transients on both, stalls and garbage on the first.
+fn chaos_profiles() -> [FaultProfile; 2] {
+    [
         FaultProfile {
             transient_rate: 0.2,
             stall_rate: 0.05,
@@ -59,25 +28,16 @@ fn pipeline(obs: Option<&Obs>) -> ResilientVerifiedPipeline<FlatIndex> {
             transient_rate: 0.2,
             ..FaultProfile::none(8)
         },
-    ];
-    let [p0, p1] = profiles;
-    let mut i0 = FaultInjector::new(Reliable::new(qwen2_sim()), p0);
-    let mut i1 = FaultInjector::new(Reliable::new(minicpm_sim()), p1);
-    if let Some(obs) = obs {
-        i0 = i0.with_obs(obs);
-        i1 = i1.with_obs(obs);
-    }
-    let verifiers: Vec<Box<dyn FallibleVerifier>> = vec![Box::new(i0), Box::new(i1)];
-    let detector = ResilientDetector::try_new(verifiers, DetectorConfig::default()).unwrap();
-    let mut p = ResilientVerifiedPipeline::new(rag, detector, 0.45, FailurePolicy::Abstain);
-    p.warm_up(&QUESTIONS).unwrap();
-    p
+    ]
 }
 
 /// A chaos-overload run: bounded queue, tight deadlines, mixed priorities.
 fn run_scenario(obs: Option<&Obs>) -> Vec<RequestOutcome> {
     let mut rt = ServingRuntime::new(
-        pipeline(obs),
+        handbook::pipeline(
+            handbook::detector(chaos_profiles(), obs),
+            FailurePolicy::Abstain,
+        ),
         ServingConfig {
             queue_bound: Some(2),
             shed_policy: ShedPolicy::ShedLowestPriority,
@@ -88,16 +48,8 @@ fn run_scenario(obs: Option<&Obs>) -> Vec<RequestOutcome> {
         rt = rt.with_obs(obs);
     }
     for i in 0..24u32 {
-        let priority = match i % 3 {
-            0 => Priority::Low,
-            1 => Priority::Normal,
-            _ => Priority::High,
-        };
-        rt.submit_at(
-            4.0 * f64::from(i),
-            QUESTIONS[i as usize % QUESTIONS.len()],
-            priority,
-        );
+        let (question, priority) = handbook::request(u64::from(i));
+        rt.submit_at(4.0 * f64::from(i), question, priority);
     }
     rt.run_until_idle();
     rt.drain_outcomes()
