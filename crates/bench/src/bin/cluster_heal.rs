@@ -70,7 +70,7 @@ fn run_cell(
     };
     let plan = ChaosPlan::seeded(CHAOS_SEED, SHARDS, REPLICAS, horizon_ms, episodes);
     let mut cluster =
-        ClusterRuntime::new(SHARDS, config, handbook::member(MEMBER_SEED, 0.0)).with_chaos(plan);
+        ClusterRuntime::new(SHARDS, config, handbook::member(MEMBER_SEED)).with_chaos(plan);
     for (at_ms, question, priority) in handbook::arrivals(ARRIVAL_SEED, n, RATE_PER_S) {
         cluster.submit_at(at_ms, question, priority);
     }

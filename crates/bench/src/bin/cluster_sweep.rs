@@ -57,7 +57,7 @@ fn run_cell(replicas: u32, chaos: bool, n: u64, horizon_ms: f64, episodes: usize
         ChaosPlan::none()
     };
     let mut cluster =
-        ClusterRuntime::new(SHARDS, config, handbook::member(MEMBER_SEED, 0.0)).with_chaos(plan);
+        ClusterRuntime::new(SHARDS, config, handbook::member(MEMBER_SEED)).with_chaos(plan);
     for (at_ms, question, priority) in handbook::arrivals(ARRIVAL_SEED, n, RATE_PER_S) {
         cluster.submit_at(at_ms, question, priority);
     }

@@ -70,7 +70,7 @@ fn run_once(n: u64, horizon_ms: f64, episodes: usize) -> RunResult {
     };
     let trace_seed = config.trace_seed;
     let plan = ChaosPlan::seeded(CHAOS_SEED, SHARDS, REPLICAS, horizon_ms, episodes);
-    let mut cluster = ClusterRuntime::new(SHARDS, config, handbook::member(MEMBER_SEED, 0.0))
+    let mut cluster = ClusterRuntime::new(SHARDS, config, handbook::member(MEMBER_SEED))
         .with_chaos(plan)
         .with_slos(vec![
             SloConfig::availability(0.99),

@@ -163,7 +163,7 @@ fn cluster_federation_page(n: u64) -> String {
         ..ClusterConfig::default()
     };
     let horizon_ms = n as f64 * 25.0;
-    let mut cluster = ClusterRuntime::new(4, config, handbook::member(7_000, 0.0))
+    let mut cluster = ClusterRuntime::new(4, config, handbook::member(7_000))
         .with_chaos(ChaosPlan::seeded(0xB5E7_CA05, 4, 1, horizon_ms, 3));
     for i in 0..n {
         cluster.submit_at(

@@ -11,11 +11,10 @@
 //! bitwise-identically.
 
 use hallu_core::{DetectorConfig, ResilientDetector};
-use hallu_obs::Obs;
+use hallu_obs::{splitmix64, Obs};
 use rag::serving::ShardIdentity;
 use rag::{FailurePolicy, Priority, RagPipeline, ResilientVerifiedPipeline, SimulatedLlm};
 use slm_runtime::profiles::{minicpm_sim, qwen2_sim};
-use slm_runtime::sim::splitmix64;
 use slm_runtime::{FallibleVerifier, FaultInjector, FaultProfile, Reliable};
 use vectordb::collection::Collection;
 use vectordb::embed::HashingEmbedder;
@@ -74,20 +73,13 @@ pub fn pipeline(
 }
 
 /// The cluster member factory: member `(shard, replica)` runs an
-/// [`FailurePolicy::Abstain`] pipeline whose two injectors are
-/// `FaultProfile::uniform(seed, fault_rate)` and `uniform(seed + 1, ..)`,
-/// with `seed = seed_base + 10·shard + replica`. At rate 0 that is the
-/// fault-free profile.
-pub fn member(
-    seed_base: u64,
-    fault_rate: f64,
-) -> impl FnMut(ShardIdentity) -> ResilientVerifiedPipeline<FlatIndex> {
+/// [`FailurePolicy::Abstain`] pipeline whose two injectors are the
+/// fault-free `FaultProfile::none(seed)` and `none(seed + 1)`, with
+/// `seed = seed_base + 10·shard + replica`.
+pub fn member(seed_base: u64) -> impl FnMut(ShardIdentity) -> ResilientVerifiedPipeline<FlatIndex> {
     move |identity| {
         let seed = seed_base + u64::from(identity.shard) * 10 + u64::from(identity.replica);
-        let profiles = [
-            FaultProfile::uniform(seed, fault_rate),
-            FaultProfile::uniform(seed + 1, fault_rate),
-        ];
+        let profiles = [FaultProfile::none(seed), FaultProfile::none(seed + 1)];
         pipeline(detector(profiles, None), FailurePolicy::Abstain)
     }
 }

@@ -8,7 +8,8 @@
 
 use std::fmt;
 
-use slm_runtime::sim::{fnv1a, splitmix64};
+use hallu_obs::splitmix64;
+use slm_runtime::sim::fnv1a;
 
 /// The key of one verifier call: the unseeded FNV-1a hash of its parts.
 pub(crate) fn call_key(parts: &[&str]) -> u64 {

@@ -64,6 +64,6 @@ pub use slo::{AlertEvent, AlertKind, AlertSeverity, BurnWindow, SloConfig, SloEn
 pub use span::{span_tree, EventRecord, SpanRecord, MAX_SPANS};
 pub use time::{TimeSource, ZeroTime};
 pub use trace::{
-    critical_path, render_trace_tree, stitch, CriticalPath, Segment, SegmentKind, SpanNode,
-    TraceContext, TraceTree,
+    critical_path, render_trace_tree, splitmix64, stitch, CriticalPath, Segment, SegmentKind,
+    SpanNode, TraceContext, TraceTree,
 };

@@ -31,8 +31,11 @@ use crate::span::SpanRecord;
 /// store-allocated sequential ids used by stack-opened spans.
 const DERIVED_BIT: u64 = 1 << 63;
 
-/// SplitMix64 finalizer — the repo-wide standard for seeded derivations.
-fn splitmix64(mut x: u64) -> u64 {
+/// SplitMix64 finalizer: a full-avalanche bijection on u64. The one
+/// scrambler behind the workspace's seeded derivations: trace and span ids
+/// here, and in the crates above, fault schedules, gossip probe order,
+/// backoff jitter, chaos plans and arrival streams.
+pub fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
     x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);

@@ -80,15 +80,15 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use hallu_obs::{
-    stitch, AlertEvent, DecayedWindow, EventRecord, FederatedRegistry, Histogram, MetricsSnapshot,
-    Obs, SloConfig, SloEngine, SpanRecord, TraceContext, TraceTree, DEFAULT_LATENCY_BUCKETS_MS,
+    splitmix64, stitch, AlertEvent, DecayedWindow, EventRecord, FederatedRegistry, Histogram,
+    MetricsSnapshot, Obs, SloConfig, SloEngine, SpanRecord, TraceContext, TraceTree,
+    DEFAULT_LATENCY_BUCKETS_MS,
 };
 use slm_runtime::gossip::{
     CentralDetector, FailureDetector, GossipConfig, HysteresisConfig, LinkOracle, MemberId,
     SwimDetector, ViewEvent,
 };
 use slm_runtime::ring::RingOp;
-use slm_runtime::sim::splitmix64;
 use slm_runtime::{
     CacheConfig, Clock, HashRing, RebalanceReport, RingError, VerificationCache, VirtualClock,
 };

@@ -38,10 +38,10 @@ use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
-use hallu_obs::{Counter, Gauge, Obs};
+use hallu_obs::{splitmix64, Counter, Gauge, Obs};
 
 use crate::batch::ProbeOutcome;
-use crate::sim::{fnv1a, splitmix64};
+use crate::sim::fnv1a;
 
 /// Fixed accounting overhead per cached entry, covering the stored outcome,
 /// recency tick, and map bookkeeping. The exact value only shapes eviction

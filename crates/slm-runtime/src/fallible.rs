@@ -14,7 +14,9 @@
 
 use std::fmt;
 
-use crate::sim::{fnv1a, splitmix64};
+use hallu_obs::splitmix64;
+
+use crate::sim::fnv1a;
 use crate::verifier::{VerificationRequest, YesNoVerifier};
 
 /// Why a verification call produced no usable score.

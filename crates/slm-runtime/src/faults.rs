@@ -18,10 +18,10 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-use hallu_obs::{Counter, Obs};
+use hallu_obs::{splitmix64, Counter, Obs};
 
 use crate::fallible::{FallibleVerifier, ScoredProbe, VerifierError};
-use crate::sim::{fnv1a, splitmix64};
+use crate::sim::fnv1a;
 use crate::verifier::VerificationRequest;
 
 /// Stall inflation factor: a stalled call takes ~40x its normal latency,

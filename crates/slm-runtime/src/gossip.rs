@@ -45,9 +45,7 @@
 
 use std::collections::BTreeMap;
 
-use hallu_obs::{Counter, Obs};
-
-use crate::sim::splitmix64;
+use hallu_obs::{splitmix64, Counter, Obs};
 
 /// Identity of one cluster member in detector scope.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]

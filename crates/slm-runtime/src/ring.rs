@@ -25,7 +25,9 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use crate::sim::{fnv1a, splitmix64};
+use hallu_obs::splitmix64;
+
+use crate::sim::fnv1a;
 
 /// Default slot count. Large enough that per-slot balance (±1 slot) keeps
 /// per-shard key load within a few percent at cluster sizes of interest.

@@ -20,6 +20,7 @@
 
 use std::collections::HashSet;
 
+use hallu_obs::splitmix64;
 use text_engine::entities::{extract_entities, Entity, EntityKind};
 use text_engine::ngram::word_ngrams;
 use text_engine::similarity::{dice, weighted_containment};
@@ -435,17 +436,6 @@ pub fn tail_shock(seed: u64, request: &VerificationRequest<'_>, prob: f64) -> bo
     );
     let u = (splitmix64(h) >> 11) as f64 / (1u64 << 53) as f64;
     u < prob
-}
-
-/// SplitMix64 finalizer: a full-avalanche bijection on u64. The one
-/// scrambler behind the seeded draws of this crate and the crates above it
-/// (fault schedules, gossip probe order, backoff jitter, chaos plans,
-/// arrival streams).
-pub fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
 }
 
 #[cfg(test)]

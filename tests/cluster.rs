@@ -79,8 +79,7 @@ fn seeded_plan() -> ChaosPlan {
 fn chaos_degrades_to_abstention_never_to_different_verdicts() {
     let run = |plan: ChaosPlan| {
         let mut cluster =
-            ClusterRuntime::new(8, chaos_config(), handbook::member(MEMBER_SEED, 0.0))
-                .with_chaos(plan);
+            ClusterRuntime::new(8, chaos_config(), handbook::member(MEMBER_SEED)).with_chaos(plan);
         submit_load(&mut cluster, 96, 20.0);
         cluster.run_until_idle();
         let mut outcomes = cluster.drain_outcomes();
@@ -131,10 +130,9 @@ fn chaos_degrades_to_abstention_never_to_different_verdicts() {
 #[test]
 fn seeded_chaos_runs_are_bitwise_reproducible() {
     let run = |obs: &Obs| {
-        let mut cluster =
-            ClusterRuntime::new(8, chaos_config(), handbook::member(MEMBER_SEED, 0.0))
-                .with_obs(obs)
-                .with_chaos(seeded_plan());
+        let mut cluster = ClusterRuntime::new(8, chaos_config(), handbook::member(MEMBER_SEED))
+            .with_obs(obs)
+            .with_chaos(seeded_plan());
         submit_load(&mut cluster, 64, 25.0);
         cluster.run_until_idle();
         cluster.drain_outcomes()
@@ -169,14 +167,14 @@ fn killing_one_shard_loses_only_that_shards_keys() {
         ..ClusterConfig::default()
     };
     // Find the victim: the home shard of the first question.
-    let mut probe = ClusterRuntime::new(8, config, handbook::member(MEMBER_SEED, 0.0));
+    let mut probe = ClusterRuntime::new(8, config, handbook::member(MEMBER_SEED));
     probe.submit_at(0.0, QUESTIONS[0], Priority::Normal);
     probe.run_until_idle();
     let victim = probe.drain_outcomes()[0].home_shard;
 
     let run = |plan: ChaosPlan| {
         let mut cluster =
-            ClusterRuntime::new(8, config, handbook::member(MEMBER_SEED, 0.0)).with_chaos(plan);
+            ClusterRuntime::new(8, config, handbook::member(MEMBER_SEED)).with_chaos(plan);
         submit_load(&mut cluster, 64, 25.0);
         cluster.run_until_idle();
         let mut outcomes = cluster.drain_outcomes();
@@ -233,7 +231,7 @@ fn healthy_routing_names_the_primary_member_on_every_outcome() {
             serving: roomy(),
             ..ClusterConfig::default()
         },
-        handbook::member(MEMBER_SEED, 0.0),
+        handbook::member(MEMBER_SEED),
     );
     submit_load(&mut cluster, 32, 30.0);
     cluster.run_until_idle();
@@ -273,10 +271,9 @@ fn healing_config() -> ClusterConfig {
 #[test]
 fn gossip_chaos_runs_are_bitwise_reproducible() {
     let run = |obs: &Obs| {
-        let mut cluster =
-            ClusterRuntime::new(8, healing_config(), handbook::member(MEMBER_SEED, 0.0))
-                .with_obs(obs)
-                .with_chaos(seeded_plan());
+        let mut cluster = ClusterRuntime::new(8, healing_config(), handbook::member(MEMBER_SEED))
+            .with_obs(obs)
+            .with_chaos(seeded_plan());
         submit_load(&mut cluster, 64, 25.0);
         cluster.run_until_idle();
         let outcomes = cluster.drain_outcomes();
@@ -315,9 +312,8 @@ fn gossip_chaos_runs_are_bitwise_reproducible() {
 #[test]
 fn chaos_with_gossip_and_replication_never_changes_a_verdict() {
     let run = |plan: ChaosPlan| {
-        let mut cluster =
-            ClusterRuntime::new(8, healing_config(), handbook::member(MEMBER_SEED, 0.0))
-                .with_chaos(plan);
+        let mut cluster = ClusterRuntime::new(8, healing_config(), handbook::member(MEMBER_SEED))
+            .with_chaos(plan);
         submit_load(&mut cluster, 96, 20.0);
         cluster.run_until_idle();
         let mut outcomes = cluster.drain_outcomes();
@@ -362,14 +358,14 @@ fn killing_one_shard_of_eight_is_contained_under_gossip() {
         detector: DetectorKind::Gossip(GossipConfig::default()),
         ..ClusterConfig::default()
     };
-    let mut probe = ClusterRuntime::new(8, config, handbook::member(MEMBER_SEED, 0.0));
+    let mut probe = ClusterRuntime::new(8, config, handbook::member(MEMBER_SEED));
     probe.submit_at(0.0, QUESTIONS[0], Priority::Normal);
     probe.run_until_idle();
     let victim = probe.drain_outcomes()[0].home_shard;
 
     let run = |plan: ChaosPlan| {
         let mut cluster =
-            ClusterRuntime::new(8, config, handbook::member(MEMBER_SEED, 0.0)).with_chaos(plan);
+            ClusterRuntime::new(8, config, handbook::member(MEMBER_SEED)).with_chaos(plan);
         submit_load(&mut cluster, 64, 25.0);
         cluster.run_until_idle();
         let mut outcomes = cluster.drain_outcomes();
@@ -407,7 +403,7 @@ fn killing_one_shard_of_eight_is_contained_under_gossip() {
 fn failover_targets_serve_replicated_entries_and_flaps_are_damped() {
     let mut config = healing_config();
     config.hysteresis = slm_runtime::HysteresisConfig::default();
-    let mut probe = ClusterRuntime::new(4, config, handbook::member(MEMBER_SEED, 0.0));
+    let mut probe = ClusterRuntime::new(4, config, handbook::member(MEMBER_SEED));
     probe.submit_at(0.0, QUESTIONS[0], Priority::Normal);
     probe.run_until_idle();
     let home = probe.drain_outcomes()[0].home_shard;
@@ -416,7 +412,7 @@ fn failover_targets_serve_replicated_entries_and_flaps_are_damped() {
         .crash(home, 0, 2_500.0, f64::INFINITY)
         .flap((home + 1) % 4, 0, 300.0, 80.0, 10);
     let mut cluster =
-        ClusterRuntime::new(4, config, handbook::member(MEMBER_SEED, 0.0)).with_chaos(plan);
+        ClusterRuntime::new(4, config, handbook::member(MEMBER_SEED)).with_chaos(plan);
     // Warm the primary, then keep asking the same question after the crash.
     for i in 0..10u32 {
         cluster.submit_at(200.0 * f64::from(i), QUESTIONS[0], Priority::Normal);
@@ -480,7 +476,7 @@ fn failover_targets_serve_replicated_entries_and_flaps_are_damped() {
 /// SLO burn-rate alerting, returning the three observability artifacts
 /// the golden assertions compare.
 fn observed_run() -> (Vec<ClusterOutcome>, Vec<TraceTree>, String, Vec<AlertEvent>) {
-    let mut cluster = ClusterRuntime::new(8, healing_config(), handbook::member(MEMBER_SEED, 0.0))
+    let mut cluster = ClusterRuntime::new(8, healing_config(), handbook::member(MEMBER_SEED))
         .with_chaos(seeded_plan())
         .with_slos(vec![
             SloConfig::availability(0.99),
@@ -569,7 +565,7 @@ fn stitched_traces_decompose_request_latency() {
 /// (serving outcomes), and the detector's probe counter all co-exist.
 #[test]
 fn federated_snapshot_spans_router_and_members() {
-    let mut cluster = ClusterRuntime::new(8, healing_config(), handbook::member(MEMBER_SEED, 0.0))
+    let mut cluster = ClusterRuntime::new(8, healing_config(), handbook::member(MEMBER_SEED))
         .with_chaos(seeded_plan());
     submit_load(&mut cluster, 64, 25.0);
     cluster.run_until_idle();
