@@ -59,7 +59,7 @@ pub use metrics::{
     BucketCount, Counter, DecayedWindow, Gauge, Histogram, Label, MetricKind, MetricsRegistry,
     MetricsSnapshot, SeriesSnapshot, DEFAULT_LATENCY_BUCKETS_MS, SCORE_BUCKETS,
 };
-pub use sink::{Obs, ObsSink, SpanGuard};
+pub use sink::{Obs, SpanGuard};
 pub use slo::{AlertEvent, AlertKind, AlertSeverity, BurnWindow, SloConfig, SloEngine, SloKind};
 pub use span::{span_tree, EventRecord, SpanRecord, MAX_SPANS};
 pub use time::{TimeSource, ZeroTime};

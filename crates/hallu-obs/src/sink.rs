@@ -2,8 +2,8 @@
 //!
 //! [`Obs`] is what instrumented components hold. It is either *off*
 //! (`Obs::off()`, the default everywhere) — in which case every call is a
-//! single branch on a `None` and allocates nothing — or connected to an
-//! [`ObsSink`] that owns the metrics registry, span store, flight store,
+//! single branch on a `None` and allocates nothing — or connected to its
+//! private sink, which owns the metrics registry, span store, flight store,
 //! and the bound [`TimeSource`].
 //!
 //! There is deliberately no process-global sink: tests and benchmarks
@@ -19,8 +19,9 @@ use crate::time::{TimeSource, ZeroTime};
 use crate::trace::TraceContext;
 
 /// The sink: one registry + span store + flight store + time source.
+/// Stamped by [`ZeroTime`] until a clock is bound.
 #[derive(Debug)]
-pub struct ObsSink {
+struct ObsSink {
     registry: MetricsRegistry,
     spans: Mutex<SpanStore>,
     flights: Mutex<FlightStore>,
@@ -49,16 +50,6 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 }
 
 impl ObsSink {
-    /// A fresh sink stamped by [`ZeroTime`] until a clock is bound.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The metrics registry.
-    pub fn registry(&self) -> &MetricsRegistry {
-        &self.registry
-    }
-
     fn now_ms(&self) -> f64 {
         match self.time.read() {
             Ok(t) => t.now_ms(),
@@ -96,7 +87,7 @@ impl Obs {
 
     /// A handle connected to a fresh sink.
     pub fn new() -> Self {
-        Self(Some(Arc::new(ObsSink::new())))
+        Self(Some(Arc::new(ObsSink::default())))
     }
 
     /// A fresh sink whose spans are stamped with a source identity (e.g.

@@ -547,17 +547,25 @@ pub fn attention_step<C: KvStore, L: LayerView>(
 }
 
 /// Multi-token attention over a block of `xs.rows()` normalized hidden states
-/// occupying positions `cache.len()..cache.len() + xs.rows()`.
+/// occupying positions `cache.len()..cache.len() + xs.rows()`, queried from
+/// row `first_query` on.
 ///
-/// The Q/K/V and output projections run as blocked GEMMs over the whole block
-/// ([`Linear::apply_block`] rows are bit-identical to [`Linear::apply`]); the causal
-/// score/softmax/weighted-sum core runs over tiles of rows that keep, per row,
-/// exactly the operation sequence [`attention_step`] uses, so row `i` of the
-/// result carries the same bits the sequential path would produce at position
-/// `cache.len() + i`.
+/// K and V are projected, rotated and *staged* via [`KvStore::write_at`] for
+/// every row of the block, because later rows, later blocks and forked
+/// prefix snapshots attend to them; the caller commits them with
+/// [`KvStore::advance_by`] once every layer has run. Q, the causal core and
+/// the `wo` projection run only for rows `first_query..`: the result holds
+/// one row per queried row, and none when `first_query == xs.rows()`.
 ///
-/// K/V rows for the block are *staged* via [`KvStore::write_at`]; the caller
-/// commits them with [`KvStore::advance_by`] once every layer has run.
+/// The projections run as blocked GEMMs ([`Linear::apply_block`] rows are
+/// bit-identical to [`Linear::apply`]); the causal score/softmax/weighted-sum
+/// core runs over tiles of rows that keep, per row, exactly the operation
+/// sequence [`attention_step`] uses, so the result row of block row `i`
+/// carries the same bits the sequential path would produce at position
+/// `cache.len() + i`, whichever rows are queried.
+///
+/// # Panics
+/// Panics if `first_query > xs.rows()`.
 pub fn attention_block<C: KvStore, L: LayerView>(
     cfg: &ModelConfig,
     weights: &L,
@@ -565,32 +573,58 @@ pub fn attention_block<C: KvStore, L: LayerView>(
     cache: &mut C,
     layer: usize,
     xs: &Matrix,
+    first_query: usize,
 ) -> Matrix {
     let block = xs.rows();
     let start = cache.len();
+    assert!(first_query <= block, "query rows start past the block");
 
-    // Project the whole block at once.
-    let mut q = weights.wq().apply_block(xs);
+    // Project, rotate and stage K/V for every position in the block.
     let mut k = weights.wk().apply_block(xs);
     let v = weights.wv().apply_block(xs);
-
-    // Rotate and stage K/V for every position in the block.
     for i in 0..block {
-        rope.apply_all_heads(q.row_mut(i), start + i);
         rope.apply_all_heads(k.row_mut(i), start + i);
         cache.write_at(layer, start + i, k.row(i), v.row(i));
     }
+    if first_query == block {
+        return Matrix::zeros(0, cfg.hidden);
+    }
 
-    // Causal attention per row: position start + i sees 0..=start + i,
-    // which includes the staged rows of this block that precede it. Keys
-    // and values are gathered once for the whole block, and the rows run
-    // the same core as [`attention_step`], in tiles of consecutive rows.
+    let mut q = if first_query == 0 {
+        weights.wq().apply_block(xs)
+    } else {
+        weights.wq().apply_block(&rows_from(xs, first_query))
+    };
+    for i in 0..q.rows() {
+        rope.apply_all_heads(q.row_mut(i), start + first_query + i);
+    }
+
+    // Causal attention per queried row: position start + i sees
+    // 0..=start + i, which includes the staged rows of this block that
+    // precede it. Keys and values are gathered once for the whole block,
+    // and the rows run the same core as [`attention_step`], in tiles of
+    // consecutive rows.
     let total = start + block;
     let kv = GatheredKv::new(cfg, cache, layer, total);
-    let mut out = Matrix::zeros(block, cfg.hidden);
-    kv.attend(simd::detect(), q.as_slice(), start + 1, out.as_mut_slice());
+    let mut out = Matrix::zeros(q.rows(), cfg.hidden);
+    kv.attend(
+        simd::detect(),
+        q.as_slice(),
+        start + first_query + 1,
+        out.as_mut_slice(),
+    );
 
     weights.wo().apply_block(&out)
+}
+
+/// Rows `first..` of `xs`, copied.
+pub(crate) fn rows_from(xs: &Matrix, first: usize) -> Matrix {
+    let cols = xs.cols();
+    Matrix::from_vec(
+        xs.rows() - first,
+        cols,
+        xs.as_slice()[first * cols..].to_vec(),
+    )
 }
 
 #[cfg(test)]
@@ -680,7 +714,9 @@ mod tests {
         // 17, 6 and 3 rows leave every remainder below a 4-row tile and
         // straddle the score kernel's 16-position lane groups; the last
         // case is a full PREFILL_BLOCK after a 76-position warm-up, the
-        // benchmark's prefix geometry.
+        // benchmark's prefix geometry. Each block is queried from its first
+        // row, from its final row alone, and from no row: the queried rows
+        // keep their bits and every row's K/V is staged either way.
         for cfg in [
             ModelConfig::tiny(32),
             ModelConfig::qwen2_like(32),
@@ -706,15 +742,21 @@ mod tests {
             for (split, block) in cases {
                 let tokens: Vec<Vec<f32>> = (0..split + block).map(token).collect();
                 let mut seq_cache = KvCache::new(cfg.n_layers, cfg.max_seq_len, kv_dim);
-                let mut blk_cache = KvCache::new(cfg.n_layers, cfg.max_seq_len, kv_dim);
+                let queries = [0, block - 1, block];
+                let mut blk_caches: Vec<KvCache> = queries
+                    .iter()
+                    .map(|_| KvCache::new(cfg.n_layers, cfg.max_seq_len, kv_dim))
+                    .collect();
 
-                // Shared warm-up prefix processed token-at-a-time in both caches.
+                // Shared warm-up prefix processed token-at-a-time in every cache.
                 for x in &tokens[..split] {
                     let a = attention_step(&cfg, &w.layers[0], &rope, &mut seq_cache, 0, x);
-                    let b = attention_step(&cfg, &w.layers[0], &rope, &mut blk_cache, 0, x);
-                    assert_eq!(a, b);
                     seq_cache.advance();
-                    blk_cache.advance();
+                    for blk_cache in &mut blk_caches {
+                        let b = attention_step(&cfg, &w.layers[0], &rope, blk_cache, 0, x);
+                        assert_eq!(a, b);
+                        blk_cache.advance();
+                    }
                 }
 
                 let seq_outs: Vec<Vec<f32>> = tokens[split..]
@@ -727,29 +769,33 @@ mod tests {
                     .collect();
 
                 let xs = Matrix::from_fn(block, cfg.hidden, |r, c| tokens[split + r][c]);
-                let blk_out = attention_block(&cfg, &w.layers[0], &rope, &mut blk_cache, 0, &xs);
-                blk_cache.advance_by(block);
-
                 let shape = format!("hidden {} heads {}", cfg.hidden, cfg.n_heads);
-                for (i, seq) in seq_outs.iter().enumerate() {
-                    assert_eq!(
-                        blk_out.row(i),
-                        seq.as_slice(),
-                        "{shape} split {split} block {block} row {i}"
-                    );
-                }
-                // Staged K/V must match what the sequential path committed.
-                for t in 0..tokens.len() {
-                    assert_eq!(
-                        seq_cache.key(0, t),
-                        blk_cache.key(0, t),
-                        "{shape} key pos {t}"
-                    );
-                    assert_eq!(
-                        seq_cache.value(0, t),
-                        blk_cache.value(0, t),
-                        "{shape} value pos {t}"
-                    );
+                for (first_query, blk_cache) in queries.into_iter().zip(&mut blk_caches) {
+                    let case = format!("{shape} split {split} block {block} from {first_query}");
+                    let blk_out =
+                        attention_block(&cfg, &w.layers[0], &rope, blk_cache, 0, &xs, first_query);
+                    blk_cache.advance_by(block);
+                    assert_eq!(blk_out.rows(), block - first_query, "{case}");
+                    for (i, seq) in seq_outs.iter().enumerate().skip(first_query) {
+                        assert_eq!(
+                            blk_out.row(i - first_query),
+                            seq.as_slice(),
+                            "{case} row {i}"
+                        );
+                    }
+                    // Staged K/V must match what the sequential path committed.
+                    for t in 0..tokens.len() {
+                        assert_eq!(
+                            seq_cache.key(0, t),
+                            blk_cache.key(0, t),
+                            "{case} key pos {t}"
+                        );
+                        assert_eq!(
+                            seq_cache.value(0, t),
+                            blk_cache.value(0, t),
+                            "{case} value pos {t}"
+                        );
+                    }
                 }
             }
         }

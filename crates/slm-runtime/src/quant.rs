@@ -11,19 +11,16 @@
 //! - [`QuantizedLM`]: a transformer that **computes in int8**. Every Q/K/V,
 //!   attention-output, FFN and LM-head projection runs the exact-integer
 //!   kernels; RoPE, softmax, RMSNorm, residuals and the KV cache stay f32.
-//!   It implements [`InferenceModel`], so blocked prefill and the paged
-//!   `KvStore` machinery from the f32 engine drive it unchanged — and
+//!   It is the f32 engine's [`Transformer`] over int8 layers, so blocked
+//!   prefill and the paged `KvStore` machinery drive it unchanged — and
 //!   because the integer accumulation is exact in a fixed order,
 //!   `(seed, config) → logits` is bitwise reproducible, same as the f32
 //!   path.
 
 use tensor::{Int8Matrix, Matrix};
 
-use crate::bpe::TokenId;
 use crate::config::{ModelConfig, Precision};
-use crate::kv::KvStore;
-use crate::model::{finish_logits_core, forward_block_core, forward_token_core, InferenceModel};
-use crate::rope::RopeTable;
+use crate::model::Transformer;
 use crate::weights::{LayerView, LayerWeights, ModelWeights};
 
 /// Quantized transformer weights: int8 projections with per-output-row
@@ -185,20 +182,12 @@ impl QuantizedWeights {
 
 /// A transformer that computes in int8.
 ///
-/// Runs the *same* shared forward cores as [`crate::model::TransformerLM`]
-/// (embedding lookup, RMSNorm, RoPE, the causal attention core, SwiGLU,
-/// residuals — all f32), but every projection goes through the exact-integer
-/// [`Int8Matrix`] kernels. Implements [`InferenceModel`], so the blocked
-/// prefill and any [`KvStore`] (contiguous or paged) work unchanged.
-#[derive(Debug, Clone)]
-pub struct QuantizedLM {
-    cfg: ModelConfig,
-    embed: Matrix,
-    layers: Vec<QuantizedLayer>,
-    final_norm: Vec<f32>,
-    lm_head: Int8Matrix,
-    rope: RopeTable,
-}
+/// The *same* [`Transformer`] as [`crate::model::TransformerLM`] (embedding
+/// lookup, RMSNorm, RoPE, the causal attention core, SwiGLU, residuals — all
+/// f32), but every projection goes through the exact-integer [`Int8Matrix`]
+/// kernels. Its config's `precision` is always [`Precision::Int8`]. The
+/// blocked prefill and any `KvStore` (contiguous or paged) work unchanged.
+pub type QuantizedLM = Transformer<QuantizedLayer>;
 
 impl QuantizedLM {
     /// Build from a config and quantized weights. The stored config's
@@ -208,19 +197,13 @@ impl QuantizedLM {
     /// # Panics
     /// Panics if the config is invalid, naming the failed constraint.
     pub fn new(cfg: ModelConfig, weights: &QuantizedWeights) -> Self {
-        if let Err(e) = cfg.validate() {
-            panic!("invalid model config: {e}");
-        }
-        let cfg = cfg.with_precision(Precision::Int8);
-        let rope = RopeTable::new(cfg.head_dim(), cfg.max_seq_len, cfg.rope_theta);
-        Self {
-            cfg,
-            embed: weights.embed.clone(),
-            layers: weights.layers.clone(),
-            final_norm: weights.final_norm.clone(),
-            lm_head: weights.lm_head.clone(),
-            rope,
-        }
+        Self::from_parts(
+            cfg.with_precision(Precision::Int8),
+            weights.embed.clone(),
+            weights.layers.clone(),
+            weights.final_norm.clone(),
+            weights.lm_head.clone(),
+        )
     }
 
     /// Convenience: calibrate-and-build from synthetic weights. Bitwise
@@ -231,44 +214,11 @@ impl QuantizedLM {
     }
 }
 
-impl InferenceModel for QuantizedLM {
-    /// Model configuration (`precision` is always [`Precision::Int8`]).
-    fn config(&self) -> &ModelConfig {
-        &self.cfg
-    }
-
-    fn forward_token<C: KvStore>(&self, token: TokenId, cache: &mut C) -> Vec<f32> {
-        let x = forward_token_core(
-            &self.cfg,
-            &self.embed,
-            &self.layers,
-            &self.rope,
-            token,
-            cache,
-        );
-        self.finish_logits(&x)
-    }
-
-    fn forward_block_states<C: KvStore>(&self, tokens: &[TokenId], cache: &mut C) -> Matrix {
-        forward_block_core(
-            &self.cfg,
-            &self.embed,
-            &self.layers,
-            &self.rope,
-            tokens,
-            cache,
-        )
-    }
-
-    fn finish_logits(&self, last_residual: &[f32]) -> Vec<f32> {
-        finish_logits_core(&self.cfg, &self.final_norm, &self.lm_head, last_residual)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::{prefill_sequential, TransformerLM};
+    use crate::bpe::TokenId;
+    use crate::model::{prefill_sequential, InferenceModel, TransformerLM};
 
     #[test]
     fn quantized_model_agrees_with_f32_on_argmax() {

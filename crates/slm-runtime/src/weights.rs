@@ -14,10 +14,11 @@ use crate::config::ModelConfig;
 
 /// Per-layer weight access, abstracted over storage precision.
 ///
-/// `attention_step`/`attention_block` and `ffn_step`/`ffn_block` are written
-/// once against this trait; the associated [`Linear`] type decides whether a
-/// projection runs the f32 kernels ([`LayerWeights`], `Lin = Matrix`) or the
-/// int8 kernels (`quant::QuantizedLayer`, `Lin = Int8Matrix`). The norm gains
+/// The engine (`model::Transformer`), `attention_step`/`attention_block` and
+/// `ffn_step`/`ffn_block` are written once against this trait; the
+/// associated [`Linear`] type decides whether a projection runs the f32
+/// kernels ([`LayerWeights`], `Lin = Matrix`) or the int8 kernels
+/// (`quant::QuantizedLayer`, `Lin = Int8Matrix`). The norm gains
 /// stay f32 in both precisions — RMSNorm is cheap and scale-sensitive.
 pub trait LayerView {
     /// Projection storage for this precision.
