@@ -631,13 +631,20 @@ pub(crate) fn rows_from(xs: &Matrix, first: usize) -> Matrix {
 mod tests {
     use super::*;
     use crate::kv::KvCache;
-    use crate::weights::ModelWeights;
-    use tensor::ops::vecmat;
+    use crate::weights::{LayerWeights, ModelWeights};
+    use tensor::PackedMatrix;
 
-    fn setup() -> (ModelConfig, ModelWeights, RopeTable) {
+    /// Layer 0 of `cfg`'s seed-7 weights, packed as the f32 engine runs it.
+    fn layer(cfg: &ModelConfig) -> LayerWeights<PackedMatrix> {
+        ModelWeights::synthetic(cfg, 7).layers[0]
+            .each_ref()
+            .map(PackedMatrix::pack)
+    }
+
+    fn setup() -> (ModelConfig, LayerWeights<PackedMatrix>, RopeTable) {
         let cfg = ModelConfig::tiny(32);
-        let w = ModelWeights::synthetic(&cfg, 7);
         let rope = RopeTable::new(cfg.head_dim(), cfg.max_seq_len, cfg.rope_theta);
+        let w = layer(&cfg);
         (cfg, w, rope)
     }
 
@@ -650,7 +657,7 @@ mod tests {
             cfg.n_kv_heads * cfg.head_dim(),
         );
         let x = vec![0.1; cfg.hidden];
-        let out = attention_step(&cfg, &w.layers[0], &rope, &mut cache, 0, &x);
+        let out = attention_step(&cfg, &w, &rope, &mut cache, 0, &x);
         assert_eq!(out.len(), cfg.hidden);
         assert!(out.iter().all(|v| v.is_finite()));
     }
@@ -666,9 +673,9 @@ mod tests {
             cfg.n_kv_heads * cfg.head_dim(),
         );
         let x: Vec<f32> = (0..cfg.hidden).map(|i| (i as f32 * 0.13).sin()).collect();
-        let out = attention_step(&cfg, &w.layers[0], &rope, &mut cache, 0, &x);
+        let out = attention_step(&cfg, &w, &rope, &mut cache, 0, &x);
 
-        let v = vecmat(&x, &w.layers[0].wv);
+        let v = w.wv.apply(&x);
         let head_dim = cfg.head_dim();
         let mut expected_pre = vec![0.0; cfg.hidden];
         for head in 0..cfg.n_heads {
@@ -676,7 +683,7 @@ mod tests {
             expected_pre[head * head_dim..(head + 1) * head_dim]
                 .copy_from_slice(&v[kv_head * head_dim..(kv_head + 1) * head_dim]);
         }
-        let expected = vecmat(&expected_pre, &w.layers[0].wo);
+        let expected = w.wo.apply(&expected_pre);
         for (g, e) in out.iter().zip(&expected) {
             assert!((g - e).abs() < 1e-5, "{g} vs {e}");
         }
@@ -691,10 +698,10 @@ mod tests {
         let run = |first: f32| {
             let mut cache = KvCache::new(cfg.n_layers, cfg.max_seq_len, kv_dim);
             let x1 = vec![first; cfg.hidden];
-            attention_step(&cfg, &w.layers[0], &rope, &mut cache, 0, &x1);
+            attention_step(&cfg, &w, &rope, &mut cache, 0, &x1);
             cache.advance();
             let x2 = vec![0.2; cfg.hidden];
-            attention_step(&cfg, &w.layers[0], &rope, &mut cache, 0, &x2)
+            attention_step(&cfg, &w, &rope, &mut cache, 0, &x2)
         };
         let a = run(0.5);
         let b = run(-0.5);
@@ -722,7 +729,7 @@ mod tests {
             ModelConfig::qwen2_like(32),
             ModelConfig::minicpm_like(32),
         ] {
-            let w = ModelWeights::synthetic(&cfg, 7);
+            let w = layer(&cfg);
             let rope = RopeTable::new(cfg.head_dim(), cfg.max_seq_len, cfg.rope_theta);
             let kv_dim = cfg.n_kv_heads * cfg.head_dim();
             let token = |t: usize| -> Vec<f32> {
@@ -750,10 +757,10 @@ mod tests {
 
                 // Shared warm-up prefix processed token-at-a-time in every cache.
                 for x in &tokens[..split] {
-                    let a = attention_step(&cfg, &w.layers[0], &rope, &mut seq_cache, 0, x);
+                    let a = attention_step(&cfg, &w, &rope, &mut seq_cache, 0, x);
                     seq_cache.advance();
                     for blk_cache in &mut blk_caches {
-                        let b = attention_step(&cfg, &w.layers[0], &rope, blk_cache, 0, x);
+                        let b = attention_step(&cfg, &w, &rope, blk_cache, 0, x);
                         assert_eq!(a, b);
                         blk_cache.advance();
                     }
@@ -762,7 +769,7 @@ mod tests {
                 let seq_outs: Vec<Vec<f32>> = tokens[split..]
                     .iter()
                     .map(|x| {
-                        let o = attention_step(&cfg, &w.layers[0], &rope, &mut seq_cache, 0, x);
+                        let o = attention_step(&cfg, &w, &rope, &mut seq_cache, 0, x);
                         seq_cache.advance();
                         o
                     })
@@ -772,8 +779,7 @@ mod tests {
                 let shape = format!("hidden {} heads {}", cfg.hidden, cfg.n_heads);
                 for (first_query, blk_cache) in queries.into_iter().zip(&mut blk_caches) {
                     let case = format!("{shape} split {split} block {block} from {first_query}");
-                    let blk_out =
-                        attention_block(&cfg, &w.layers[0], &rope, blk_cache, 0, &xs, first_query);
+                    let blk_out = attention_block(&cfg, &w, &rope, blk_cache, 0, &xs, first_query);
                     blk_cache.advance_by(block);
                     assert_eq!(blk_out.rows(), block - first_query, "{case}");
                     for (i, seq) in seq_outs.iter().enumerate().skip(first_query) {
@@ -915,8 +921,8 @@ mod tests {
         let x = vec![0.3; cfg.hidden];
         let mut c1 = KvCache::new(cfg.n_layers, cfg.max_seq_len, kv_dim);
         let mut c2 = KvCache::new(cfg.n_layers, cfg.max_seq_len, kv_dim);
-        let a = attention_step(&cfg, &w.layers[0], &rope, &mut c1, 0, &x);
-        let b = attention_step(&cfg, &w.layers[0], &rope, &mut c2, 0, &x);
+        let a = attention_step(&cfg, &w, &rope, &mut c1, 0, &x);
+        let b = attention_step(&cfg, &w, &rope, &mut c2, 0, &x);
         assert_eq!(a, b);
     }
 }

@@ -7,8 +7,10 @@
 /// `tensor::int8`). Both paths are bitwise-reproducible from `(seed, config)`;
 /// int8 trades a bounded logit perturbation (gated by the detection-AUC eval
 /// in `quant_sweep`) for 4× smaller projection weights and a GEMM that runs
-/// two `i16` multiply-adds per 32-bit lane: 1.7–3.7× the f32 GEMM's speed
-/// on this engine's shapes, whose weights all fit in L2.
+/// two `i16` multiply-adds per 32-bit lane (one `vpdpwssd` where the host
+/// has VNNI). On this engine's shapes, whose weights all fit in L2, that is
+/// about 2× the packed f32 GEMM's speed in a warm probe, and 1.4× (at
+/// `hidden = 96`) to 2.3–3.4× ([`ModelConfig::qwen2_wide`]) f32 prefill.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Precision {
     /// Full-precision f32 weights and kernels — the reference path.
@@ -96,10 +98,10 @@ impl ModelConfig {
     /// A wider Qwen2-0.5B-proportioned preset. At `hidden = 96` and below,
     /// precision-independent work caps what any GEMM optimization can show
     /// end to end: a stage-timed warm-probe forward of `qwen2_like` and
-    /// `minicpm_like` spends about 55% of its time in the f32 GEMMs, 18% in
-    /// the attention softmax, 12% in attention scores and value sum, and the
-    /// rest in K/V gathers, RoPE, SwiGLU, norms and residuals. This shape
-    /// keeps the weight GEMMs dominant — the regime every real
+    /// `minicpm_like` spends about 45% of its time in the packed f32 GEMMs,
+    /// 24% in the attention softmax, 15% in attention scores and value sum,
+    /// and the rest in K/V gathers, RoPE, SwiGLU, norms and residuals. This
+    /// shape keeps the weight GEMMs dominant — the regime every real
     /// half-billion-parameter SLM lives in — and is what the quantization
     /// benchmarks measure.
     pub fn qwen2_wide(vocab_size: usize) -> Self {

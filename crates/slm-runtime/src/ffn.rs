@@ -32,12 +32,15 @@ mod tests {
     use super::*;
     use crate::config::ModelConfig;
     use crate::weights::ModelWeights;
+    use tensor::PackedMatrix;
 
     #[test]
     fn output_dim_is_hidden() {
         let cfg = ModelConfig::tiny(32);
-        let w = ModelWeights::synthetic(&cfg, 3);
-        let out = ffn_step(&w.layers[0], &vec![0.25; cfg.hidden]);
+        let layer = ModelWeights::synthetic(&cfg, 3).layers[0]
+            .each_ref()
+            .map(PackedMatrix::pack);
+        let out = ffn_step(&layer, &vec![0.25; cfg.hidden]);
         assert_eq!(out.len(), cfg.hidden);
         assert!(out.iter().all(|v| v.is_finite()));
     }
@@ -45,8 +48,10 @@ mod tests {
     #[test]
     fn zero_input_gives_zero_output() {
         let cfg = ModelConfig::tiny(32);
-        let w = ModelWeights::synthetic(&cfg, 3);
-        let out = ffn_step(&w.layers[0], &vec![0.0; cfg.hidden]);
+        let layer = ModelWeights::synthetic(&cfg, 3).layers[0]
+            .each_ref()
+            .map(PackedMatrix::pack);
+        let out = ffn_step(&layer, &vec![0.0; cfg.hidden]);
         assert!(out.iter().all(|&v| v == 0.0));
     }
 
@@ -54,13 +59,15 @@ mod tests {
     fn is_nonlinear() {
         // f(2x) != 2 f(x) for SwiGLU
         let cfg = ModelConfig::tiny(32);
-        let w = ModelWeights::synthetic(&cfg, 3);
+        let layer = ModelWeights::synthetic(&cfg, 3).layers[0]
+            .each_ref()
+            .map(PackedMatrix::pack);
         let x: Vec<f32> = (0..cfg.hidden)
             .map(|i| ((i * 7) % 5) as f32 * 0.2 - 0.4)
             .collect();
         let x2: Vec<f32> = x.iter().map(|v| v * 2.0).collect();
-        let f1 = ffn_step(&w.layers[0], &x);
-        let f2 = ffn_step(&w.layers[0], &x2);
+        let f1 = ffn_step(&layer, &x);
+        let f2 = ffn_step(&layer, &x2);
         let linear_diff: f32 = f2.iter().zip(&f1).map(|(a, b)| (a - 2.0 * b).abs()).sum();
         assert!(linear_diff > 1e-3, "SwiGLU must not be homogeneous");
     }
@@ -75,15 +82,17 @@ mod tests {
             ModelConfig::qwen2_like(32),
             ModelConfig::minicpm_like(32),
         ] {
-            let w = ModelWeights::synthetic(&cfg, 3);
+            let layer = ModelWeights::synthetic(&cfg, 3).layers[0]
+                .each_ref()
+                .map(PackedMatrix::pack);
             let xs = Matrix::from_fn(5, cfg.hidden, |r, c| {
                 ((r * 13 + c * 7) % 19) as f32 * 0.09 - 0.8
             });
-            let blk = ffn_block(&w.layers[0], &xs);
+            let blk = ffn_block(&layer, &xs);
             for i in 0..xs.rows() {
                 assert_eq!(
                     blk.row(i),
-                    ffn_step(&w.layers[0], xs.row(i)).as_slice(),
+                    ffn_step(&layer, xs.row(i)).as_slice(),
                     "hidden {} row {i}",
                     cfg.hidden
                 );
@@ -94,8 +103,10 @@ mod tests {
     #[test]
     fn deterministic() {
         let cfg = ModelConfig::tiny(32);
-        let w = ModelWeights::synthetic(&cfg, 3);
+        let layer = ModelWeights::synthetic(&cfg, 3).layers[0]
+            .each_ref()
+            .map(PackedMatrix::pack);
         let x = vec![0.1; cfg.hidden];
-        assert_eq!(ffn_step(&w.layers[0], &x), ffn_step(&w.layers[0], &x));
+        assert_eq!(ffn_step(&layer, &x), ffn_step(&layer, &x));
     }
 }

@@ -2,7 +2,7 @@
 
 use tensor::nn::rmsnorm;
 use tensor::ops::axpy;
-use tensor::{Linear, Matrix};
+use tensor::{Linear, Matrix, PackedMatrix};
 
 use crate::attention::{attention_block, attention_step, rows_from};
 use crate::bpe::TokenId;
@@ -162,8 +162,8 @@ pub fn prefill_sequential<M: InferenceModel, C: KvStore>(
 /// A runnable transformer LM: config, weights in the layer layout `L`, and
 /// RoPE tables. [`TransformerLM`] computes in f32 and
 /// [`crate::quant::QuantizedLM`] in int8: both are this one
-/// [`InferenceModel`] implementation and differ only in the [`LayerView`]
-/// projections.
+/// [`InferenceModel`] implementation over [`LayerWeights`] and differ only
+/// in the projection type.
 #[derive(Debug, Clone)]
 pub struct Transformer<L: LayerView> {
     cfg: ModelConfig,
@@ -174,12 +174,14 @@ pub struct Transformer<L: LayerView> {
     rope: RopeTable,
 }
 
-/// The f32 transformer LM.
-pub type TransformerLM = Transformer<LayerWeights>;
+/// The f32 transformer LM: every projection a [`PackedMatrix`].
+pub type TransformerLM = Transformer<LayerWeights<PackedMatrix>>;
 
 impl TransformerLM {
     /// Assemble a model. The weights must match `cfg`'s shapes (they do by
-    /// construction when built with [`ModelWeights::synthetic`]).
+    /// construction when built with [`ModelWeights::synthetic`]). Each f32
+    /// projection is packed and dropped in turn, so the packed weights
+    /// replace the row-major ones rather than sitting beside them.
     ///
     /// # Panics
     /// Panics if the config is invalid, naming the failed constraint.
@@ -190,7 +192,9 @@ impl TransformerLM {
             final_norm,
             lm_head,
         } = weights;
-        Self::from_parts(cfg, embed, layers, final_norm, lm_head)
+        let pack = |w: Matrix| PackedMatrix::pack(&w);
+        let layers = layers.into_iter().map(|l| l.map(pack)).collect();
+        Self::from_parts(cfg, embed, layers, final_norm, pack(lm_head))
     }
 
     /// Convenience: synthetic weights from a seed.
@@ -538,16 +542,16 @@ mod tests {
         assert_eq!(scratch, via_fork);
     }
 
-    /// A projection that counts the activation rows it projects.
+    /// A packed f32 projection that counts the activation rows it projects.
     struct Counted {
-        w: Matrix,
+        w: PackedMatrix,
         rows: Cell<usize>,
     }
 
     impl Counted {
         fn new(w: Matrix) -> Self {
             Self {
-                w,
+                w: PackedMatrix::pack(&w),
                 rows: Cell::new(0),
             }
         }
@@ -570,51 +574,12 @@ mod tests {
         }
     }
 
-    /// f32 layer weights behind counting projections.
-    struct CountedLayer {
-        w: [Counted; 7],
-        attn_norm: Vec<f32>,
-        ffn_norm: Vec<f32>,
-    }
-
-    impl LayerView for CountedLayer {
-        type Lin = Counted;
-
-        fn wq(&self) -> &Counted {
-            &self.w[0]
-        }
-        fn wk(&self) -> &Counted {
-            &self.w[1]
-        }
-        fn wv(&self) -> &Counted {
-            &self.w[2]
-        }
-        fn wo(&self) -> &Counted {
-            &self.w[3]
-        }
-        fn w_gate(&self) -> &Counted {
-            &self.w[4]
-        }
-        fn w_up(&self) -> &Counted {
-            &self.w[5]
-        }
-        fn w_down(&self) -> &Counted {
-            &self.w[6]
-        }
-        fn attn_norm(&self) -> &[f32] {
-            &self.attn_norm
-        }
-        fn ffn_norm(&self) -> &[f32] {
-            &self.ffn_norm
-        }
-    }
-
     /// Rows each layer projected since the last call, in `wq, wk, wv, wo,
     /// w_gate, w_up, w_down` order; the counters restart at zero.
-    fn projected_rows(m: &Transformer<CountedLayer>) -> Vec<[usize; 7]> {
+    fn projected_rows(m: &Transformer<LayerWeights<Counted>>) -> Vec<[usize; 7]> {
         m.layers
             .iter()
-            .map(|l| l.w.each_ref().map(|w| w.rows.replace(0)))
+            .map(|l| l.projections().map(|w| w.rows.replace(0)))
             .collect()
     }
 
@@ -627,15 +592,7 @@ mod tests {
         let cfg = ModelConfig::tiny(48);
         let w = ModelWeights::synthetic(&cfg, 11);
         let reference = TransformerLM::new(cfg.clone(), w.clone());
-        let layers = w
-            .layers
-            .into_iter()
-            .map(|l| CountedLayer {
-                w: [l.wq, l.wk, l.wv, l.wo, l.w_gate, l.w_up, l.w_down].map(Counted::new),
-                attn_norm: l.attn_norm,
-                ffn_norm: l.ffn_norm,
-            })
-            .collect();
+        let layers = w.layers.into_iter().map(|l| l.map(Counted::new)).collect();
         let m =
             Transformer::from_parts(cfg, w.embed, layers, w.final_norm, Counted::new(w.lm_head));
         let n = 130;

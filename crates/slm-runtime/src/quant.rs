@@ -21,7 +21,7 @@ use tensor::{Int8Matrix, Matrix};
 
 use crate::config::{ModelConfig, Precision};
 use crate::model::Transformer;
-use crate::weights::{LayerView, LayerWeights, ModelWeights};
+use crate::weights::{LayerWeights, ModelWeights};
 
 /// Quantized transformer weights: int8 projections with per-output-row
 /// scales, everything else f32.
@@ -29,55 +29,9 @@ use crate::weights::{LayerView, LayerWeights, ModelWeights};
 pub struct QuantizedWeights {
     /// Embedding stays f32 (it is read row-wise, not multiplied).
     pub embed: Matrix,
-    layers: Vec<QuantizedLayer>,
+    layers: Vec<LayerWeights<Int8Matrix>>,
     final_norm: Vec<f32>,
     lm_head: Int8Matrix,
-}
-
-/// One transformer block's weights in the int8 layout. Norm gains stay f32.
-#[derive(Debug, Clone)]
-pub struct QuantizedLayer {
-    wq: Int8Matrix,
-    wk: Int8Matrix,
-    wv: Int8Matrix,
-    wo: Int8Matrix,
-    w_gate: Int8Matrix,
-    w_up: Int8Matrix,
-    w_down: Int8Matrix,
-    attn_norm: Vec<f32>,
-    ffn_norm: Vec<f32>,
-}
-
-impl LayerView for QuantizedLayer {
-    type Lin = Int8Matrix;
-
-    fn wq(&self) -> &Int8Matrix {
-        &self.wq
-    }
-    fn wk(&self) -> &Int8Matrix {
-        &self.wk
-    }
-    fn wv(&self) -> &Int8Matrix {
-        &self.wv
-    }
-    fn wo(&self) -> &Int8Matrix {
-        &self.wo
-    }
-    fn w_gate(&self) -> &Int8Matrix {
-        &self.w_gate
-    }
-    fn w_up(&self) -> &Int8Matrix {
-        &self.w_up
-    }
-    fn w_down(&self) -> &Int8Matrix {
-        &self.w_down
-    }
-    fn attn_norm(&self) -> &[f32] {
-        &self.attn_norm
-    }
-    fn ffn_norm(&self) -> &[f32] {
-        &self.ffn_norm
-    }
 }
 
 impl QuantizedWeights {
@@ -90,17 +44,7 @@ impl QuantizedWeights {
             layers: w
                 .layers
                 .iter()
-                .map(|l| QuantizedLayer {
-                    wq: Int8Matrix::calibrate(&l.wq),
-                    wk: Int8Matrix::calibrate(&l.wk),
-                    wv: Int8Matrix::calibrate(&l.wv),
-                    wo: Int8Matrix::calibrate(&l.wo),
-                    w_gate: Int8Matrix::calibrate(&l.w_gate),
-                    w_up: Int8Matrix::calibrate(&l.w_up),
-                    w_down: Int8Matrix::calibrate(&l.w_down),
-                    attn_norm: l.attn_norm.clone(),
-                    ffn_norm: l.ffn_norm.clone(),
-                })
+                .map(|l| l.each_ref().map(Int8Matrix::calibrate))
                 .collect(),
             final_norm: w.final_norm.clone(),
             lm_head: Int8Matrix::calibrate(&w.lm_head),
@@ -115,17 +59,7 @@ impl QuantizedWeights {
             layers: self
                 .layers
                 .iter()
-                .map(|l| LayerWeights {
-                    wq: l.wq.dequantize(),
-                    wk: l.wk.dequantize(),
-                    wv: l.wv.dequantize(),
-                    wo: l.wo.dequantize(),
-                    w_gate: l.w_gate.dequantize(),
-                    w_up: l.w_up.dequantize(),
-                    w_down: l.w_down.dequantize(),
-                    attn_norm: l.attn_norm.clone(),
-                    ffn_norm: l.ffn_norm.clone(),
-                })
+                .map(|l| l.each_ref().map(Int8Matrix::dequantize))
                 .collect(),
             final_norm: self.final_norm.clone(),
             lm_head: self.lm_head.dequantize(),
@@ -136,19 +70,7 @@ impl QuantizedWeights {
     /// scales (embedding excluded — it is shared with the f32 representation
     /// and never quantized).
     pub fn quantized_bytes(&self) -> usize {
-        self.layers
-            .iter()
-            .map(|l| {
-                l.wq.memory_bytes()
-                    + l.wk.memory_bytes()
-                    + l.wv.memory_bytes()
-                    + l.wo.memory_bytes()
-                    + l.w_gate.memory_bytes()
-                    + l.w_up.memory_bytes()
-                    + l.w_down.memory_bytes()
-            })
-            .sum::<usize>()
-            + self.lm_head.memory_bytes()
+        self.projections().map(Int8Matrix::memory_bytes).sum()
     }
 
     /// Total resident storage of this representation: the quantized
@@ -171,12 +93,17 @@ impl QuantizedWeights {
     /// statistic `quant_sweep` reports for the calibration pass (big scales
     /// mean coarse quantization steps and hence larger worst-case error).
     pub fn max_weight_scale(&self) -> f32 {
+        self.projections()
+            .map(Int8Matrix::max_scale)
+            .fold(0.0f32, f32::max)
+    }
+
+    /// Every int8 projection: each layer's seven, then the LM head.
+    fn projections(&self) -> impl Iterator<Item = &Int8Matrix> {
         self.layers
             .iter()
-            .flat_map(|l| [&l.wq, &l.wk, &l.wv, &l.wo, &l.w_gate, &l.w_up, &l.w_down])
+            .flat_map(LayerWeights::projections)
             .chain(std::iter::once(&self.lm_head))
-            .map(|m| m.max_scale())
-            .fold(0.0f32, f32::max)
     }
 }
 
@@ -187,7 +114,7 @@ impl QuantizedWeights {
 /// f32), but every projection goes through the exact-integer [`Int8Matrix`]
 /// kernels. Its config's `precision` is always [`Precision::Int8`]. The
 /// blocked prefill and any `KvStore` (contiguous or paged) work unchanged.
-pub type QuantizedLM = Transformer<QuantizedLayer>;
+pub type QuantizedLM = Transformer<LayerWeights<Int8Matrix>>;
 
 impl QuantizedLM {
     /// Build from a config and quantized weights. The stored config's

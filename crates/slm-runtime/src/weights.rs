@@ -16,10 +16,10 @@ use crate::config::ModelConfig;
 ///
 /// The engine (`model::Transformer`), `attention_step`/`attention_block` and
 /// `ffn_step`/`ffn_block` are written once against this trait; the
-/// associated [`Linear`] type decides whether a projection runs the f32
-/// kernels ([`LayerWeights`], `Lin = Matrix`) or the int8 kernels
-/// (`quant::QuantizedLayer`, `Lin = Int8Matrix`). The norm gains
-/// stay f32 in both precisions — RMSNorm is cheap and scale-sensitive.
+/// associated [`Linear`] type decides whether a projection runs the packed
+/// f32 kernel (`LayerWeights<PackedMatrix>`) or the int8 kernels
+/// (`LayerWeights<Int8Matrix>`). The norm gains stay f32 in both
+/// precisions — RMSNorm is cheap and scale-sensitive.
 pub trait LayerView {
     /// Projection storage for this precision.
     type Lin: Linear;
@@ -44,51 +44,116 @@ pub trait LayerView {
     fn ffn_norm(&self) -> &[f32];
 }
 
-/// Weights of a single transformer block.
+/// Weights of a single transformer block, its seven projections stored as
+/// `W`: row-major f32 [`Matrix`]es as built, saved and loaded, the packed
+/// [`tensor::PackedMatrix`] in the f32 engine, [`tensor::Int8Matrix`] in
+/// the int8 one. Each projection is `in × out`, applied as `x^T · W`.
 #[derive(Debug, Clone)]
-pub struct LayerWeights {
-    /// Query projection, `hidden × hidden` (applied as `x^T · W`).
-    pub wq: Matrix,
+pub struct LayerWeights<W = Matrix> {
+    /// Query projection, `hidden × hidden`.
+    pub wq: W,
     /// Key projection, `hidden × kv_dim`.
-    pub wk: Matrix,
+    pub wk: W,
     /// Value projection, `hidden × kv_dim`.
-    pub wv: Matrix,
+    pub wv: W,
     /// Output projection, `hidden × hidden`.
-    pub wo: Matrix,
+    pub wo: W,
     /// SwiGLU gate projection, `hidden × ffn_hidden`.
-    pub w_gate: Matrix,
+    pub w_gate: W,
     /// SwiGLU up projection, `hidden × ffn_hidden`.
-    pub w_up: Matrix,
+    pub w_up: W,
     /// SwiGLU down projection, `ffn_hidden × hidden`.
-    pub w_down: Matrix,
+    pub w_down: W,
     /// RMSNorm gain before attention.
     pub attn_norm: Vec<f32>,
     /// RMSNorm gain before the FFN.
     pub ffn_norm: Vec<f32>,
 }
 
-impl LayerView for LayerWeights {
-    type Lin = Matrix;
+impl<W> LayerWeights<W> {
+    /// The seven projections, in `wq, wk, wv, wo, w_gate, w_up, w_down`
+    /// order.
+    pub fn projections(&self) -> [&W; 7] {
+        [
+            &self.wq,
+            &self.wk,
+            &self.wv,
+            &self.wo,
+            &self.w_gate,
+            &self.w_up,
+            &self.w_down,
+        ]
+    }
 
-    fn wq(&self) -> &Matrix {
+    /// This layer with `f` applied to each projection, one at a time in
+    /// [`LayerWeights::projections`] order; the norm gains carry over.
+    /// Packing, quantizing and dequantizing a layer are this map.
+    pub fn map<V>(self, f: impl FnMut(W) -> V) -> LayerWeights<V> {
+        let Self {
+            wq,
+            wk,
+            wv,
+            wo,
+            w_gate,
+            w_up,
+            w_down,
+            attn_norm,
+            ffn_norm,
+        } = self;
+        let [wq, wk, wv, wo, w_gate, w_up, w_down] = [wq, wk, wv, wo, w_gate, w_up, w_down].map(f);
+        LayerWeights {
+            wq,
+            wk,
+            wv,
+            wo,
+            w_gate,
+            w_up,
+            w_down,
+            attn_norm,
+            ffn_norm,
+        }
+    }
+
+    /// This layer's projections borrowed and its norm gains copied, so
+    /// `layer.each_ref().map(f)` maps a layer the caller keeps.
+    pub fn each_ref(&self) -> LayerWeights<&W> {
+        let [wq, wk, wv, wo, w_gate, w_up, w_down] = self.projections();
+        LayerWeights {
+            wq,
+            wk,
+            wv,
+            wo,
+            w_gate,
+            w_up,
+            w_down,
+            attn_norm: self.attn_norm.clone(),
+            ffn_norm: self.ffn_norm.clone(),
+        }
+    }
+}
+
+impl<W: Linear> LayerView for LayerWeights<W> {
+    type Lin = W;
+
+    fn wq(&self) -> &W {
         &self.wq
     }
-    fn wk(&self) -> &Matrix {
+    fn wk(&self) -> &W {
         &self.wk
     }
-    fn wv(&self) -> &Matrix {
+    fn wv(&self) -> &W {
         &self.wv
     }
-    fn wo(&self) -> &Matrix {
+    fn wo(&self) -> &W {
         &self.wo
     }
-    fn w_gate(&self) -> &Matrix {
+    fn w_gate(&self) -> &W {
         &self.w_gate
     }
-    fn w_up(&self) -> &Matrix {
+    fn w_up(&self) -> &W {
         &self.w_up
     }
-    fn w_down(&self) -> &Matrix {
+    fn w_down(&self) -> &W {
         &self.w_down
     }
     fn attn_norm(&self) -> &[f32] {
@@ -151,13 +216,10 @@ impl ModelWeights {
             .layers
             .iter()
             .map(|l| {
-                l.wq.rows() * l.wq.cols()
-                    + l.wk.rows() * l.wk.cols()
-                    + l.wv.rows() * l.wv.cols()
-                    + l.wo.rows() * l.wo.cols()
-                    + l.w_gate.rows() * l.w_gate.cols()
-                    + l.w_up.rows() * l.w_up.cols()
-                    + l.w_down.rows() * l.w_down.cols()
+                l.projections()
+                    .iter()
+                    .map(|w| w.rows() * w.cols())
+                    .sum::<usize>()
                     + l.attn_norm.len()
                     + l.ffn_norm.len()
             })

@@ -34,7 +34,10 @@
 //! lanes span output channels: per input pair it sign-extends one 32-byte
 //! panel row, broadcasts the activation pair `(a[2p], a[2p+1])` as one
 //! 32-bit value, and `pmaddwd` adds both products into each output's own
-//! `i32` lane, so no horizontal reduction is left anywhere. A register tile
+//! `i32` lane, so no horizontal reduction is left anywhere. Where the host
+//! reports VNNI ([`crate::simd::Detected::vnni`]), one `vpdpwssd` replaces
+//! the `pmaddwd` and the `paddd` that adds it to the accumulator, with the
+//! same integers. A register tile
 //! of activation rows × panels reuses each weight row across rows and each
 //! broadcast across panels. Each call quantizes its activation rows once, at
 //! the host's SIMD level, into an `i16` buffer the tiles read.
@@ -267,11 +270,18 @@ fn rescale<const P: usize>(
 fn gemm_at(level: SimdLevel, m: &Int8Matrix, a: &[i16], sxs: &[f32], j0: usize, out: &mut [f32]) {
     match level {
         // SAFETY: an Avx512 level carries the `simd` module's proof that
-        // the CPU reported avx512f and avx512bw.
+        // the CPU reported avx512f and avx512bw, and with VNNI avx512vnni
+        // too.
+        #[cfg(target_arch = "x86_64")]
+        SimdLevel::Avx512(d) if d.vnni() => unsafe { x86::gemm_avx512_vnni(m, a, sxs, j0, out) },
+        // SAFETY: as above, without VNNI.
         #[cfg(target_arch = "x86_64")]
         SimdLevel::Avx512(_) => unsafe { x86::gemm_avx512(m, a, sxs, j0, out) },
         // SAFETY: an Avx2 level carries the `simd` module's proof that the
-        // CPU reported avx2.
+        // CPU reported avx2, and with VNNI avxvnni too.
+        #[cfg(target_arch = "x86_64")]
+        SimdLevel::Avx2(d) if d.vnni() => unsafe { x86::gemm_avx2_vnni(m, a, sxs, j0, out) },
+        // SAFETY: as above, without VNNI.
         #[cfg(target_arch = "x86_64")]
         SimdLevel::Avx2(_) => unsafe { x86::gemm_avx2(m, a, sxs, j0, out) },
         // SAFETY: the baseline accumulators use only the target's baseline
@@ -285,9 +295,9 @@ use x86::Baseline;
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    //! The AVX-512BW, AVX2 and SSE2 accumulators of the GEMM and the
-    //! AVX-512F and AVX2 activation quantizers. Nothing here uses
-    //! AVX-512VL, which the `simd` module's detection does not cover.
+    //! The AVX-512BW, AVX2 and SSE2 accumulators of the GEMM, their VNNI
+    //! forms, and the AVX-512F and AVX2 activation quantizers. Nothing here
+    //! uses AVX-512VL, which the `simd` module's detection does not cover.
 
     use std::arch::x86_64::*;
 
@@ -303,6 +313,22 @@ mod x86 {
         }
     }
 
+    /// The AVX-512 VNNI accumulators: `vpdpwssd` adds both products of
+    /// each lane to it in one instruction. The sums are exact, so they are
+    /// the integers `pmaddwd` + `paddd` produce.
+    #[derive(Clone, Copy)]
+    #[repr(transparent)]
+    pub struct Vnni512(__m512i);
+
+    // SAFETY: one zmm is 16 `i32` lanes, lane `jj` in memory order.
+    unsafe impl PanelAcc for Vnni512 {
+        #[inline(always)]
+        unsafe fn madd(self, w: &[i8; PANEL_ROW], pair: i32) -> Self {
+            let w = _mm512_cvtepi8_epi16(_mm256_loadu_si256(w.as_ptr().cast()));
+            Self(_mm512_dpwssd_epi32(self.0, w, _mm512_set1_epi32(pair)))
+        }
+    }
+
     // SAFETY: two ymm are 16 `i32` lanes, outputs 0–7 then 8–15.
     unsafe impl PanelAcc for [__m256i; 2] {
         /// Each ymm takes one 16-byte half of the panel row.
@@ -312,6 +338,23 @@ mod x86 {
                 let w = _mm256_cvtepi8_epi16(_mm_loadu_si128(w[16 * h..].as_ptr().cast()));
                 _mm256_add_epi32(self[h], _mm256_madd_epi16(w, _mm256_set1_epi32(pair)))
             })
+        }
+    }
+
+    /// The AVX-VNNI accumulators: the VEX `vpdpwssd` on each ymm half of
+    /// the `[__m256i; 2]` layout.
+    #[derive(Clone, Copy)]
+    #[repr(transparent)]
+    pub struct Vnni256([__m256i; 2]);
+
+    // SAFETY: two ymm are 16 `i32` lanes, outputs 0–7 then 8–15.
+    unsafe impl PanelAcc for Vnni256 {
+        #[inline(always)]
+        unsafe fn madd(self, w: &[i8; PANEL_ROW], pair: i32) -> Self {
+            Self([0, 1].map(|h| {
+                let w = _mm256_cvtepi8_epi16(_mm_loadu_si128(w[16 * h..].as_ptr().cast()));
+                _mm256_dpwssd_avx_epi32(self.0[h], w, _mm256_set1_epi32(pair))
+            }))
         }
     }
 
@@ -341,11 +384,25 @@ mod x86 {
         unsafe { gemm_body::<__m512i, 4, 4>(m, a, sxs, j0, out) }
     }
 
+    #[target_feature(enable = "avx512f,avx512bw,avx512vnni")]
+    pub fn gemm_avx512_vnni(m: &Int8Matrix, a: &[i16], sxs: &[f32], j0: usize, out: &mut [f32]) {
+        // SAFETY: this instantiation enables avx512f, avx512bw and
+        // avx512vnni, every instruction the `Vnni512` accumulators use.
+        unsafe { gemm_body::<Vnni512, 4, 4>(m, a, sxs, j0, out) }
+    }
+
     #[target_feature(enable = "avx2")]
     pub fn gemm_avx2(m: &Int8Matrix, a: &[i16], sxs: &[f32], j0: usize, out: &mut [f32]) {
         // SAFETY: this instantiation enables avx2, every instruction the
         // `[__m256i; 2]` accumulators use.
         unsafe { gemm_body::<[__m256i; 2], 4, 1>(m, a, sxs, j0, out) }
+    }
+
+    #[target_feature(enable = "avx2,avxvnni")]
+    pub fn gemm_avx2_vnni(m: &Int8Matrix, a: &[i16], sxs: &[f32], j0: usize, out: &mut [f32]) {
+        // SAFETY: this instantiation enables avx2 and avxvnni, every
+        // instruction the `Vnni256` accumulators use.
+        unsafe { gemm_body::<Vnni256, 4, 1>(m, a, sxs, j0, out) }
     }
 
     /// The activation quantizer at AVX-512F, 16 lanes per step. The lane max
@@ -443,8 +500,8 @@ pub struct Int8Matrix {
 
 impl Int8Matrix {
     /// Calibration pass: pick per-output scales from the f32 weights and
-    /// quantize. `w` is the logical `in × out` matrix (the same orientation
-    /// `ops::vecmat` consumes).
+    /// quantize. `w` is the logical `in × out` matrix (the orientation
+    /// [`crate::PackedMatrix::pack`] takes).
     pub fn calibrate(w: &Matrix) -> Self {
         let (in_features, out_features) = (w.rows(), w.cols());
         let scales: Vec<f32> = (0..out_features)
@@ -535,8 +592,12 @@ impl Int8Matrix {
     /// # Panics
     /// Panics if `x.len() != in_features`.
     pub fn apply_parallel(&self, x: &[f32], threads: usize) -> Vec<f32> {
+        self.parallel_at(simd::detect(), x, threads)
+    }
+
+    /// [`Int8Matrix::apply_parallel`] at `level`.
+    fn parallel_at(&self, level: SimdLevel, x: &[f32], threads: usize) -> Vec<f32> {
         self.check_in(x.len());
-        let level = simd::detect();
         let (a, sxs) = self.stage(level, std::iter::once(x));
         let mut out = vec![0.0f32; self.out_features];
         let panels = self.out_features.div_ceil(PANEL);
@@ -600,7 +661,7 @@ impl Linear for Int8Matrix {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ops::vecmat;
+    use crate::ops::PackedMatrix;
 
     fn pseudo_matrix(rows: usize, cols: usize, seed: u64) -> Matrix {
         let mut s = seed.wrapping_mul(0x9e3779b97f4a7c15).wrapping_add(1);
@@ -678,7 +739,7 @@ mod tests {
         let w = pseudo_matrix(64, 48, 11);
         let q = Int8Matrix::calibrate(&w);
         let x = pseudo_vec(64, 5);
-        let exact = vecmat(&x, &w);
+        let exact = PackedMatrix::pack(&w).apply(&x);
         let approx = Linear::apply(&q, &x);
         let spread = exact.iter().fold(0.0f32, |m, v| m.max(v.abs())).max(1e-6);
         for (a, b) in exact.iter().zip(&approx) {
@@ -821,17 +882,21 @@ mod tests {
     #[test]
     fn parallel_bit_identical_to_serial_for_all_thread_counts() {
         // 1322 outputs (the benchmark's vocabulary) end in a partial panel.
+        // Every level, VNNI and plain, on every thread count, against the
+        // one-thread product at the detected level.
         for (k, n) in [(96, 512), (96, 1322)] {
             let w = pseudo_matrix(k, n, 17);
             let q = Int8Matrix::calibrate(&w);
             let x = pseudo_vec(k, 19);
             let serial = Linear::apply(&q, &x);
-            for threads in [1, 2, 3, 5, 8] {
-                assert_eq!(
-                    q.apply_parallel(&x, threads),
-                    serial,
-                    "thread count {threads} changed int8 lm_head bits ({k}x{n})"
-                );
+            for level in simd::supported() {
+                for threads in [1, 2, 3, 5, 8] {
+                    assert_eq!(
+                        q.parallel_at(level, &x, threads),
+                        serial,
+                        "{level:?} on {threads} threads changed int8 lm_head bits ({k}x{n})"
+                    );
+                }
             }
         }
     }
@@ -888,7 +953,7 @@ mod tests {
             let w = pseudo_matrix(rows, cols, seed);
             let q = Int8Matrix::calibrate(&w);
             let x = pseudo_vec(rows, seed.wrapping_add(101));
-            let exact = vecmat(&x, &w);
+            let exact = PackedMatrix::pack(&w).apply(&x);
             let approx = Linear::apply(&q, &x);
             let spread = exact.iter().fold(0.0f32, |m, v| m.max(v.abs())).max(1e-3);
             for (a, b) in exact.iter().zip(&approx) {

@@ -2,10 +2,12 @@
 //!
 //! Minimal dense linear-algebra substrate for the from-scratch transformer
 //! inference engine (`slm-runtime`). Deliberately small: row-major `f32`
-//! matrices, a handful of BLAS-like kernels (register-tiled matmul, matvec),
-//! the int8 projection kernels, the runtime SIMD-level detection they share
-//! ([`simd`]), and the neural-network primitives a decoder-only transformer
-//! needs (stable softmax, RMSNorm, LayerNorm, GELU/SiLU).
+//! matrices, the two projection formats the engine multiplies by (the
+//! panel-packed f32 [`PackedMatrix`] and the int8 [`Int8Matrix`]), a few
+//! BLAS-like helpers (matvec, dot, axpy), the runtime SIMD-level detection
+//! the kernels share ([`simd`]), and the neural-network primitives a
+//! decoder-only transformer needs (stable softmax, RMSNorm, LayerNorm,
+//! GELU/SiLU).
 //!
 //! Everything is CPU, single-threaded and allocation-conscious: the hot paths
 //! take output buffers so the inference loop can reuse scratch memory.
@@ -22,4 +24,5 @@ pub mod view;
 pub use int8::Int8Matrix;
 pub use linear::Linear;
 pub use matrix::Matrix;
+pub use ops::PackedMatrix;
 pub use view::{StridedRows, StridedRowsMut};

@@ -2,13 +2,13 @@
 //!
 //! The transformer applies eight weight matrices per layer stack (Q/K/V,
 //! attention output, SwiGLU gate/up/down, LM head). The attention and FFN
-//! code is written once against this trait, so swapping f32 weights for the
-//! int8 representation ([`crate::int8::Int8Matrix`]) swaps *only* the GEMM
-//! kernel — the softmax/RoPE/residual arithmetic around it is shared code,
-//! which is what makes the quantized engine's parity argument small.
+//! code is written once against this trait, so swapping the packed f32
+//! weights ([`crate::ops::PackedMatrix`]) for the int8 representation
+//! ([`crate::int8::Int8Matrix`]) swaps *only* the GEMM kernel — the
+//! softmax/RoPE/residual arithmetic around it is shared code, which is what
+//! makes the quantized engine's parity argument small.
 
 use crate::matrix::Matrix;
-use crate::ops::{matmul, vecmat};
 
 /// A linear map `R^in → R^out` applied as `x^T · W`, in vector-at-a-time and
 /// block (multi-row GEMM) forms.
@@ -39,48 +39,18 @@ pub trait Linear {
     }
 }
 
-impl Linear for Matrix {
-    fn in_features(&self) -> usize {
-        self.rows()
-    }
-
-    fn out_features(&self) -> usize {
-        self.cols()
-    }
-
-    fn apply(&self, x: &[f32]) -> Vec<f32> {
-        vecmat(x, self)
-    }
-
-    fn apply_block(&self, xs: &Matrix) -> Matrix {
-        matmul(xs, self)
-    }
-
-    fn apply_parallel(&self, x: &[f32], threads: usize) -> Vec<f32> {
-        crate::ops::vecmat_parallel(x, self, threads)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn matrix_linear_matches_free_kernels() {
-        let m = Matrix::from_fn(6, 4, |r, c| ((r * 7 + c * 3) % 11) as f32 * 0.3 - 1.2);
-        let x: Vec<f32> = (0..6).map(|i| ((i * 5) % 7) as f32 * 0.25 - 0.8).collect();
-        assert_eq!(Linear::apply(&m, &x), vecmat(&x, &m));
-        let xs = Matrix::from_fn(3, 6, |r, c| ((r * 13 + c) % 9) as f32 * 0.2 - 0.7);
-        assert_eq!(Linear::apply_block(&m, &xs), matmul(&xs, &m));
-        assert_eq!(m.in_features(), 6);
-        assert_eq!(m.out_features(), 4);
-    }
+    use crate::ops::PackedMatrix;
 
     #[test]
     fn block_rows_match_single_rows() {
         let m = Matrix::from_fn(5, 9, |r, c| ((r * 17 + c * 5) % 13) as f32 * 0.11 - 0.6);
+        let m = PackedMatrix::pack(&m);
         let xs = Matrix::from_fn(4, 5, |r, c| ((r * 3 + c * 7) % 8) as f32 * 0.4 - 1.1);
         let blk = Linear::apply_block(&m, &xs);
+        assert_eq!((m.in_features(), m.out_features()), (5, 9));
         for i in 0..xs.rows() {
             assert_eq!(
                 blk.row(i),

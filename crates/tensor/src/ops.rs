@@ -1,79 +1,397 @@
-//! BLAS-like kernels: matmul, matvec, axpy.
+//! BLAS-like kernels: the packed f32 projection GEMM, matvec, axpy.
 //!
-//! The f32 GEMM ([`matmul_into`]) and [`vecmat`] run at the widest SIMD
-//! level the host supports ([`crate::simd`]). Their lanes span only
+//! [`PackedMatrix`] is the engine's f32 projection: its weights are packed
+//! once into 32-column panels, and its one GEMM runs at the widest SIMD
+//! level the host supports ([`crate::simd`]). Its lanes span only
 //! independent outputs, the columns of `C`: every output element still
 //! accumulates its `k` products one at a time, multiply then add (never
-//! fused), in ascending `k`, with zero activations skipped. So every level
-//! and every tile shape produces the same bits, and `matmul` row `i` equals
-//! `vecmat` of row `i` of `A`.
+//! fused), in ascending `k`, with zero activations skipped. So every level,
+//! tile shape and thread split produces the same bits, and `apply_block`
+//! row `i` equals `apply` of row `i` of `A`.
 
+use crate::linear::Linear;
 use crate::matrix::Matrix;
 use crate::simd::{self, SimdLevel};
+
+/// Output columns per weight panel: two AVX-512 vectors.
+const PANEL: usize = 32;
 
 /// Rows of `A` per register tile of the GEMM.
 const TILE_ROWS: usize = 4;
 
+/// Column slices a lone row walks at once, so it keeps as many independent
+/// accumulators in flight as a tile of [`TILE_ROWS`] rows does.
+const ROW_SLICES: usize = 4;
+
 /// Minimum number of multiply-accumulate terms (`rows * cols`) before
-/// [`vecmat_parallel`] or [`crate::Int8Matrix::apply_parallel`] spawns
-/// threads. Below this, thread spawn + join costs more than the whole
-/// product (measured ~15-30 µs spawn overhead per thread vs ~10 µs for a
-/// 32k-element serial vecmat); the serial path is returned instead, which is
-/// bit-identical anyway.
+/// [`Linear::apply_parallel`] of a [`PackedMatrix`] or an
+/// [`crate::Int8Matrix`] spawns threads. Below this, thread spawn + join
+/// costs more than the whole product (measured ~15-30 µs spawn overhead per
+/// thread vs ~10 µs for a 32k-element serial vecmat); the serial path is
+/// returned instead, which is bit-identical anyway.
 pub const VECMAT_PARALLEL_MIN_WORK: usize = 32 * 1024;
 
-/// `C = A · B`.
+/// An `in × out` f32 projection packed for the GEMM, applied as
+/// `y = x^T · W`.
 ///
-/// # Panics
-/// Panics if `a.cols() != b.rows()`.
-pub fn matmul(a: &Matrix, b: &Matrix) -> Matrix {
-    assert_eq!(
-        a.cols(),
-        b.rows(),
-        "matmul shape mismatch: {}x{} · {}x{}",
-        a.rows(),
-        a.cols(),
-        b.rows(),
-        b.cols()
-    );
-    let mut c = Matrix::zeros(a.rows(), b.cols());
-    matmul_into(a, b, &mut c);
-    c
+/// Panel `q` holds output columns `32q..32q + 32` of every input row: `in`
+/// rows of 32 contiguous floats, so a register tile streams one contiguous
+/// block instead of rows `out` floats apart. Columns past `out` in the last
+/// panel are zero, and a call writes only the columns it owns.
+///
+/// Each call tests every activation row once for a ±0.0 (`== 0.0`, the
+/// skip's own test, so −0.0 counts and NaN does not). A tile of rows that
+/// holds none accumulates with no per-element test; any other tile, and
+/// each leftover row, skips zero activations one by one. The two perform
+/// the same operations whenever no row holds a zero, so every output is the
+/// textbook loop's bits either way.
+#[derive(Clone, Debug, PartialEq)]
+pub struct PackedMatrix {
+    in_features: usize,
+    out_features: usize,
+    /// `⌈out / 32⌉` panels of `in` rows, zero-padded (see the type docs).
+    panels: Vec<[f32; PANEL]>,
 }
 
-/// `C = A · B` into a caller-provided output, which is overwritten.
-///
-/// Each output element accumulates its `k` terms in strictly ascending
-/// order with zero `a[i][k]` terms skipped, exactly as [`vecmat`] does, so
-/// `matmul_into(A, B, C)` row `i` is bit-identical to `vecmat(A.row(i), B)`.
-/// The multi-token transformer prefill relies on that equivalence for its
-/// bitwise-parity contract with the token-at-a-time path.
-///
-/// # Panics
-/// Panics if the shapes do not chain.
-pub fn matmul_into(a: &Matrix, b: &Matrix, c: &mut Matrix) {
-    assert_eq!(a.cols(), b.rows(), "matmul shape mismatch");
-    assert_eq!(
-        (c.rows(), c.cols()),
-        (a.rows(), b.cols()),
-        "output shape mismatch"
-    );
-    matmul_at(simd::detect(), a, b, c);
+/// A slice of a panel: its `in` rows, read from column `at` on.
+type Slice<'a> = (&'a [[f32; PANEL]], usize);
+
+impl PackedMatrix {
+    /// Pack the logical `in × out` matrix `w` (rows are inputs).
+    pub fn pack(w: &Matrix) -> Self {
+        let (k, n) = (w.rows(), w.cols());
+        let mut panels = vec![[0.0; PANEL]; n.div_ceil(PANEL) * k];
+        for kk in 0..k {
+            for (q, cols) in w.row(kk).chunks(PANEL).enumerate() {
+                panels[q * k + kk][..cols.len()].copy_from_slice(cols);
+            }
+        }
+        Self {
+            in_features: k,
+            out_features: n,
+            panels,
+        }
+    }
+
+    /// [`Linear::apply_parallel`] at `level`: each thread owns whole
+    /// panels, so every output is computed by exactly one thread in the
+    /// serial order. Products smaller than [`VECMAT_PARALLEL_MIN_WORK`]
+    /// terms run on the calling thread.
+    fn apply_at(&self, level: SimdLevel, x: &[f32], threads: usize) -> Vec<f32> {
+        self.check_in(x.len());
+        let zero = [x.contains(&0.0)];
+        let mut out = vec![0.0f32; self.out_features];
+        let panels = self.out_features.div_ceil(PANEL);
+        let threads = threads.clamp(1, panels.max(1));
+        if threads < 2 || self.in_features * self.out_features < VECMAT_PARALLEL_MIN_WORK {
+            gemm_at(level, self, x, &zero, 0, &mut out);
+            return out;
+        }
+        let chunk = panels.div_ceil(threads) * PANEL;
+        std::thread::scope(|scope| {
+            for (t, part) in out.chunks_mut(chunk).enumerate() {
+                let zero = &zero;
+                scope.spawn(move || gemm_at(level, self, x, zero, t * chunk, part));
+            }
+        });
+        out
+    }
+
+    /// [`Linear::apply_block`] at `level`.
+    fn apply_block_at(&self, level: SimdLevel, xs: &Matrix) -> Matrix {
+        self.check_in(xs.cols());
+        let zero: Vec<bool> = (0..xs.rows()).map(|i| xs.row(i).contains(&0.0)).collect();
+        let mut out = Matrix::zeros(xs.rows(), self.out_features);
+        gemm_at(level, self, xs.as_slice(), &zero, 0, out.as_mut_slice());
+        out
+    }
+
+    fn check_in(&self, len: usize) {
+        assert_eq!(
+            len, self.in_features,
+            "shape mismatch: activation length {len}, in_features {}",
+            self.in_features
+        );
+    }
 }
 
-fn matmul_at(level: SimdLevel, a: &Matrix, b: &Matrix, c: &mut Matrix) {
-    let (k, n) = (a.cols(), b.cols());
-    let (a, b, c) = (a.as_slice(), b.as_slice(), c.as_mut_slice());
+impl Linear for PackedMatrix {
+    fn in_features(&self) -> usize {
+        self.in_features
+    }
+
+    fn out_features(&self) -> usize {
+        self.out_features
+    }
+
+    /// # Panics
+    /// Panics if `x.len() != in_features`.
+    fn apply(&self, x: &[f32]) -> Vec<f32> {
+        self.apply_at(simd::detect(), x, 1)
+    }
+
+    /// # Panics
+    /// Panics if `xs.cols() != in_features`.
+    fn apply_block(&self, xs: &Matrix) -> Matrix {
+        self.apply_block_at(simd::detect(), xs)
+    }
+
+    fn apply_parallel(&self, x: &[f32], threads: usize) -> Vec<f32> {
+        self.apply_at(simd::detect(), x, threads)
+    }
+}
+
+/// One panel slice's f32 accumulators at one SIMD level: `W` lanes, two of
+/// the level's vectors, column `j` of the slice in lane `j`.
+///
+/// # Safety
+/// An implementor is exactly `W` f32 lanes in column order: [`accumulate`]
+/// starts it from all-zero bits (+0.0) with `mem::zeroed` and reads it back
+/// with `mem::transmute_copy`.
+unsafe trait SliceAcc<const W: usize>: Copy {
+    /// `self + x · w`, lane by lane: a multiply, then an add, each rounded
+    /// (never fused), as the textbook loop's `s += x * w`.
+    ///
+    /// # Safety
+    /// The CPU supports the implementor's level: call it only inside that
+    /// level's instantiation of [`gemm_body`].
+    unsafe fn mul_add(self, x: f32, w: &[f32; W]) -> Self;
+}
+
+/// The portable accumulators: the baseline on targets other than x86-64.
+#[cfg(not(target_arch = "x86_64"))]
+type Baseline = [f32; 8];
+
+// SAFETY: `[f32; W]` is the lane layout itself.
+unsafe impl<const W: usize> SliceAcc<W> for [f32; W] {
+    #[inline(always)]
+    unsafe fn mul_add(mut self, x: f32, w: &[f32; W]) -> Self {
+        for (s, &w) in self.iter_mut().zip(w) {
+            *s += x * w;
+        }
+        self
+    }
+}
+
+/// [`gemm_body`] at `level`.
+fn gemm_at(
+    level: SimdLevel,
+    m: &PackedMatrix,
+    a: &[f32],
+    zero: &[bool],
+    j0: usize,
+    out: &mut [f32],
+) {
     match level {
         // SAFETY: an Avx512 level carries the `simd` module's proof that
         // the CPU reported avx512f.
         #[cfg(target_arch = "x86_64")]
-        SimdLevel::Avx512(_) => unsafe { x86::matmul_avx512(a, b, c, k, n) },
+        SimdLevel::Avx512(_) => unsafe { x86::gemm_avx512(m, a, zero, j0, out) },
         // SAFETY: an Avx2 level carries the `simd` module's proof that the
         // CPU reported avx2.
         #[cfg(target_arch = "x86_64")]
-        SimdLevel::Avx2(_) => unsafe { x86::matmul_avx2(a, b, c, k, n) },
-        SimdLevel::Scalar => matmul_body::<8>(a, b, c, k, n),
+        SimdLevel::Avx2(_) => unsafe { x86::gemm_avx2(m, a, zero, j0, out) },
+        // SAFETY: the baseline accumulators use only the target's baseline
+        // instructions (SSE2 on x86-64).
+        SimdLevel::Scalar => unsafe { gemm_body::<Baseline, 8>(m, a, zero, j0, out) },
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+use x86::Baseline;
+
+#[cfg(target_arch = "x86_64")]
+mod x86 {
+    //! The AVX-512F, AVX2 and SSE2 accumulators of the GEMM and its
+    //! AVX-512F and AVX2 instantiations. No instruction here fuses a
+    //! multiply with an add, so each level rounds exactly as the textbook
+    //! loop does.
+
+    use std::arch::x86_64::*;
+
+    use super::{gemm_body, PackedMatrix, SliceAcc};
+
+    // SAFETY: two zmm are 32 f32 lanes, columns 0–15 then 16–31.
+    unsafe impl SliceAcc<32> for [__m512; 2] {
+        #[inline(always)]
+        unsafe fn mul_add(self, x: f32, w: &[f32; 32]) -> Self {
+            let x = _mm512_set1_ps(x);
+            [0, 1].map(|h| {
+                _mm512_add_ps(
+                    self[h],
+                    _mm512_mul_ps(x, _mm512_loadu_ps(w[16 * h..].as_ptr())),
+                )
+            })
+        }
+    }
+
+    // SAFETY: two ymm are 16 f32 lanes, columns 0–7 then 8–15.
+    unsafe impl SliceAcc<16> for [__m256; 2] {
+        #[inline(always)]
+        unsafe fn mul_add(self, x: f32, w: &[f32; 16]) -> Self {
+            let x = _mm256_set1_ps(x);
+            [0, 1].map(|h| {
+                _mm256_add_ps(
+                    self[h],
+                    _mm256_mul_ps(x, _mm256_loadu_ps(w[8 * h..].as_ptr())),
+                )
+            })
+        }
+    }
+
+    /// The x86-64 baseline's accumulators: two SSE vectors.
+    pub type Baseline = [__m128; 2];
+
+    // SAFETY: two xmm are 8 f32 lanes, columns 0–3 then 4–7.
+    unsafe impl SliceAcc<8> for Baseline {
+        #[inline(always)]
+        unsafe fn mul_add(self, x: f32, w: &[f32; 8]) -> Self {
+            let x = _mm_set1_ps(x);
+            [0, 1].map(|h| _mm_add_ps(self[h], _mm_mul_ps(x, _mm_loadu_ps(w[4 * h..].as_ptr()))))
+        }
+    }
+
+    #[target_feature(enable = "avx512f")]
+    pub fn gemm_avx512(m: &PackedMatrix, a: &[f32], zero: &[bool], j0: usize, out: &mut [f32]) {
+        // SAFETY: this instantiation enables avx512f, every instruction the
+        // `[__m512; 2]` accumulators use.
+        unsafe { gemm_body::<[__m512; 2], 32>(m, a, zero, j0, out) }
+    }
+
+    #[target_feature(enable = "avx2")]
+    pub fn gemm_avx2(m: &PackedMatrix, a: &[f32], zero: &[bool], j0: usize, out: &mut [f32]) {
+        // SAFETY: this instantiation enables avx2, every instruction the
+        // `[__m256; 2]` accumulators use.
+        unsafe { gemm_body::<[__m256; 2], 16>(m, a, zero, j0, out) }
+    }
+}
+
+/// The GEMM body: the `zero.len()` activation rows of `a`, each
+/// `m.in_features` long, against `m`'s panels, into `out`'s rows of
+/// `width = out.len() / zero.len()` outputs for columns `j0..j0 + width`
+/// (`j0` a multiple of [`PANEL`]). `zero[i]` is row `i`'s zero test.
+///
+/// A panel is walked in slices of `W` columns, the width of `V`. Each slice
+/// runs outside the row tiles, so it is read from memory once and then
+/// served from cache to every tile of [`TILE_ROWS`] rows. Leftover rows run
+/// one at a time over [`ROW_SLICES`] slices.
+///
+/// # Safety
+/// The CPU supports `V`'s level.
+#[inline(always)]
+unsafe fn gemm_body<V: SliceAcc<W>, const W: usize>(
+    m: &PackedMatrix,
+    a: &[f32],
+    zero: &[bool],
+    j0: usize,
+    out: &mut [f32],
+) {
+    let Some(width) = out.len().checked_div(zero.len()) else {
+        return;
+    };
+    let k = m.in_features;
+    let row = |i: usize| &a[i * k..][..k];
+    let slice = |s: usize| -> Slice<'_> {
+        let c = j0 + s * W;
+        (&m.panels[c / PANEL * k..][..k], c % PANEL)
+    };
+    let slices = width.div_ceil(W);
+    let tiled = zero.len() - zero.len() % TILE_ROWS;
+    for s in 0..slices {
+        for i in (0..tiled).step_by(TILE_ROWS) {
+            let rows = std::array::from_fn(|r| row(i + r));
+            let skip = zero[i..i + TILE_ROWS].contains(&true);
+            let acc = tile::<V, TILE_ROWS, 1, W>(rows, [slice(s)], skip);
+            store(&acc, s * W, width, &mut out[i * width..]);
+        }
+    }
+    let grouped = slices - slices % ROW_SLICES;
+    for i in tiled..zero.len() {
+        for s in (0..grouped).step_by(ROW_SLICES) {
+            let b = std::array::from_fn(|p| slice(s + p));
+            let acc = tile::<V, 1, ROW_SLICES, W>([row(i)], b, zero[i]);
+            store(&acc, s * W, width, &mut out[i * width..]);
+        }
+        for s in grouped..slices {
+            let acc = tile::<V, 1, 1, W>([row(i)], [slice(s)], zero[i]);
+            store(&acc, s * W, width, &mut out[i * width..]);
+        }
+    }
+}
+
+/// One register tile: `R` activation rows against `P` slices of `W`
+/// columns, accumulated over `k` in ascending order. With `skip`, a zero
+/// activation adds nothing, the textbook loop's rule; without it, each
+/// step adds every row's products with no test, the same operations when
+/// no row holds a zero.
+///
+/// # Safety
+/// The CPU supports `V`'s level.
+#[inline(always)]
+unsafe fn tile<V: SliceAcc<W>, const R: usize, const P: usize, const W: usize>(
+    rows: [&[f32]; R],
+    b: [Slice<'_>; P],
+    skip: bool,
+) -> [[[f32; W]; P]; R] {
+    if skip {
+        accumulate::<V, R, P, W, true>(rows, b)
+    } else {
+        accumulate::<V, R, P, W, false>(rows, b)
+    }
+}
+
+/// [`tile`]'s loop, with the zero test compiled in or out.
+///
+/// # Safety
+/// The CPU supports `V`'s level.
+#[inline(always)]
+unsafe fn accumulate<
+    V: SliceAcc<W>,
+    const R: usize,
+    const P: usize,
+    const W: usize,
+    const SKIP: bool,
+>(
+    rows: [&[f32]; R],
+    b: [Slice<'_>; P],
+) -> [[[f32; W]; P]; R] {
+    let k = b[0].0.len();
+    let rows = rows.map(|r| &r[..k]);
+    // SAFETY: all-zero lanes are +0.0 (`SliceAcc`'s contract).
+    let mut acc: [[V; P]; R] = std::mem::zeroed();
+    for kk in 0..k {
+        let w: [&[f32; W]; P] =
+            b.map(|(panel, at)| panel[kk][at..at + W].try_into().expect("W columns"));
+        for (row, acc_r) in rows.iter().zip(acc.iter_mut()) {
+            let x = row[kk];
+            if SKIP && x == 0.0 {
+                continue;
+            }
+            for (s, w) in acc_r.iter_mut().zip(w) {
+                *s = s.mul_add(x, w);
+            }
+        }
+    }
+    // SAFETY: `V` is `W` f32 lanes in column order (`SliceAcc`'s contract).
+    acc.map(|acc_r| acc_r.map(|s| std::mem::transmute_copy(&s)))
+}
+
+/// Write a tile's rows into `out`, rows `width` apart, its slices from
+/// column `c0` on. Only the columns the call owns are written, so the
+/// partial last slice stops at its edge.
+#[inline(always)]
+fn store<const P: usize, const W: usize>(
+    acc: &[[[f32; W]; P]],
+    c0: usize,
+    width: usize,
+    out: &mut [f32],
+) {
+    for (acc_r, orow) in acc.iter().zip(out.chunks_mut(width)) {
+        for (p, sums) in acc_r.iter().enumerate() {
+            let c = c0 + p * W;
+            let cols = W.min(width - c);
+            orow[c..c + cols].copy_from_slice(&sums[..cols]);
+        }
     }
 }
 
@@ -94,171 +412,6 @@ pub fn matvec_into(m: &Matrix, x: &[f32], y: &mut [f32]) {
     for (i, yi) in y.iter_mut().enumerate() {
         *yi = dot(m.row(i), x);
     }
-}
-
-/// `x^T · M` (vector–matrix product): returns a vector of length `m.cols()`.
-/// Each output accumulates in ascending row order with zero `x` terms
-/// skipped, the per-element order of [`matmul_into`].
-pub fn vecmat(x: &[f32], m: &Matrix) -> Vec<f32> {
-    assert_eq!(x.len(), m.rows(), "vecmat shape mismatch");
-    let mut y = vec![0.0; m.cols()];
-    vecmat_at(simd::detect(), x, m.as_slice(), m.cols(), &mut y);
-    y
-}
-
-/// Columns `0..y.len()` of `x^T · B`, where `b` holds `B`'s rows `ldb`
-/// apart (so a column range of a wider matrix starts at an offset into its
-/// buffer).
-fn vecmat_at(level: SimdLevel, x: &[f32], b: &[f32], ldb: usize, y: &mut [f32]) {
-    match level {
-        // SAFETY: an Avx512 level carries the `simd` module's proof that
-        // the CPU reported avx512f.
-        #[cfg(target_arch = "x86_64")]
-        SimdLevel::Avx512(_) => unsafe { x86::vecmat_avx512(x, b, ldb, y) },
-        // SAFETY: an Avx2 level carries the `simd` module's proof that the
-        // CPU reported avx2.
-        #[cfg(target_arch = "x86_64")]
-        SimdLevel::Avx2(_) => unsafe { x86::vecmat_avx2(x, b, ldb, y) },
-        SimdLevel::Scalar => vecmat_body(x, b, ldb, y),
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-mod x86 {
-    //! The f32 kernel bodies instantiated for AVX-512F and AVX2. Neither
-    //! feature set enables fused multiply-add contraction: rustc never
-    //! fuses `a * b + c`, so each instantiation rounds exactly as the
-    //! baseline does.
-
-    use super::{matmul_body, vecmat_body};
-
-    #[target_feature(enable = "avx512f")]
-    pub fn matmul_avx512(a: &[f32], b: &[f32], c: &mut [f32], k: usize, n: usize) {
-        matmul_body::<32>(a, b, c, k, n);
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub fn matmul_avx2(a: &[f32], b: &[f32], c: &mut [f32], k: usize, n: usize) {
-        matmul_body::<16>(a, b, c, k, n);
-    }
-
-    #[target_feature(enable = "avx512f")]
-    pub fn vecmat_avx512(x: &[f32], b: &[f32], ldb: usize, y: &mut [f32]) {
-        vecmat_body(x, b, ldb, y);
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub fn vecmat_avx2(x: &[f32], b: &[f32], ldb: usize, y: &mut [f32]) {
-        vecmat_body(x, b, ldb, y);
-    }
-}
-
-/// The GEMM body over row-major buffers: `a` is `m × k`, `b` is `k × n`,
-/// `c` is `m × n`, with `m = c.len() / n`.
-///
-/// Column panels run outside row tiles, so a `k × W` panel of `B` is read
-/// from memory once and then served from cache to every row tile. A
-/// [`tile`] keeps `TILE_ROWS × W` accumulators in registers across all of
-/// `k` and stores them once; each instantiation sets `W` to two of its
-/// vectors. Rows below a whole tile, and columns beyond the last panel, run
-/// as [`vecmat_body`].
-#[inline(always)]
-fn matmul_body<const W: usize>(a: &[f32], b: &[f32], c: &mut [f32], k: usize, n: usize) {
-    if n == 0 {
-        return;
-    }
-    let m = c.len() / n;
-    let tiled_rows = m - m % TILE_ROWS;
-    let panel_end = n - n % W;
-    for j0 in (0..panel_end).step_by(W) {
-        for i0 in (0..tiled_rows).step_by(TILE_ROWS) {
-            let rows = std::array::from_fn(|r| &a[(i0 + r) * k..(i0 + r + 1) * k]);
-            let acc = tile::<W>(rows, &b[j0..], n);
-            for (r, acc_r) in acc.iter().enumerate() {
-                c[(i0 + r) * n + j0..][..W].copy_from_slice(acc_r);
-            }
-        }
-    }
-    if panel_end < n {
-        for i in 0..tiled_rows {
-            let y = &mut c[i * n + panel_end..(i + 1) * n];
-            vecmat_body(&a[i * k..(i + 1) * k], &b[panel_end..], n, y);
-        }
-    }
-    for i in tiled_rows..m {
-        vecmat_body(&a[i * k..(i + 1) * k], b, n, &mut c[i * n..(i + 1) * n]);
-    }
-}
-
-/// One register tile: `TILE_ROWS` activation rows of length `k` against
-/// `W` columns of `B` (`b[kk * ldb + j]`, `j < W`), accumulated over `kk`
-/// in ascending order with zero activations skipped.
-#[inline(always)]
-fn tile<const W: usize>(rows: [&[f32]; TILE_ROWS], b: &[f32], ldb: usize) -> [[f32; W]; TILE_ROWS] {
-    let mut acc = [[0.0f32; W]; TILE_ROWS];
-    let k = rows[0].len();
-    let rows = rows.map(|r| &r[..k]);
-    for kk in 0..k {
-        let b_row: &[f32; W] = b[kk * ldb..kk * ldb + W]
-            .try_into()
-            .expect("slice of length W");
-        for (row, acc_r) in rows.iter().zip(acc.iter_mut()) {
-            let x = row[kk];
-            if x == 0.0 {
-                continue;
-            }
-            for (s, &bj) in acc_r.iter_mut().zip(b_row) {
-                *s += x * bj;
-            }
-        }
-    }
-    acc
-}
-
-/// The `vecmat` body: columns `0..y.len()` of `x^T · B`, `B`'s rows `ldb`
-/// apart. `y` is zeroed, then each nonzero `x[kk]` adds its scaled row of
-/// `B`, in ascending `kk`, at the instantiation's full vector width. This
-/// row-streaming order reads `B` front to back, which the prefetcher
-/// follows when a wide matrix such as the LM head is not in cache.
-#[inline(always)]
-fn vecmat_body(x: &[f32], b: &[f32], ldb: usize, y: &mut [f32]) {
-    y.fill(0.0);
-    for (kk, &xk) in x.iter().enumerate() {
-        if xk == 0.0 {
-            continue;
-        }
-        let b_row = &b[kk * ldb..kk * ldb + y.len()];
-        for (yj, &bj) in y.iter_mut().zip(b_row) {
-            *yj += xk * bj;
-        }
-    }
-}
-
-/// `x^T · M` with the output columns split across threads.
-///
-/// Each thread runs the [`vecmat`] kernel on its own column range, so every
-/// output element is computed by exactly one thread in the serial order and
-/// the result is bit-identical to [`vecmat`]. Worth it only for wide
-/// matrices (the LM head's `hidden × vocab`): products smaller than
-/// [`VECMAT_PARALLEL_MIN_WORK`] terms fall back to the serial path, where
-/// thread spawn cost would dominate the arithmetic.
-pub fn vecmat_parallel(x: &[f32], m: &Matrix, threads: usize) -> Vec<f32> {
-    assert_eq!(x.len(), m.rows(), "vecmat shape mismatch");
-    let threads = threads.clamp(1, m.cols().max(1));
-    if threads == 1 || m.cols() < 2 || m.rows() * m.cols() < VECMAT_PARALLEL_MIN_WORK {
-        return vecmat(x, m);
-    }
-    let cols = m.cols();
-    let chunk = cols.div_ceil(threads);
-    let level = simd::detect();
-    let mut y = vec![0.0f32; cols];
-    std::thread::scope(|scope| {
-        for (t, part) in y.chunks_mut(chunk).enumerate() {
-            let b = &m.as_slice()[t * chunk..];
-            scope.spawn(move || vecmat_at(level, x, b, cols, part));
-        }
-    });
-    y
 }
 
 /// Dot product with 4-way manual unrolling.
@@ -313,6 +466,11 @@ mod tests {
         })
     }
 
+    /// `A · B` through the packed kernel.
+    fn matmul(a: &Matrix, b: &Matrix) -> Matrix {
+        PackedMatrix::pack(b).apply_block(a)
+    }
+
     #[test]
     fn matmul_small_hand_example() {
         let a = Matrix::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]);
@@ -361,7 +519,7 @@ mod tests {
     fn vecmat_matches_transpose_matvec() {
         let m = Matrix::from_fn(4, 3, |r, c| (r * 3 + c) as f32 * 0.5 - 2.0);
         let x = vec![1.0, 2.0, -1.0, 0.25];
-        let got = vecmat(&x, &m);
+        let got = PackedMatrix::pack(&m).apply(&x);
         let want = matvec(&m.transposed(), &x);
         for (g, w) in got.iter().zip(&want) {
             assert!((g - w).abs() < 1e-6);
@@ -374,14 +532,11 @@ mod tests {
         // threaded path actually runs.
         let m = Matrix::from_fn(48, 800, |r, c| ((r * 31 + c * 7) % 17) as f32 * 0.13 - 1.0);
         assert!(m.rows() * m.cols() >= VECMAT_PARALLEL_MIN_WORK);
+        let p = PackedMatrix::pack(&m);
         let x: Vec<f32> = (0..48).map(|i| ((i * 5) % 9) as f32 * 0.2 - 0.8).collect();
-        let serial = vecmat(&x, &m);
+        let serial = p.apply(&x);
         for threads in [1, 2, 3, 7, 64, 1000] {
-            assert_eq!(
-                vecmat_parallel(&x, &m, threads),
-                serial,
-                "threads={threads}"
-            );
+            assert_eq!(p.apply_parallel(&x, threads), serial, "threads={threads}");
         }
     }
 
@@ -391,14 +546,15 @@ mod tests {
         // the threshold only changes *where* the product runs.
         let m = Matrix::from_fn(48, 200, |r, c| ((r * 31 + c * 7) % 17) as f32 * 0.13 - 1.0);
         assert!(m.rows() * m.cols() < VECMAT_PARALLEL_MIN_WORK);
+        let p = PackedMatrix::pack(&m);
         let x: Vec<f32> = (0..48).map(|i| ((i * 5) % 9) as f32 * 0.2 - 0.8).collect();
-        assert_eq!(vecmat_parallel(&x, &m, 8), vecmat(&x, &m));
+        assert_eq!(p.apply_parallel(&x, 8), p.apply(&x));
     }
 
     #[test]
     fn vecmat_parallel_tiny_matrix() {
-        let m = Matrix::from_vec(2, 1, vec![3.0, 4.0]);
-        assert_eq!(vecmat_parallel(&[1.0, 2.0], &m, 8), vec![11.0]);
+        let p = PackedMatrix::pack(&Matrix::from_vec(2, 1, vec![3.0, 4.0]));
+        assert_eq!(p.apply_parallel(&[1.0, 2.0], 8), vec![11.0]);
     }
 
     /// Textbook `x^T · B`: one product at a time, multiply then add, in
@@ -422,15 +578,76 @@ mod tests {
         v.iter().map(|x| x.to_bits()).collect()
     }
 
+    /// Every entry point of the packed kernel at every level the host
+    /// supports against [`reference_vecmat`], row by row and bit for bit:
+    /// `apply_block`, `apply`, `apply_parallel` on 1, 2, 3 and 8 threads,
+    /// and a call that owns the columns from the second panel on, as one
+    /// `apply_parallel` thread does (outputs pre-filled with NaN, so a
+    /// missed or stray column fails), and at the baseline the portable
+    /// accumulators too. `finite` names the rows whose reference outputs
+    /// must all be finite.
+    fn assert_packed_matches_reference(a: &Matrix, b: &Matrix, finite: impl Fn(usize) -> bool) {
+        let (m, k, n) = (a.rows(), a.cols(), b.cols());
+        let want: Vec<Vec<u32>> = (0..m)
+            .map(|i| reference_vecmat(a.row(i), b))
+            .enumerate()
+            .inspect(|(i, r)| assert!(!finite(*i) || r.iter().all(|v| v.is_finite())))
+            .map(|(_, r)| bits(&r))
+            .collect();
+        let p = PackedMatrix::pack(b);
+        for level in simd::supported() {
+            let shape = format!("{level:?} ({m},{k},{n})");
+            let block = p.apply_block_at(level, a);
+            for (i, want_row) in want.iter().enumerate() {
+                assert_eq!(&bits(block.row(i)), want_row, "apply_block {shape} row {i}");
+                for threads in [1, 2, 3, 8] {
+                    let got = p.apply_at(level, a.row(i), threads);
+                    let case = format!("apply on {threads} threads {shape} row {i}");
+                    assert_eq!(&bits(&got), want_row, "{case}");
+                }
+            }
+            let zero: Vec<bool> = (0..m).map(|i| a.row(i).contains(&0.0)).collect();
+            if level == SimdLevel::Scalar {
+                // The portable accumulators, which other targets run as
+                // their baseline.
+                let mut out = vec![f32::NAN; m * n];
+                // SAFETY: they use no target-specific instruction.
+                unsafe { gemm_body::<[f32; 8], 8>(&p, a.as_slice(), &zero, 0, &mut out) };
+                for (i, got) in out.chunks(n.max(1)).enumerate() {
+                    assert_eq!(bits(got), want[i], "portable ({m},{k},{n}) row {i}");
+                }
+            }
+            if n > PANEL {
+                let width = n - PANEL;
+                let mut part = vec![f32::NAN; m * width];
+                gemm_at(level, &p, a.as_slice(), &zero, PANEL, &mut part);
+                for (i, got) in part.chunks(width).enumerate() {
+                    let case = format!("from column {PANEL}: {shape} row {i}");
+                    assert_eq!(bits(got), want[i][PANEL..], "{case}");
+                }
+            }
+        }
+    }
+
     #[test]
     fn matmul_rows_are_bit_identical_to_vecmat() {
-        // The prefill parity contract: row i of A·B must carry the exact
-        // bits of vecmat(A.row(i), B), at every SIMD level the host
-        // supports, and both must equal the textbook reference. The shapes
-        // straddle the row tiles, column panels and strips of every level.
-        // Every fifth row of B holds NaN or ±∞ weights whose activations
-        // are all ±0, so the zero-skip alone keeps the outputs finite; the
-        // other activations mix ±0 and subnormals into normal values.
+        // The prefill parity contract: row i of A·B carries the exact bits
+        // of the one-row product of A.row(i), at every entry point and SIMD
+        // level, and both equal the textbook reference. The shapes straddle
+        // the row tiles, the one-row slice groups and the panels of every
+        // level, and a last panel of one column. Two inputs per shape:
+        //
+        // 1. Every fifth row of B holds NaN or ±∞ weights whose activations
+        //    are all ±0, so the zero skip alone keeps the outputs finite;
+        //    the other activations mix ±0 and subnormals into normal
+        //    values. Every tile holds zeros and keeps the per-element test.
+        // 2. The activations hold no zero, except one +0.0 in row 2 and one
+        //    −0.0 in row 7 of every 12, at the one input whose weights hold
+        //    NaN and +∞. So tiles 0 and 1 of every three hold exactly one
+        //    zero, in their third and last rows, and tile 2 holds none and
+        //    runs without the test. Only the skip keeps rows 2 and 7
+        //    finite: a tile that drops the test while one of its rows holds
+        //    a zero, or tests only its first row, fails.
         let weight = |r: usize, c: usize| match (r % 5, c % 3) {
             (3, 0) => f32::NAN,
             (3, 1) => f32::INFINITY,
@@ -446,30 +663,32 @@ mod tests {
             (3, _) => -3.0e-39,
             _ => ((r * 29 + c * 13) % 23) as f32 * 0.17 - 1.9,
         };
-        for rows in [1, 2, 3, 4, 5, 9, 64, 65] {
-            for n in [1, 15, 16, 17, 33, 96, 160, 1156] {
+        for rows in [1, 2, 3, 4, 5, 9, 37, 64, 65] {
+            for n in [1, 15, 16, 17, 31, 32, 33, 96, 160, 1153] {
                 for k in [1, 63, 64, 65, 256] {
-                    if rows * n * k > 200_000 {
+                    if rows * n * k > 1_000_000 {
                         continue;
                     }
                     let a = Matrix::from_fn(rows, k, activation);
                     let b = Matrix::from_fn(k, n, weight);
-                    let want: Vec<Vec<u32>> = (0..rows)
-                        .map(|i| reference_vecmat(a.row(i), &b))
-                        .inspect(|r| assert!(r.iter().all(|v| v.is_finite())))
-                        .map(|r| bits(&r))
-                        .collect();
-                    for level in simd::supported() {
-                        let mut prod = Matrix::zeros(rows, n);
-                        matmul_at(level, &a, &b, &mut prod);
-                        for (i, want_row) in want.iter().enumerate() {
-                            let mut row = vec![0.0; n];
-                            vecmat_at(level, a.row(i), b.as_slice(), n, &mut row);
-                            let shape = format!("{level:?} ({rows},{k},{n}) row {i}");
-                            assert_eq!(&bits(prod.row(i)), want_row, "matmul {shape}");
-                            assert_eq!(&bits(&row), want_row, "vecmat {shape}");
-                        }
-                    }
+                    assert_packed_matches_reference(&a, &b, |_| true);
+
+                    let special = k / 2;
+                    let weight = |r: usize, c: usize| match (r == special, c % 4) {
+                        (true, 1) => f32::INFINITY,
+                        (true, 3) => f32::NAN,
+                        _ => ((r * 19 + c * 5) % 13) as f32 * 0.21 - 1.2,
+                    };
+                    let zero_row = |r: usize| [2, 7].contains(&(r % 12));
+                    let activation = |r: usize, c: usize| match (c == special, r % 12) {
+                        (true, 2) => 0.0,
+                        (true, 7) => -0.0,
+                        _ if (r + c) % 7 == 3 => 1.0e-40,
+                        _ => ((r * 29 + c * 13) % 23) as f32 * 0.17 - 1.9,
+                    };
+                    let a = Matrix::from_fn(rows, k, activation);
+                    let b = Matrix::from_fn(k, n, weight);
+                    assert_packed_matches_reference(&a, &b, zero_row);
                 }
             }
         }

@@ -5,7 +5,10 @@
 //! instantiated under `#[target_feature(enable = "avx512f")]`, under
 //! `#[target_feature(enable = "avx2")]` and at the baseline; the dispatcher
 //! matches on [`detect`] and calls the widest instantiation the host runs.
-//! The baseline instantiation is the scalar fallback.
+//! The baseline instantiation is the scalar fallback. The int8 GEMM has a
+//! VNNI instantiation at each vector level too, which it runs when the
+//! level's [`Detected`] proof says the host reported VNNI there
+//! ([`Detected::vnni`]); the f32 kernels run the same code either way.
 //!
 //! A level other than [`SimdLevel::Scalar`] carries a [`Detected`] proof
 //! that only this module can create, so holding one means the CPU reported
@@ -22,16 +25,28 @@ pub const LANES: usize = 16;
 /// Proof that CPU detection found a level's features. It has a private
 /// field, so no code outside this module can construct it.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct Detected(());
+pub struct Detected {
+    vnni: bool,
+}
+
+impl Detected {
+    /// Whether the proof covers the level's VNNI extension as well:
+    /// `avx512vnni` at [`SimdLevel::Avx512`] (`vpdpwssd`), `avxvnni` at
+    /// [`SimdLevel::Avx2`] (its VEX form). Only the int8 GEMM reads it.
+    pub fn vnni(self) -> bool {
+        self.vnni
+    }
+}
 
 /// Instruction set a dispatched kernel runs on.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum SimdLevel {
     /// AVX-512F and AVX-512BW: 16 f32 lanes, and the int8 kernels'
-    /// 32-lane `vpmaddwd`.
+    /// 32-lane `vpmaddwd`, or `vpdpwssd` with VNNI.
     #[cfg(target_arch = "x86_64")]
     Avx512(Detected),
-    /// AVX2: 8 f32 lanes, and the int8 kernels' 16-lane `vpmaddwd`.
+    /// AVX2: 8 f32 lanes, and the int8 kernels' 16-lane `vpmaddwd`, or
+    /// `vpdpwssd` with AVX-VNNI.
     #[cfg(target_arch = "x86_64")]
     Avx2(Detected),
     /// The target's baseline instruction set (SSE2 on x86-64).
@@ -52,19 +67,25 @@ pub fn detect() -> SimdLevel {
 }
 
 /// Every level this host supports, widest first; the last is always
-/// [`SimdLevel::Scalar`]. Parity tests run each instantiation of a kernel
-/// through this list.
+/// [`SimdLevel::Scalar`]. A vector level whose VNNI extension the host
+/// reports is listed twice, with VNNI first, so parity tests run both the
+/// VNNI and the plain instantiation of the int8 GEMM through this list.
 pub fn supported() -> Vec<SimdLevel> {
-    let mut levels = Vec::with_capacity(3);
+    let mut levels = Vec::with_capacity(5);
     #[cfg(target_arch = "x86_64")]
     {
-        if std::arch::is_x86_feature_detected!("avx512f")
-            && std::arch::is_x86_feature_detected!("avx512bw")
-        {
-            levels.push(SimdLevel::Avx512(Detected(())));
+        use std::arch::is_x86_feature_detected as has;
+        let mut push = |level: fn(Detected) -> SimdLevel, vnni: bool| {
+            if vnni {
+                levels.push(level(Detected { vnni: true }));
+            }
+            levels.push(level(Detected { vnni: false }));
+        };
+        if has!("avx512f") && has!("avx512bw") {
+            push(SimdLevel::Avx512, has!("avx512vnni"));
         }
-        if std::arch::is_x86_feature_detected!("avx2") {
-            levels.push(SimdLevel::Avx2(Detected(())));
+        if has!("avx2") {
+            push(SimdLevel::Avx2, has!("avxvnni"));
         }
     }
     levels.push(SimdLevel::Scalar);

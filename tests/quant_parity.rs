@@ -30,7 +30,7 @@ use slm_runtime::{
     PagedKvPool, PagedPoolConfig, PagedPrefixCache, Precision, PrefixCacheConfig, QuantizedLM,
     Reliable, TransformerLM,
 };
-use tensor::{Int8Matrix, Linear, Matrix};
+use tensor::{Int8Matrix, Linear, Matrix, PackedMatrix};
 
 /// Eval-gate tolerance shared with `quant_sweep`: quantization may move a
 /// detection score at most this far on average, and detection AUC by at most
@@ -95,30 +95,24 @@ fn every_gemm_call_site_tracks_f32_within_tolerance() {
     let cfg = ModelConfig::qwen2_like(512);
     let w = ModelWeights::synthetic(&cfg, 0xCA11);
     let mut sites: Vec<(String, &Matrix)> = vec![("lm_head".into(), &w.lm_head)];
+    let names = ["wq", "wk", "wv", "wo", "w_gate", "w_up", "w_down"];
     for (l, layer) in w.layers.iter().enumerate() {
-        for (name, m) in [
-            ("wq", &layer.wq),
-            ("wk", &layer.wk),
-            ("wv", &layer.wv),
-            ("wo", &layer.wo),
-            ("w_gate", &layer.w_gate),
-            ("w_up", &layer.w_up),
-            ("w_down", &layer.w_down),
-        ] {
+        for (name, m) in names.into_iter().zip(layer.projections()) {
             sites.push((format!("layer{l}.{name}"), m));
         }
     }
     assert_eq!(sites.len(), 1 + 7 * cfg.n_layers);
     for (site, wf) in &sites {
         let q = Int8Matrix::calibrate(wf);
+        let f = PackedMatrix::pack(wf);
         let x = activations(wf.rows(), site.len());
-        let want = Linear::apply(*wf, &x);
+        let want = Linear::apply(&f, &x);
         let got = Linear::apply(&q, &x);
         let err = rel_l2(&got, &want);
         assert!(err < 0.02, "{site}: single-row relative error {err}");
 
         let xs = Matrix::from_fn(6, wf.rows(), |r, c| activations(wf.rows(), r + 1)[c]);
-        let want_b = Linear::apply_block(*wf, &xs);
+        let want_b = Linear::apply_block(&f, &xs);
         let got_b = Linear::apply_block(&q, &xs);
         for i in 0..xs.rows() {
             let err = rel_l2(got_b.row(i), want_b.row(i));
