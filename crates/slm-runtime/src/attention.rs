@@ -506,8 +506,9 @@ unsafe fn value_sums<const R: usize, const L: usize, const G: usize>(
 /// One attention step for a single token at position `pos` (== `cache.len()`).
 ///
 /// `x` is the normalized hidden state of the current token. Keys/values for
-/// the token are appended to `cache` (the caller advances the cache after all
-/// layers ran). Returns the attention output after the `wo` projection.
+/// the token are staged at `pos` via [`KvStore::write_at`] (the caller
+/// commits them with [`KvStore::advance_by`] after all layers ran). Returns
+/// the attention output after the `wo` projection.
 ///
 /// Generic over [`KvStore`], so contiguous and paged caches run the exact
 /// same arithmetic in the exact same order — the structural basis of the
@@ -535,7 +536,7 @@ pub fn attention_step<C: KvStore, L: LayerView>(
     rope.apply_all_heads(&mut k, pos);
 
     // Store this position's K/V.
-    cache.write(layer, &k, &v);
+    cache.write_at(layer, pos, &k, &v);
 
     // Attend: causal, so positions 0..=pos.
     let total = pos + 1;
@@ -699,7 +700,7 @@ mod tests {
             let mut cache = KvCache::new(cfg.n_layers, cfg.max_seq_len, kv_dim);
             let x1 = vec![first; cfg.hidden];
             attention_step(&cfg, &w, &rope, &mut cache, 0, &x1);
-            cache.advance();
+            cache.advance_by(1);
             let x2 = vec![0.2; cfg.hidden];
             attention_step(&cfg, &w, &rope, &mut cache, 0, &x2)
         };
@@ -758,11 +759,11 @@ mod tests {
                 // Shared warm-up prefix processed token-at-a-time in every cache.
                 for x in &tokens[..split] {
                     let a = attention_step(&cfg, &w, &rope, &mut seq_cache, 0, x);
-                    seq_cache.advance();
+                    seq_cache.advance_by(1);
                     for blk_cache in &mut blk_caches {
                         let b = attention_step(&cfg, &w, &rope, blk_cache, 0, x);
                         assert_eq!(a, b);
-                        blk_cache.advance();
+                        blk_cache.advance_by(1);
                     }
                 }
 
@@ -770,7 +771,7 @@ mod tests {
                     .iter()
                     .map(|x| {
                         let o = attention_step(&cfg, &w, &rope, &mut seq_cache, 0, x);
-                        seq_cache.advance();
+                        seq_cache.advance_by(1);
                         o
                     })
                     .collect();

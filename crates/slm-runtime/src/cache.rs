@@ -3,9 +3,12 @@
 //! [`VerificationCache`] memoizes completed probe episodes — one
 //! [`ProbeOutcome`] per (model, question, context, sentence) cell — behind a
 //! fixed set of FNV-keyed shards, each guarded by its own mutex so the
-//! parallel batch executor's workers rarely contend. Eviction is per-shard
-//! LRU under two global bounds: an entry count and a byte budget (key text
-//! plus a fixed per-entry overhead).
+//! parallel batch executor's workers rarely contend. Each shard is one of
+//! the crate's bounded LRU maps, holding its share of two global bounds: an
+//! entry count and a byte budget (key text plus a fixed per-entry overhead).
+//! A hit or an insert refreshes an entry's recency; the replication plane's
+//! reads (`contains`, the resident check of `insert_replicated`, the
+//! journal and page walks, `entries_snapshot`) never do.
 //!
 //! **Why a hit cannot change behavior.** Under the episode-purity contract
 //! ([`crate::fallible::FallibleVerifier::try_p_yes_attempt`]) a probe episode
@@ -34,13 +37,14 @@
 //! bit-identical to what local recomputation would produce; replication
 //! changes *where* the work happened, never *what* the answer is.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
 use hallu_obs::{splitmix64, Counter, Gauge, Obs};
 
 use crate::batch::ProbeOutcome;
+use crate::lru::Lru;
 use crate::sim::fnv1a;
 
 /// Fixed accounting overhead per cached entry, covering the stored outcome,
@@ -158,54 +162,17 @@ impl CacheKey {
     }
 }
 
-#[derive(Debug)]
-struct Entry {
-    key: CacheKey,
-    value: ProbeOutcome,
-    last_used: u64,
-    bytes: usize,
+/// A memoized episode, as a shard stores it.
+#[derive(Clone, Copy)]
+struct Cached {
+    outcome: ProbeOutcome,
     /// Whether the entry arrived via [`VerificationCache::insert_replicated`]
     /// rather than local computation; hits on such entries are the proof the
     /// heal sweep looks for ("hits it never computed").
     replicated: bool,
 }
 
-#[derive(Debug, Default)]
-struct Shard {
-    /// Entries bucketed by full key hash; the inner vec holds hash
-    /// collisions (resolved by exact string compare).
-    buckets: HashMap<u64, Vec<Entry>>,
-    entries: usize,
-    bytes: usize,
-    /// Monotonic recency clock, bumped on every touch.
-    tick: u64,
-}
-
-impl Shard {
-    /// Remove the least-recently-used entry. Ties cannot occur (ticks are
-    /// unique per shard).
-    fn evict_lru(&mut self) -> Option<(CacheKey, ProbeOutcome)> {
-        let (&hash, pos) = self
-            .buckets
-            .iter()
-            .flat_map(|(hash, bucket)| {
-                bucket
-                    .iter()
-                    .enumerate()
-                    .map(move |(pos, entry)| ((hash, pos), entry.last_used))
-            })
-            .min_by_key(|&(_, last_used)| last_used)
-            .map(|((hash, pos), _)| (hash, pos))?;
-        let bucket = self.buckets.get_mut(&hash)?;
-        let entry = bucket.remove(pos);
-        if bucket.is_empty() {
-            self.buckets.remove(&hash);
-        }
-        self.entries -= 1;
-        self.bytes -= entry.bytes;
-        Some((entry.key, entry.value))
-    }
-}
+type Shard = Lru<CacheKey, Cached>;
 
 /// Point-in-time cache statistics. Counters are cumulative since
 /// construction; `entries`/`bytes` are current occupancy.
@@ -295,11 +262,9 @@ impl CacheTelemetry {
 /// Thread-safe; lookups and inserts lock only the owning shard. See the
 /// module docs for the semantic-invisibility argument.
 pub struct VerificationCache {
-    shards: Vec<Mutex<Shard>>,
-    /// Per-shard bounds; the global bounds divided across shards, so the
+    /// Each shard is bounded by its share of the global bounds, so the
     /// global bound holds by construction even when shards fill unevenly.
-    shard_max_entries: usize,
-    shard_max_bytes: usize,
+    shards: Vec<Mutex<Shard>>,
     config: CacheConfig,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -328,10 +293,11 @@ impl VerificationCache {
         while shards * 2 <= config.shards.max(1) && shards * 2 <= max_entries {
             shards *= 2;
         }
+        let shard_max_bytes = (config.max_bytes / shards).max(1);
         Self {
-            shards: (0..shards).map(|_| Mutex::new(Shard::default())).collect(),
-            shard_max_entries: max_entries / shards,
-            shard_max_bytes: (config.max_bytes / shards).max(1),
+            shards: (0..shards)
+                .map(|_| Mutex::new(Lru::new(max_entries / shards, shard_max_bytes)))
+                .collect(),
             config,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -368,11 +334,12 @@ impl VerificationCache {
         self.shards.len()
     }
 
-    fn shard_for(&self, hash: u64) -> &Mutex<Shard> {
+    /// Lock the shard owning `hash`.
+    fn shard(&self, hash: u64) -> MutexGuard<'_, Shard> {
         // Rehash before masking: FNV's low bits are fine, but mixing costs
         // one multiply and keeps shard balance independent of key shape.
         let idx = (splitmix64(hash) as usize) & (self.shards.len() - 1);
-        &self.shards[idx]
+        self.shards[idx].lock().unwrap_or_else(|e| e.into_inner())
     }
 
     fn publish_occupancy(&self) {
@@ -385,30 +352,19 @@ impl VerificationCache {
     /// Look up a cell. A hit refreshes the entry's recency.
     pub fn get(&self, key: &CacheKeyRef<'_>) -> Option<ProbeOutcome> {
         let hash = key.hash();
-        let mut shard = self
-            .shard_for(hash)
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
-        shard.tick += 1;
-        let tick = shard.tick;
-        let found = shard
-            .buckets
-            .get_mut(&hash)
-            .and_then(|bucket| bucket.iter_mut().find(|entry| entry.key.matches(key)))
-            .map(|entry| {
-                entry.last_used = tick;
-                (entry.value, entry.replicated)
-            });
-        drop(shard);
+        let found = self.shard(hash).get(hash, |k| k.matches(key)).copied();
         match found {
-            Some((value, replicated)) => {
+            Some(Cached {
+                outcome,
+                replicated,
+            }) => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 self.obs.hits.inc();
                 if replicated {
                     self.replicated_hits.fetch_add(1, Ordering::Relaxed);
                     self.obs.replicated_hits.inc();
                 }
-                Some(value)
+                Some(outcome)
             }
             None => {
                 self.misses.fetch_add(1, Ordering::Relaxed);
@@ -441,28 +397,24 @@ impl VerificationCache {
             return false;
         }
         let hash = key.hash();
-        let mut shard = self
-            .shard_for(hash)
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
-        shard.tick += 1;
-        let tick = shard.tick;
-        let existing = shard
-            .buckets
-            .get_mut(&hash)
-            .and_then(|bucket| bucket.iter_mut().find(|entry| entry.key.matches(key)));
-        if let Some(entry) = existing {
-            entry.value = value;
-            entry.last_used = tick;
-            // Locally recomputed: the entry no longer owes its existence to
-            // a peer.
-            entry.replicated = false;
-            drop(shard);
+        // Locally computed: an overwritten entry no longer owes its
+        // existence to a peer.
+        let put = self.shard(hash).put(
+            hash,
+            |k| k.matches(key),
+            || CacheKey::from_ref(key),
+            Cached {
+                outcome: value,
+                replicated: false,
+            },
+            key.byte_cost(),
+        );
+        if put.replaced {
             self.updates.fetch_add(1, Ordering::Relaxed);
             self.obs.updates.inc();
             self.publish_occupancy();
         } else {
-            self.admit(shard, hash, key, value, tick, false);
+            self.admitted(key, put.evicted);
             self.inserts.fetch_add(1, Ordering::Relaxed);
             self.obs.inserts.inc();
         }
@@ -482,60 +434,34 @@ impl VerificationCache {
             return false;
         }
         let hash = key.hash();
-        let mut shard = self
-            .shard_for(hash)
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
-        let exists = shard
-            .buckets
-            .get(&hash)
-            .is_some_and(|bucket| bucket.iter().any(|entry| entry.key.matches(key)));
-        if exists {
+        let mut shard = self.shard(hash);
+        if shard.peek(hash, |k| k.matches(key)).is_some() {
             return false;
         }
-        shard.tick += 1;
-        let tick = shard.tick;
-        self.admit(shard, hash, key, value, tick, true);
+        let put = shard.put(
+            hash,
+            |k| k.matches(key),
+            || CacheKey::from_ref(key),
+            Cached {
+                outcome: value,
+                replicated: true,
+            },
+            key.byte_cost(),
+        );
+        drop(shard);
+        self.admitted(key, put.evicted);
         self.replicated_inserts.fetch_add(1, Ordering::Relaxed);
         self.obs.replicated_inserts.inc();
         true
     }
 
-    /// The admission steps both inserts share, for a key not resident in
-    /// its locked `shard`: push the new entry, account its bytes, evict
-    /// least-recently-used entries past the shard bounds, then, with the
-    /// lock released, count the evictions, journal the admission and
+    /// What both inserts do once a new key is admitted and its shard lock is
+    /// released: count the evictions the admission caused, journal it and
     /// publish occupancy. Replicated admissions are journaled too, so a
     /// peer-of-a-peer (e.g. the ring successor chain) can pick them up;
     /// `insert_replicated`'s skip-if-resident rule keeps the exchange from
     /// ping-ponging.
-    fn admit(
-        &self,
-        mut shard: MutexGuard<'_, Shard>,
-        hash: u64,
-        key: &CacheKeyRef<'_>,
-        value: ProbeOutcome,
-        tick: u64,
-        replicated: bool,
-    ) {
-        let bytes = key.byte_cost();
-        shard.bytes += bytes;
-        shard.entries += 1;
-        shard.buckets.entry(hash).or_default().push(Entry {
-            key: CacheKey::from_ref(key),
-            value,
-            last_used: tick,
-            bytes,
-            replicated,
-        });
-        let mut evicted = 0u64;
-        while shard.entries > self.shard_max_entries || shard.bytes > self.shard_max_bytes {
-            if shard.evict_lru().is_none() {
-                break;
-            }
-            evicted += 1;
-        }
-        drop(shard);
+    fn admitted(&self, key: &CacheKeyRef<'_>, evicted: u64) {
         if evicted > 0 {
             self.evictions.fetch_add(evicted, Ordering::Relaxed);
             self.obs.evictions.add(evicted);
@@ -547,15 +473,7 @@ impl VerificationCache {
     /// Whether `key` is resident, without touching recency or hit/miss
     /// counters. Replication-plane lookup.
     pub fn contains(&self, key: &CacheKeyRef<'_>) -> bool {
-        let hash = key.hash();
-        let shard = self
-            .shard_for(hash)
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
-        shard
-            .buckets
-            .get(&hash)
-            .is_some_and(|bucket| bucket.iter().any(|entry| entry.key.matches(key)))
+        self.peek(key).is_some()
     }
 
     /// Read a resident value without touching recency or hit/miss counters.
@@ -563,15 +481,9 @@ impl VerificationCache {
     /// distort the LRU order or the hit-rate telemetry.
     fn peek(&self, key: &CacheKeyRef<'_>) -> Option<ProbeOutcome> {
         let hash = key.hash();
-        let shard = self
-            .shard_for(hash)
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
-        shard
-            .buckets
-            .get(&hash)
-            .and_then(|bucket| bucket.iter().find(|entry| entry.key.matches(key)))
-            .map(|entry| entry.value)
+        self.shard(hash)
+            .peek(hash, |k| k.matches(key))
+            .map(|cached| cached.outcome)
     }
 
     /// The most recently issued admission-journal sequence number (0 before
@@ -672,7 +584,7 @@ impl VerificationCache {
     pub fn len(&self) -> usize {
         self.shards
             .iter()
-            .map(|s| s.lock().unwrap_or_else(|e| e.into_inner()).entries)
+            .map(|s| s.lock().unwrap_or_else(|e| e.into_inner()).len())
             .sum()
     }
 
@@ -685,7 +597,7 @@ impl VerificationCache {
     pub fn bytes(&self) -> usize {
         self.shards
             .iter()
-            .map(|s| s.lock().unwrap_or_else(|e| e.into_inner()).bytes)
+            .map(|s| s.lock().unwrap_or_else(|e| e.into_inner()).bytes())
             .sum()
     }
 
@@ -711,11 +623,11 @@ impl VerificationCache {
         let mut out: Vec<(CacheKey, ProbeOutcome)> = Vec::new();
         for shard in &self.shards {
             let shard = shard.lock().unwrap_or_else(|e| e.into_inner());
-            for bucket in shard.buckets.values() {
-                for entry in bucket {
-                    out.push((entry.key.clone(), entry.value));
-                }
-            }
+            out.extend(
+                shard
+                    .iter()
+                    .map(|(key, cached)| (key.clone(), cached.outcome)),
+            );
         }
         out.sort_by(|a, b| a.0.cmp(&b.0));
         out
@@ -724,6 +636,8 @@ impl VerificationCache {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::HashMap;
+
     use super::*;
 
     fn outcome(p: f64) -> ProbeOutcome {

@@ -2,17 +2,15 @@
 //!
 //! [`FaultInjector`] wraps any [`FallibleVerifier`] and makes it misbehave on
 //! a seeded, reproducible schedule: transient errors, stalls that blow the
-//! latency budget, garbage scores (NaN, negative, > 1, infinite), hard
-//! outages, and call-ordinal outage bursts.
+//! latency budget, garbage scores (NaN, negative, > 1, infinite), and hard
+//! outages.
 //!
-//! **Determinism contract.** Except for [`FaultProfile::outage_window`],
-//! every fault decision is a pure function of `(profile.seed, model name,
-//! request text, per-request attempt number)` — never of global call order
-//! or wall clock. Two runs that issue the same logical calls see the same
-//! faults even when thread interleaving differs, which is what lets the
-//! `parallel: true/false` bitwise-equality property hold under injected
-//! faults. Outage windows are the exception (a burst is inherently a
-//! position-in-time notion), so they are meant for sequential scenarios.
+//! **Determinism contract.** Every fault decision is a pure function of
+//! `(profile.seed, model name, request text, per-request attempt number)` —
+//! never of global call order or wall clock. Two runs that issue the same
+//! logical calls see the same faults even when thread interleaving differs,
+//! which is what lets the `parallel: true/false` bitwise-equality property
+//! hold under injected faults.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -46,10 +44,6 @@ pub struct FaultProfile {
     pub garbage_rate: f64,
     /// The model is completely down: every call is `Err(Outage)`.
     pub hard_down: bool,
-    /// Burst outage over call ordinals `[start, start + len)`. Order-based,
-    /// so only meaningful for sequential execution; prefer `hard_down` for
-    /// order-free scenarios.
-    pub outage_window: Option<(u64, u64)>,
 }
 
 impl FaultProfile {
@@ -61,7 +55,6 @@ impl FaultProfile {
             stall_rate: 0.0,
             garbage_rate: 0.0,
             hard_down: false,
-            outage_window: None,
         }
     }
 
@@ -76,7 +69,6 @@ impl FaultProfile {
             stall_rate: share,
             garbage_rate: share,
             hard_down: false,
-            outage_window: None,
         }
     }
 
@@ -100,7 +92,7 @@ pub struct InjectionStats {
     pub stalls: u64,
     /// Garbage scores delivered as `Ok`.
     pub garbage: u64,
-    /// `Err(Outage)` results (hard-down or window).
+    /// `Err(Outage)` results (hard-down).
     pub outages: u64,
 }
 
@@ -200,23 +192,16 @@ impl<F: FallibleVerifier> FaultInjector<F> {
         (splitmix64(key ^ stream) >> 11) as f64 / (1u64 << 53) as f64
     }
 
-    /// Count one call and apply the order-based outage modes (hard-down and
-    /// the ordinal window). Shared preamble of both probe entry points.
+    /// Count one call and apply the hard-down outage. Shared preamble of
+    /// both probe entry points.
     fn admit_call(&self) -> Result<(), VerifierError> {
-        let call_idx = self.calls.fetch_add(1, Ordering::Relaxed);
+        self.calls.fetch_add(1, Ordering::Relaxed);
         self.obs.calls.inc();
 
         if self.profile.hard_down {
             self.outages.fetch_add(1, Ordering::Relaxed);
             self.obs.outages.inc();
             return Err(VerifierError::Outage);
-        }
-        if let Some((start, len)) = self.profile.outage_window {
-            if call_idx >= start && call_idx < start + len {
-                self.outages.fetch_add(1, Ordering::Relaxed);
-                self.obs.outages.inc();
-                return Err(VerifierError::Outage);
-            }
         }
         Ok(())
     }
@@ -300,9 +285,8 @@ impl<F: FallibleVerifier> FallibleVerifier for FaultInjector<F> {
     /// attempt ordinal, not the internal per-request counter, so asking for
     /// `(request, attempt)` twice yields the same outcome bit-for-bit. This
     /// is what lets the verification cache memoize probe episodes without
-    /// changing what an uncached rerun would observe. Order-based modes
-    /// (`hard_down`, `outage_window`) still see the call counter, as
-    /// documented in the module-level determinism contract.
+    /// changing what an uncached rerun would observe. The call counter is a
+    /// statistic only; no fault decision reads it.
     fn try_p_yes_attempt(
         &self,
         request: &VerificationRequest<'_>,
@@ -365,19 +349,6 @@ mod tests {
             assert_eq!(inj.try_p_yes(&req).unwrap_err(), VerifierError::Outage);
         }
         assert_eq!(inj.stats().outages, 5);
-    }
-
-    #[test]
-    fn outage_window_covers_exact_ordinals() {
-        let mut profile = FaultProfile::none(1);
-        profile.outage_window = Some((2, 3));
-        let inj = FaultInjector::new(Reliable::new(Constant(0.6)), profile);
-        let req = VerificationRequest::new("q", "c", "r");
-        let outcomes: Vec<bool> = (0..8).map(|_| inj.try_p_yes(&req).is_err()).collect();
-        assert_eq!(
-            outcomes,
-            [false, false, true, true, true, false, false, false]
-        );
     }
 
     #[test]

@@ -51,6 +51,7 @@ pub mod gossip;
 pub mod hedge;
 pub mod kv;
 pub mod limit;
+mod lru;
 pub mod model;
 pub mod paged;
 pub mod prob;

@@ -350,7 +350,7 @@ impl<L: LayerView> InferenceModel for Transformer<L> {
             let ffn_out = ffn_step(layer, &normed);
             axpy(1.0, &ffn_out, &mut x);
         }
-        cache.advance();
+        cache.advance_by(1);
         self.finish_logits(&x)
     }
 

@@ -22,11 +22,12 @@
 //!
 //! **Page layout.** A page is one `Vec<f32>` of
 //! `block_tokens · n_layers · 2 · kv_dim` floats, position-major:
-//! `[slot][layer][K|V][kv_dim]`. The per-`(layer, K|V)` plane of a page is a
-//! genuinely strided matrix (`stride = n_layers · 2 · kv_dim`), accessed
-//! through [`tensor::StridedRows`] — filled positions occupy a contiguous
-//! buffer prefix, which is what lets COW copy a partial page with one
-//! `copy_from_slice`.
+//! `[slot][layer][K|V][kv_dim]`. The row of `(layer, K|V)` at position `pos`
+//! starts at `plane_base + slot · slot_stride` in page `pos / block_tokens`,
+//! with `slot = pos % block_tokens`, `plane_base = (2 · layer + kv) · kv_dim`
+//! and `slot_stride = n_layers · 2 · kv_dim` — filled positions occupy a
+//! contiguous buffer prefix, which is what lets COW copy a partial page with
+//! one `copy_from_slice`.
 //!
 //! **Why paged == contiguous, bitwise.** The attention/model layers are
 //! generic over [`KvStore`]; both backends execute identical arithmetic in
@@ -35,21 +36,20 @@
 //! logits across prefill → fork → extend → evict-then-refault.
 //!
 //! **Prefix cache.** [`PagedPrefixCache`] is the crate's one shared-prefix
-//! cache: it keeps the post-prefix KV state of each `(model, prefix tokens)`
-//! pair as a page-handle table, so every sentence probe against the same
-//! `(question, context)` cell forks it instead of prefilling the prefix
-//! again.
+//! cache: a bounded LRU map (the same one each verification-cache shard is)
+//! from `(model, prefix tokens)` to the post-prefix KV state as a page-handle
+//! table, so every sentence probe against the same `(question, context)`
+//! cell forks it instead of prefilling the prefix again.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use hallu_obs::{Counter, Gauge, Obs};
-use tensor::{StridedRows, StridedRowsMut};
 
 use crate::bpe::TokenId;
 use crate::config::ModelConfig;
 use crate::kv::KvStore;
+use crate::lru::Lru;
 use crate::model::PREFILL_BLOCK;
 
 /// Typed pool-exhaustion error: the reservation would push the pool past its
@@ -532,14 +532,10 @@ impl PagedKvCache {
     fn row(&self, layer: usize, pos: usize, kv: usize) -> &[f32] {
         debug_assert!(pos < self.reserved, "read at {pos} beyond reservation");
         let cfg = &self.pool.config;
+        debug_assert!(layer < cfg.n_layers, "layer {layer} out of range");
         let block = &self.blocks[pos / cfg.block_tokens];
-        let plane = StridedRows::new(
-            &block[cfg.plane_base(layer, kv)..],
-            cfg.block_tokens,
-            cfg.kv_dim,
-            cfg.slot_stride(),
-        );
-        plane.row(pos % cfg.block_tokens)
+        let slot = pos % cfg.block_tokens;
+        &block[cfg.plane_base(layer, kv) + slot * cfg.slot_stride()..][..cfg.kv_dim]
     }
 
     fn row_write(&mut self, layer: usize, pos: usize, kv: usize, data: &[f32]) {
@@ -550,16 +546,12 @@ impl PagedKvCache {
         );
         assert_eq!(data.len(), self.pool.config.kv_dim, "kv dim mismatch");
         let cfg = self.pool.config;
+        assert!(layer < cfg.n_layers, "layer {layer} out of range");
         let block = Arc::get_mut(&mut self.blocks[pos / cfg.block_tokens])
             .expect("write to shared paged block — try_reserve must copy-on-write first");
-        let base = cfg.plane_base(layer, kv);
-        let mut plane = StridedRowsMut::new(
-            &mut block[base..],
-            cfg.block_tokens,
-            cfg.kv_dim,
-            cfg.slot_stride(),
-        );
-        plane.row_mut(pos % cfg.block_tokens).copy_from_slice(data);
+        let slot = pos % cfg.block_tokens;
+        block[cfg.plane_base(layer, kv) + slot * cfg.slot_stride()..][..cfg.kv_dim]
+            .copy_from_slice(data);
     }
 }
 
@@ -570,28 +562,6 @@ impl KvStore for PagedKvCache {
 
     fn remaining(&self) -> usize {
         self.reserved - self.len
-    }
-
-    fn max_seq(&self) -> usize {
-        self.max_seq
-    }
-
-    fn kv_dim(&self) -> usize {
-        self.pool.config.kv_dim
-    }
-
-    fn n_layers(&self) -> usize {
-        self.pool.config.n_layers
-    }
-
-    fn write(&mut self, layer: usize, k: &[f32], v: &[f32]) {
-        self.row_write(layer, self.len, 0, k);
-        self.row_write(layer, self.len, 1, v);
-    }
-
-    fn advance(&mut self) {
-        assert!(self.len < self.reserved, "advance beyond reservation");
-        self.len += 1;
     }
 
     fn write_at(&mut self, layer: usize, pos: usize, k: &[f32], v: &[f32]) {
@@ -734,13 +704,15 @@ impl PrefixStats {
 /// ([`crate::fallible::FallibleVerifier::try_p_yes_attempt`]), prefix reuse
 /// is semantically invisible — it only saves wall-clock work.
 ///
-/// Eviction is LRU under two bounds, entry count and accounted bytes,
-/// mirroring [`crate::cache::VerificationCache`]. KV bytes count *filled
-/// rows*, not pages, so pages shared between snapshots are not
-/// double-counted.
+/// Eviction is LRU under two bounds, entry count and accounted bytes, in
+/// the same LRU map each [`crate::cache::VerificationCache`] shard is: a
+/// fork refreshes a snapshot's recency, an insert stores it as the most
+/// recent. KV bytes count *filled rows*, not pages, so pages shared between
+/// snapshots are not double-counted. Replaced and evicted snapshots drop
+/// under the cache's lock, so the lock order is always prefix cache → pool.
 pub struct PagedPrefixCache {
     pool: Arc<PagedKvPool>,
-    inner: Mutex<PagedPrefixInner>,
+    inner: Mutex<Snapshots>,
     config: PrefixCacheConfig,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -750,50 +722,8 @@ pub struct PagedPrefixCache {
     rejected: AtomicU64,
 }
 
-struct PagedEntry {
-    model: String,
-    tokens: Vec<TokenId>,
-    kv: PagedKvCache,
-    bytes: usize,
-    last_used: u64,
-}
-
-#[derive(Default)]
-struct PagedPrefixInner {
-    buckets: HashMap<u64, Vec<PagedEntry>>,
-    entries: usize,
-    bytes: usize,
-    tick: u64,
-}
-
-impl PagedPrefixInner {
-    fn evict_lru(&mut self) -> bool {
-        let Some((&hash, pos)) = self
-            .buckets
-            .iter()
-            .flat_map(|(hash, bucket)| {
-                bucket
-                    .iter()
-                    .enumerate()
-                    .map(move |(pos, entry)| ((hash, pos), entry.last_used))
-            })
-            .min_by_key(|&(_, last_used)| last_used)
-            .map(|((hash, pos), _)| (hash, pos))
-        else {
-            return false;
-        };
-        let Some(bucket) = self.buckets.get_mut(&hash) else {
-            return false;
-        };
-        let entry = bucket.remove(pos);
-        if bucket.is_empty() {
-            self.buckets.remove(&hash);
-        }
-        self.entries -= 1;
-        self.bytes -= entry.bytes;
-        true
-    }
-}
+/// Post-prefix snapshots keyed by `(model, prefix tokens)`.
+type Snapshots = Lru<(String, Vec<TokenId>), PagedKvCache>;
 
 impl std::fmt::Debug for PagedPrefixCache {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -807,13 +737,14 @@ impl std::fmt::Debug for PagedPrefixCache {
 impl PagedPrefixCache {
     /// Build a prefix cache over `pool` with the given bounds.
     pub fn new(pool: Arc<PagedKvPool>, config: PrefixCacheConfig) -> Self {
+        let config = PrefixCacheConfig {
+            max_entries: config.max_entries.max(1),
+            max_bytes: config.max_bytes.max(1),
+        };
         Self {
             pool,
-            inner: Mutex::new(PagedPrefixInner::default()),
-            config: PrefixCacheConfig {
-                max_entries: config.max_entries.max(1),
-                max_bytes: config.max_bytes.max(1),
-            },
+            inner: Mutex::new(Lru::new(config.max_entries, config.max_bytes)),
+            config,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             inserts: AtomicU64::new(0),
@@ -833,7 +764,7 @@ impl PagedPrefixCache {
         &self.config
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, PagedPrefixInner> {
+    fn lock(&self) -> std::sync::MutexGuard<'_, Snapshots> {
         self.inner.lock().unwrap_or_else(|e| e.into_inner())
     }
 
@@ -845,22 +776,10 @@ impl PagedPrefixCache {
     /// Panics when `capacity` is smaller than the cached prefix length.
     pub fn fork(&self, model: &str, tokens: &[TokenId], capacity: usize) -> Option<PagedKvCache> {
         let hash = prefix_hash(model, tokens);
-        let mut inner = self.lock();
-        inner.tick += 1;
-        let tick = inner.tick;
-        let forked = inner
-            .buckets
-            .get_mut(&hash)
-            .and_then(|bucket| {
-                bucket
-                    .iter_mut()
-                    .find(|e| e.model == model && e.tokens == tokens)
-            })
-            .map(|entry| {
-                entry.last_used = tick;
-                entry.kv.fork_with_capacity(capacity)
-            });
-        drop(inner);
+        let forked = self
+            .lock()
+            .get(hash, |(m, t)| m == model && t == tokens)
+            .map(|kv| kv.fork_with_capacity(capacity));
         match forked {
             Some(kv) => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
@@ -887,49 +806,20 @@ impl PagedPrefixCache {
             + model.len()
             + PREFIX_ENTRY_OVERHEAD_BYTES;
         let hash = prefix_hash(model, tokens);
-        let mut evicted = 0u64;
-        let updated;
-        {
-            let mut inner = self.lock();
-            inner.tick += 1;
-            let tick = inner.tick;
-            let existing = inner.buckets.get_mut(&hash).and_then(|b| {
-                b.iter_mut()
-                    .find(|e| e.model == model && e.tokens == tokens)
-            });
-            if let Some(entry) = existing {
-                let old = entry.bytes;
-                entry.kv = snapshot;
-                entry.bytes = bytes;
-                entry.last_used = tick;
-                updated = true;
-                inner.bytes = inner.bytes - old + bytes;
-            } else {
-                updated = false;
-                inner.bytes += bytes;
-                inner.entries += 1;
-                inner.buckets.entry(hash).or_default().push(PagedEntry {
-                    model: model.to_string(),
-                    tokens: tokens.to_vec(),
-                    kv: snapshot,
-                    bytes,
-                    last_used: tick,
-                });
-            }
-            while inner.entries > self.config.max_entries || inner.bytes > self.config.max_bytes {
-                if !inner.evict_lru() {
-                    break;
-                }
-                evicted += 1;
-            }
-        }
-        if updated {
+        let put = self.lock().put(
+            hash,
+            |(m, t)| m == model && t == tokens,
+            || (model.to_string(), tokens.to_vec()),
+            snapshot,
+            bytes,
+        );
+        if put.replaced {
             self.updates.fetch_add(1, Ordering::Relaxed);
         } else {
             self.inserts.fetch_add(1, Ordering::Relaxed);
         }
-        if evicted > 0 {
-            self.evictions.fetch_add(evicted, Ordering::Relaxed);
+        if put.evicted > 0 {
+            self.evictions.fetch_add(put.evicted, Ordering::Relaxed);
         }
         true
     }
@@ -965,7 +855,7 @@ impl PagedPrefixCache {
 
     /// Current snapshot count.
     pub fn len(&self) -> usize {
-        self.lock().entries
+        self.lock().len()
     }
 
     /// Whether the cache holds no snapshots.
@@ -975,14 +865,14 @@ impl PagedPrefixCache {
 
     /// Current accounted bytes.
     pub fn bytes(&self) -> usize {
-        self.lock().bytes
+        self.lock().bytes()
     }
 
     /// Counters plus current occupancy.
     pub fn stats(&self) -> PrefixStats {
         let (entries, bytes) = {
             let inner = self.lock();
-            (inner.entries as u64, inner.bytes as u64)
+            (inner.len() as u64, inner.bytes() as u64)
         };
         PrefixStats {
             hits: self.hits.load(Ordering::Relaxed),
@@ -999,30 +889,38 @@ impl PagedPrefixCache {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::HashMap;
+
     use super::*;
     use crate::kv::KvCache;
     use crate::model::{InferenceModel, TransformerLM};
 
+    /// Layers and K/V width of every [`tiny_pool`] page, and of the dense
+    /// caches [`push`] fills beside them.
+    const LAYERS: usize = 2;
+    const KV_DIM: usize = 3;
+
     fn tiny_pool(max_pages: usize) -> Arc<PagedKvPool> {
         Arc::new(PagedKvPool::new(PagedPoolConfig {
-            n_layers: 2,
-            kv_dim: 3,
+            n_layers: LAYERS,
+            kv_dim: KV_DIM,
             block_tokens: 4,
             max_pages,
         }))
     }
 
-    /// Append `n` positions with recognizable per-(pos, layer) rows.
+    /// Append `n` positions with recognizable per-(pos, layer) rows to a
+    /// cache of [`LAYERS`] layers and [`KV_DIM`]-wide rows.
     fn push<C: KvStore>(c: &mut C, n: usize, salt: f32) {
         for _ in 0..n {
-            let pos = c.len() as f32;
-            for layer in 0..c.n_layers() {
-                let b = salt + pos * 10.0 + layer as f32;
-                let k: Vec<f32> = (0..c.kv_dim()).map(|j| b + j as f32 * 0.1).collect();
-                let v: Vec<f32> = (0..c.kv_dim()).map(|j| -b - j as f32 * 0.1).collect();
-                c.write(layer, &k, &v);
+            let pos = c.len();
+            for layer in 0..LAYERS {
+                let b = salt + pos as f32 * 10.0 + layer as f32;
+                let k: Vec<f32> = (0..KV_DIM).map(|j| b + j as f32 * 0.1).collect();
+                let v: Vec<f32> = (0..KV_DIM).map(|j| -b - j as f32 * 0.1).collect();
+                c.write_at(layer, pos, &k, &v);
             }
-            c.advance();
+            c.advance_by(1);
         }
     }
 
@@ -1078,7 +976,7 @@ mod tests {
         let pool = tiny_pool(8);
         let mut paged = pool.new_cache(16);
         paged.try_reserve(10).unwrap();
-        let mut dense = KvCache::new(2, 16, 3);
+        let mut dense = KvCache::new(LAYERS, 16, KV_DIM);
         push(&mut paged, 10, 3.25);
         push(&mut dense, 10, 3.25);
         for layer in 0..2 {
@@ -1358,7 +1256,7 @@ mod tests {
         assert!(cache.fork("m", &toks, 8).is_none());
         assert!(cache.insert("m", &toks, &want));
         let forked = cache.fork("m", &toks, 8).expect("hit");
-        assert_eq!((forked.len(), forked.max_seq()), (5, 8));
+        assert_eq!((forked.len(), forked.max_seq), (5, 8));
         assert_rows_match(&|l, p| want.key(l, p).to_vec(), &forked, 5);
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses, stats.inserts), (1, 1, 1));
@@ -1492,7 +1390,7 @@ mod tests {
                     push(kv, 6, 7.0);
                 })
                 .unwrap();
-            assert_eq!((kv.len(), kv.max_seq()), (6, 10));
+            assert_eq!((kv.len(), kv.max_seq), (6, 10));
             assert_rows_match(&|l, p| want.key(l, p).to_vec(), &kv, 6);
             // Extending copies the shared tail page on write, so the
             // snapshot keeps its rows (checked below).
@@ -1536,6 +1434,8 @@ mod tests {
                 block_tokens: 4,
                 max_pages: 10,
             };
+            // Every cache and fork is bounded at this many positions.
+            let capacity = 20;
             let pool = Arc::new(PagedKvPool::new(config).with_obs(&obs));
             // Slot model: the cache plus the per-position fill values its
             // history dictates.
@@ -1543,15 +1443,16 @@ mod tests {
                 (0..4).map(|_| None).collect();
             for (step, &(slot, op, n)) in ops.iter().enumerate() {
                 match op {
-                    0 => slots[slot] = Some((pool.new_cache(20), Vec::new())),
+                    0 => slots[slot] = Some((pool.new_cache(capacity), Vec::new())),
                     1 => {
                         if let Some((c, vals)) = slots[slot].as_mut() {
-                            let n = n.min(c.max_seq() - c.len());
+                            let n = n.min(capacity - c.len());
                             if n > 0 && c.try_reserve(n).is_ok() {
                                 for i in 0..n {
                                     let fill = (step * 8 + i) as f32 + 0.5;
-                                    c.write(0, &[fill, fill + 0.25], &[-fill, -fill - 0.25]);
-                                    c.advance();
+                                    let pos = c.len();
+                                    c.write_at(0, pos, &[fill, fill + 0.25], &[-fill, -fill - 0.25]);
+                                    c.advance_by(1);
                                     vals.push(fill);
                                 }
                             }
@@ -1559,7 +1460,7 @@ mod tests {
                     }
                     2 => {
                         if let Some((c, vals)) = slots[slot].as_ref() {
-                            let fork = c.fork_with_capacity(c.max_seq());
+                            let fork = c.fork_with_capacity(capacity);
                             let vals = vals.clone();
                             slots[(slot + 1) % 4] = Some((fork, vals));
                         }

@@ -15,20 +15,6 @@ pub fn xavier_uniform(rows: usize, cols: usize, rng: &mut StdRng) -> Matrix {
     Matrix::from_fn(rows, cols, |_, _| rng.gen_range(-a..=a))
 }
 
-/// Kaiming/He-normal-ish initialization via a Box–Muller pair, scaled by
-/// sqrt(2/fan_in).
-pub fn kaiming_normal(rows: usize, cols: usize, rng: &mut StdRng) -> Matrix {
-    let std = (2.0 / rows as f64).sqrt() as f32;
-    Matrix::from_fn(rows, cols, |_, _| std * sample_standard_normal(rng))
-}
-
-/// One standard-normal sample via Box–Muller.
-pub fn sample_standard_normal(rng: &mut StdRng) -> f32 {
-    let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
-    let u2: f64 = rng.gen_range(0.0..1.0);
-    ((-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()) as f32
-}
-
 /// A vector of ones (norm gains).
 pub fn ones(n: usize) -> Vec<f32> {
     vec![1.0; n]
@@ -58,26 +44,6 @@ mod tests {
         assert_eq!(a, b);
         let c = xavier_uniform(4, 4, &mut seeded_rng(8));
         assert_ne!(a, c);
-    }
-
-    #[test]
-    fn kaiming_roughly_zero_mean() {
-        let mut rng = seeded_rng(2);
-        let m = kaiming_normal(50, 50, &mut rng);
-        let mean: f32 = m.as_slice().iter().sum::<f32>() / 2500.0;
-        assert!(mean.abs() < 0.01, "mean={mean}");
-    }
-
-    #[test]
-    fn normal_samples_have_plausible_spread() {
-        let mut rng = seeded_rng(3);
-        let xs: Vec<f32> = (0..2000)
-            .map(|_| sample_standard_normal(&mut rng))
-            .collect();
-        let mean: f32 = xs.iter().sum::<f32>() / xs.len() as f32;
-        let var: f32 = xs.iter().map(|v| (v - mean) * (v - mean)).sum::<f32>() / xs.len() as f32;
-        assert!(mean.abs() < 0.1, "mean={mean}");
-        assert!((var - 1.0).abs() < 0.15, "var={var}");
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Neural-network primitives: stable softmax, RMSNorm, LayerNorm, GELU, SiLU.
+//! Neural-network primitives: stable softmax, RMSNorm, SwiGLU, SiLU, sigmoid.
 //!
 //! Every f32 `exp` here is one in-crate body ([`exp`]) built from f32 adds,
 //! multiplies and integer bit operations: no fused multiply-add, no table and
@@ -239,30 +239,6 @@ pub fn rmsnorm(x: &[f32], gain: &[f32], eps: f32, out: &mut [f32]) {
     }
 }
 
-/// LayerNorm with gain and bias.
-pub fn layernorm(x: &[f32], gain: &[f32], bias: &[f32], eps: f32, out: &mut [f32]) {
-    assert_eq!(x.len(), gain.len());
-    assert_eq!(x.len(), bias.len());
-    assert_eq!(x.len(), out.len());
-    if x.is_empty() {
-        return;
-    }
-    let n = x.len() as f32;
-    let mean = x.iter().sum::<f32>() / n;
-    let var = x.iter().map(|v| (v - mean) * (v - mean)).sum::<f32>() / n;
-    let inv = 1.0 / (var + eps).sqrt();
-    for i in 0..x.len() {
-        out[i] = (x[i] - mean) * inv * gain[i] + bias[i];
-    }
-}
-
-/// Tanh-approximation GELU (the GPT-2 formulation).
-#[inline]
-pub fn gelu(x: f32) -> f32 {
-    const SQRT_2_OVER_PI: f32 = 0.797_884_6;
-    0.5 * x * (1.0 + (SQRT_2_OVER_PI * (x + 0.044715 * x * x * x)).tanh())
-}
-
 /// SiLU (swish): `x * sigmoid(x)` — the activation in Llama/Qwen MLPs.
 /// Bit-identical to an element of [`swiglu_inplace`] before its multiply.
 #[inline(always)]
@@ -344,29 +320,6 @@ mod tests {
         let mut out = [0.0; 2];
         rmsnorm(&x, &gain, 0.0, &mut out);
         assert_close(out[0] / out[1], 4.0, 1e-6);
-    }
-
-    #[test]
-    fn layernorm_zero_mean_unit_var() {
-        let x = [1.0, 2.0, 3.0, 4.0];
-        let gain = [1.0; 4];
-        let bias = [0.0; 4];
-        let mut out = [0.0; 4];
-        layernorm(&x, &gain, &bias, 1e-6, &mut out);
-        let mean: f32 = out.iter().sum::<f32>() / 4.0;
-        let var: f32 = out.iter().map(|v| (v - mean) * (v - mean)).sum::<f32>() / 4.0;
-        assert_close(mean, 0.0, 1e-5);
-        assert_close(var, 1.0, 1e-3);
-    }
-
-    #[test]
-    fn gelu_reference_points() {
-        assert_close(gelu(0.0), 0.0, 1e-7);
-        assert_close(gelu(1.0), 0.841_192, 1e-3);
-        assert_close(gelu(-1.0), -0.158_808, 1e-3);
-        // large inputs approach identity / zero
-        assert_close(gelu(10.0), 10.0, 1e-3);
-        assert_close(gelu(-10.0), 0.0, 1e-3);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! BLAS-like kernels: the packed f32 projection GEMM, matvec, axpy.
+//! BLAS-like kernels: the packed f32 projection GEMM, dot, axpy.
 //!
 //! [`PackedMatrix`] is the engine's f32 projection: its weights are packed
 //! once into 32-column panels, and its one GEMM runs at the widest SIMD
@@ -395,25 +395,6 @@ fn store<const P: usize, const W: usize>(
     }
 }
 
-/// `y = M · x` (matrix–vector product).
-///
-/// # Panics
-/// Panics if `m.cols() != x.len()`.
-pub fn matvec(m: &Matrix, x: &[f32]) -> Vec<f32> {
-    let mut y = vec![0.0; m.rows()];
-    matvec_into(m, x, &mut y);
-    y
-}
-
-/// `y = M · x` into a caller-provided buffer.
-pub fn matvec_into(m: &Matrix, x: &[f32], y: &mut [f32]) {
-    assert_eq!(m.cols(), x.len(), "matvec shape mismatch");
-    assert_eq!(m.rows(), y.len(), "output length mismatch");
-    for (i, yi) in y.iter_mut().enumerate() {
-        *yi = dot(m.row(i), x);
-    }
-}
-
 /// Dot product with 4-way manual unrolling.
 #[inline]
 pub fn dot(a: &[f32], b: &[f32]) -> f32 {
@@ -442,20 +423,6 @@ pub fn axpy(alpha: f32, x: &[f32], y: &mut [f32]) {
     }
 }
 
-/// Elementwise `a * b` into `out`.
-pub fn hadamard_into(a: &[f32], b: &[f32], out: &mut [f32]) {
-    assert_eq!(a.len(), b.len());
-    assert_eq!(a.len(), out.len());
-    for ((o, &x), &y) in out.iter_mut().zip(a).zip(b) {
-        *o = x * y;
-    }
-}
-
-/// L2 norm of a vector.
-pub fn l2_norm(x: &[f32]) -> f32 {
-    dot(x, x).sqrt()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -469,6 +436,13 @@ mod tests {
     /// `A · B` through the packed kernel.
     fn matmul(a: &Matrix, b: &Matrix) -> Matrix {
         PackedMatrix::pack(b).apply_block(a)
+    }
+
+    /// `M · x`, one [`dot`] per row: the reference the GEMM paths are
+    /// checked against.
+    fn matvec(m: &Matrix, x: &[f32]) -> Vec<f32> {
+        assert_eq!(m.cols(), x.len(), "matvec shape mismatch");
+        (0..m.rows()).map(|i| dot(m.row(i), x)).collect()
     }
 
     #[test]
@@ -708,18 +682,6 @@ mod tests {
         let mut y = vec![1.0, 1.0];
         axpy(2.0, &[3.0, 4.0], &mut y);
         assert_eq!(y, [7.0, 9.0]);
-    }
-
-    #[test]
-    fn hadamard() {
-        let mut out = vec![0.0; 3];
-        hadamard_into(&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0], &mut out);
-        assert_eq!(out, [4.0, 10.0, 18.0]);
-    }
-
-    #[test]
-    fn l2() {
-        assert_eq!(l2_norm(&[3.0, 4.0]), 5.0);
     }
 
     proptest::proptest! {
