@@ -18,13 +18,19 @@
 //! 4. **Pool economics** — the sweep completes with zero rejected
 //!    reservations and zero leaked pages, with COW copies and page reuse
 //!    both actually observed.
+//!
+//! The ratios of claims 2 and 3 are medians of per-pair ratios over
+//! alternating samples ([`bench::sweep::paired`]), so a change in the
+//! machine's speed between samples cancels out of them.
 
 use std::sync::Arc;
 
-use bench::sweep::{best_of_3, bits, tokens};
+use bench::sweep::{bits, paired, tokens};
 use bench::{save_record, RESULTS_PATH};
 use eval::report::ExperimentRecord;
-use slm_runtime::{InferenceModel, ModelConfig, PagedKvPool, PagedPoolConfig, TransformerLM};
+use slm_runtime::{
+    InferenceModel, ModelConfig, PagedKvCache, PagedKvPool, PagedPoolConfig, TransformerLM,
+};
 
 const VOCAB: usize = 8192;
 const MODEL_SEED: u64 = 0xF222;
@@ -34,16 +40,29 @@ const SUFFIX_LEN: usize = 16;
 /// timing batches keeps the clock granularity out of the ratio.
 const FORK_REPS: usize = 1024;
 
+/// [`FORK_REPS`] calls of `fork`, one timing sample.
+fn forks<T>(fork: impl Fn() -> T) {
+    for _ in 0..FORK_REPS {
+        std::hint::black_box(fork());
+    }
+}
+
+/// A pooled snapshot of `prefix`, with room for one suffix.
+fn snapshot(model: &TransformerLM, pool: &Arc<PagedKvPool>, prefix: &[u32]) -> PagedKvCache {
+    let mut warm = pool.new_cache(prefix.len() + SUFFIX_LEN);
+    warm.try_reserve(prefix.len())
+        .expect("pool sized for the sweep");
+    model.prefill_cache_only(prefix, &mut warm);
+    warm
+}
+
 /// One full paged probe pass: pooled prefix prefill, one COW fork per
 /// suffix, suffix-only extend. Returns the logit bits of every probe — the
 /// fingerprint the rerun must reproduce exactly.
 fn paged_probe_pass(model: &TransformerLM, pool: &Arc<PagedKvPool>) -> Vec<Vec<u32>> {
     let mut out = Vec::new();
     for &plen in &PREFIX_LENS {
-        let prefix = tokens(plen as u64, plen, VOCAB);
-        let mut warm = pool.new_cache(plen + SUFFIX_LEN);
-        warm.try_reserve(plen).expect("pool sized for the sweep");
-        model.prefill_cache_only(&prefix, &mut warm);
+        let warm = snapshot(model, pool, &tokens(plen as u64, plen, VOCAB));
         for s in 0..4u64 {
             let suffix = tokens(0xA0 + s, SUFFIX_LEN, VOCAB);
             let mut fork = warm.fork_with_capacity(plen + SUFFIX_LEN);
@@ -70,7 +89,6 @@ fn main() {
         "prefix", "pages", "contig ns", "paged ns", "speedup"
     );
     let mut speedup_at_realistic = f64::INFINITY;
-    let mut paged_ns_short = 0.0f64;
     let mut paged_ns_long = 0.0f64;
     let mut contig_ns_long = 0.0f64;
     for &plen in &PREFIX_LENS {
@@ -90,11 +108,7 @@ fn main() {
         let got_contig = bits(&model.prefill(&suffix, &mut contig_fork));
 
         // Paged warm path: pooled snapshot + Arc-clone fork + COW extend.
-        let mut paged_warm = pool.new_cache(need);
-        paged_warm
-            .try_reserve(plen)
-            .expect("pool sized for the sweep");
-        model.prefill_cache_only(&prefix, &mut paged_warm);
+        let paged_warm = snapshot(&model, &pool, &prefix);
         let mut paged_fork = paged_warm.fork_with_capacity(need);
         paged_fork
             .try_reserve(SUFFIX_LEN)
@@ -111,24 +125,15 @@ fn main() {
         );
 
         // Fork cost alone: what a sentence probe pays before its suffix runs.
-        let contig_s = best_of_3(|| {
-            for _ in 0..FORK_REPS {
-                std::hint::black_box(contig_warm.fork_with_capacity(need));
-            }
-        });
-        let paged_s = best_of_3(|| {
-            for _ in 0..FORK_REPS {
-                std::hint::black_box(paged_warm.fork_with_capacity(need));
-            }
-        });
-        let contig_ns = contig_s * 1e9 / FORK_REPS as f64;
-        let paged_ns = paged_s * 1e9 / FORK_REPS as f64;
-        let speedup = contig_s / paged_s;
+        let timed = paired(
+            || forks(|| contig_warm.fork_with_capacity(need)),
+            || forks(|| paged_warm.fork_with_capacity(need)),
+        );
+        let contig_ns = timed.a_s * 1e9 / FORK_REPS as f64;
+        let paged_ns = timed.b_s * 1e9 / FORK_REPS as f64;
+        let speedup = timed.ratio;
         if plen >= 128 {
             speedup_at_realistic = speedup_at_realistic.min(speedup);
-        }
-        if plen == PREFIX_LENS[0] {
-            paged_ns_short = paged_ns;
         }
         if plen == 224 {
             paged_ns_long = paged_ns;
@@ -149,8 +154,18 @@ fn main() {
     );
     // Flatness: 224 tokens is 4 pages, so the paged fork may cost a few
     // page-clones more than the 4-token fork — but never the 56x a
-    // row-proportional copy would cost.
-    let flatness = paged_ns_long / paged_ns_short.max(1.0);
+    // row-proportional copy would cost. Timed in pairs like the speedups,
+    // on the two snapshots built again.
+    let [(short, short_need), (long, long_need)] = [PREFIX_LENS[0], 224].map(|plen| {
+        let prefix = tokens(plen as u64, plen, VOCAB);
+        (snapshot(&model, &pool, &prefix), plen + SUFFIX_LEN)
+    });
+    let flatness = paired(
+        || forks(|| long.fork_with_capacity(long_need)),
+        || forks(|| short.fork_with_capacity(short_need)),
+    )
+    .ratio;
+    drop((short, long));
     println!("fork_flatness paged_224_over_4 {flatness:.2}");
     assert!(
         flatness <= 16.0,

@@ -18,7 +18,8 @@
 //! 3. **Warm-probe speedup** — with a warm paged prefix cache, scoring a
 //!    sentence costs one page-handle fork, a copy-on-write of a partial tail
 //!    page and a suffix-only prefill: ≥ 5× over re-prefilling the full
-//!    prompt per sentence at prefix 224 × 16 sentences.
+//!    prompt per sentence at prefix 224 × 16 sentences, as the median of
+//!    per-pair ratios like claim 2.
 //!
 //! The capacity sweep cycles probes over 4 distinct prefixes through caches
 //! of 1/2/8 entries: an undersized cache thrashes (low hit rate, high
@@ -27,7 +28,7 @@
 
 use std::sync::Arc;
 
-use bench::sweep::{best_of_3, bits, paired, tokens};
+use bench::sweep::{bits, paired, tokens};
 use bench::{save_record, RESULTS_PATH};
 use eval::report::ExperimentRecord;
 use slm_runtime::model::prefill_sequential;
@@ -164,19 +165,22 @@ fn main() {
                 );
             }
 
-            let cold_s = best_of_3(|| {
-                for suffix in &suffixes {
-                    std::hint::black_box(cold_probe(suffix));
-                }
-            });
             // The snapshot is already resident (built during the parity
-            // pass), so this times the steady state: fork + suffix prefill.
-            let warm_s = best_of_3(|| {
-                for suffix in &suffixes {
-                    std::hint::black_box(warm_probe(suffix));
-                }
-            });
-            let speedup = cold_s / warm_s;
+            // pass), so the warm side times the steady state: fork + suffix
+            // prefill.
+            let timed = paired(
+                || {
+                    for suffix in &suffixes {
+                        std::hint::black_box(cold_probe(suffix));
+                    }
+                },
+                || {
+                    for suffix in &suffixes {
+                        std::hint::black_box(warm_probe(suffix));
+                    }
+                },
+            );
+            let (cold_s, warm_s, speedup) = (timed.a_s, timed.b_s, timed.ratio);
             if plen == 224 && n_sent == 16 {
                 warm_speedup_headline = speedup;
             }

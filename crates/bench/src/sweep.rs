@@ -18,18 +18,6 @@ pub fn tokens(seed: u64, len: usize, vocab: usize) -> Vec<u32> {
         .collect()
 }
 
-/// Best-of-3 wall-clock seconds for `f` (the minimum is the least noisy
-/// estimator for a deterministic workload).
-pub fn best_of_3(mut f: impl FnMut()) -> f64 {
-    (0..3)
-        .map(|_| {
-            let t = Instant::now();
-            f();
-            t.elapsed().as_secs_f64()
-        })
-        .fold(f64::INFINITY, f64::min)
-}
-
 /// Timed pairs in [`paired`]; odd, so the median is one pair's ratio.
 const PAIRS: usize = 7;
 
@@ -49,9 +37,8 @@ pub struct Paired {
 /// each, then `a, b, a, b, …` for seven pairs), and take the median of the
 /// per-pair ratios. The two samples of a pair run back to back, so a
 /// change in the machine's speed between pairs moves both and cancels out
-/// of their ratio; two separate best-of-3 minima can catch the machine at
-/// different speeds, and their ratio then measures the machine, not the
-/// code.
+/// of their ratio; two separate minima can catch the machine at different
+/// speeds, and their ratio then measures the machine, not the code.
 pub fn paired(mut a: impl FnMut(), mut b: impl FnMut()) -> Paired {
     fn time(f: &mut impl FnMut()) -> f64 {
         let t = Instant::now();

@@ -54,7 +54,10 @@ pub struct DetectorConfig {
     /// averaged directly.
     pub normalize: bool,
     /// Probe the (sentence, model) cells on the batch engine's worker
-    /// threads instead of inline. Output bits are identical either way.
+    /// threads instead of inline. Inline, a probe's forward pass may borrow
+    /// a core no prober holds (`slm_runtime::batch`), so an inline detector
+    /// on two cores still uses both; workers hold the cores themselves and
+    /// never borrow. Output bits are identical either way.
     pub parallel: bool,
     /// §VI gating extension: when set, if the first model's |z| exceeds this
     /// margin its verdict is used alone and the remaining models are not

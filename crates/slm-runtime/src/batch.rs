@@ -23,7 +23,23 @@
 //! and memoize (see [`crate::cache`]) without the ensemble ever observing a
 //! difference. Worker count and claim order affect wall-clock time only,
 //! never output bits.
+//!
+//! **Lending idle cores.** [`BatchEngine::run`] is the one scheduler of
+//! probe threads, so it also decides when a probe's forward pass may take a
+//! helper thread (the engine's two-span forward, in
+//! [`crate::model::Transformer`]). One process-wide count holds the threads
+//! probing for runs plus the helpers their forwards borrowed: the caller
+//! while it evaluates inline, and each worker while it claims groups. Only
+//! the inline caller lends: a thread-local flag marks it, and a forward on
+//! it borrows a helper only while the count is below [`host_parallelism`],
+//! with a compare-and-swap, and returns it on drop, unwinding included. So
+//! an inline run on a two-core host splits every large enough forward,
+//! while a run's workers never split: they already share the cores, and a
+//! lone worker at the end of a call measured no gain from a helper. A
+//! forward outside any run (a sweep, a bench, a direct `prefill`) never
+//! splits either. The split moves no bit.
 
+use std::cell::Cell;
 use std::num::NonZeroUsize;
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -138,10 +154,138 @@ pub struct BatchReport {
 
 /// The host's available parallelism, read once per process:
 /// `available_parallelism` re-reads the cgroup limits on every call. Sizes
-/// both the detector's batch workers and the engine's LM-head threads.
+/// the detector's batch workers, the engine's LM-head threads and the cores
+/// a run's forwards may borrow.
 pub fn host_parallelism() -> usize {
     static THREADS: OnceLock<usize> = OnceLock::new();
     *THREADS.get_or_init(|| std::thread::available_parallelism().map_or(1, NonZeroUsize::get))
+}
+
+/// A count of the cores probing threads hold, against a capacity: each
+/// thread probing for a run, and each helper its forwards borrowed. The
+/// count publishes no other data; its atomics only keep it exact.
+pub(crate) struct Cores {
+    busy: AtomicUsize,
+    capacity: usize,
+}
+
+impl Cores {
+    pub(crate) const fn new(capacity: usize) -> Self {
+        Self {
+            busy: AtomicUsize::new(0),
+            capacity,
+        }
+    }
+
+    /// The process-wide count, of capacity [`host_parallelism`].
+    fn host() -> &'static Cores {
+        static HOST: OnceLock<Cores> = OnceLock::new();
+        HOST.get_or_init(|| Cores::new(host_parallelism()))
+    }
+
+    /// Count one more core held: a prober runs whether or not one is free.
+    fn hold(&self) -> Held<'_> {
+        self.busy.fetch_add(1, Ordering::AcqRel);
+        Held(self)
+    }
+
+    /// Claim one more core, if fewer than the capacity are held.
+    fn lend(&self) -> Option<Held<'_>> {
+        let mut busy = self.busy.load(Ordering::Acquire);
+        while busy < self.capacity {
+            match self.busy.compare_exchange_weak(
+                busy,
+                busy + 1,
+                Ordering::AcqRel,
+                Ordering::Acquire,
+            ) {
+                Ok(_) => return Some(Held(self)),
+                Err(now) => busy = now,
+            }
+        }
+        None
+    }
+}
+
+/// One core counted in a [`Cores`], released on drop (unwinding included).
+struct Held<'a>(&'a Cores);
+
+impl Drop for Held<'_> {
+    fn drop(&mut self) {
+        self.0.busy.fetch_sub(1, Ordering::AcqRel);
+    }
+}
+
+/// Why a thread may lend cores to its forwards.
+#[derive(Clone, Copy)]
+enum Prober {
+    /// It evaluates a run inline, counted in these cores.
+    Run(&'static Cores),
+    /// A test forces every forward of two rows or more to split.
+    #[cfg(test)]
+    Forced,
+}
+
+thread_local! {
+    /// Set while this thread evaluates a run inline (or a test forces
+    /// splits).
+    static PROBER: Cell<Option<Prober>> = const { Cell::new(None) };
+}
+
+/// Marks the current thread as a prober until dropped, holding its seat
+/// in its run's cores.
+struct Probing {
+    _seat: Option<Held<'static>>,
+    was: Option<Prober>,
+}
+
+impl Probing {
+    fn enter(prober: Prober, seat: Option<Held<'static>>) -> Self {
+        let was = PROBER.replace(Some(prober));
+        Self { _seat: seat, was }
+    }
+}
+
+/// A seat in `cores` for the current thread, unless it already evaluates
+/// a run inline: an inline run nested in another's evaluation counts its
+/// thread once. (A worker's seat is not marked, so an inline run nested in
+/// a worker counts it twice, which can only stop a lend.)
+fn seat(cores: &'static Cores) -> Option<Held<'static>> {
+    PROBER.get().is_none().then(|| cores.hold())
+}
+
+impl Drop for Probing {
+    fn drop(&mut self) {
+        PROBER.set(self.was);
+    }
+}
+
+/// A helper core lent to one block forward, returned on drop.
+pub(crate) struct Lent {
+    _held: Option<Held<'static>>,
+}
+
+/// Lend the current thread's forward of a `rows`-row block a helper core:
+/// only on a thread evaluating a run inline, only for at least `min_rows`
+/// rows, and only while its run's count is below capacity. A test that forces
+/// the split gets one for any block of two rows or more.
+pub(crate) fn lend_core(rows: usize, min_rows: usize) -> Option<Lent> {
+    match PROBER.get()? {
+        Prober::Run(cores) if rows >= min_rows => {
+            cores.lend().map(|held| Lent { _held: Some(held) })
+        }
+        Prober::Run(_) => None,
+        #[cfg(test)]
+        Prober::Forced => (rows >= 2).then_some(Lent { _held: None }),
+    }
+}
+
+/// Run `f` with every block forward of two rows or more on this thread
+/// split, on any host: the parity tests' entry to the two-span forward.
+#[cfg(test)]
+pub(crate) fn forcing_split<R>(f: impl FnOnce() -> R) -> R {
+    let _forced = Probing::enter(Prober::Forced, None);
+    f()
 }
 
 /// Deterministic batched executor for verification jobs.
@@ -232,7 +376,25 @@ impl BatchEngine {
     /// `eval` must be pure per the module determinism contract; under that
     /// contract the returned vector is bitwise-identical to
     /// `jobs.iter().map(eval).collect()` regardless of worker count.
+    ///
+    /// The threads that evaluate (the caller inline, or each worker) hold a
+    /// core while they do; an inline caller's forwards may also borrow an
+    /// idle one (see the module docs).
     pub fn run<R, F>(&self, jobs: &[BatchJob<'_>], eval: F) -> (Vec<R>, BatchReport)
+    where
+        R: Send + Clone,
+        F: Fn(&BatchJob<'_>) -> R + Sync,
+    {
+        self.run_on(Cores::host(), jobs, eval)
+    }
+
+    /// [`BatchEngine::run`], its probing threads counted in `cores`.
+    fn run_on<R, F>(
+        &self,
+        cores: &'static Cores,
+        jobs: &[BatchJob<'_>],
+        eval: F,
+    ) -> (Vec<R>, BatchReport)
     where
         R: Send + Clone,
         F: Fn(&BatchJob<'_>) -> R + Sync,
@@ -291,10 +453,12 @@ impl BatchEngine {
         // the unique-list order, and the fan-out below restores submission
         // order — the ordered merge.
         let evaluated: Vec<R> = if workers <= 1 {
+            let _probing = Probing::enter(Prober::Run(cores), seat(cores));
             unique.iter().map(|&idx| eval(&jobs[idx])).collect()
         } else {
             let next = AtomicUsize::new(0);
             let claim = || {
+                let _seat = cores.hold();
                 let mut done: Vec<(usize, R)> = Vec::new();
                 while let Some(span) = spans.get(next.fetch_add(1, Ordering::Relaxed)) {
                     done.extend(span.clone().map(|pos| (pos, eval(&jobs[unique[pos]]))));
@@ -598,6 +762,133 @@ mod tests {
         let (results, report) = BatchEngine::parallel(8).run(&jobs, tag);
         assert_eq!(results, vec!["3:only"]);
         assert_eq!(report.workers, 1);
+    }
+
+    /// A core count of capacity 2, like two pinned CPUs, on any host.
+    fn two_cores() -> &'static Cores {
+        Box::leak(Box::new(Cores::new(2)))
+    }
+
+    fn busy(cores: &Cores) -> usize {
+        cores.busy.load(Ordering::Acquire)
+    }
+
+    /// Whether a forward of a 64-row block on this thread may split now.
+    fn may_split() -> bool {
+        lend_core(64, 8).is_some()
+    }
+
+    #[test]
+    fn inline_runs_lend_a_core_and_threads_outside_never_borrow() {
+        let cores = two_cores();
+        assert!(!may_split(), "a thread outside any run");
+        let jobs = jobs_from(&[(0, "a"), (1, "b")]);
+        let (lent, _) = BatchEngine::sequential().run_on(cores, &jobs, |job| {
+            let outside = std::thread::scope(|s| s.spawn(may_split).join().unwrap_or(true));
+            assert!(!outside, "a thread the evaluator starts is outside the run");
+            assert!(lend_core(4, 8).is_none(), "a block below the minimum");
+            (job.model, may_split(), busy(cores))
+        });
+        assert_eq!(lent, vec![(0, true, 1), (1, true, 1)]);
+        assert_eq!(busy(cores), 0, "the evaluator's seat is returned");
+        assert!(!may_split(), "the run is over");
+    }
+
+    #[test]
+    fn workers_hold_both_cores_and_never_borrow() {
+        use std::sync::Barrier;
+        let cores = two_cores();
+        let mk = |q: &'static str| BatchJob::new(0, VerificationRequest::new(q, "c", "s"));
+        let jobs = vec![mk("short"), mk("long")];
+        // Both workers hold a group before either asks for a core, and
+        // neither leaves before both asked.
+        let both = Barrier::new(2);
+        let (lent, report) = BatchEngine::parallel(2).run_on(cores, &jobs, |job| {
+            both.wait();
+            let while_both = (busy(cores), may_split());
+            both.wait();
+            if job.request.question == "short" {
+                return (while_both, false);
+            }
+            // The other worker finds no group left and returns its core;
+            // a lone worker still does not borrow it.
+            while busy(cores) > 1 {
+                std::thread::yield_now();
+            }
+            (while_both, may_split())
+        });
+        assert_eq!(report.workers, 2);
+        assert_eq!(lent, vec![((2, false), false); 2]);
+        assert_eq!(busy(cores), 0);
+    }
+
+    #[test]
+    fn an_inline_run_borrows_the_core_another_run_returns() {
+        use std::sync::Barrier;
+        let cores = two_cores();
+        let jobs = jobs_from(&[(0, "a")]);
+        // Two inline runs on two threads hold both cores; neither may
+        // borrow until the one that leaves first has returned its seat.
+        let both = Barrier::new(2);
+        let run = |stays: bool| {
+            let (lent, _) = BatchEngine::sequential().run_on(cores, &jobs, |_| {
+                both.wait();
+                let while_both = may_split();
+                both.wait();
+                if !stays {
+                    return (while_both, false);
+                }
+                while busy(cores) > 1 {
+                    std::thread::yield_now();
+                }
+                (while_both, may_split())
+            });
+            lent
+        };
+        std::thread::scope(|s| {
+            let leaves = s.spawn(|| run(false));
+            let stays = s.spawn(|| run(true));
+            assert_eq!(leaves.join().unwrap(), vec![(false, false)]);
+            assert_eq!(stays.join().unwrap(), vec![(false, true)]);
+        });
+        assert_eq!(busy(cores), 0);
+    }
+
+    #[test]
+    fn lent_cores_never_exceed_the_capacity_and_unwinding_returns_them() {
+        use std::sync::atomic::AtomicBool;
+        use std::sync::Barrier;
+        let cores = two_cores();
+        let threads = 4;
+        let start = Barrier::new(threads);
+        let over = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            for _ in 0..threads {
+                s.spawn(|| {
+                    start.wait();
+                    for _ in 0..2000 {
+                        if let Some(held) = cores.lend() {
+                            over.fetch_or(busy(cores) > 2, Ordering::Relaxed);
+                            drop(held);
+                        }
+                    }
+                });
+            }
+        });
+        assert!(!over.load(Ordering::Relaxed), "more cores lent than exist");
+        assert_eq!(busy(cores), 0);
+
+        let jobs = jobs_from(&[(0, "a")]);
+        let unwound = std::panic::catch_unwind(|| {
+            BatchEngine::sequential().run_on(cores, &jobs, |_| {
+                let _helper = lend_core(64, 8);
+                assert_eq!(busy(cores), 2);
+                panic!("probe failed");
+            })
+        });
+        assert!(unwound.is_err());
+        assert_eq!(busy(cores), 0, "seats are returned on unwind");
+        assert!(!may_split(), "the thread no longer probes");
     }
 
     #[test]

@@ -13,11 +13,14 @@
 //! - [`PagedKvCache`] is a table of page handles. A fork
 //!   ([`PagedKvCache::fork_with_capacity`]) clones `O(len / block_tokens)`
 //!   handles and copies **zero** floats — fork cost is flat in prefix length.
-//! - Writes require a prior [`PagedKvCache::try_reserve`], which performs all
-//!   allocation *and* copy-on-write atomically under one pool lock: either the
-//!   whole reservation succeeds or the cache is left untouched (no torn
-//!   forks). Exhaustion is the typed [`PoolExhausted`] error, never a panic.
-//! - Free pages return to a free list on drop and are zeroed on reuse, so a
+//! - Writes require a prior [`PagedKvCache::try_reserve`], which takes every
+//!   page it needs in one critical section of the pool lock before it
+//!   copies-on-write: either the whole reservation succeeds or the cache is
+//!   left untouched (no torn forks). Exhaustion is the typed
+//!   [`PoolExhausted`] error, never a panic.
+//! - Free pages return to a free list on drop. A reservation writes each
+//!   page it takes exactly once, after the lock is released: a whole copy of
+//!   its source for a copy-on-write page, zeros for a fresh one. So a
 //!   refaulted prefix recomputes into deterministic memory.
 //!
 //! **Page layout.** A page is one `Vec<f32>` of
@@ -130,7 +133,8 @@ impl PagedPoolConfig {
 /// hit one and returns the buffer to the free list.
 #[derive(Debug, Default)]
 struct PoolState {
-    /// Reusable page buffers (zeroed on reuse, not on return).
+    /// Reusable page buffers, holding what they held when released until a
+    /// reservation overwrites or zeroes them.
     free: Vec<Vec<f32>>,
     /// Distinct pages currently held by at least one cache.
     live: usize,
@@ -319,41 +323,39 @@ impl PagedKvPool {
             .set((s.live * self.config.page_bytes()) as f64);
     }
 
-    /// Hand out `n` pages, reusing (and zeroing) free-list buffers first. All
-    /// `n` succeed or none do — the atomicity behind torn-fork freedom.
+    /// Hand out `n` pages, free-list buffers first. All `n` succeed or none
+    /// do — the atomicity behind torn-fork freedom. A recycled buffer comes
+    /// back as it was released, not zeroed: the caller overwrites it (a
+    /// copy-on-write page) or zeroes it (a fresh one), after the pool lock
+    /// is released. The lock covers only the accounting and the free-list
+    /// pops; new buffers are allocated after it too.
     fn allocate_n(&self, n: usize) -> Result<Vec<Arc<Vec<f32>>>, PoolExhausted> {
-        let mut s = self.lock();
-        if s.live + n > self.config.max_pages {
-            s.rejected += 1;
-            self.obs.rejected.inc();
-            return Err(PoolExhausted {
-                requested: n,
-                live: s.live,
-                max_pages: self.config.max_pages,
-            });
-        }
+        let recycled = {
+            let mut s = self.lock();
+            if s.live + n > self.config.max_pages {
+                s.rejected += 1;
+                self.obs.rejected.inc();
+                return Err(PoolExhausted {
+                    requested: n,
+                    live: s.live,
+                    max_pages: self.config.max_pages,
+                });
+            }
+            let keep = s.free.len().saturating_sub(n);
+            let recycled = s.free.split_off(keep);
+            s.created += n - recycled.len();
+            s.live += n;
+            s.handles += n;
+            s.allocs += n as u64;
+            s.peak_live = s.peak_live.max(s.live);
+            self.publish(&s);
+            recycled
+        };
         let floats = self.config.page_floats();
-        let pages: Vec<Arc<Vec<f32>>> = (0..n)
-            .map(|_| {
-                let buf = match s.free.pop() {
-                    Some(mut buf) => {
-                        buf.fill(0.0);
-                        buf
-                    }
-                    None => {
-                        s.created += 1;
-                        vec![0.0f32; floats]
-                    }
-                };
-                Arc::new(buf)
-            })
-            .collect();
-        s.live += n;
-        s.handles += n;
-        s.allocs += n as u64;
-        s.peak_live = s.peak_live.max(s.live);
-        self.publish(&s);
-        Ok(pages)
+        let created = (recycled.len()..n).map(|_| vec![0.0f32; floats]);
+        // Most recently released first, as the free list pops them.
+        let recycled = recycled.into_iter().rev();
+        Ok(recycled.chain(created).map(Arc::new).collect())
     }
 
     /// Return one handle. The last handle of a page puts its buffer back on
@@ -476,19 +478,25 @@ impl PagedKvCache {
             .filter(|&i| Arc::strong_count(&self.blocks[i]) > 1)
             .collect();
         let fresh = target_blocks.saturating_sub(self.blocks.len());
-        let mut pages = self.pool.allocate_n(cow_idx.len() + fresh)?;
-        // COW: copy the shared page's floats into the fresh page, swap the
-        // handle, release the share. Filled slots are a buffer prefix, but a
-        // whole-page copy is branch-free and pages are small.
+        let mut pages = self.pool.allocate_n(cow_idx.len() + fresh)?.into_iter();
+        fn exclusive(page: &mut Arc<Vec<f32>>) -> &mut Vec<f32> {
+            Arc::get_mut(page).expect("freshly allocated page is exclusive")
+        }
+        // COW: copy the shared page's floats over the allocated page (so it
+        // needs no zeroing first), swap the handle, release the share.
+        // Filled slots are a buffer prefix, but a whole-page copy is
+        // branch-free and pages are small.
         for &i in &cow_idx {
-            let mut page = pages.remove(0);
-            Arc::get_mut(&mut page)
-                .expect("freshly allocated page is exclusive")
-                .copy_from_slice(&self.blocks[i]);
+            let mut page = pages.next().expect("one page per copy");
+            exclusive(&mut page).copy_from_slice(&self.blocks[i]);
             let old = std::mem::replace(&mut self.blocks[i], page);
             self.pool.release(old);
         }
-        self.blocks.extend(pages);
+        // Fresh pages read as zeros, whatever a recycled buffer held.
+        for mut page in pages {
+            exclusive(&mut page).fill(0.0);
+            self.blocks.push(page);
+        }
         self.pool.note_cow(cow_idx.len() as u64);
         self.reserved = (self.blocks.len() * bt)
             .min(self.max_seq)
@@ -969,6 +977,29 @@ mod tests {
             "free-list page reused, not created"
         );
         assert_eq!(c2.key(0, 0), &[0.0, 0.0, 0.0], "reused page zeroed");
+    }
+
+    #[test]
+    fn recycled_pages_are_written_once_as_zeros_or_as_their_source() {
+        // Two pages of a released cache go back on the free list dirty;
+        // the next reservation takes them as one copy-on-write page and one
+        // fresh page, which must read as the source page and as zeros.
+        let pool = tiny_pool(4);
+        let mut parent = pool.new_cache(8);
+        parent.try_reserve(2).unwrap();
+        push(&mut parent, 2, 1.0);
+        let mut dirty = pool.new_cache(8);
+        dirty.try_reserve(8).unwrap();
+        push(&mut dirty, 8, 7.0);
+        drop(dirty);
+        assert_eq!(pool.stats().pages_free, 2);
+
+        let mut fork = parent.fork_with_capacity(8);
+        fork.try_reserve(6).unwrap();
+        assert_eq!(pool.stats().created, 3, "both buffers recycled");
+        assert_eq!(pool.stats().cow_copies, 1);
+        assert_eq!(fork.blocks[0].as_slice(), parent.blocks[0].as_slice());
+        assert!(fork.blocks[1].iter().all(|&x| x.to_bits() == 0));
     }
 
     #[test]

@@ -44,11 +44,20 @@
 
 use crate::linear::Linear;
 use crate::matrix::Matrix;
-use crate::ops::VECMAT_PARALLEL_MIN_WORK;
 use crate::simd::{self, SimdLevel};
 
 /// Output channels per weight panel: one AVX-512 vector of `i32` lanes.
 const PANEL: usize = 16;
+
+/// Minimum multiply-accumulate terms (`in × out`) before
+/// [`Int8Matrix::apply_parallel`] runs on more than one thread; smaller
+/// products run serially, with the same bits. Timed as `apply` against
+/// `apply_parallel(x, 2)` like the f32 kernel's threshold (three runs on a
+/// 2-vCPU guest with VNNI): two threads lost up to 3 Mi terms (96–384 ×
+/// 8192: ×0.26–×0.95), tied at 4 Mi (512 × 8192: ×0.98–×1.03) and won from
+/// 6 Mi (768 × 8192: ×1.12–×1.15; 1024 × 8192: ×1.13–×1.19). The int8 GEMM
+/// is about four times faster per term, so a thread pays off later.
+const PARALLEL_MIN_WORK: usize = 6 << 20;
 
 /// Bytes per panel row: [`PANEL`] outputs × one input pair.
 const PANEL_ROW: usize = 2 * PANEL;
@@ -586,8 +595,8 @@ impl Int8Matrix {
     /// `apply` with an explicit thread count, bit-identical to [`Linear::apply`]
     /// for any `threads`: each thread owns whole panels, so every output is
     /// computed by exactly one thread with the same exact-integer reduction.
-    /// Used for the wide lm_head; products smaller than
-    /// [`VECMAT_PARALLEL_MIN_WORK`] terms run on the calling thread.
+    /// Used for the wide lm_head; products below a measured work threshold
+    /// (6 Mi multiply-adds, `in × out`) run on the calling thread.
     ///
     /// # Panics
     /// Panics if `x.len() != in_features`.
@@ -602,7 +611,7 @@ impl Int8Matrix {
         let mut out = vec![0.0f32; self.out_features];
         let panels = self.out_features.div_ceil(PANEL);
         let threads = threads.clamp(1, panels.max(1));
-        if threads < 2 || self.in_features * self.out_features < VECMAT_PARALLEL_MIN_WORK {
+        if threads < 2 || self.in_features * self.out_features < PARALLEL_MIN_WORK {
             gemm_at(level, self, &a, &sxs, 0, &mut out);
             return out;
         }
@@ -881,10 +890,13 @@ mod tests {
 
     #[test]
     fn parallel_bit_identical_to_serial_for_all_thread_counts() {
-        // 1322 outputs (the benchmark's vocabulary) end in a partial panel.
-        // Every level, VNNI and plain, on every thread count, against the
-        // one-thread product at the detected level.
-        for (k, n) in [(96, 512), (96, 1322)] {
+        // 1322 outputs (the benchmark's vocabulary) end in a partial panel,
+        // and so do 65_546, whose product is above PARALLEL_MIN_WORK, so
+        // the threaded path runs. Every level, VNNI and plain, on every
+        // thread count, against the one-thread product at the detected
+        // level.
+        const { assert!(96 * 65_546 >= PARALLEL_MIN_WORK) };
+        for (k, n) in [(96, 512), (96, 1322), (96, 65_546)] {
             let w = pseudo_matrix(k, n, 17);
             let q = Int8Matrix::calibrate(&w);
             let x = pseudo_vec(k, 19);

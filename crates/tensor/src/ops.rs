@@ -23,13 +23,15 @@ const TILE_ROWS: usize = 4;
 /// accumulators in flight as a tile of [`TILE_ROWS`] rows does.
 const ROW_SLICES: usize = 4;
 
-/// Minimum number of multiply-accumulate terms (`rows * cols`) before
-/// [`Linear::apply_parallel`] of a [`PackedMatrix`] or an
-/// [`crate::Int8Matrix`] spawns threads. Below this, thread spawn + join
-/// costs more than the whole product (measured ~15-30 µs spawn overhead per
-/// thread vs ~10 µs for a 32k-element serial vecmat); the serial path is
-/// returned instead, which is bit-identical anyway.
-pub const VECMAT_PARALLEL_MIN_WORK: usize = 32 * 1024;
+/// Minimum multiply-accumulate terms (`in × out`) before
+/// [`Linear::apply_parallel`] of a [`PackedMatrix`] runs on more than one
+/// thread; smaller products run serially, with the same bits. Timed as
+/// `apply` against `apply_parallel(x, 2)`, medians of seven alternating
+/// pairs of 40 calls (`bench::sweep::paired`), three runs on a 2-vCPU
+/// guest: two threads lost or tied up to 2 Mi terms (96–256 × 8192:
+/// ×0.62–×1.13) and won from 3 Mi (384 × 8192: ×1.21–×1.24; 96 × 32768:
+/// ×1.21–×1.37).
+const PARALLEL_MIN_WORK: usize = 3 << 20;
 
 /// An `in × out` f32 projection packed for the GEMM, applied as
 /// `y = x^T · W`.
@@ -75,15 +77,15 @@ impl PackedMatrix {
 
     /// [`Linear::apply_parallel`] at `level`: each thread owns whole
     /// panels, so every output is computed by exactly one thread in the
-    /// serial order. Products smaller than [`VECMAT_PARALLEL_MIN_WORK`]
-    /// terms run on the calling thread.
+    /// serial order. Products smaller than [`PARALLEL_MIN_WORK`] terms
+    /// run on the calling thread.
     fn apply_at(&self, level: SimdLevel, x: &[f32], threads: usize) -> Vec<f32> {
         self.check_in(x.len());
         let zero = [x.contains(&0.0)];
         let mut out = vec![0.0f32; self.out_features];
         let panels = self.out_features.div_ceil(PANEL);
         let threads = threads.clamp(1, panels.max(1));
-        if threads < 2 || self.in_features * self.out_features < VECMAT_PARALLEL_MIN_WORK {
+        if threads < 2 || self.in_features * self.out_features < PARALLEL_MIN_WORK {
             gemm_at(level, self, x, &zero, 0, &mut out);
             return out;
         }
@@ -502,12 +504,17 @@ mod tests {
 
     #[test]
     fn vecmat_parallel_is_bit_identical_to_serial() {
-        // 48 x 800 = 38_400 terms, above VECMAT_PARALLEL_MIN_WORK so the
-        // threaded path actually runs.
-        let m = Matrix::from_fn(48, 800, |r, c| ((r * 31 + c * 7) % 17) as f32 * 0.13 - 1.0);
-        assert!(m.rows() * m.cols() >= VECMAT_PARALLEL_MIN_WORK);
+        // 2736 x 1153 = 3_154_608 terms, above PARALLEL_MIN_WORK so the
+        // threaded path actually runs, over 37 panels (the last one of a
+        // single column), so the larger thread counts clamp to 37.
+        let m = Matrix::from_fn(2736, 1153, |r, c| {
+            ((r * 31 + c * 7) % 17) as f32 * 0.13 - 1.0
+        });
+        assert!(m.rows() * m.cols() >= PARALLEL_MIN_WORK);
         let p = PackedMatrix::pack(&m);
-        let x: Vec<f32> = (0..48).map(|i| ((i * 5) % 9) as f32 * 0.2 - 0.8).collect();
+        let x: Vec<f32> = (0..2736)
+            .map(|i| ((i * 5) % 9) as f32 * 0.2 - 0.8)
+            .collect();
         let serial = p.apply(&x);
         for threads in [1, 2, 3, 7, 64, 1000] {
             assert_eq!(p.apply_parallel(&x, threads), serial, "threads={threads}");
@@ -519,7 +526,7 @@ mod tests {
         // Below the min-work threshold results must still be bit-identical;
         // the threshold only changes *where* the product runs.
         let m = Matrix::from_fn(48, 200, |r, c| ((r * 31 + c * 7) % 17) as f32 * 0.13 - 1.0);
-        assert!(m.rows() * m.cols() < VECMAT_PARALLEL_MIN_WORK);
+        assert!(m.rows() * m.cols() < PARALLEL_MIN_WORK);
         let p = PackedMatrix::pack(&m);
         let x: Vec<f32> = (0..48).map(|i| ((i * 5) % 9) as f32 * 0.2 - 0.8).collect();
         assert_eq!(p.apply_parallel(&x, 8), p.apply(&x));
@@ -637,35 +644,42 @@ mod tests {
             (3, _) => -3.0e-39,
             _ => ((r * 29 + c * 13) % 23) as f32 * 0.17 - 1.9,
         };
+        let check = |rows: usize, k: usize, n: usize| {
+            let a = Matrix::from_fn(rows, k, activation);
+            let b = Matrix::from_fn(k, n, weight);
+            assert_packed_matches_reference(&a, &b, |_| true);
+
+            let special = k / 2;
+            let weight = |r: usize, c: usize| match (r == special, c % 4) {
+                (true, 1) => f32::INFINITY,
+                (true, 3) => f32::NAN,
+                _ => ((r * 19 + c * 5) % 13) as f32 * 0.21 - 1.2,
+            };
+            let zero_row = |r: usize| [2, 7].contains(&(r % 12));
+            let activation = |r: usize, c: usize| match (c == special, r % 12) {
+                (true, 2) => 0.0,
+                (true, 7) => -0.0,
+                _ if (r + c) % 7 == 3 => 1.0e-40,
+                _ => ((r * 29 + c * 13) % 23) as f32 * 0.17 - 1.9,
+            };
+            let a = Matrix::from_fn(rows, k, activation);
+            let b = Matrix::from_fn(k, n, weight);
+            assert_packed_matches_reference(&a, &b, zero_row);
+        };
         for rows in [1, 2, 3, 4, 5, 9, 37, 64, 65] {
             for n in [1, 15, 16, 17, 31, 32, 33, 96, 160, 1153] {
                 for k in [1, 63, 64, 65, 256] {
-                    if rows * n * k > 1_000_000 {
-                        continue;
+                    if rows * n * k <= 1_000_000 {
+                        check(rows, k, n);
                     }
-                    let a = Matrix::from_fn(rows, k, activation);
-                    let b = Matrix::from_fn(k, n, weight);
-                    assert_packed_matches_reference(&a, &b, |_| true);
-
-                    let special = k / 2;
-                    let weight = |r: usize, c: usize| match (r == special, c % 4) {
-                        (true, 1) => f32::INFINITY,
-                        (true, 3) => f32::NAN,
-                        _ => ((r * 19 + c * 5) % 13) as f32 * 0.21 - 1.2,
-                    };
-                    let zero_row = |r: usize| [2, 7].contains(&(r % 12));
-                    let activation = |r: usize, c: usize| match (c == special, r % 12) {
-                        (true, 2) => 0.0,
-                        (true, 7) => -0.0,
-                        _ if (r + c) % 7 == 3 => 1.0e-40,
-                        _ => ((r * 29 + c * 13) % 23) as f32 * 0.17 - 1.9,
-                    };
-                    let a = Matrix::from_fn(rows, k, activation);
-                    let b = Matrix::from_fn(k, n, weight);
-                    assert_packed_matches_reference(&a, &b, zero_row);
                 }
             }
         }
+        // One product above PARALLEL_MIN_WORK, so `apply` on 2, 3 and 8
+        // threads takes the threaded path at every level, over 37 panels
+        // with a last one of a single column.
+        const { assert!(2736 * 1153 >= PARALLEL_MIN_WORK) };
+        check(2, 2736, 1153);
     }
 
     #[test]
