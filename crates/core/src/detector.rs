@@ -53,11 +53,12 @@ pub struct DetectorConfig {
     /// Apply Eq. 4 per-model normalization. When off, raw probabilities are
     /// averaged directly.
     pub normalize: bool,
-    /// Probe the (sentence, model) cells on the batch engine's worker
-    /// threads instead of inline. Inline, a probe's forward pass may borrow
-    /// a core no prober holds (`slm_runtime::batch`), so an inline detector
-    /// on two cores still uses both; workers hold the cores themselves and
-    /// never borrow. Output bits are identical either way.
+    /// Probe the (sentence, model) cells on up to `host_parallelism()`
+    /// threads that claim prefix groups, instead of inline. Inline, the
+    /// caller claims them, with one helper beside it while the cells span
+    /// at least two groups and a core is idle (`slm_runtime::batch`), so an
+    /// inline detector on two cores still uses both. Output bits are
+    /// identical either way.
     pub parallel: bool,
     /// §VI gating extension: when set, if the first model's |z| exceeds this
     /// margin its verdict is used alone and the remaining models are not

@@ -422,9 +422,10 @@ impl ResilientDetector {
     }
 
     /// Pick an engine for `jobs` pending cells: parallel (workers claiming
-    /// whole prefix groups) when the config asks for it, inline otherwise. Worker count shapes
-    /// wall-clock only — the engine's ordered merge plus episode purity keep
-    /// outputs bitwise-identical either way.
+    /// whole prefix groups) when the config asks for it, inline otherwise
+    /// (the caller claiming them, with a helper while a core is idle).
+    /// Which threads claim shapes wall-clock only — the engine's ordered
+    /// merge plus episode purity keep outputs bitwise-identical either way.
     fn engine(&self, jobs: usize) -> BatchEngine {
         if self.config.parallel && jobs > 1 {
             BatchEngine::parallel(host_parallelism().min(jobs))

@@ -90,19 +90,14 @@ impl Geometry {
 /// kernel runs contiguously over positions, values row-major
 /// (`v[t * kv_dim + d]`) so the value sum reads them without a page-table
 /// lookup per position.
-pub(crate) struct GatheredKv {
+struct GatheredKv {
     geo: Geometry,
     kt: Vec<f32>,
     v: Vec<f32>,
 }
 
 impl GatheredKv {
-    pub(crate) fn new<C: KvStore>(
-        cfg: &ModelConfig,
-        cache: &C,
-        layer: usize,
-        total: usize,
-    ) -> Self {
+    fn new<C: KvStore>(cfg: &ModelConfig, cache: &C, layer: usize, total: usize) -> Self {
         let geo = Geometry::new(cfg, total);
         let mut kt = vec![0.0f32; geo.kv_dim * geo.stride];
         let mut v = Vec::with_capacity(geo.kv_dim * total);
@@ -126,7 +121,7 @@ impl GatheredKv {
     /// the baseline, where one row's 16-lane score accumulators fill all 16
     /// SSE registers. The rows left below a whole tile run the one-row
     /// instance of the same kernels. Shared by [`attention_step`] and
-    /// [`attend_rows`], so both run the same arithmetic per row.
+    /// [`attention_block`], so both run the same arithmetic per row.
     fn attend(&self, level: SimdLevel, q: &[f32], first: usize, out: &mut [f32]) {
         match level {
             #[cfg(target_arch = "x86_64")]
@@ -552,89 +547,74 @@ pub fn attention_step<C: KvStore, L: LayerView>(
     weights.wo().apply(&out)
 }
 
-/// The rotated projections of consecutive rows: phase one of a block's
-/// attention.
-pub(crate) struct Projected {
-    /// Every row's key, rotated to its position.
-    pub(crate) k: Matrix,
-    /// Every row's value.
-    pub(crate) v: Matrix,
-    /// The queried rows' queries, rotated to their positions.
-    pub(crate) q: Matrix,
-}
-
-/// Project the normalized rows `xs`, row `i` at position `pos + i`: K and V
-/// for every row, Q for rows `first_query..`, each rotated as
-/// [`attention_step`] rotates it. No state is touched, so two threads can
-/// project disjoint rows of one block at once.
+/// Multi-token attention over a block of `xs.rows()` normalized hidden states
+/// occupying positions `cache.len()..cache.len() + xs.rows()`, queried from
+/// row `first_query` on.
 ///
-/// This is the first of the three phases of a block's multi-token
-/// attention, which the engine's block forward
-/// ([`crate::model::Transformer`]) runs per layer, on one thread or shared
-/// between two:
-///
-/// 1. project K and V for every row and Q for the queried rows, each
-///    rotated at its own position;
-/// 2. [`stage`] every row's K/V (later rows, later blocks and forked prefix
-///    snapshots attend to them; the caller commits them with
-///    [`KvStore::advance_by`] once every layer has run), then gather the
-///    layer once ([`GatheredKv::new`]);
-/// 3. [`attend_rows`]: the causal core and `wo` for the queried rows.
+/// K and V are projected, rotated and *staged* via [`KvStore::write_at`] for
+/// every row of the block, because later rows, later blocks and forked
+/// prefix snapshots attend to them; the caller commits them with
+/// [`KvStore::advance_by`] once every layer has run. Q, the causal core and
+/// the `wo` projection run only for rows `first_query..`: the result holds
+/// one row per queried row, and none when `first_query == xs.rows()`.
 ///
 /// The projections run as blocked GEMMs ([`Linear::apply_block`] rows are
 /// bit-identical to [`Linear::apply`]); the causal score/softmax/weighted-sum
 /// core runs over tiles of rows that keep, per row, exactly the operation
-/// sequence [`attention_step`] uses. So a queried row carries the same bits
-/// the sequential path produces at its position, whichever rows are
-/// queried, and whichever thread projects or attends it.
+/// sequence [`attention_step`] uses, so the result row of block row `i`
+/// carries the same bits the sequential path would produce at position
+/// `cache.len() + i`, whichever rows are queried.
 ///
 /// # Panics
 /// Panics if `first_query > xs.rows()`.
-pub(crate) fn project<L: LayerView>(
+pub(crate) fn attention_block<C: KvStore, L: LayerView>(
+    cfg: &ModelConfig,
     weights: &L,
     rope: &RopeTable,
+    cache: &mut C,
+    layer: usize,
     xs: &Matrix,
-    pos: usize,
     first_query: usize,
-) -> Projected {
-    let rows = xs.rows();
-    assert!(first_query <= rows, "query rows start past the block");
+) -> Matrix {
+    let block = xs.rows();
+    let start = cache.len();
+    assert!(first_query <= block, "query rows start past the block");
+
+    // Project, rotate and stage K/V for every position in the block.
     let mut k = weights.wk().apply_block(xs);
     let v = weights.wv().apply_block(xs);
-    for i in 0..rows {
-        rope.apply_all_heads(k.row_mut(i), pos + i);
+    for i in 0..block {
+        rope.apply_all_heads(k.row_mut(i), start + i);
+        cache.write_at(layer, start + i, k.row(i), v.row(i));
     }
-    let mut q = match first_query {
-        0 => weights.wq().apply_block(xs),
-        f if f == rows => Matrix::zeros(0, weights.wq().out_features()),
-        f => weights.wq().apply_block(&rows_from(xs, f)),
+    if first_query == block {
+        return Matrix::zeros(0, cfg.hidden);
+    }
+
+    let mut q = if first_query == 0 {
+        weights.wq().apply_block(xs)
+    } else {
+        weights.wq().apply_block(&rows_from(xs, first_query))
     };
     for i in 0..q.rows() {
-        rope.apply_all_heads(q.row_mut(i), pos + first_query + i);
+        rope.apply_all_heads(q.row_mut(i), start + first_query + i);
     }
-    Projected { k, v, q }
-}
 
-/// Stage projected K/V rows for `layer` at positions `pos..` (phase two,
-/// before [`GatheredKv::new`]); the caller commits them with
-/// [`KvStore::advance_by`].
-pub(crate) fn stage<C: KvStore>(cache: &mut C, layer: usize, pos: usize, k: &Matrix, v: &Matrix) {
-    for i in 0..k.rows() {
-        cache.write_at(layer, pos + i, k.row(i), v.row(i));
-    }
-}
+    // Causal attention per queried row: position start + i sees
+    // 0..=start + i, which includes the staged rows of this block that
+    // precede it. Keys and values are gathered once for the whole block,
+    // and the rows run the same core as [`attention_step`], in tiles of
+    // consecutive rows.
+    let total = start + block;
+    let kv = GatheredKv::new(cfg, cache, layer, total);
+    let mut out = Matrix::zeros(q.rows(), cfg.hidden);
+    kv.attend(
+        simd::detect(),
+        q.as_slice(),
+        start + first_query + 1,
+        out.as_mut_slice(),
+    );
 
-/// Causal attention of consecutive query rows over a layer's gathered K/V,
-/// then the `wo` projection (phase three). Query row `i` sees positions
-/// `0..width + i`: the staged rows before it and itself.
-pub(crate) fn attend_rows<L: LayerView>(
-    weights: &L,
-    kv: &GatheredKv,
-    q: &Matrix,
-    width: usize,
-) -> Matrix {
-    let mut out = Matrix::zeros(q.rows(), q.cols());
-    kv.attend(simd::detect(), q.as_slice(), width, out.as_mut_slice());
     weights.wo().apply_block(&out)
 }
 
@@ -733,30 +713,9 @@ mod tests {
         );
     }
 
-    /// A block's attention on one thread: its three phases composed as the
-    /// engine's one-span forward composes them.
-    fn attention_block<C: KvStore, L: LayerView>(
-        cfg: &ModelConfig,
-        weights: &L,
-        rope: &RopeTable,
-        cache: &mut C,
-        layer: usize,
-        xs: &Matrix,
-        first_query: usize,
-    ) -> Matrix {
-        let start = cache.len();
-        let Projected { k, v, q } = project(weights, rope, xs, start, first_query);
-        stage(cache, layer, start, &k, &v);
-        if q.rows() == 0 {
-            return Matrix::zeros(0, cfg.hidden);
-        }
-        let kv = GatheredKv::new(cfg, cache, layer, start + xs.rows());
-        attend_rows(weights, &kv, &q, start + first_query + 1)
-    }
-
     #[test]
     fn block_is_bit_identical_to_sequential_steps() {
-        // Parity core for the GEMM prefill: the block phases must reproduce
+        // Parity core for the GEMM prefill: attention_block must reproduce
         // attention_step exactly, including when the block starts
         // mid-sequence, for the test shape and the two benchmark shapes
         // (GQA group 3 at head_dim 16, MHA at head_dim 8). Blocks of 20, 19,

@@ -6,11 +6,12 @@
 //! near-duplicates. [`BatchEngine`] turns that list into per-model batches
 //! ([`BatchEngine::plan`]) and, within each, prefix groups
 //! ([`BatchEngine::plan_prefix_groups`]), coalesces exact-duplicate jobs so
-//! each unique cell is evaluated once, and executes the unique jobs on scoped
-//! worker threads that claim whole prefix groups, in plan order, from one
-//! shared cursor. A group never straddles two workers, so its first job
-//! builds the prefix KV snapshot and the rest fork it on the same thread; a
-//! worker that finishes early takes the next group instead of idling.
+//! each unique cell is evaluated once, and executes the unique jobs on the
+//! calling thread and scoped threads beside it that claim whole prefix
+//! groups, in plan order, from one shared cursor. A group never straddles
+//! two threads, so its first job builds the prefix KV snapshot and the rest
+//! fork it on the same thread; a thread that finishes early takes the next
+//! group instead of idling.
 //!
 //! **Determinism contract.** The engine never changes *what* is computed,
 //! only *where*: every result is tagged with its position in the unique list
@@ -24,26 +25,27 @@
 //! difference. Worker count and claim order affect wall-clock time only,
 //! never output bits.
 //!
-//! **Lending idle cores.** [`BatchEngine::run`] is the one scheduler of
-//! probe threads, so it also decides when a probe's forward pass may take a
-//! helper thread (the engine's two-span forward, in
-//! [`crate::model::Transformer`]). One process-wide count holds the threads
-//! probing for runs plus the helpers their forwards borrowed: the caller
-//! while it evaluates inline, and each worker while it claims groups. Only
-//! the inline caller lends: a thread-local flag marks it, and a forward on
-//! it borrows a helper only while the count is below [`host_parallelism`],
-//! with a compare-and-swap, and returns it on drop, unwinding included. So
-//! an inline run on a two-core host splits every large enough forward,
-//! while a run's workers never split: they already share the cores, and a
-//! lone worker at the end of a call measured no gain from a helper. A
-//! forward outside any run (a sweep, a bench, a direct `prefill`) never
-//! splits either. The split moves no bit.
+//! **Idle cores.** [`BatchEngine::run`] is the one place that puts a
+//! second core to work on probes, and a prefix group is the unit it moves:
+//! the paper scores each member's cells on their own (Eq. 2–3) and combines
+//! them only afterwards (Eq. 4–6), so one member's group is a whole piece
+//! of work, and a forward pass stays on the thread that starts it. In every
+//! run the calling thread claims groups itself. Beside it run either the
+//! engine's other `workers − 1` scoped threads, or, for an inline engine
+//! whose plan has at least two groups, one helper lent while a core is
+//! idle. A process-wide count holds the threads claiming groups for runs:
+//! each caller and worker, and each lent helper. The caller takes its seat
+//! first and then asks for the helper's once, with a compare-and-swap that
+//! succeeds only while the count is below [`host_parallelism`], so a
+//! one-core host never lends. A thread holds its seat only while it claims,
+//! and returns it when its claim loop ends, unwinding included. Neither
+//! the helper nor the count moves a bit.
 
-use std::cell::Cell;
 use std::num::NonZeroUsize;
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
+use std::thread;
 
 use crate::verifier::VerificationRequest;
 
@@ -145,8 +147,11 @@ pub struct BatchReport {
     pub batches: usize,
     /// Jobs answered by copying another job's result (`jobs - unique_jobs`).
     pub coalesced: usize,
-    /// Worker threads that claimed prefix groups: the configured cap, but
-    /// never more than there are groups.
+    /// The engine's claiming threads, the caller among them: the
+    /// configured cap, but never more than there are groups, so 1 for an
+    /// inline run. A helper that an inline run borrows for an idle core is
+    /// not counted, so the report depends on the jobs and the engine alone,
+    /// never on the machine's load.
     pub workers: usize,
     /// Distinct (model, question, context) prefix groups in the plan.
     pub prefix_groups: usize,
@@ -154,23 +159,25 @@ pub struct BatchReport {
 
 /// The host's available parallelism, read once per process:
 /// `available_parallelism` re-reads the cgroup limits on every call. Sizes
-/// the detector's batch workers, the engine's LM-head threads and the cores
-/// a run's forwards may borrow.
+/// the detector's batch workers and the engine's LM-head threads, and caps
+/// the threads that claim groups for runs, so an inline run borrows a
+/// helper only for a core no claiming thread holds.
 pub fn host_parallelism() -> usize {
     static THREADS: OnceLock<usize> = OnceLock::new();
     *THREADS.get_or_init(|| std::thread::available_parallelism().map_or(1, NonZeroUsize::get))
 }
 
-/// A count of the cores probing threads hold, against a capacity: each
-/// thread probing for a run, and each helper its forwards borrowed. The
-/// count publishes no other data; its atomics only keep it exact.
-pub(crate) struct Cores {
+/// A count of the cores that threads claiming groups for runs hold, against
+/// a capacity: each run's caller and workers, and each helper an inline run
+/// borrowed. A thread holds its seat only while it claims. The count
+/// publishes no other data; its atomics only keep it exact.
+struct Cores {
     busy: AtomicUsize,
     capacity: usize,
 }
 
 impl Cores {
-    pub(crate) const fn new(capacity: usize) -> Self {
+    const fn new(capacity: usize) -> Self {
         Self {
             busy: AtomicUsize::new(0),
             capacity,
@@ -183,7 +190,8 @@ impl Cores {
         HOST.get_or_init(|| Cores::new(host_parallelism()))
     }
 
-    /// Count one more core held: a prober runs whether or not one is free.
+    /// Count one more core held: a caller or a worker claims whether or not
+    /// one is free.
     fn hold(&self) -> Held<'_> {
         self.busy.fetch_add(1, Ordering::AcqRel);
         Held(self)
@@ -216,78 +224,6 @@ impl Drop for Held<'_> {
     }
 }
 
-/// Why a thread may lend cores to its forwards.
-#[derive(Clone, Copy)]
-enum Prober {
-    /// It evaluates a run inline, counted in these cores.
-    Run(&'static Cores),
-    /// A test forces every forward of two rows or more to split.
-    #[cfg(test)]
-    Forced,
-}
-
-thread_local! {
-    /// Set while this thread evaluates a run inline (or a test forces
-    /// splits).
-    static PROBER: Cell<Option<Prober>> = const { Cell::new(None) };
-}
-
-/// Marks the current thread as a prober until dropped, holding its seat
-/// in its run's cores.
-struct Probing {
-    _seat: Option<Held<'static>>,
-    was: Option<Prober>,
-}
-
-impl Probing {
-    fn enter(prober: Prober, seat: Option<Held<'static>>) -> Self {
-        let was = PROBER.replace(Some(prober));
-        Self { _seat: seat, was }
-    }
-}
-
-/// A seat in `cores` for the current thread, unless it already evaluates
-/// a run inline: an inline run nested in another's evaluation counts its
-/// thread once. (A worker's seat is not marked, so an inline run nested in
-/// a worker counts it twice, which can only stop a lend.)
-fn seat(cores: &'static Cores) -> Option<Held<'static>> {
-    PROBER.get().is_none().then(|| cores.hold())
-}
-
-impl Drop for Probing {
-    fn drop(&mut self) {
-        PROBER.set(self.was);
-    }
-}
-
-/// A helper core lent to one block forward, returned on drop.
-pub(crate) struct Lent {
-    _held: Option<Held<'static>>,
-}
-
-/// Lend the current thread's forward of a `rows`-row block a helper core:
-/// only on a thread evaluating a run inline, only for at least `min_rows`
-/// rows, and only while its run's count is below capacity. A test that forces
-/// the split gets one for any block of two rows or more.
-pub(crate) fn lend_core(rows: usize, min_rows: usize) -> Option<Lent> {
-    match PROBER.get()? {
-        Prober::Run(cores) if rows >= min_rows => {
-            cores.lend().map(|held| Lent { _held: Some(held) })
-        }
-        Prober::Run(_) => None,
-        #[cfg(test)]
-        Prober::Forced => (rows >= 2).then_some(Lent { _held: None }),
-    }
-}
-
-/// Run `f` with every block forward of two rows or more on this thread
-/// split, on any host: the parity tests' entry to the two-span forward.
-#[cfg(test)]
-pub(crate) fn forcing_split<R>(f: impl FnOnce() -> R) -> R {
-    let _forced = Probing::enter(Prober::Forced, None);
-    f()
-}
-
 /// Deterministic batched executor for verification jobs.
 ///
 /// See the module docs for the determinism contract. The engine is
@@ -299,13 +235,16 @@ pub struct BatchEngine {
 }
 
 impl BatchEngine {
-    /// An engine that evaluates everything inline on the caller's thread.
+    /// An inline engine: the caller claims the groups itself, with one
+    /// helper beside it while its plan has at least two groups and a core
+    /// is idle (see the module docs).
     pub fn sequential() -> Self {
         Self { workers: 1 }
     }
 
-    /// An engine that runs unique jobs on up to `workers` scoped threads
-    /// (clamped to at least 1), each claiming whole prefix groups.
+    /// An engine that runs unique jobs on up to `workers` threads (clamped
+    /// to at least 1), the caller and `workers − 1` scoped threads, each
+    /// claiming whole prefix groups.
     pub fn parallel(workers: usize) -> Self {
         Self {
             workers: workers.max(1),
@@ -337,9 +276,9 @@ impl BatchEngine {
     /// Refine [`BatchEngine::plan`] one level: within each model's batch,
     /// group jobs by `(question, context)` prefix in first-appearance order.
     /// The order is model-major and prefix-contiguous. It is the order in
-    /// which [`BatchEngine::run`]'s workers claim groups, and a group is the
+    /// which [`BatchEngine::run`]'s threads claim groups, and a group is the
     /// unit they claim, so same-prefix cells always run back to back on one
-    /// worker, where the first probe builds the prefix KV snapshot and the
+    /// thread, where the first probe builds the prefix KV snapshot and the
     /// rest hit it.
     pub fn plan_prefix_groups(jobs: &[BatchJob<'_>]) -> Vec<PrefixGroup> {
         let mut out: Vec<PrefixGroup> = Vec::new();
@@ -367,19 +306,20 @@ impl BatchEngine {
     /// coalescing exact-duplicate jobs (same model, question, context,
     /// sentence) so each unique cell is evaluated exactly once.
     ///
-    /// With more than one worker, each worker repeatedly claims the next
-    /// whole prefix group of [`BatchEngine::plan_prefix_groups`] from a
-    /// shared atomic cursor and evaluates its unique jobs in order. There is
-    /// no cost model: plan order plus first-free-takes-next is the whole
-    /// schedule.
+    /// The calling thread claims the next whole prefix group of
+    /// [`BatchEngine::plan_prefix_groups`] from a shared atomic cursor and
+    /// evaluates its unique jobs in order, until no group is left. Beside it
+    /// run the engine's other `workers − 1` scoped threads, or, for an
+    /// inline engine whose plan has at least two groups, one helper while a
+    /// core is idle (see the module docs). There is no cost model: plan
+    /// order plus first-free-takes-next is the whole schedule. A thread the
+    /// OS refuses to start costs time, never a job: the others drain the
+    /// cursor without it.
     ///
     /// `eval` must be pure per the module determinism contract; under that
     /// contract the returned vector is bitwise-identical to
-    /// `jobs.iter().map(eval).collect()` regardless of worker count.
-    ///
-    /// The threads that evaluate (the caller inline, or each worker) hold a
-    /// core while they do; an inline caller's forwards may also borrow an
-    /// idle one (see the module docs).
+    /// `jobs.iter().map(eval).collect()` whichever threads claim. A panic in
+    /// `eval`, on any thread, reaches the caller with its own payload.
     pub fn run<R, F>(&self, jobs: &[BatchJob<'_>], eval: F) -> (Vec<R>, BatchReport)
     where
         R: Send + Clone,
@@ -388,13 +328,8 @@ impl BatchEngine {
         self.run_on(Cores::host(), jobs, eval)
     }
 
-    /// [`BatchEngine::run`], its probing threads counted in `cores`.
-    fn run_on<R, F>(
-        &self,
-        cores: &'static Cores,
-        jobs: &[BatchJob<'_>],
-        eval: F,
-    ) -> (Vec<R>, BatchReport)
+    /// [`BatchEngine::run`], its claiming threads counted in `cores`.
+    fn run_on<R, F>(&self, cores: &Cores, jobs: &[BatchJob<'_>], eval: F) -> (Vec<R>, BatchReport)
     where
         R: Send + Clone,
         F: Fn(&BatchJob<'_>) -> R + Sync,
@@ -447,38 +382,55 @@ impl BatchEngine {
             return (Vec::new(), report);
         }
 
-        // Evaluate unique jobs: inline when there is no parallelism to
-        // exploit, otherwise on scoped threads that claim whole groups. Each
-        // result carries its position in `unique`; sorting by it restores
-        // the unique-list order, and the fan-out below restores submission
-        // order — the ordered merge.
-        let evaluated: Vec<R> = if workers <= 1 {
-            let _probing = Probing::enter(Prober::Run(cores), seat(cores));
-            unique.iter().map(|&idx| eval(&jobs[idx])).collect()
-        } else {
-            let next = AtomicUsize::new(0);
-            let claim = || {
-                let _seat = cores.hold();
-                let mut done: Vec<(usize, R)> = Vec::new();
-                while let Some(span) = spans.get(next.fetch_add(1, Ordering::Relaxed)) {
-                    done.extend(span.clone().map(|pos| (pos, eval(&jobs[unique[pos]]))));
-                }
-                done
-            };
-            let mut claimed: Vec<(usize, R)> = std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..workers).map(|_| scope.spawn(claim)).collect();
-                let mut out = Vec::with_capacity(unique.len());
-                for handle in handles {
-                    match handle.join() {
-                        Ok(part) => out.extend(part),
-                        Err(panic) => std::panic::resume_unwind(panic),
-                    }
-                }
-                out
-            });
-            claimed.sort_unstable_by_key(|&(pos, _)| pos);
-            claimed.into_iter().map(|(_, r)| r).collect()
+        // Every claiming thread takes whole groups until the cursor runs
+        // out. Each result carries its position in `unique`; sorting by it
+        // restores the unique-list order, and the fan-out below restores
+        // submission order — the ordered merge.
+        let next = AtomicUsize::new(0);
+        let claim = || {
+            let mut done: Vec<(usize, R)> = Vec::new();
+            while let Some(span) = spans.get(next.fetch_add(1, Ordering::Relaxed)) {
+                done.extend(span.clone().map(|pos| (pos, eval(&jobs[unique[pos]]))));
+            }
+            done
         };
+        let claim = &claim;
+        let mut claimed: Vec<(usize, R)> = thread::scope(|scope| {
+            // The caller's seat is taken before a helper's is asked for, so
+            // a count of capacity 1 never lends.
+            let mine = cores.hold();
+            let seats: Vec<Held<'_>> = if self.workers > 1 {
+                (1..workers).map(|_| cores.hold()).collect()
+            } else if groups.len() > 1 {
+                cores.lend().into_iter().collect()
+            } else {
+                Vec::new()
+            };
+            // A helper's seat moves into its thread and is returned when its
+            // claim loop ends or unwinds, or at once if the OS refuses it.
+            let helpers: Vec<_> = seats
+                .into_iter()
+                .filter_map(|seat| {
+                    thread::Builder::new()
+                        .spawn_scoped(scope, move || {
+                            let _seat = seat;
+                            claim()
+                        })
+                        .ok()
+                })
+                .collect();
+            let mut out = claim();
+            drop(mine);
+            for helper in helpers {
+                match helper.join() {
+                    Ok(part) => out.extend(part),
+                    Err(panic) => std::panic::resume_unwind(panic),
+                }
+            }
+            out
+        });
+        claimed.sort_unstable_by_key(|&(pos, _)| pos);
+        let evaluated: Vec<R> = claimed.into_iter().map(|(_, r)| r).collect();
 
         // Fan out to submission order: every job clones its
         // representative's result straight from the unique evaluation.
@@ -573,7 +525,11 @@ mod tests {
             mk(0, "q2", "d"),
         ];
         let order: Mutex<Vec<String>> = Mutex::new(Vec::new());
-        let (results, report) = BatchEngine::sequential().run(&jobs, |job| {
+        // On a count of capacity 1 the caller claims every group alone, so
+        // there is one global order; with a helper, each thread keeps it
+        // (`an_inline_run_of_two_groups_runs_on_the_caller_and_one_helper`).
+        let one_core = Cores::new(1);
+        let (results, report) = BatchEngine::sequential().run_on(&one_core, &jobs, |job| {
             order
                 .lock()
                 .unwrap_or_else(|e| e.into_inner())
@@ -707,6 +663,7 @@ mod tests {
             seq_report.coalesced, 24,
             "the repeated \"a\" of every group"
         );
+        let caller = std::thread::current().id();
         for workers in [2, 3, 8] {
             // Every thread's first evaluation waits until all `workers`
             // threads hold a group, so each worker provably takes part.
@@ -732,10 +689,11 @@ mod tests {
                 eval(job)
             });
             assert_eq!(report.workers, workers);
-            assert_eq!(
-                started.into_inner().unwrap_or_default().len(),
-                workers,
-                "workers = {workers}"
+            let started = started.into_inner().unwrap_or_default();
+            assert_eq!(started.len(), workers, "workers = {workers}");
+            assert!(
+                started.contains(&caller),
+                "workers = {workers}: the caller claims groups too"
             );
             let owners = owners.into_inner().unwrap_or_default();
             assert_eq!(owners.len(), 24);
@@ -764,101 +722,248 @@ mod tests {
         assert_eq!(report.workers, 1);
     }
 
-    /// A core count of capacity 2, like two pinned CPUs, on any host.
-    fn two_cores() -> &'static Cores {
-        Box::leak(Box::new(Cores::new(2)))
-    }
-
     fn busy(cores: &Cores) -> usize {
         cores.busy.load(Ordering::Acquire)
     }
 
-    /// Whether a forward of a 64-row block on this thread may split now.
-    fn may_split() -> bool {
-        lend_core(64, 8).is_some()
+    /// What [`Claimers`] saw: each evaluating thread with the cells it
+    /// evaluated, in order, threads in the order they began; and the cores
+    /// held when the `meet`-th thread began.
+    #[derive(Default)]
+    struct Claims {
+        threads: Vec<(std::thread::ThreadId, Vec<String>)>,
+        busy_when_met: Option<usize>,
+    }
+
+    /// Records which thread evaluates each job of a run on `cores`. A
+    /// thread's first evaluation waits until `meet` threads have begun one
+    /// (or ten seconds have passed, so a run that never starts them fails
+    /// instead of hanging): every thread `meet` counts provably takes part,
+    /// and the count read by the last to arrive is the seats held while all
+    /// of them claim.
+    struct Claimers<'a> {
+        cores: &'a Cores,
+        meet: usize,
+        claims: std::sync::Mutex<Claims>,
+        arrived: std::sync::Condvar,
+    }
+
+    impl<'a> Claimers<'a> {
+        fn new(cores: &'a Cores, meet: usize) -> Self {
+            Self {
+                cores,
+                meet,
+                claims: std::sync::Mutex::new(Claims::default()),
+                arrived: std::sync::Condvar::new(),
+            }
+        }
+
+        /// Note that the current thread evaluates `job`.
+        fn note(&self, job: &BatchJob<'_>) {
+            let me = std::thread::current().id();
+            let cell = format!("{}{}", job.request.question, job.request.response);
+            let mut claims = self.claims.lock().unwrap_or_else(|e| e.into_inner());
+            if let Some((_, cells)) = claims.threads.iter_mut().find(|(id, _)| *id == me) {
+                cells.push(cell);
+                return;
+            }
+            claims.threads.push((me, vec![cell]));
+            if claims.threads.len() == self.meet {
+                claims.busy_when_met = Some(busy(self.cores));
+                self.arrived.notify_all();
+            }
+            let wait = std::time::Duration::from_secs(10);
+            drop(
+                self.arrived
+                    .wait_timeout_while(claims, wait, |c| c.threads.len() < self.meet)
+                    .unwrap_or_else(|e| e.into_inner()),
+            );
+        }
+
+        fn into_claims(self) -> Claims {
+            self.claims.into_inner().unwrap_or_else(|e| e.into_inner())
+        }
+    }
+
+    /// Two jobs of each of two prefix groups of one model, submitted
+    /// interleaved.
+    fn two_groups() -> Vec<BatchJob<'static>> {
+        let mk = |q: &'static str, r: &'static str| {
+            BatchJob::new(0, VerificationRequest::new(q, "c", r))
+        };
+        vec![mk("q1", "a"), mk("q2", "b"), mk("q1", "c"), mk("q2", "d")]
     }
 
     #[test]
-    fn inline_runs_lend_a_core_and_threads_outside_never_borrow() {
-        let cores = two_cores();
-        assert!(!may_split(), "a thread outside any run");
+    fn an_inline_run_of_two_groups_runs_on_the_caller_and_one_helper() {
+        let jobs = two_groups();
+        let (alone, alone_report) = BatchEngine::sequential().run_on(&Cores::new(1), &jobs, tag);
+        let caller = std::thread::current().id();
+        let cells = |v: &[&str]| v.iter().map(|c| c.to_string()).collect::<Vec<_>>();
+        // On three cores as on two, an inline run lends one helper.
+        for capacity in [2, 3] {
+            let cores = Cores::new(capacity);
+            let claimers = Claimers::new(&cores, 2);
+            let (results, report) = BatchEngine::sequential().run_on(&cores, &jobs, |job| {
+                claimers.note(job);
+                tag(job)
+            });
+            assert_eq!(
+                results, alone,
+                "capacity {capacity}: the helper moves no result"
+            );
+            assert_eq!(
+                report, alone_report,
+                "capacity {capacity}: nor the report, as a lent helper is no worker"
+            );
+            assert_eq!(
+                busy(&cores),
+                0,
+                "capacity {capacity}: both seats are returned"
+            );
+            let mut claims = claimers.into_claims();
+            assert_eq!(claims.busy_when_met, Some(2), "capacity {capacity}");
+            // The caller and one other thread each run one group whole, in
+            // submission order within it.
+            assert_eq!(claims.threads.len(), 2, "capacity {capacity}");
+            assert_eq!(
+                claims
+                    .threads
+                    .iter()
+                    .filter(|(id, _)| *id == caller)
+                    .count(),
+                1,
+                "capacity {capacity}"
+            );
+            claims.threads.sort_by(|a, b| a.1.cmp(&b.1));
+            let groups: Vec<Vec<String>> = claims.threads.into_iter().map(|(_, c)| c).collect();
+            assert_eq!(groups, [cells(&["q1a", "q1c"]), cells(&["q2b", "q2d"])]);
+        }
+    }
+
+    #[test]
+    fn a_caller_returns_its_seat_before_it_waits_for_its_helper() {
+        let cores = Cores::new(2);
         let jobs = jobs_from(&[(0, "a"), (1, "b")]);
-        let (lent, _) = BatchEngine::sequential().run_on(cores, &jobs, |job| {
-            let outside = std::thread::scope(|s| s.spawn(may_split).join().unwrap_or(true));
-            assert!(!outside, "a thread the evaluator starts is outside the run");
-            assert!(lend_core(4, 8).is_none(), "a block below the minimum");
-            (job.model, may_split(), busy(cores))
+        let caller = std::thread::current().id();
+        let claimers = Claimers::new(&cores, 2);
+        let seen = AtomicUsize::new(0);
+        BatchEngine::sequential().run_on(&cores, &jobs, |job| {
+            claimers.note(job);
+            if std::thread::current().id() != caller {
+                // The caller's one group is done and no group is left:
+                // wait (ten seconds at most) until it gives its seat back.
+                let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+                while busy(&cores) > 1 && std::time::Instant::now() < deadline {
+                    std::thread::yield_now();
+                }
+                seen.store(busy(&cores), Ordering::Relaxed);
+            }
+            tag(job)
         });
-        assert_eq!(lent, vec![(0, true, 1), (1, true, 1)]);
-        assert_eq!(busy(cores), 0, "the evaluator's seat is returned");
-        assert!(!may_split(), "the run is over");
+        assert_eq!(
+            seen.load(Ordering::Relaxed),
+            1,
+            "while its helper finishes, the caller holds no seat"
+        );
     }
 
     #[test]
-    fn workers_hold_both_cores_and_never_borrow() {
-        use std::sync::Barrier;
-        let cores = two_cores();
-        let mk = |q: &'static str| BatchJob::new(0, VerificationRequest::new(q, "c", "s"));
-        let jobs = vec![mk("short"), mk("long")];
-        // Both workers hold a group before either asks for a core, and
-        // neither leaves before both asked.
-        let both = Barrier::new(2);
-        let (lent, report) = BatchEngine::parallel(2).run_on(cores, &jobs, |job| {
-            both.wait();
-            let while_both = (busy(cores), may_split());
-            both.wait();
-            if job.request.question == "short" {
-                return (while_both, false);
-            }
-            // The other worker finds no group left and returns its core;
-            // a lone worker still does not borrow it.
-            while busy(cores) > 1 {
-                std::thread::yield_now();
-            }
-            (while_both, may_split())
-        });
-        assert_eq!(report.workers, 2);
-        assert_eq!(lent, vec![((2, false), false); 2]);
-        assert_eq!(busy(cores), 0);
+    fn an_inline_run_stays_on_the_caller_with_one_group_or_one_core() {
+        let caller = std::thread::current().id();
+        let one_group = jobs_from(&[(0, "a"), (0, "b"), (0, "c")]);
+        let two_groups = two_groups();
+        for (capacity, jobs) in [(2, &one_group), (1, &two_groups)] {
+            let cores = Cores::new(capacity);
+            let claimers = Claimers::new(&cores, 1);
+            let (results, _) = BatchEngine::sequential().run_on(&cores, jobs, |job| {
+                claimers.note(job);
+                tag(job)
+            });
+            assert_eq!(results, jobs.iter().map(tag).collect::<Vec<_>>());
+            let claims = claimers.into_claims();
+            let case = format!("capacity {capacity}, {} jobs", jobs.len());
+            assert_eq!(claims.busy_when_met, Some(1), "{case}: no helper's seat");
+            assert_eq!(claims.threads.len(), 1, "{case}");
+            assert_eq!(claims.threads[0].0, caller, "{case}");
+            assert_eq!(busy(&cores), 0, "{case}");
+        }
     }
 
     #[test]
     fn an_inline_run_borrows_the_core_another_run_returns() {
         use std::sync::Barrier;
-        let cores = two_cores();
-        let jobs = jobs_from(&[(0, "a")]);
-        // Two inline runs on two threads hold both cores; neither may
-        // borrow until the one that leaves first has returned its seat.
-        let both = Barrier::new(2);
-        let run = |stays: bool| {
-            let (lent, _) = BatchEngine::sequential().run_on(cores, &jobs, |_| {
-                both.wait();
-                let while_both = may_split();
-                both.wait();
-                if !stays {
-                    return (while_both, false);
-                }
-                while busy(cores) > 1 {
-                    std::thread::yield_now();
-                }
-                (while_both, may_split())
+        let cores = Cores::new(2);
+        let jobs = two_groups();
+        // A parallel run's two claimers each hold a one-job group until the
+        // inline run below has finished.
+        let other_jobs = jobs_from(&[(0, "a"), (1, "b")]);
+        let holding = Barrier::new(3);
+        let (held, claims) = std::thread::scope(|s| {
+            let other = s.spawn(|| {
+                BatchEngine::parallel(2).run_on(&cores, &other_jobs, |job| {
+                    holding.wait();
+                    holding.wait();
+                    tag(job)
+                })
             });
-            lent
-        };
-        std::thread::scope(|s| {
-            let leaves = s.spawn(|| run(false));
-            let stays = s.spawn(|| run(true));
-            assert_eq!(leaves.join().unwrap(), vec![(false, false)]);
-            assert_eq!(stays.join().unwrap(), vec![(false, true)]);
+            holding.wait();
+            let held = busy(&cores);
+            let claimers = Claimers::new(&cores, 1);
+            BatchEngine::sequential().run_on(&cores, &jobs, |job| {
+                claimers.note(job);
+                tag(job)
+            });
+            holding.wait();
+            assert!(other.join().is_ok());
+            (held, claimers.into_claims())
         });
-        assert_eq!(busy(cores), 0);
+        assert_eq!(held, 2, "the other run's claimers hold both cores");
+        assert_eq!(claims.busy_when_met, Some(3), "so no helper is lent");
+        assert_eq!(claims.threads.len(), 1);
+        assert_eq!(busy(&cores), 0, "the other run has returned its cores");
+
+        let claimers = Claimers::new(&cores, 2);
+        BatchEngine::sequential().run_on(&cores, &jobs, |job| {
+            claimers.note(job);
+            tag(job)
+        });
+        let claims = claimers.into_claims();
+        assert_eq!(claims.busy_when_met, Some(2), "the next run borrows one");
+        assert_eq!(claims.threads.len(), 2);
+    }
+
+    #[test]
+    fn workers_hold_both_cores_and_never_borrow() {
+        // Three groups for two claimers. On two cores they hold both; on
+        // three, the idle third is not lent to a parallel run.
+        let caller = std::thread::current().id();
+        let jobs = jobs_from(&[(0, "a"), (1, "b"), (2, "c")]);
+        for capacity in [2, 3] {
+            let cores = Cores::new(capacity);
+            let claimers = Claimers::new(&cores, 2);
+            let (results, report) = BatchEngine::parallel(2).run_on(&cores, &jobs, |job| {
+                claimers.note(job);
+                tag(job)
+            });
+            assert_eq!(results, vec!["0:a", "1:b", "2:c"]);
+            assert_eq!(report.workers, 2);
+            let claims = claimers.into_claims();
+            assert_eq!(claims.busy_when_met, Some(2), "capacity {capacity}");
+            assert_eq!(claims.threads.len(), 2, "capacity {capacity}");
+            assert!(
+                claims.threads.iter().any(|(id, _)| *id == caller),
+                "capacity {capacity}: the caller is one of the two"
+            );
+            assert_eq!(busy(&cores), 0, "capacity {capacity}");
+        }
     }
 
     #[test]
     fn lent_cores_never_exceed_the_capacity_and_unwinding_returns_them() {
         use std::sync::atomic::AtomicBool;
         use std::sync::Barrier;
-        let cores = two_cores();
+        let cores = Cores::new(2);
         let threads = 4;
         let start = Barrier::new(threads);
         let over = AtomicBool::new(false);
@@ -868,7 +973,7 @@ mod tests {
                     start.wait();
                     for _ in 0..2000 {
                         if let Some(held) = cores.lend() {
-                            over.fetch_or(busy(cores) > 2, Ordering::Relaxed);
+                            over.fetch_or(busy(&cores) > 2, Ordering::Relaxed);
                             drop(held);
                         }
                     }
@@ -876,19 +981,137 @@ mod tests {
             }
         });
         assert!(!over.load(Ordering::Relaxed), "more cores lent than exist");
-        assert_eq!(busy(cores), 0);
+        assert_eq!(busy(&cores), 0);
 
-        let jobs = jobs_from(&[(0, "a")]);
         let unwound = std::panic::catch_unwind(|| {
-            BatchEngine::sequential().run_on(cores, &jobs, |_| {
-                let _helper = lend_core(64, 8);
-                assert_eq!(busy(cores), 2);
-                panic!("probe failed");
-            })
+            let _seat = cores.hold();
+            let _lent = cores.lend();
+            assert_eq!(busy(&cores), 2);
+            panic!("probe failed");
         });
         assert!(unwound.is_err());
-        assert_eq!(busy(cores), 0, "seats are returned on unwind");
-        assert!(!may_split(), "the thread no longer probes");
+        assert_eq!(busy(&cores), 0, "seats are returned on unwind");
+    }
+
+    #[test]
+    fn a_panic_in_either_threads_group_reaches_the_caller_and_every_seat_comes_back() {
+        let cores = Cores::new(2);
+        let jobs = two_groups();
+        let caller = std::thread::current().id();
+        for (in_caller, payload) in [(false, "the helper's group"), (true, "the caller's group")] {
+            let claimers = Claimers::new(&cores, 2);
+            let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                BatchEngine::sequential().run_on(&cores, &jobs, |job| {
+                    claimers.note(job);
+                    if (std::thread::current().id() == caller) == in_caller {
+                        std::panic::panic_any(payload);
+                    }
+                    tag(job)
+                })
+            }));
+            let panic = unwound.expect_err("the panic reaches the caller");
+            assert_eq!(panic.downcast_ref::<&str>(), Some(&payload));
+            assert_eq!(claimers.into_claims().threads.len(), 2, "{payload}");
+            assert_eq!(busy(&cores), 0, "{payload}: every seat comes back");
+        }
+    }
+
+    #[test]
+    fn engine_probes_with_a_lent_helper_match_a_lone_caller() {
+        use std::sync::Arc;
+
+        use crate::bpe::Bpe;
+        use crate::config::ModelConfig;
+        use crate::engine_verifier::EngineVerifier;
+        use crate::model::{InferenceModel, TransformerLM};
+        use crate::paged::{PagedKvPool, PagedPoolConfig, PagedPrefixCache, PrefixCacheConfig};
+        use crate::quant::QuantizedLM;
+        use crate::verifier::YesNoVerifier;
+
+        let bpe = Bpe::train(
+            &[
+                "the store operates from 9 am to 5 pm",
+                "working hours are from sunday to saturday",
+                "is the answer correct according to the context reply yes or no",
+            ],
+            200,
+        );
+        // Both benchmark shapes at both precisions, each member on a
+        // prefix cache of its own.
+        fn member<M: InferenceModel + Send + Sync + 'static>(
+            name: &str,
+            model: M,
+            bpe: &Bpe,
+        ) -> (Box<dyn YesNoVerifier>, Arc<PagedPrefixCache>) {
+            let pool = PagedKvPool::new(PagedPoolConfig::for_model(model.config(), 64));
+            let cache = Arc::new(PagedPrefixCache::new(
+                Arc::new(pool),
+                PrefixCacheConfig::default(),
+            ));
+            let verifier =
+                EngineVerifier::new(name, model, bpe.clone()).with_paged_cache(Arc::clone(&cache));
+            (Box::new(verifier), cache)
+        }
+        let members = || {
+            let vocab = bpe.vocab_size();
+            let (qwen2, minicpm) = (
+                ModelConfig::qwen2_like(vocab),
+                ModelConfig::minicpm_like(vocab),
+            );
+            vec![
+                member(
+                    "qwen2 f32",
+                    TransformerLM::synthetic(qwen2.clone(), 5),
+                    &bpe,
+                ),
+                member("qwen2 int8", QuantizedLM::synthetic(qwen2, 5), &bpe),
+                member(
+                    "minicpm f32",
+                    TransformerLM::synthetic(minicpm.clone(), 6),
+                    &bpe,
+                ),
+                member("minicpm int8", QuantizedLM::synthetic(minicpm, 6), &bpe),
+            ]
+        };
+        // Two prefixes per member, three sentences each, one of them twice.
+        let prefixes = [
+            (
+                "what are the hours?",
+                "the store operates from 9 am to 5 pm",
+            ),
+            ("which days?", "working hours are from sunday to saturday"),
+        ];
+        let sentences = ["9 am", "5 pm on sunday", "the store operates", "9 am"];
+        let mut jobs = Vec::new();
+        for &(q, c) in &prefixes {
+            for r in sentences {
+                for model in 0..4 {
+                    jobs.push(BatchJob::new(model, VerificationRequest::new(q, c, r)));
+                }
+            }
+        }
+
+        let probe_on = |cores: &Cores, meet: usize| {
+            let members = members();
+            let claimers = Claimers::new(cores, meet);
+            let (scores, report) = BatchEngine::sequential().run_on(cores, &jobs, |job| {
+                claimers.note(job);
+                members[job.model].0.p_yes(&job.request).to_bits()
+            });
+            let stats: Vec<_> = members.iter().map(|(_, cache)| cache.stats()).collect();
+            (scores, report, stats, claimers.into_claims().threads.len())
+        };
+        let (alone, alone_report, alone_stats, alone_threads) = probe_on(&Cores::new(1), 1);
+        let (lent, lent_report, lent_stats, lent_threads) = probe_on(&Cores::new(2), 2);
+        assert_eq!((alone_threads, lent_threads), (1, 2));
+        assert_eq!(alone_report.prefix_groups, 8);
+        assert_eq!(alone_report.coalesced, 8);
+        assert_eq!(lent, alone, "score bits");
+        assert_eq!(lent_report, alone_report);
+        for (member, (lent, alone)) in lent_stats.iter().zip(&alone_stats).enumerate() {
+            assert_eq!(lent, alone, "prefix-cache stats of member {member}");
+            assert_eq!((alone.inserts, alone.hits), (2, 4), "member {member}");
+        }
     }
 
     #[test]

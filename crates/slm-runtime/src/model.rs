@@ -1,18 +1,10 @@
 //! The decoder-only transformer language model.
 
-use std::convert::Infallible;
-use std::ops::Range;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, OnceLock};
-
 use tensor::nn::rmsnorm;
 use tensor::ops::axpy;
 use tensor::{Linear, Matrix, PackedMatrix};
 
-use crate::attention::{
-    attend_rows, attention_step, project, rows_from, stage, GatheredKv, Projected,
-};
-use crate::batch;
+use crate::attention::{attention_block, attention_step, rows_from};
 use crate::bpe::TokenId;
 use crate::config::ModelConfig;
 use crate::ffn::{ffn_block, ffn_step};
@@ -276,141 +268,21 @@ impl<L: LayerView> Transformer<L> {
     /// contract, rmsnorm, the attention core and axpy run per row in
     /// sequential order, and a last-layer query reads the same staged K/V
     /// whichever rows are finished.
-    ///
-    /// There is one layer loop, [`Transformer::span`], over row spans. A
-    /// block runs as one span on the calling thread unless the batch
-    /// engine lends this thread an idle core ([`batch::lend_core`]) and the
-    /// block has at least [`SPLIT_MIN_ROWS`] rows; then a scoped helper
-    /// runs the leading rows and the caller the trailing ones
-    /// ([`Transformer::forward_split`]). A row's arithmetic is the same in
-    /// either span, so the split moves no bit.
     fn forward_block_core<C: KvStore>(
         &self,
         tokens: &[TokenId],
         cache: &mut C,
         finish: Finish,
     ) -> Matrix {
-        let block = tokens.len();
-        let xs = match batch::lend_core(block, SPLIT_MIN_ROWS) {
-            None => self.forward_one(tokens, cache, finish),
-            Some(_helper) => self.forward_split(tokens, cache, finish, helper_rows(block)),
-        };
-        cache.advance_by(block);
-        xs
-    }
-
-    /// A block forward as one span on the calling thread, K/V staged but
-    /// not committed.
-    fn forward_one<C: KvStore>(&self, tokens: &[TokenId], cache: &mut C, finish: Finish) -> Matrix {
-        let (cfg, block, start) = (&self.cfg, tokens.len(), cache.len());
-        let Ok(xs) = self.span(tokens, 0..block, start, finish, |layer, k, v, wants| {
-            stage(cache, layer, start, &k, &v);
-            let gather = || Arc::new(GatheredKv::new(cfg, cache, layer, start + block));
-            Ok::<_, Infallible>(wants.then(gather))
-        });
-        xs
-    }
-
-    /// A block forward on two threads. A scoped helper runs rows
-    /// `0..split` and the caller rows `split..`, so the caller holds every
-    /// row a prefill reads. Per layer, each thread norms, projects and
-    /// rotates its own rows; then there is one handoff each way
-    /// ([`Link`]): the helper's K/V rows go to the caller, which alone
-    /// stages both spans' rows and gathers the layer once, and the gather
-    /// comes back to the helper. Each then attends, projects `wo` and runs
-    /// the FFN on its own rows and goes straight on to the next layer.
-    ///
-    /// The helper never sees the cache, so `C` needs neither `Send` nor
-    /// `Sync`. In the last layer of a prefill or a prefix build the helper
-    /// finishes none of its rows: it hands over its K/V and ends. Its
-    /// residual rows come back at the join only for
-    /// [`InferenceModel::forward_block_states`]. A panic on either thread
-    /// marks the link gone, so the other stops waiting, and reaches the
-    /// caller with its own payload. If the OS cannot start the helper, the
-    /// block runs as one span on the caller instead
-    /// ([`Transformer::forward_one`]): nothing has touched the cache yet,
-    /// and the bits are the same.
-    ///
-    /// Why the bits hold: each row is rotated at its own position whichever
-    /// thread projects it, the one gather covers the same `start + block`
-    /// positions an unsplit forward gathers, with every row of the block
-    /// staged first, and each kernel (GEMM row, int8 row quantizer,
-    /// attention tile row, RMSNorm, SwiGLU) computes a row alone. So which
-    /// thread runs a row, and which tile it lands in, moves no bit.
-    fn forward_split<C: KvStore>(
-        &self,
-        tokens: &[TokenId],
-        cache: &mut C,
-        finish: Finish,
-        split: usize,
-    ) -> Matrix {
-        let (cfg, block, start) = (&self.cfg, tokens.len(), cache.len());
-        let link = Link::new(self.layers.len());
-        std::thread::scope(|scope| {
-            let spawned = std::thread::Builder::new().spawn_scoped(scope, || {
-                link.guard(|| {
-                    self.span(tokens, 0..split, start, finish, |layer, k, v, wants| {
-                        let _ = link.kv[layer].set((k, v, wants));
-                        match wants {
-                            true => link
-                                .wait(&link.gathered[layer])
-                                .map(|kv| Some(Arc::clone(kv))),
-                            false => Ok(None),
-                        }
-                    })
-                })
-            });
-            let Ok(helper) = spawned else {
-                return self.forward_one(tokens, cache, finish);
-            };
-            let mine: Result<Matrix, Gone> = link.guard(|| {
-                self.span(tokens, split..block, start, finish, |layer, k, v, wants| {
-                    let (their_k, their_v, theirs) = link.wait(&link.kv[layer])?;
-                    stage(cache, layer, start, their_k, their_v);
-                    stage(cache, layer, start + split, &k, &v);
-                    if !(wants || *theirs) {
-                        return Ok(None);
-                    }
-                    let kv = Arc::new(GatheredKv::new(cfg, cache, layer, start + block));
-                    if *theirs {
-                        let _ = link.gathered[layer].set(Arc::clone(&kv));
-                    }
-                    Ok(wants.then_some(kv))
-                })
-            });
-            match (helper.join(), mine) {
-                (Ok(Ok(theirs)), Ok(mine)) => stack(&theirs, &mine),
-                (Err(panic), _) => std::panic::resume_unwind(panic),
-                _ => unreachable!("a thread leaves the link only by panicking"),
-            }
-        })
-    }
-
-    /// The layer loop of one span: block rows `rows` of `tokens`, at
-    /// positions `start + rows`. It embeds its rows; then, per layer, it
-    /// norms them, projects and rotates K, V and the queried rows' Q, and
-    /// hands K/V to `meet`. `meet` stages them (or passes them to the
-    /// partner that does) and returns the layer's gather when this span
-    /// queries any row. The span then attends, projects `wo` and runs the
-    /// FFN on those rows. Returns the residual rows among its own that
-    /// `finish` names, or `meet`'s error once the partner has left.
-    fn span<E>(
-        &self,
-        tokens: &[TokenId],
-        rows: Range<usize>,
-        start: usize,
-        finish: Finish,
-        mut meet: impl FnMut(usize, Matrix, Matrix, bool) -> Result<Option<Arc<GatheredKv>>, E>,
-    ) -> Result<Matrix, E> {
         let cfg = &self.cfg;
-        let (block, first, end) = (tokens.len(), rows.start, rows.end);
-        let mut xs = Matrix::zeros(rows.len(), cfg.hidden);
-        for (i, &t) in tokens[rows].iter().enumerate() {
+        let block = tokens.len();
+        let mut xs = Matrix::zeros(block, cfg.hidden);
+        for (i, &t) in tokens.iter().enumerate() {
             assert!((t as usize) < cfg.vocab_size, "token {t} out of vocabulary");
             xs.row_mut(i).copy_from_slice(self.embed.row(t as usize));
         }
 
-        let mut normed = Matrix::zeros(xs.rows(), cfg.hidden);
+        let mut normed = Matrix::zeros(block, cfg.hidden);
         for (layer_idx, layer) in self.layers.iter().enumerate() {
             for i in 0..xs.rows() {
                 rmsnorm(
@@ -422,20 +294,19 @@ impl<L: LayerView> Transformer<L> {
             }
             // Every layer stages every row's K/V; the last one queries only
             // the finished rows, and the other rows' residual goes no further.
-            let queried = if layer_idx + 1 == self.layers.len() {
-                finish.first_row(block).clamp(first, end)
+            let first = if layer_idx + 1 == self.layers.len() {
+                finish.first_row(block)
             } else {
-                first
+                0
             };
-            let Projected { k, v, q } =
-                project(layer, &self.rope, &normed, start + first, queried - first);
-            let Some(kv) = meet(layer_idx, k, v, q.rows() > 0)? else {
-                return Ok(Matrix::zeros(0, cfg.hidden));
-            };
-            let attn_out = attend_rows(layer, &kv, &q, start + queried + 1);
-            if queried > first {
-                xs = rows_from(&xs, queried - first);
+            let attn_out =
+                attention_block(cfg, layer, &self.rope, cache, layer_idx, &normed, first);
+            if first > 0 {
+                xs = rows_from(&xs, first);
                 normed = Matrix::zeros(xs.rows(), cfg.hidden);
+            }
+            if xs.rows() == 0 {
+                break;
             }
             for i in 0..xs.rows() {
                 axpy(1.0, attn_out.row(i), xs.row_mut(i));
@@ -449,96 +320,8 @@ impl<L: LayerView> Transformer<L> {
                 axpy(1.0, ffn_out.row(i), xs.row_mut(i));
             }
         }
-        Ok(xs)
-    }
-}
-
-/// Blocks with fewer rows run on one thread even when a core is free.
-/// Timed as split against unsplit forwards after a 75-token prefix (both
-/// benchmark shapes, f32 and int8, medians of 25 alternating pairs on a
-/// 2-vCPU guest): from 8 to 14 rows the ratio scattered around 1
-/// (0.70–1.21), at 16 rows and up the split won on both shapes at f32 and
-/// mostly at int8, and at 37 rows it won by ×1.25–×1.59.
-const SPLIT_MIN_ROWS: usize = 16;
-
-/// Spins a waiting thread of a split forward makes before it starts
-/// yielding its core between checks. The partner is usually a fraction of
-/// a microsecond away on its own core; a long spin, though, starves the
-/// partner when both threads share one core.
-const SPINS: usize = 200;
-
-/// The leading rows the helper of a split `block`-row forward takes: about
-/// half, rounded up to whole 4-row GEMM tiles because its rows are the
-/// narrower ones of the causal core and the caller also stages and
-/// gathers, and never the final row, which a prefill reads.
-fn helper_rows(block: usize) -> usize {
-    block.div_ceil(2).next_multiple_of(4).min(block - 1)
-}
-
-/// The rows of `top`, then the rows of `bottom`.
-fn stack(top: &Matrix, bottom: &Matrix) -> Matrix {
-    let data = [top.as_slice(), bottom.as_slice()].concat();
-    Matrix::from_vec(top.rows() + bottom.rows(), bottom.cols(), data)
-}
-
-/// The handoffs of a split block forward, one slot per layer each way.
-struct Link {
-    /// The helper's rotated K and V rows, and whether it waits for the
-    /// layer's gather.
-    kv: Vec<OnceLock<(Matrix, Matrix, bool)>>,
-    /// The layer's gathered K/V, for the helper's queried rows.
-    gathered: Vec<OnceLock<Arc<GatheredKv>>>,
-    /// Set when either thread unwinds, so the other stops waiting.
-    gone: AtomicBool,
-}
-
-/// The partner of a split forward has unwound; the join passes its panic on.
-struct Gone;
-
-impl Link {
-    fn new(layers: usize) -> Self {
-        Self {
-            kv: (0..layers).map(|_| OnceLock::new()).collect(),
-            gathered: (0..layers).map(|_| OnceLock::new()).collect(),
-            gone: AtomicBool::new(false),
-        }
-    }
-
-    /// The value in `slot` once the partner fills it: spin briefly, then
-    /// yield the core between checks, so both threads progress even on one
-    /// core. `Err` once the partner has unwound. The slot publishes its
-    /// value itself; `gone` publishes nothing (Release on unwind, Acquire
-    /// here only order the flag).
-    fn wait<'a, T>(&'a self, slot: &'a OnceLock<T>) -> Result<&'a T, Gone> {
-        let mut spins = 0;
-        loop {
-            if let Some(value) = slot.get() {
-                return Ok(value);
-            }
-            if self.gone.load(Ordering::Acquire) {
-                return Err(Gone);
-            }
-            if spins < SPINS {
-                spins += 1;
-                std::hint::spin_loop();
-            } else {
-                std::thread::yield_now();
-            }
-        }
-    }
-
-    /// Run `f`, marking the link gone if it unwinds.
-    fn guard<R>(&self, f: impl FnOnce() -> R) -> R {
-        struct Leave<'a>(&'a AtomicBool);
-        impl Drop for Leave<'_> {
-            fn drop(&mut self) {
-                if std::thread::panicking() {
-                    self.0.store(true, Ordering::Release);
-                }
-            }
-        }
-        let _leave = Leave(&self.gone);
-        f()
+        cache.advance_by(block);
+        xs
     }
 }
 
@@ -608,11 +391,10 @@ fn lm_head_threads() -> usize {
 
 #[cfg(test)]
 mod tests {
-    use std::sync::atomic::AtomicUsize;
+    use std::cell::Cell;
     use std::sync::Arc;
 
     use super::*;
-    use crate::batch::forcing_split;
     use crate::paged::{
         PagedKvCache, PagedKvPool, PagedPoolConfig, PagedPrefixCache, PrefixCacheConfig,
     };
@@ -690,15 +472,6 @@ mod tests {
 
     #[test]
     fn gemm_prefill_is_bit_identical_to_sequential() {
-        gemm_prefill_parity();
-    }
-
-    #[test]
-    fn split_gemm_prefill_is_bit_identical_to_sequential() {
-        forcing_split(gemm_prefill_parity);
-    }
-
-    fn gemm_prefill_parity() {
         // Across prompt lengths that cover a single partial block, exact
         // block multiples, and a PREFILL_BLOCK boundary crossing.
         let m = tiny_model();
@@ -765,18 +538,17 @@ mod tests {
         assert_eq!(scratch, via_fork);
     }
 
-    /// A packed f32 projection that counts the activation rows it projects,
-    /// on whichever thread projects them.
+    /// A packed f32 projection that counts the activation rows it projects.
     struct Counted {
         w: PackedMatrix,
-        rows: AtomicUsize,
+        rows: Cell<usize>,
     }
 
     impl Counted {
         fn new(w: Matrix) -> Self {
             Self {
                 w: PackedMatrix::pack(&w),
-                rows: AtomicUsize::new(0),
+                rows: Cell::new(0),
             }
         }
     }
@@ -789,11 +561,11 @@ mod tests {
             self.w.out_features()
         }
         fn apply(&self, x: &[f32]) -> Vec<f32> {
-            self.rows.fetch_add(1, Ordering::Relaxed);
+            self.rows.set(self.rows.get() + 1);
             self.w.apply(x)
         }
         fn apply_block(&self, xs: &Matrix) -> Matrix {
-            self.rows.fetch_add(xs.rows(), Ordering::Relaxed);
+            self.rows.set(self.rows.get() + xs.rows());
             self.w.apply_block(xs)
         }
     }
@@ -803,23 +575,12 @@ mod tests {
     fn projected_rows(m: &Transformer<LayerWeights<Counted>>) -> Vec<[usize; 7]> {
         m.layers
             .iter()
-            .map(|l| l.projections().map(|w| w.rows.swap(0, Ordering::Relaxed)))
+            .map(|l| l.projections().map(|w| w.rows.replace(0)))
             .collect()
     }
 
     #[test]
     fn last_layer_finishes_only_the_read_row() {
-        last_layer_counts();
-    }
-
-    #[test]
-    fn split_last_layer_finishes_only_the_read_row() {
-        // The helper of a split prefill projects its rows' K/V in the last
-        // layer and nothing else, so the counts do not move.
-        forcing_split(last_layer_counts);
-    }
-
-    fn last_layer_counts() {
         // The trimmed forward keeps every bit, so only counted work shows
         // that it runs: a three-chunk prefill projects every layer's K/V
         // for all 130 rows, but the last layer's wq, wo and FFN for the one
@@ -846,7 +607,7 @@ mod tests {
             };
             assert_eq!(rows, want, "prefill, layer {layer}");
         }
-        assert_eq!(m.lm_head.rows.load(Ordering::Relaxed), 1, "one LM head row");
+        assert_eq!(m.lm_head.rows.get(), 1, "one LM head row");
 
         let mut kv = m.new_cache();
         m.prefill_cache_only(&prompt, &mut kv);
@@ -957,137 +718,9 @@ mod tests {
         // The engines finish only the read row; a delegate that keeps the
         // provided default runs every row through the last layer and reads
         // the final one. Both must give the same logits and K/V bits.
-        defaults_match_overrides();
-    }
-
-    #[test]
-    fn split_provided_forward_block_last_matches_the_engine_override() {
-        // Split, the delegate's all-rows forward returns the helper's rows
-        // at the join, and the engines' helpers finish none of theirs.
-        forcing_split(defaults_match_overrides);
-    }
-
-    fn defaults_match_overrides() {
         let cfg = ModelConfig::qwen2_like(64);
         default_matches_override(&TransformerLM::synthetic(cfg.clone(), 11), "f32");
         default_matches_override(&crate::quant::QuantizedLM::synthetic(cfg, 11), "int8");
-    }
-
-    /// How a split-parity case enters the block forward.
-    #[derive(Debug, Clone, Copy)]
-    enum Entry {
-        Prefill,
-        CacheOnly,
-        States,
-    }
-
-    impl Entry {
-        /// Run `tokens` into `kv` and return the bits of what comes back.
-        fn run<M: InferenceModel, C: KvStore>(
-            self,
-            m: &M,
-            tokens: &[TokenId],
-            kv: &mut C,
-        ) -> Vec<u32> {
-            match self {
-                Entry::Prefill => bits(&m.prefill(tokens, kv)),
-                Entry::CacheOnly => {
-                    m.prefill_cache_only(tokens, kv);
-                    Vec::new()
-                }
-                Entry::States => bits(m.forward_block_states(tokens, kv).as_slice()),
-            }
-        }
-    }
-
-    /// A forced two-span forward against the one-span forward of the same
-    /// block: the returned logits or residual rows and every committed K/V
-    /// row, bit for bit, for blocks of 8 to 64 rows from position 0 and
-    /// after a 74-token prefix, in a contiguous cache and in a paged fork.
-    fn split_matches_unsplit<M: InferenceModel>(m: &M, name: &str) {
-        let (layers, vocab) = (m.config().n_layers, m.config().vocab_size);
-        let tokens = |n: usize, salt: usize| -> Vec<TokenId> {
-            (0..n)
-                .map(|i| ((i * 7 + salt) % vocab) as TokenId)
-                .collect()
-        };
-        let prefix = tokens(74, 5);
-        let pool = PagedKvPool::new(PagedPoolConfig::for_model(m.config(), 64));
-        let snapshots = PagedPrefixCache::new(Arc::new(pool), PrefixCacheConfig::default());
-        for block in [8, 9, 12, 37, 64] {
-            let suffix = tokens(block, 3);
-            let need = prefix.len() + block;
-            for entry in [Entry::Prefill, Entry::CacheOnly, Entry::States] {
-                for at in [0, prefix.len()] {
-                    let case = format!("{name} {entry:?} block {block} at {at}");
-                    let (mut a, mut b) = (m.new_cache(), m.new_cache());
-                    if at > 0 {
-                        m.prefill_cache_only(&prefix, &mut a);
-                        m.prefill_cache_only(&prefix, &mut b);
-                    }
-                    let want = entry.run(m, &suffix, &mut a);
-                    let got = forcing_split(|| entry.run(m, &suffix, &mut b));
-                    assert_eq!(want, got, "{case}");
-                    assert_same_kv(&a, &b, layers, &case);
-                }
-
-                let case = format!("{name} {entry:?} block {block} on a paged fork");
-                let fork = || {
-                    let mut kv = snapshots
-                        .fork_or_build(name, &prefix, need, |kv| m.prefill_cache_only(&prefix, kv))
-                        .expect("the pool holds the snapshot and a fork");
-                    kv.try_reserve(block).expect("the pool holds the block");
-                    kv
-                };
-                let (mut a, mut b) = (fork(), fork());
-                let want = entry.run(m, &suffix, &mut a);
-                let got = forcing_split(|| entry.run(m, &suffix, &mut b));
-                assert_eq!(want, got, "{case}");
-                assert_same_kv(&a, &b, layers, &case);
-            }
-        }
-    }
-
-    #[test]
-    fn split_forward_is_bit_identical_to_unsplit() {
-        for (shape, cfg) in [
-            ("qwen2_like", ModelConfig::qwen2_like(64)),
-            ("minicpm_like", ModelConfig::minicpm_like(64)),
-        ] {
-            let f32 = TransformerLM::synthetic(cfg.clone(), 11);
-            split_matches_unsplit(&f32, &format!("{shape} f32"));
-            let int8 = crate::quant::QuantizedLM::synthetic(cfg, 11);
-            split_matches_unsplit(&int8, &format!("{shape} int8"));
-        }
-    }
-
-    #[test]
-    fn split_helper_rows_are_whole_tiles_and_never_the_last_row() {
-        for (block, helper) in [(2, 1), (8, 4), (9, 8), (12, 8), (37, 20), (64, 32)] {
-            assert_eq!(helper_rows(block), helper, "block {block}");
-        }
-    }
-
-    /// A forced split prefill of twelve rows (the helper takes 0..8) with
-    /// an out-of-vocabulary token at `at`.
-    fn split_prefill_with_oov_at(at: usize) {
-        let m = tiny_model();
-        let mut tokens: Vec<TokenId> = (0..12).map(|i| i * 3 % 48).collect();
-        tokens[at] = 999;
-        let mut kv = m.new_cache();
-        forcing_split(|| m.prefill(&tokens, &mut kv));
-    }
-
-    #[test]
-    #[should_panic(expected = "out of vocabulary")]
-    fn split_forward_passes_on_a_panic_in_the_helpers_rows() {
-        split_prefill_with_oov_at(1);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of vocabulary")]
-    fn split_forward_passes_on_a_panic_in_the_callers_rows() {
-        split_prefill_with_oov_at(11);
     }
 
     #[test]

@@ -14,17 +14,15 @@ use crate::config::ModelConfig;
 
 /// Per-layer weight access, abstracted over storage precision.
 ///
-/// The engine (`model::Transformer`), `attention_step`, the block attention
-/// phases and `ffn_step`/`ffn_block` are written once against this trait; the
+/// The engine (`model::Transformer`), `attention_step`/`attention_block` and
+/// `ffn_step`/`ffn_block` are written once against this trait; the
 /// associated [`Linear`] type decides whether a projection runs the packed
 /// f32 kernel (`LayerWeights<PackedMatrix>`) or the int8 kernels
 /// (`LayerWeights<Int8Matrix>`). The norm gains stay f32 in both
 /// precisions — RMSNorm is cheap and scale-sensitive.
-///
-/// Layers are `Sync`: a split block forward reads them from two threads.
-pub trait LayerView: Sync {
+pub trait LayerView {
     /// Projection storage for this precision.
-    type Lin: Linear + Sync;
+    type Lin: Linear;
 
     /// Query projection, `hidden × hidden`.
     fn wq(&self) -> &Self::Lin;
@@ -134,7 +132,7 @@ impl<W> LayerWeights<W> {
     }
 }
 
-impl<W: Linear + Sync> LayerView for LayerWeights<W> {
+impl<W: Linear> LayerView for LayerWeights<W> {
     type Lin = W;
 
     fn wq(&self) -> &W {
